@@ -19,6 +19,7 @@ import (
 
 	"rcoal/internal/gpusim/mem"
 	"rcoal/internal/metrics"
+	"rcoal/internal/ringbuf"
 )
 
 // Timing holds the GDDR5 timing parameters in memory-clock cycles
@@ -89,15 +90,17 @@ type bankState struct {
 
 // Controller is one memory partition's FR-FCFS controller.
 type Controller struct {
-	timing   Timing
-	addrMap  mem.AddressMap
-	banks    []bankState
-	queue    []queued       // arrival order preserved (FCFS component)
-	pending  []*mem.Request // scheduled, waiting for data return
-	busFree  int64          // shared data bus availability
-	lastAct  int64          // most recent activate, for tRRD
+	timing  Timing
+	addrMap mem.AddressMap
+	banks   []bankState
+	queue   []queued // arrival order preserved (FCFS component)
+	// inflight holds scheduled requests waiting for data return, in
+	// schedule order — which is also strictly increasing Done order
+	// (see schedule), so completions pop from the head.
+	inflight ringbuf.Ring[*mem.Request]
+	busFree  int64 // shared data bus availability
+	lastAct  int64 // most recent activate, for tRRD
 	queueCap int
-	minDone  int64          // earliest completion among pending requests
 	doneBuf  []*mem.Request // reused by Tick; valid until the next Tick
 
 	// stallArmed/stallAfter are the fault-injection seam (see
@@ -198,7 +201,7 @@ func (c *Controller) QueueLen() int { return len(c.queue) }
 
 // InFlight returns the number of scheduled requests whose data has not
 // returned yet.
-func (c *Controller) InFlight() int { return len(c.pending) }
+func (c *Controller) InFlight() int { return c.inflight.Len() }
 
 // Tick advances the controller to cycle now: it schedules at most one
 // request (FR-FCFS: the oldest row-hit if any, otherwise the oldest
@@ -224,20 +227,19 @@ func (c *Controller) schedule(now int64) {
 	if len(c.queue) == 0 || (c.stallArmed && c.Stats.Accesses >= c.stallAfter) {
 		return
 	}
-	// First-ready: oldest request whose bank has the needed row open
-	// and can take a column command now.
-	pick := -1
-	for i := range c.queue {
-		loc := &c.queue[i].loc
-		b := &c.banks[loc.Bank]
-		if b.openRow == loc.Row && b.nextCol <= now && c.busFree <= now {
-			pick = i
-			break
+	// First-ready: the oldest request whose bank has the needed row open
+	// and can take a column command now; while the data bus is busy none
+	// is, so the scan is skipped. FCFS fallback: the oldest request,
+	// whenever its bank allows.
+	pick := 0
+	if c.busFree <= now {
+		for i := range c.queue {
+			loc := &c.queue[i].loc
+			if b := &c.banks[loc.Bank]; b.openRow == loc.Row && b.nextCol <= now {
+				pick = i
+				break
+			}
 		}
-	}
-	if pick == -1 {
-		// FCFS fallback: the oldest request, whenever its bank allows.
-		pick = 0
 	}
 	r := c.queue[pick].req
 	loc := c.queue[pick].loc
@@ -266,6 +268,9 @@ func (c *Controller) schedule(now int64) {
 		b.rowMiss++
 		c.Stats.RowMisses++
 	}
+	// Both branches put the column command at or after busFree, which
+	// is the previous column command plus Burst >= 1. Done is therefore
+	// strictly increasing in schedule order: inflight stays sorted.
 	b.nextCol = colCmd + int64(c.timing.CCD)
 	c.busFree = colCmd + int64(c.timing.Burst)
 	r.Done = colCmd + int64(c.timing.CL) + int64(c.timing.Burst)
@@ -273,37 +278,21 @@ func (c *Controller) schedule(now int64) {
 	c.Stats.Accesses++
 
 	c.queue = append(c.queue[:pick], c.queue[pick+1:]...)
-	c.pending = append(c.pending, r)
-	if len(c.pending) == 1 || r.Done < c.minDone {
-		c.minDone = r.Done
-	}
+	c.inflight.Push(r)
 }
 
+// collect pops every in-flight request whose data is ready by now.
 func (c *Controller) collect(now int64) []*mem.Request {
-	if len(c.pending) == 0 || now < c.minDone {
-		return nil
-	}
 	done := c.doneBuf[:0]
-	kept := c.pending[:0]
-	next := int64(1) << 62
-	for _, r := range c.pending {
-		if r.Done <= now {
-			done = append(done, r)
-		} else {
-			kept = append(kept, r)
-			if r.Done < next {
-				next = r.Done
-			}
-		}
+	for c.inflight.Len() > 0 && c.inflight.Peek().Done <= now {
+		done = append(done, c.inflight.Pop())
 	}
-	c.pending = kept
-	c.minDone = next
 	c.doneBuf = done
 	return done
 }
 
 // Idle reports whether the controller has no queued or in-flight work.
-func (c *Controller) Idle() bool { return len(c.queue) == 0 && len(c.pending) == 0 }
+func (c *Controller) Idle() bool { return len(c.queue) == 0 && c.inflight.Len() == 0 }
 
 // NextEvent returns the earliest cycle strictly after now at which the
 // controller can make progress, or math.MaxInt64 when idle. While
@@ -315,10 +304,10 @@ func (c *Controller) NextEvent(now int64) int64 {
 	if len(c.queue) > 0 {
 		return now + 1
 	}
-	if len(c.pending) == 0 {
+	if c.inflight.Len() == 0 {
 		return math.MaxInt64
 	}
-	return c.minDone
+	return c.inflight.Peek().Done
 }
 
 // Snapshot is a controller's complete mid-launch state, captured for
@@ -327,13 +316,12 @@ func (c *Controller) NextEvent(now int64) int64 {
 // stays valid — and shareable across any number of forks — after the
 // live request arena is reused.
 type Snapshot struct {
-	banks   []bankState
-	queue   []snapQueued
-	pending []int
-	busFree int64
-	lastAct int64
-	minDone int64
-	stats   Stats
+	banks    []bankState
+	queue    []snapQueued
+	inflight []int // schedule (= completion) order
+	busFree  int64
+	lastAct  int64
+	stats    Stats
 }
 
 type snapQueued struct {
@@ -350,14 +338,13 @@ func (c *Controller) Snapshot(intern func(*mem.Request) int) *Snapshot {
 		banks:   append([]bankState(nil), c.banks...),
 		busFree: c.busFree,
 		lastAct: c.lastAct,
-		minDone: c.minDone,
 		stats:   c.Stats,
 	}
 	for _, q := range c.queue {
 		s.queue = append(s.queue, snapQueued{req: intern(q.req), loc: q.loc})
 	}
-	for _, r := range c.pending {
-		s.pending = append(s.pending, intern(r))
+	for _, r := range c.inflight.Snapshot(nil) {
+		s.inflight = append(s.inflight, intern(r))
 	}
 	return s
 }
@@ -375,13 +362,12 @@ func (c *Controller) Restore(s *Snapshot, req func(int) *mem.Request) {
 	for _, q := range s.queue {
 		c.queue = append(c.queue, queued{req: req(q.req), loc: q.loc})
 	}
-	c.pending = c.pending[:0]
-	for _, i := range s.pending {
-		c.pending = append(c.pending, req(i))
+	c.inflight.Reset()
+	for _, i := range s.inflight {
+		c.inflight.Push(req(i))
 	}
 	c.busFree = s.busFree
 	c.lastAct = s.lastAct
-	c.minDone = s.minDone
 	c.Stats = s.stats
 }
 
@@ -393,10 +379,9 @@ func (c *Controller) Reset() {
 		c.banks[i] = bankState{openRow: -1}
 	}
 	c.queue = c.queue[:0]
-	c.pending = c.pending[:0]
+	c.inflight.Reset()
 	c.busFree = 0
 	c.lastAct = -int64(c.timing.RRD) - 1
-	c.minDone = 0
 	c.Stats = Stats{}
 }
 

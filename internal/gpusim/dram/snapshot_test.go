@@ -32,7 +32,7 @@ func tickUntilIdle(t *testing.T, c *Controller, start int64) []serviced {
 }
 
 // TestSnapshotRestoreEquivalence is the snapshot/restore property
-// test: capture a controller mid-flight (queued and pending requests,
+// test: capture a controller mid-flight (queued and in-flight requests,
 // open rows, bus state), keep running it to completion (the mutation),
 // then Restore — into the same controller and into a fresh one — and
 // verify the continued run reproduces the reference service sequence
@@ -77,6 +77,10 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 		}
 		snap := c.Snapshot(intern)
 		wantStats := c.Stats
+		// The in-flight FIFO carries the event horizon: its head's Done
+		// is NextEvent once the queue is empty, so a restore must
+		// reproduce both.
+		wantInFlight, wantNext := c.InFlight(), c.NextEvent(cut)
 
 		// Mutate: run the original to completion; this is both the
 		// reference tail and the post-snapshot mutation.
@@ -99,6 +103,10 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 		c.Restore(snap, materialize())
 		if c.Stats != wantStats {
 			t.Fatalf("trial %d: restored stats %+v != snapshot stats %+v", trial, c.Stats, wantStats)
+		}
+		if c.InFlight() != wantInFlight || c.NextEvent(cut) != wantNext {
+			t.Fatalf("trial %d: restored in-flight %d / next event %d, want %d / %d",
+				trial, c.InFlight(), c.NextEvent(cut), wantInFlight, wantNext)
 		}
 		if got := tickUntilIdle(t, c, cut); !reflect.DeepEqual(got, wantTail) {
 			t.Fatalf("trial %d: same-controller restore tail differs\n got %v\nwant %v", trial, got, wantTail)

@@ -94,45 +94,74 @@ func ffMechanisms() []mechanism.Mechanism {
 
 // TestFastForwardByteIdenticalResults runs the same (kernel, seed)
 // with fast-forward forced off and on across every mechanism, ablation
-// variant, and several seeds, requiring deeply equal Results.
+// variant, and several seeds, requiring deeply equal Results. The
+// 4-warp kernel leaves at most one warp per scheduler; the 64-warp one
+// puts two or three on each, so the per-scheduler wake horizons, the
+// multi-warp L1/MSHR settle paths and scheduler arbitration are all
+// compared against pure cycle-stepping. On the 64-warp kernel a
+// metrics-on run (which steps every SM every cycle) must also match
+// the metrics-off Result apart from the Metrics snapshot itself.
 func TestFastForwardByteIdenticalResults(t *testing.T) {
-	kern := randomKernel(11, 4, 4)
+	kerns := []*Kernel{randomKernel(11, 4, 4), randomKernel(12, 64, 2)}
 	seeds := []uint64{1, 42, 0xdecaf}
-	for _, variant := range ffVariants() {
-		for _, mech := range ffMechanisms() {
-			t.Run(fmt.Sprintf("%s/%s", variant.name, mech.Name()), func(t *testing.T) {
-				cfg := DefaultConfig()
-				cfg.Defense = mech
-				variant.mut(&cfg)
+	for _, kern := range kerns {
+		for _, variant := range ffVariants() {
+			for _, mech := range ffMechanisms() {
+				multiWarp := len(kern.Warps) > 4
+				name := fmt.Sprintf("%s/%s", variant.name, mech.Name())
+				if multiWarp {
+					name = fmt.Sprintf("%dwarps/%s", len(kern.Warps), name)
+				}
+				t.Run(name, func(t *testing.T) {
+					cfg := DefaultConfig()
+					cfg.Defense = mech
+					variant.mut(&cfg)
 
-				slow := cfg
-				slow.FastForwardDisabled = true
-				gSlow, err := New(slow)
-				if err != nil {
-					t.Fatal(err)
-				}
-				gFast, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, seed := range seeds {
-					want, err := gSlow.Run(kern, seed)
-					if err != nil {
-						t.Fatal(err)
+					slow := cfg
+					slow.FastForwardDisabled = true
+					gSlow := mustGPU(t, slow)
+					gFast := mustGPU(t, cfg)
+					var gMetrics *GPU
+					if multiWarp {
+						withMetrics := cfg
+						withMetrics.Metrics = NewMetrics()
+						gMetrics = mustGPU(t, withMetrics)
 					}
-					got, err := gFast.Run(kern, seed)
-					if err != nil {
-						t.Fatal(err)
+					for _, seed := range seeds {
+						want, err := gSlow.Run(kern, seed)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, err := gFast.Run(kern, seed)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(want, got) {
+							t.Fatalf("seed %d: fast-forward result differs\ncycle-stepped: cycles=%d totalTx=%d\nfast-forward:  cycles=%d totalTx=%d",
+								seed, want.Cycles, want.TotalTx, got.Cycles, got.TotalTx)
+						}
+						if gFast.SkippedCycles == 0 && want.Cycles > 100 {
+							t.Errorf("seed %d: fast-forward never skipped a cycle on a %d-cycle run", seed, want.Cycles)
+						}
+						if gMetrics == nil {
+							continue
+						}
+						observed, err := gMetrics.Run(kern, seed)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if observed.Metrics == nil {
+							t.Fatal("metrics-on run carries no Metrics snapshot")
+						}
+						stripped := *observed
+						stripped.Metrics = nil
+						if !reflect.DeepEqual(want, &stripped) {
+							t.Fatalf("seed %d: metrics-on result differs from metrics-off\nmetrics-off: cycles=%d totalTx=%d\nmetrics-on:  cycles=%d totalTx=%d",
+								seed, want.Cycles, want.TotalTx, stripped.Cycles, stripped.TotalTx)
+						}
 					}
-					if !reflect.DeepEqual(want, got) {
-						t.Fatalf("seed %d: fast-forward result differs\ncycle-stepped: cycles=%d totalTx=%d\nfast-forward:  cycles=%d totalTx=%d",
-							seed, want.Cycles, want.TotalTx, got.Cycles, got.TotalTx)
-					}
-					if gFast.SkippedCycles == 0 && want.Cycles > 100 {
-						t.Errorf("seed %d: fast-forward never skipped a cycle on a %d-cycle run", seed, want.Cycles)
-					}
-				}
-			})
+				})
+			}
 		}
 	}
 }

@@ -262,6 +262,8 @@ func (g *GPU) RunFork(snap *PrefixSnapshot) (*Result, error) {
 		}
 		g.rt = st
 	}
+	// resetRuntime also zeroes every SM and scheduler wake horizon, so
+	// the restored launch steps everything until its first scans.
 	g.resetRuntime(st, cacheRNG)
 	g.arena.reset()
 
@@ -297,7 +299,7 @@ func (g *GPU) RunFork(snap *PrefixSnapshot) (*Result, error) {
 		*w = warpRun{
 			prog: wp, pc: ws.pc, readyAt: ws.readyAt, pending: ws.pending,
 			blocked: ws.blocked, curRound: ws.curRound, done: ws.done,
-			plan: launch.Plan, delayedPC: -1, stats: ws.stats,
+			plan: launch.Plan, delayedPC: -1, stats: ws.stats, sched: w.sched,
 		}
 	}
 	for i, sm := range st.sms {

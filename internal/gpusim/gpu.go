@@ -48,6 +48,13 @@ type GPU struct {
 	rt    *runState
 	arena reqArena
 
+	// skipIdle enables the per-SM and per-scheduler wake horizons
+	// (stepSMs, issueOne). It is off under FastForwardDisabled, which
+	// keeps the step-everything path as the differential oracle, and
+	// under Metrics, whose per-slot stall counters need every scheduler
+	// visited every cycle.
+	skipIdle bool
+
 	// SkippedCycles counts the cycles elided by event-driven
 	// fast-forward over the GPU's lifetime (diagnostic; it never
 	// influences results).
@@ -62,7 +69,8 @@ func New(cfg Config) (*GPU, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &GPU{cfg: cfg, timing: cfg.DRAMTiming.Scale(cfg.clockRatio())}, nil
+	return &GPU{cfg: cfg, timing: cfg.DRAMTiming.Scale(cfg.clockRatio()),
+		skipIdle: !cfg.FastForwardDisabled && cfg.Metrics == nil}, nil
 }
 
 // Config returns the configuration the GPU was built with.
@@ -111,11 +119,14 @@ type warpRun struct {
 	// not stall twice; -1 when no draw is pending.
 	delayedPC int
 	stats     WarpStats
+	// sched is the warp's scheduler within its SM; structural, set by
+	// build and kept across launches.
+	sched int
 }
 
 // reset prepares the warp state for a new launch.
 func (w *warpRun) reset(prog *WarpProgram, plan core.Plan) {
-	*w = warpRun{prog: prog, plan: plan, delayedPC: -1}
+	*w = warpRun{prog: prog, plan: plan, delayedPC: -1, sched: w.sched}
 	for r := 0; r <= MaxRounds; r++ {
 		w.stats.RoundStart[r] = -1
 		w.stats.RoundEnd[r] = -1
@@ -146,6 +157,12 @@ type smState struct {
 	// request-table occupancy of Figure 11); maintained only when
 	// metrics are installed.
 	prt int
+	// wake is the SM's horizon: stepping it at any cycle before wake is
+	// a no-op, so stepSMs skips it. schedWake[s] is the same bound for
+	// scheduler s alone. Unless GPU.skipIdle, both keep their reset
+	// values, which skip nothing.
+	wake      int64
+	schedWake []int64
 }
 
 // partState is one memory partition: the optional L2 slice in front of
@@ -334,6 +351,16 @@ func (g *GPU) nextEvent(st *runState, now int64) int64 {
 		if len(sm.warps) == 0 {
 			continue // never receives traffic, never issues
 		}
+		if g.skipIdle {
+			// The SM's wake horizon already bounds every source below.
+			if sm.wake <= now+1 {
+				return now + 1
+			}
+			if sm.wake < next {
+				next = sm.wake
+			}
+			continue
+		}
 		// A queued transaction drains next cycle.
 		if sm.injectQ.Len() > 0 {
 			return now + 1
@@ -458,7 +485,8 @@ func (g *GPU) build(nWarps int) (*runState, error) {
 	st := &runState{}
 	st.sms = make([]*smState, g.cfg.NumSMs)
 	for i := range st.sms {
-		sm := &smState{schedPtr: make([]int, g.cfg.SchedulersPerSM)}
+		sm := &smState{schedPtr: make([]int, g.cfg.SchedulersPerSM),
+			schedWake: make([]int64, g.cfg.SchedulersPerSM)}
 		if g.cfg.L1Enabled {
 			cfg := g.cfg.L1
 			cfg.RandomizeIndex = cfg.RandomizeIndex || g.cfg.CacheRandomized
@@ -485,6 +513,7 @@ func (g *GPU) build(nWarps int) (*runState, error) {
 		for i, w := range sm.warps {
 			s := i % g.cfg.SchedulersPerSM
 			sm.sched[s] = append(sm.sched[s], w)
+			w.sched = s
 		}
 	}
 
@@ -555,7 +584,12 @@ func (g *GPU) resetRuntime(st *runState, cacheRNG *rng.Source) {
 		sm.replies = sm.replies[:0]
 		for i := range sm.schedPtr {
 			sm.schedPtr[i] = 0
+			sm.schedWake[i] = 0
+			if len(sm.sched[i]) == 0 {
+				sm.schedWake[i] = math.MaxInt64 // no warps: never issues
+			}
 		}
+		sm.wake = 0
 		if sm.l1 != nil {
 			sm.l1.Reset(cacheRNG.Uint64())
 		}
@@ -575,15 +609,15 @@ func (g *GPU) resetRuntime(st *runState, cacheRNG *rng.Source) {
 	st.toSM.Reset()
 }
 
-// stepSMs advances every SM by one cycle: deliver replies, drain the
-// LD/ST injection queues, and let the schedulers issue.
-// stepSMs advances every SM one cycle. The returned flag reports
-// whether some SM still holds queued transactions, which pins the
-// event horizon to now+1 (see nextEvent).
+// stepSMs advances every SM one cycle: deliver replies, drain the
+// LD/ST injection queues, and let the schedulers issue. An SM whose
+// wake horizon lies in the future is skipped. The returned flag
+// reports whether some SM still holds queued transactions, which pins
+// the event horizon to now+1 (see nextEvent).
 func (g *GPU) stepSMs(st *runState, now int64) (busy bool) {
 	for smID, sm := range st.sms {
-		if len(sm.warps) == 0 {
-			continue // no resident warps: nothing ever happens here
+		if len(sm.warps) == 0 || now < sm.wake {
+			continue // no resident warps, or provably nothing to do yet
 		}
 		// 1a. L1-hit replies maturing this cycle.
 		if len(sm.replies) > 0 {
@@ -632,8 +666,44 @@ func (g *GPU) stepSMs(st *runState, now int64) (busy bool) {
 		if sm.injectQ.Len() > 0 {
 			busy = true
 		}
+		if g.skipIdle {
+			sm.wake = st.smHorizon(sm, smID, now)
+		}
 	}
 	return busy
+}
+
+// smHorizon returns the SM's wake horizon after its step at cycle now:
+// the earliest of its schedulers' wakes, its pending L1 replies and its
+// next reply-port delivery, or now+1 while its inject queue holds
+// transactions. Replies pushed toward the SM later lower the horizon
+// again (wakeSM); nothing else outside the SM's own step changes its
+// state.
+func (st *runState) smHorizon(sm *smState, smID int, now int64) int64 {
+	if sm.injectQ.Len() > 0 {
+		return now + 1
+	}
+	h := st.toSM.NextDeliverable(smID)
+	for _, t := range sm.schedWake {
+		if t < h {
+			h = t
+		}
+	}
+	for i := range sm.replies {
+		if t := sm.replies[i].at; t < h {
+			h = t
+		}
+	}
+	return h
+}
+
+// wakeSM lowers an SM's horizon to its reply port's next delivery,
+// after the memory side pushed a reply toward it.
+func (st *runState) wakeSM(smID int) {
+	sm := st.sms[smID]
+	if t := st.toSM.NextDeliverable(smID); t < sm.wake {
+		sm.wake = t
+	}
 }
 
 // settle delivers one memory reply to a warp, retiring the warp if it
@@ -654,6 +724,9 @@ func (g *GPU) settle(st *runState, sm *smState, smID int, w *warpRun, now int64)
 	if w.pending == 0 && w.blocked {
 		w.blocked = false
 		w.readyAt = now + 1
+		if now+1 < sm.schedWake[w.sched] {
+			sm.schedWake[w.sched] = now + 1
+		}
 		if w.pc >= len(w.prog.Instrs) {
 			g.retire(st, w, now)
 		}
@@ -688,6 +761,7 @@ func (g *GPU) stepMemory(st *runState, now int64) (busy bool) {
 			for _, r := range p.replies {
 				if r.Done <= now {
 					st.toSM.Push(r.SM, r, now)
+					st.wakeSM(r.SM)
 					st.progress++
 				} else {
 					kept = append(kept, r)
@@ -725,6 +799,7 @@ func (g *GPU) stepMemory(st *runState, now int64) (busy bool) {
 						Part: pid, N: now - done.Arrived})
 				}
 				st.toSM.Push(done.SM, done, now)
+				st.wakeSM(done.SM)
 				st.progress++
 			}
 			if p.ctrl.QueueLen() != qBefore {
@@ -768,11 +843,12 @@ func (w *warpRun) finish(now int64, stats *WarpStats) {
 // issueOne lets scheduler s of the SM issue for at most one warp.
 // Under LRR the scan starts after the last issued warp; under GTO the
 // scheduler greedily retries the warp it issued last and otherwise
-// falls back to the oldest ready warp (subset order encodes age).
+// falls back to the oldest ready warp (subset order encodes age). A
+// scheduler whose wake lies in the future is skipped.
 func (g *GPU) issueOne(st *runState, sm *smState, smID, s int, now int64) {
 	mine := sm.sched[s]
 	nLocal := len(mine)
-	if nLocal == 0 {
+	if nLocal == 0 || now < sm.schedWake[s] {
 		return
 	}
 	start := sm.schedPtr[s]
@@ -830,6 +906,18 @@ func (g *GPU) issueOne(st *runState, sm *smState, smID, s int, now int64) {
 		default:
 			m.stallIdle.Inc()
 		}
+	}
+	if g.skipIdle {
+		// The failed scan left every warp done, blocked, or not ready
+		// before its readyAt. Only settle can wake a blocked warp, and
+		// it lowers the wake itself.
+		wake := int64(math.MaxInt64)
+		for _, w := range mine {
+			if !w.done && !w.blocked && w.readyAt < wake {
+				wake = w.readyAt
+			}
+		}
+		sm.schedWake[s] = wake
 	}
 }
 
