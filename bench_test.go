@@ -24,6 +24,8 @@ func runExperimentBench(b *testing.B, id string, samples int) {
 	b.Helper()
 	o := DefaultExperimentOptions()
 	o.Samples = samples
+	// No results store: every iteration computes every cell.
+	o.Cache = nil
 	for i := 0; i < b.N; i++ {
 		if _, err := RunExperiment(id, o); err != nil {
 			b.Fatal(err)

@@ -40,6 +40,7 @@ import (
 
 	"rcoal/internal/atomicio"
 	"rcoal/internal/checkpoint"
+	"rcoal/internal/cliutil"
 	"rcoal/internal/dist"
 	"rcoal/internal/experiments"
 	"rcoal/internal/kernels"
@@ -48,20 +49,20 @@ import (
 
 func main() {
 	var (
-		addr    = flag.String("addr", "localhost:8077", "address to serve the lease protocol and control plane on")
-		run     = flag.String("run", "", "experiment ID to run, or \"all\"")
-		samples = flag.Int("samples", 100, "plaintext timing samples per configuration")
-		lines   = flag.Int("lines", 32, "plaintext lines per sample (fig18 always uses 1024)")
-		seed    = flag.Uint64("seed", 0x8C0A1, "master random seed")
-		key     = flag.String("key", "RCoal eval key 1", "AES key (16/24/32 bytes)")
-		csvDir  = flag.String("csv", "", "directory to write <id>.csv data files into (optional)")
-		jdir    = flag.String("journal", "", "directory for per-experiment lease ledgers (<id>.journal); required")
-		resume  = flag.Bool("resume", false, "resume from existing ledgers: journaled cells restore, journaled leases stay stale-detectable")
-		cdir    = flag.String("cache", "", "directory for the fingerprint-keyed results cache; cells computed by any prior sweep under identical options are restored instead of leased")
-		par     = flag.Int("parallel", 1, "experiments whose grids are open for leasing concurrently")
-		accel   = flag.Bool("accel", false, "lease cells with the exact accelerators enabled on workers (results are byte-identical)")
-		hybrid  = flag.Bool("hybrid", false, "lease cells with the hybrid analytical substitution (scores may differ within HybridScoreBound)")
-		mechs   = flag.String("mechanisms", "", "comma-separated defense specs restricting mechanism-enumerating experiments (ext-defense-frontier), e.g. \"baseline,rss+rts:8,delay:64\"; empty = full registry; the filter travels in each lease")
+		addr     = flag.String("addr", "localhost:8077", "address to serve the lease protocol and control plane on")
+		run      = flag.String("run", "", "experiment ID to run, or \"all\"")
+		samples  = flag.Int("samples", 100, "plaintext timing samples per configuration")
+		lines    = flag.Int("lines", 32, "plaintext lines per sample (fig18 always uses 1024)")
+		seed     = flag.Uint64("seed", 0x8C0A1, "master random seed")
+		key      = flag.String("key", "RCoal eval key 1", "AES key (16/24/32 bytes)")
+		csvDir   = flag.String("csv", "", "directory to write <id>.csv data files into (optional)")
+		jdir     = flag.String("journal", "", "directory for per-experiment lease ledgers (<id>.journal); required")
+		resume   = flag.Bool("resume", false, "resume from existing ledgers: journaled cells restore, journaled leases stay stale-detectable")
+		cdir     = flag.String("cache", "", "directory for the content-addressed results store; cells computed by any prior sweep or experiment under identical options are restored instead of leased")
+		par      = flag.Int("parallel", 1, "experiments whose grids are open for leasing concurrently")
+		accel    = flag.Bool("accel", false, "lease cells with the exact accelerators enabled on workers (results are byte-identical)")
+		hybrid   = flag.Bool("hybrid", false, "lease cells with the hybrid analytical substitution (scores may differ within HybridScoreBound)")
+		mechs    = flag.String("mechanisms", "", "comma-separated defense specs restricting mechanism-enumerating experiments (ext-defense-frontier), e.g. \"baseline,rss+rts:8,delay:64\"; empty = full registry; the filter travels in each lease")
 		leaseTO  = flag.Duration("lease-timeout", 2*time.Minute, "silence budget per lease before the cell is re-issued to another worker; holders renew long computations via /lease/renew")
 		hb       = flag.Duration("heartbeat", 0, "period of the live status line on stderr (cells done, cache hit/miss, workers, rate, eta); 0 = off")
 		drain    = flag.Duration("drain-wait", 2*time.Second, "grace period after the last grid completes so polling workers see Done and exit")
@@ -79,6 +80,21 @@ func main() {
 	if *jdir == "" {
 		fmt.Fprintln(os.Stderr, "rcoal-coordinator: -journal is required (the ledger is what makes leases durable)")
 		os.Exit(2)
+	}
+	if err := cliutil.CheckOutputs(*csvDir, *traceOut, *flight); err != nil {
+		fmt.Fprintf(os.Stderr, "rcoal-coordinator: %v\n", err)
+		os.Exit(2)
+	}
+	// One results store for the whole sweep, opened before serving:
+	// cells one experiment finished are never leased for another.
+	var cache *checkpoint.Journal
+	if *cdir != "" {
+		var err error
+		if cache, err = experiments.OpenCache(*cdir); err != nil {
+			fmt.Fprintf(os.Stderr, "rcoal-coordinator: -cache: %v\n", err)
+			os.Exit(2)
+		}
+		defer cache.Close()
 	}
 
 	opts := experiments.DefaultOptions()
@@ -221,15 +237,6 @@ func main() {
 			if *resume && j.Len() > 0 {
 				fmt.Fprintf(os.Stderr, "%s: resuming with %d journaled cells (%d discarded)\n",
 					id, j.Len(), j.Discarded)
-			}
-			var cache *checkpoint.Journal
-			if *cdir != "" {
-				cache, err = experiments.OpenCache(*cdir, id, o)
-				if err != nil {
-					results[i] = outcome{err: err}
-					return
-				}
-				defer cache.Close()
 			}
 			o.Exec = dist.NewExec(s, id, j, cache)
 			res, err := experiments.Run(id, o)

@@ -35,6 +35,7 @@ import (
 
 	"rcoal/internal/atomicio"
 	"rcoal/internal/chaos"
+	"rcoal/internal/cliutil"
 	"rcoal/internal/dist"
 	"rcoal/internal/experiments"
 	"rcoal/internal/gpusim"
@@ -65,7 +66,7 @@ func main() {
 		maddr    = flag.String("metrics-addr", "", "serve live run telemetry over HTTP expvar at this address (e.g. localhost:6060/debug/vars)")
 		accel    = flag.Bool("accel", false, "enable the exact accelerators: per-run trace caching plus copy-on-write prefix forking where applicable (results are byte-identical)")
 		hybrid   = flag.Bool("hybrid", false, "replace analytically closed sweep cells with the Section V model's score instead of simulating the attack (scores may differ within the documented HybridScoreBound; performance columns stay simulated)")
-		cdir     = flag.String("cache", "", "directory for the fingerprint-keyed results cache: cells computed by any prior sweep under identical result-determining options are restored instead of re-run")
+		cdir     = flag.String("cache", "", "directory for the content-addressed results store: cells computed by any prior run of any experiment under identical result-determining options are restored instead of re-run")
 		mechs    = flag.String("mechanisms", "", "comma-separated defense specs restricting mechanism-enumerating experiments (ext-defense-frontier), e.g. \"baseline,rss+rts:8,delay:64\"; empty = full registry")
 		worker   = flag.String("worker", "", "run as a distributed worker for the rcoal-coordinator at this base URL (e.g. http://host:8077) instead of running experiments locally; -workers bounds concurrent cells")
 		workerID = flag.String("worker-id", "", "worker name in the coordinator's ledger and status page; default host:pid")
@@ -83,7 +84,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "rcoal-experiments: -resume requires -journal")
 		os.Exit(2)
 	}
-	if err := checkOutputs(*csvDir, *traceOut, *flight); err != nil {
+	if err := cliutil.CheckOutputs(*csvDir, *traceOut, *flight); err != nil {
 		fmt.Fprintf(os.Stderr, "rcoal-experiments: %v\n", err)
 		os.Exit(2)
 	}
@@ -122,6 +123,17 @@ func main() {
 		for _, spec := range strings.Split(*mechs, ",") {
 			opts.Mechanisms = append(opts.Mechanisms, strings.TrimSpace(spec))
 		}
+	}
+	if *cdir != "" {
+		// One store for the whole invocation, opened before any
+		// compute: experiments share the cells they have in common.
+		c, err := experiments.OpenCache(*cdir)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "rcoal-experiments: -cache: %v\n", err)
+			os.Exit(2)
+		}
+		defer c.Close()
+		opts.Cache = c
 	}
 	if *accel {
 		// One cache for the whole invocation: experiments share the key
@@ -227,15 +239,6 @@ func main() {
 				}
 				o.Journal = j
 			}
-			if *cdir != "" {
-				c, cerr := experiments.OpenCache(*cdir, id, o)
-				if cerr != nil {
-					results[i] = outcome{err: cerr}
-					return
-				}
-				defer c.Close()
-				o.Cache = c
-			}
 			res, err := experiments.Run(id, o)
 			if err != nil {
 				results[i] = outcome{err: err}
@@ -294,45 +297,6 @@ func main() {
 		}
 		fmt.Printf("=== %s (%.1fs) ===\n%s\n", id, results[i].elapsed, results[i].report)
 	}
-}
-
-// checkOutputs validates the output paths before any compute, since
-// they are first written only after every experiment has finished:
-// -csv must name an existing directory this process can create files
-// in (probed by creating and removing one), and the parent directories
-// of -trace-out and -flight-out must exist. Empty paths are unused.
-func checkOutputs(csvDir, traceOut, flightOut string) error {
-	if csvDir != "" {
-		fi, err := os.Stat(csvDir)
-		if err != nil {
-			return fmt.Errorf("-csv: %w", err)
-		}
-		if !fi.IsDir() {
-			return fmt.Errorf("-csv %s: not a directory", csvDir)
-		}
-		probe, err := os.CreateTemp(csvDir, ".rcoal-probe-*")
-		if err != nil {
-			return fmt.Errorf("-csv %s: not writable: %w", csvDir, err)
-		}
-		probe.Close()
-		if err := os.Remove(probe.Name()); err != nil {
-			return fmt.Errorf("-csv %s: %w", csvDir, err)
-		}
-	}
-	for _, out := range []struct{ flag, path string }{{"-trace-out", traceOut}, {"-flight-out", flightOut}} {
-		if out.path == "" {
-			continue
-		}
-		dir := filepath.Dir(out.path)
-		fi, err := os.Stat(dir)
-		if err != nil {
-			return fmt.Errorf("%s %s: parent directory: %w", out.flag, out.path, err)
-		}
-		if !fi.IsDir() {
-			return fmt.Errorf("%s %s: parent %s is not a directory", out.flag, out.path, dir)
-		}
-	}
-	return nil
 }
 
 func max(a, b int) int {

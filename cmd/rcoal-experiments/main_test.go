@@ -1,12 +1,21 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"rcoal/internal/cliutil"
 )
 
+// TestCheckOutputs is the table for cliutil.CheckOutputs, the
+// pre-compute output checks rcoal-experiments and rcoal-coordinator
+// share.
 func TestCheckOutputs(t *testing.T) {
 	dir := t.TempDir()
 	file := filepath.Join(dir, "file")
@@ -43,7 +52,7 @@ func TestCheckOutputs(t *testing.T) {
 			if tc.needsPerms && os.Geteuid() == 0 {
 				t.Skip("root bypasses directory permissions")
 			}
-			err := checkOutputs(tc.csv, tc.trace, tc.flight)
+			err := cliutil.CheckOutputs(tc.csv, tc.trace, tc.flight)
 			switch {
 			case tc.wantErr == "" && err != nil:
 				t.Fatalf("unexpected error: %v", err)
@@ -63,5 +72,43 @@ func TestCheckOutputs(t *testing.T) {
 		if strings.HasPrefix(e.Name(), ".rcoal-probe-") {
 			t.Errorf("probe file %s left in the -csv directory", e.Name())
 		}
+	}
+}
+
+// TestMain lets a test run this binary's main in a child process: the
+// test binary re-executes itself with mainEnv set.
+func TestMain(m *testing.M) {
+	if os.Getenv(mainEnv) == "1" {
+		main()
+		return
+	}
+	os.Exit(m.Run())
+}
+
+const mainEnv = "RCOAL_EXPERIMENTS_RUN_MAIN"
+
+// TestCacheOpenedBeforeCompute: an unusable -cache directory exits
+// with code 2 before the first experiment runs.
+func TestCacheOpenedBeforeCompute(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], "-run", "all", "-samples", "2", "-cache", file)
+	cmd.Env = append(os.Environ(), mainEnv+"=1")
+	var stdout, stderr strings.Builder
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+		t.Fatalf("exit = %v, want code 2; stderr:\n%s", err, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "rcoal-experiments: -cache") {
+		t.Errorf("stderr does not report the -cache failure:\n%s", stderr.String())
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("experiments ran before the failure:\n%s", stdout.String())
 	}
 }

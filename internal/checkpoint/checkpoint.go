@@ -19,6 +19,9 @@
 // first completion of a cell the win when a timed-out lease is
 // re-issued and both holders eventually report.
 //
+// NewMemory gives the same interface with no file behind it, for a
+// results store that only needs to live as long as the process.
+//
 // Values are stored as raw JSON produced by the caller. Results must
 // round-trip exactly (encoding/json renders float64s with the minimal
 // digits that re-parse to the same bit pattern), preserving the
@@ -104,11 +107,12 @@ func checksum(v []byte) string {
 	return fmt.Sprintf("%08x", crc32.ChecksumIEEE(v))
 }
 
-// Journal is an open checkpoint file. Record is safe for concurrent
-// use by the runner pool's workers.
+// Journal is an open checkpoint file, or a memory-only journal (see
+// NewMemory). Record is safe for concurrent use by the runner pool's
+// workers.
 type Journal struct {
 	mu     sync.Mutex
-	f      *os.File
+	f      *os.File // nil for a memory-only journal
 	seen   map[string]json.RawMessage
 	leases map[string]Lease
 
@@ -145,6 +149,14 @@ func Create(path string, meta any) (*Journal, error) {
 		return nil, err
 	}
 	return j, nil
+}
+
+// NewMemory returns a journal that lives only in memory: Lookup,
+// Record, RecordOnce and the lease ledger behave as for a file-backed
+// journal, but nothing is written or synced, and the contents die with
+// the process.
+func NewMemory() *Journal {
+	return &Journal{seen: make(map[string]json.RawMessage), leases: make(map[string]Lease)}
 }
 
 // Resume opens the journal at path, creating it if missing. It
@@ -416,6 +428,9 @@ func (j *Journal) append(out []byte) error {
 }
 
 func (j *Journal) appendLocked(out []byte) error {
+	if j.f == nil {
+		return nil
+	}
 	// One Write call per line keeps a crash from interleaving partial
 	// lines; the checksum catches the torn tail line either way.
 	if _, err := j.f.Write(append(out, '\n')); err != nil {
@@ -429,8 +444,12 @@ func (j *Journal) appendLocked(out []byte) error {
 
 // Close releases the journal file. The journal is already durable —
 // every Record synced — so Close only fails if the descriptor does.
+// Closing a memory-only journal does nothing.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if j.f == nil {
+		return nil
+	}
 	return j.f.Close()
 }

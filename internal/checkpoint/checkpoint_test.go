@@ -418,3 +418,47 @@ func TestEmptyKeyRejected(t *testing.T) {
 		t.Error("empty key accepted")
 	}
 }
+
+// TestMemoryJournal: a memory-only journal answers Lookup, Record,
+// RecordOnce and the lease ledger like a file-backed one, from many
+// goroutines at once, and Close is a no-op.
+func TestMemoryJournal(t *testing.T) {
+	j := NewMemory()
+	var wg sync.WaitGroup
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			key := fmt.Sprintf("cell/%d", i%8)
+			if _, err := j.RecordOnce(key, testCell{Cell: i % 8}); err != nil {
+				t.Error(err)
+			}
+			if _, ok := j.Lookup(key); !ok {
+				t.Errorf("Lookup(%q) missed right after RecordOnce", key)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if j.Len() != 8 {
+		t.Errorf("len = %d, want 8 (RecordOnce must dedup)", j.Len())
+	}
+	if err := j.Record("cell/0", testCell{Cell: 0, Cycles: 2}); err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := j.Lookup("cell/0")
+	if string(raw) != `{"cell":0,"cycles":2}` {
+		t.Errorf("Record did not overwrite: %s", raw)
+	}
+	if err := j.RecordLease(Lease{Key: "cell/9", Seq: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if l := j.Leases(); len(l) != 1 || l["cell/9"].Seq != 1 {
+		t.Errorf("leases = %v, want cell/9 at seq 1", l)
+	}
+	if _, err := j.RecordOnce("", testCell{}); err == nil {
+		t.Error("empty key accepted")
+	}
+	if err := j.Close(); err != nil {
+		t.Errorf("Close = %v", err)
+	}
+}

@@ -21,10 +21,10 @@
 //     completed cell, and re-issues the rest — no cell runs more than
 //     once per lease timeout.
 //
-// Repeated sweeps are short-circuited by the fingerprint-keyed results
-// cache (experiments.OpenCache): any cell computed under identical
-// result-determining options by any prior sweep — local or distributed
-// — is restored instead of leased.
+// Repeated cells are short-circuited by the content-addressed results
+// store (experiments.OpenCache): any cell computed under identical
+// result-determining options by any prior sweep or experiment — local
+// or distributed — is restored instead of leased.
 //
 // The wire protocol is plain JSON over four endpoints:
 //

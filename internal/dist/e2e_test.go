@@ -212,7 +212,7 @@ func TestWarmCacheShortCircuitsGrid(t *testing.T) {
 	dir := t.TempDir()
 	o := e2eOptions()
 
-	c1, err := experiments.OpenCache(dir, "fig7", o)
+	c1, err := experiments.OpenCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestWarmCacheShortCircuitsGrid(t *testing.T) {
 	j1.Close()
 	c1.Close()
 
-	c2, err := experiments.OpenCache(dir, "fig7", o)
+	c2, err := experiments.OpenCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,6 +235,41 @@ func TestWarmCacheShortCircuitsGrid(t *testing.T) {
 	}
 	if n := st.Metrics.Counters[cntCacheHits]; n != uint64(len(experiments.Fig7Subwarps)) {
 		t.Errorf("warm sweep cache hits = %d, want %d", n, len(experiments.Fig7Subwarps))
+	}
+}
+
+// TestCacheSharedAcrossExperiments: with one results store, the
+// coordinator leases none of the cells another experiment of the sweep
+// already finished — fig17 is all fig15's cells, fig16 adds four —
+// while fig8, whose keys ("FSS/2", ...) collide with the sweep's but
+// name other computations, shares nothing. Every render still equals a
+// single-process run.
+func TestCacheSharedAcrossExperiments(t *testing.T) {
+	dir := t.TempDir()
+	o := e2eOptions()
+	o.Samples = 4
+	o.Lines = 2
+	cache, err := experiments.OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cache.Close()
+	for _, tc := range []struct {
+		id     string
+		leases uint64
+	}{{"fig15", 21}, {"fig17", 0}, {"fig16", 4}, {"fig8", 4}} {
+		res, j, st := runDistributed(t, tc.id, o, 2, filepath.Join(dir, tc.id+".journal"), false, cache, nil)
+		j.Close()
+		if n := st.Metrics.Counters[cntLeasesIssued]; n != tc.leases {
+			t.Errorf("%s issued %d leases, want %d", tc.id, n, tc.leases)
+		}
+		local, err := experiments.Run(tc.id, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Render() != local.Render() {
+			t.Errorf("%s: render differs from a single-process run", tc.id)
+		}
 	}
 }
 
@@ -268,8 +303,8 @@ func TestDistributedAccelMatchesVanilla(t *testing.T) {
 // worker pointed at nothing.
 func TestWorkerGivesUpOnDeadCoordinator(t *testing.T) {
 	w := &Worker{
-		Coordinator:  "http://127.0.0.1:1", // reserved port: connection refused
-		ID:           "lost",
+		Coordinator: "http://127.0.0.1:1", // reserved port: connection refused
+		ID:          "lost",
 		MaxErrors:   2,
 		BackoffBase: time.Millisecond,
 		BackoffCap:  2 * time.Millisecond,

@@ -20,16 +20,18 @@ type Exec struct {
 	// journal is the durable work ledger: completed cells restore, the
 	// rest lease out, and every lease and completion is journaled.
 	journal *checkpoint.Journal
-	// cache, when non-nil, short-circuits cells any prior sweep
-	// computed under the same fingerprint (experiments.OpenCache).
+	// cache, when non-nil, is the results store: cells any earlier
+	// sweep computed (experiments.OpenCache), found by content address
+	// (GridCell.ID), restore instead of leasing.
 	cache *checkpoint.Journal
 	wire  WireOptions
 }
 
 // NewExec prepares experiment id for distributed execution on s. The
 // journal and cache (either may be nil) come from
-// experiments.OpenJournal / experiments.OpenCache; wire options are
-// derived from the run's Options at ExecCells time.
+// experiments.OpenJournal / experiments.OpenCache; one cache may serve
+// every experiment of a sweep. Options.Cache is not consulted. Wire
+// options are derived from the run's Options at ExecCells time.
 func NewExec(s *Server, id string, journal, cache *checkpoint.Journal) *Exec {
 	return &Exec{s: s, id: id, journal: journal, cache: cache}
 }
@@ -39,11 +41,7 @@ func NewExec(s *Server, id string, journal, cache *checkpoint.Journal) *Exec {
 // exactly why GridCell keys must identify cells completely.
 func (e *Exec) ExecCells(o experiments.Options, cells []experiments.GridCell) ([]json.RawMessage, error) {
 	e.wire = WireFrom(o)
-	keys := make([]string, len(cells))
-	for i, c := range cells {
-		keys[i] = c.Key
-	}
-	st, err := e.s.register(e, keys)
+	st, err := e.s.register(e, cells)
 	if err != nil {
 		return nil, err
 	}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"rcoal/internal/checkpoint"
+	"rcoal/internal/experiments"
 	"rcoal/internal/metrics"
 	"rcoal/internal/obs"
 )
@@ -25,10 +26,11 @@ const (
 
 // cellState is one enumerated grid cell as the coordinator tracks it.
 type cellState struct {
-	index    int
-	key      string
-	phase    cellPhase
-	raw      json.RawMessage
+	index     int
+	key       string
+	id        string // content address in the results store
+	phase     cellPhase
+	raw       json.RawMessage
 	worker    string
 	seq       int64 // last issued lease number; bumps on re-issue/cancel
 	deadline  time.Time
@@ -208,8 +210,9 @@ func (s *Server) Close() {
 }
 
 // register installs a grid batch for experiment id, restoring cells
-// from the ledger journal and the results cache. Caller is exec.go.
-func (s *Server) register(e *Exec, keys []string) (*expState, error) {
+// from the ledger journal (by key) and the results store (by ID).
+// Caller is exec.go.
+func (s *Server) register(e *Exec, cells []experiments.GridCell) (*expState, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -223,7 +226,7 @@ func (s *Server) register(e *Exec, keys []string) (*expState, error) {
 		journal: e.journal,
 		cache:   e.cache,
 		wire:    e.wire,
-		byKey:   make(map[string]*cellState, len(keys)),
+		byKey:   make(map[string]*cellState, len(cells)),
 	}
 	// Leases journaled by a previous coordinator incarnation seed the
 	// per-cell sequence numbers, so completions of pre-crash leases
@@ -233,8 +236,9 @@ func (s *Server) register(e *Exec, keys []string) (*expState, error) {
 		prior = e.journal.Leases()
 	}
 	restored, cacheHits := 0, 0
-	for i, key := range keys {
-		c := &cellState{index: i, key: key}
+	for i, gc := range cells {
+		key := gc.Key
+		c := &cellState{index: i, key: key, id: gc.ID}
 		if pl, ok := prior[key]; ok {
 			c.seq = pl.Seq
 		}
@@ -245,7 +249,7 @@ func (s *Server) register(e *Exec, keys []string) (*expState, error) {
 			}
 		}
 		if c.phase != cellDone && e.cache != nil {
-			if raw, ok := e.cache.Lookup(key); ok {
+			if raw, ok := e.cache.Lookup(c.id); ok {
 				c.phase, c.raw, c.cacheHit = cellDone, raw, true
 				cacheHits++
 				if e.journal != nil {
@@ -473,7 +477,7 @@ func (s *Server) handleComplete(rw http.ResponseWriter, req *http.Request) {
 		}
 	}
 	if e.cache != nil {
-		if _, err := e.cache.RecordOnce(cr.Key, cr.Value); err != nil {
+		if _, err := e.cache.RecordOnce(c.id, cr.Value); err != nil {
 			http.Error(rw, err.Error(), http.StatusInternalServerError)
 			return
 		}

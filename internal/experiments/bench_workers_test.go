@@ -21,6 +21,7 @@ func BenchmarkSweepWorkers(b *testing.B) {
 			o := DefaultOptions()
 			o.Samples = 16
 			o.Workers = workers
+			o.Cache = nil // every iteration computes every cell
 			for i := 0; i < b.N; i++ {
 				if _, err := Sweep(o, []int{1, 4}); err != nil {
 					b.Fatal(err)
@@ -38,6 +39,7 @@ func BenchmarkScatterWorkers(b *testing.B) {
 			o := DefaultOptions()
 			o.Samples = 16
 			o.Workers = workers
+			o.Cache = nil // every iteration computes every cell
 			for i := 0; i < b.N; i++ {
 				if _, err := ScatterExperiment(o, MechRSS, "fig13"); err != nil {
 					b.Fatal(err)

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -60,25 +61,24 @@ func TestComputeCellUnknownKey(t *testing.T) {
 	}
 }
 
-// TestResultsCacheWarmSweep pins the cache contract: a second sweep
-// under identical result-determining options computes zero cells and
-// renders identical output; a sweep under different options shares
-// nothing.
+// TestResultsCacheWarmSweep pins the store contract: a second sweep
+// against a reopened store file, under identical result-determining
+// options, computes zero cells and renders identical output; cells
+// computed under different options live at different addresses.
 func TestResultsCacheWarmSweep(t *testing.T) {
 	dir := t.TempDir()
 	o := testOptions()
 	o.Samples = 6
 	o.Lines = 8
 	o.Workers = 1
+	n := len(Fig7Subwarps)
 
 	cold := o
-	c1, err := OpenCache(dir, "fig7", cold)
+	c1, err := OpenCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cold.Cache = c1
-	var coldRan []int
-	cold.faultHook = func(cell int) error { coldRan = append(coldRan, cell); return nil }
 	coldTel := runner.NewTelemetry()
 	cold.Telemetry = coldTel
 	refRes, err := Run("fig7", cold)
@@ -86,47 +86,41 @@ func TestResultsCacheWarmSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	c1.Close()
-	if len(coldRan) != len(Fig7Subwarps) {
-		t.Fatalf("cold run computed %d cells, want %d", len(coldRan), len(Fig7Subwarps))
-	}
-	if s := coldTel.Stats(); s.CacheHits != 0 || s.CacheMisses != len(Fig7Subwarps) {
-		t.Errorf("cold cache hit/miss = %d/%d, want 0/%d", s.CacheHits, s.CacheMisses, len(Fig7Subwarps))
+	if s := coldTel.Stats(); s.CellsDone-s.RestoredCells != n || s.CacheHits != 0 || s.CacheMisses != n {
+		t.Errorf("cold stats = %+v, want %d cells computed, cache hit/miss 0/%d", s, n, n)
 	}
 
 	warm := o
-	c2, err := OpenCache(dir, "fig7", warm)
+	c2, err := OpenCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer c2.Close()
 	warm.Cache = c2
-	warm.faultHook = func(cell int) error {
-		t.Errorf("warm run computed cell %d, want all from cache", cell)
-		return nil
-	}
 	warmTel := runner.NewTelemetry()
 	warm.Telemetry = warmTel
 	res, err := Run("fig7", warm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2.Close()
 	if res.Render() != refRes.Render() {
 		t.Error("cache-served run renders differently from cold run")
 	}
-	if s := warmTel.Stats(); s.CacheHits != len(Fig7Subwarps) || s.RestoredCells != len(Fig7Subwarps) {
-		t.Errorf("warm stats = %+v, want all %d cells cache-hit and restored", s, len(Fig7Subwarps))
+	if s := warmTel.Stats(); s.CacheHits != n || s.RestoredCells != n || s.CellsDone != n {
+		t.Errorf("warm stats = %+v, want all %d cells cache-hit and restored", s, n)
 	}
 
-	// Different seed → different fingerprint → nothing shared.
+	// Different seed → different fingerprint → no stored cell matches.
 	other := o
 	other.Seed++
-	c3, err := OpenCache(dir, "fig7", other)
-	if err != nil {
-		t.Fatal(err)
+	fp := Fingerprint("fig7", other)
+	for _, m := range Fig7Subwarps {
+		if _, ok := c2.Lookup(fmt.Sprintf("%s/fss/%d", fp, m)); ok {
+			t.Errorf("differently-seeded cell fss/%d found in the store", m)
+		}
 	}
-	defer c3.Close()
-	if c3.Len() != 0 {
-		t.Errorf("differently-seeded cache file holds %d cells, want a fresh file", c3.Len())
+	if c2.Len() != n {
+		t.Errorf("store holds %d cells, want %d", c2.Len(), n)
 	}
 }
 

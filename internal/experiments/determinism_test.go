@@ -8,6 +8,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"rcoal/internal/runner"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
@@ -42,9 +44,16 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 			for _, workers := range []int{1, 4, runtime.NumCPU()} {
 				o := goldenOptions()
 				o.Workers = workers
+				tel := runner.NewTelemetry()
+				o.Telemetry = tel
 				res, err := tc.run(o)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				// Each worker count must compute its own cells, or the
+				// comparison below is vacuous.
+				if n := tel.Stats().RestoredCells; n != 0 {
+					t.Fatalf("workers=%d: %d cells restored, want all computed", workers, n)
 				}
 				csv := res.CSV()
 				if ref == "" {

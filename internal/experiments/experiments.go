@@ -56,10 +56,15 @@ type Options struct {
 	// re-running them — an interrupted sweep resumes where it stopped
 	// with byte-identical output (see OpenJournal).
 	Journal *checkpoint.Journal
-	// Cache, when non-nil, is the fingerprint-keyed results cache
-	// (see OpenCache): cells any prior sweep computed under identical
-	// result-determining options are restored instead of re-run, and
-	// freshly computed cells are recorded for future sweeps. Purely an
+	// Cache, when non-nil, is the results store: cells keyed by their
+	// content address (GridCell.ID), so a cell any earlier run
+	// computed under identical result-determining options — in this
+	// experiment or another, such as the cells Figs. 15-17 share — is
+	// restored instead of re-run, and freshly computed cells are
+	// stored for later runs. DefaultOptions attaches a fresh
+	// memory-only store, so runs sharing one Options value share their
+	// cells; OpenCache opens a file-backed one that outlives the
+	// process. Runs with a Trace sink bypass the store. Purely an
 	// accelerator — output stays byte-identical.
 	Cache *checkpoint.Journal
 	// Exec, when non-nil, replaces the local worker pool as the
@@ -138,7 +143,9 @@ func (o Options) pool() runner.Pool {
 	}
 }
 
-// DefaultOptions mirrors the paper's evaluation setup.
+// DefaultOptions mirrors the paper's evaluation setup, with a fresh
+// memory-only results store shared by every run of the returned value
+// and its copies.
 func DefaultOptions() Options {
 	return Options{
 		Samples: 100,
@@ -146,6 +153,7 @@ func DefaultOptions() Options {
 		Seed:    0x8C0A1,
 		Key:     []byte("RCoal eval key 1"),
 		Width:   40,
+		Cache:   checkpoint.NewMemory(),
 	}
 }
 

@@ -68,7 +68,7 @@ func Fig18(o Options) (*Fig18Result, error) {
 		BaseCycles float64
 		MeanCycles float64
 	}
-	outs, err := runCells(o, jobs,
+	outs, err := runCells(o, "fig18", jobs,
 		func(_ int, jb job) string {
 			if jb.baseline {
 				return "baseline"

@@ -37,7 +37,7 @@ var Fig7Subwarps = []int{1, 2, 4, 8, 16, 32}
 // num-subwarp rows fan out over Options.Workers; output is
 // byte-identical at any worker count.
 func Fig7(o Options) (*Fig7Result, error) {
-	rows, err := runCells(o, Fig7Subwarps,
+	rows, err := runCells(o, "fig7", Fig7Subwarps,
 		func(_ int, m int) string { return fmt.Sprintf("fss/%d", m) },
 		func(_ context.Context, _ int, m int) (Fig7Row, error) {
 			srv, ds, err := collect(o, mechanism.FSS(m))

@@ -110,7 +110,7 @@ func DefenseFrontier(o Options) (*FrontierResult, error) {
 	// Exported fields: cells round-trip through the checkpoint journal
 	// as JSON when Options.Journal is attached.
 	type out struct{ Cell FrontierCell }
-	outs, err := runCells(o, specs,
+	outs, err := runCells(o, "ext-defense-frontier", specs,
 		func(_ int, spec string) string { return spec },
 		func(_ context.Context, _ int, spec string) (out, error) {
 			// Parse inside the cell: cells must be self-contained so a

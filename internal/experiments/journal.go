@@ -11,17 +11,20 @@ import (
 	"rcoal/internal/checkpoint"
 )
 
-// journalMeta fingerprints the options that determine an experiment's
-// cell results. Resuming a journal whose fingerprint differs from the
-// current run would splice together results from incompatible
-// configurations, so checkpoint.Resume rejects the mismatch. The same
-// fingerprint keys the cross-sweep results cache (OpenCache).
+// journalMeta fingerprints the options that determine a cell's
+// result. Experiment names what is computed: the experiment id of a
+// run journal (see OpenJournal), or the namespace of a grid's cell
+// function (see runCells), which is shared by every experiment that
+// computes the same cells. Resuming a journal whose fingerprint
+// differs from the current run would splice together results from
+// incompatible configurations, so checkpoint.Resume rejects the
+// mismatch.
 //
 // Hybrid is part of the fingerprint because it changes reported scores
 // (within HybridScoreBound); the exact accelerators (trace cache,
 // prefix forking) are deliberately NOT — they are byte-identical by
 // the internal/equiv contract, so accelerated and vanilla runs may
-// share journals and cache entries.
+// share journals and stored cells.
 type journalMeta struct {
 	Experiment string `json:"experiment"`
 	Samples    int    `json:"samples"`
@@ -52,10 +55,11 @@ func metaFor(id string, o Options) journalMeta {
 }
 
 // Fingerprint returns the 16-hex-digit fingerprint of the
-// result-determining options for experiment id — the identity under
-// which cell results may be shared across runs, machines, and sweeps.
-func Fingerprint(id string, o Options) string {
-	b, err := json.Marshal(metaFor(id, o))
+// result-determining options for the experiment or cell namespace ns —
+// the identity under which cell results may be shared across runs,
+// machines, and sweeps.
+func Fingerprint(ns string, o Options) string {
+	b, err := json.Marshal(metaFor(ns, o))
 	if err != nil {
 		// journalMeta is a flat struct of marshalable fields; this
 		// cannot fail for any Options value.
@@ -79,22 +83,30 @@ func OpenJournal(path, id string, o Options, resume bool) (*checkpoint.Journal, 
 	return checkpoint.Create(path, meta)
 }
 
-// OpenCache opens (creating as needed) the results-cache journal for
-// experiment id under dir. Unlike a run's checkpoint journal — one per
-// sweep, truncated on a fresh start — the cache is keyed by the
-// options fingerprint and append-only across runs: any sweep, local or
-// distributed, that computed a cell under identical result-determining
-// options has already paid for it, and later sweeps restore it for
-// free. Attach the returned journal to Options.Cache.
+// cacheMeta is the meta line of a results store file. It only tags
+// the format: every stored cell's ID already carries the fingerprint
+// of the options it was computed under.
+var cacheMeta = struct {
+	Schema string `json:"schema"`
+}{Schema: "rcoal-cells/1"}
+
+// OpenCache opens (creating as needed) the file-backed results store
+// under dir. Unlike a run's checkpoint journal — one per experiment,
+// truncated on a fresh start — the store is append-only across runs
+// and shared by every experiment: cells are stored under their
+// content address (GridCell.ID), so any sweep, local or distributed,
+// that computed a cell under identical result-determining options has
+// already paid for it, and later sweeps restore it for free. Attach
+// the returned journal to Options.Cache (or pass it to the
+// distributed executor).
 //
-// The cache file is single-writer: one process (a coordinator or a
+// The store file is single-writer: one process (a coordinator or a
 // local sweep) may have it open at a time.
-func OpenCache(dir, id string, o Options) (*checkpoint.Journal, error) {
+func OpenCache(dir string) (*checkpoint.Journal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("experiments: creating cache dir: %w", err)
 	}
-	path := filepath.Join(dir, fmt.Sprintf("%s-%s.cache", id, Fingerprint(id, o)))
-	return checkpoint.Resume(path, metaFor(id, o))
+	return checkpoint.Resume(filepath.Join(dir, "cells.cache"), cacheMeta)
 }
 
 // GridCell is one enumerated cell of a cell-parallel experiment: a
@@ -105,11 +117,17 @@ func OpenCache(dir, id string, o Options) (*checkpoint.Journal, error) {
 type GridCell struct {
 	// Index is the cell's position in the experiment's grid.
 	Index int
-	// Key identifies the cell within its experiment. Keys are only
-	// unique per experiment — different experiments may reuse a key
-	// for different computations, which is why the results cache is
-	// fingerprinted per experiment.
+	// Key identifies the cell within its experiment: the run journal
+	// and the distributed lease protocol address cells by it. Keys
+	// are only unique per experiment — different experiments may
+	// reuse a key for different computations.
 	Key string
+	// ID is the cell's content address: the fingerprint of its cell
+	// namespace and result-determining options, then Key. Cells with
+	// equal IDs compute equal bytes, whichever experiment enumerates
+	// them, so the results store (Options.Cache) is keyed by ID and
+	// answers a cell one experiment computed for every other.
+	ID string
 	// Run computes the cell. The result must depend only on the cell's
 	// identity and the result-determining Options (never on scheduling,
 	// location, or worker count) — the property that makes cells
@@ -133,14 +151,22 @@ type CellExec interface {
 // localExec is the default executor: the journaled evaluation loop
 // every cell-parallel experiment runs on in a single process. Cells
 // already in the run's journal are restored; cells in the results
-// cache are copied into the journal and restored; the remainder fan
-// out over the pool with the full robustness envelope (panic recovery,
-// per-cell timeout, retries) and are journaled and cached as they
-// complete. Restores and cache hits are reported to Telemetry outside
-// the rate window.
+// store (Options.Cache) are copied into the journal and restored; the
+// remainder fan out over the pool with the full robustness envelope
+// (panic recovery, per-cell timeout, retries) and are journaled and
+// stored as they complete. Restores and store hits are reported to
+// Telemetry outside the rate window.
+//
+// A run with a trace sink or a fault hook neither reads nor writes the
+// store: the sink is promised the events of every launch, and the
+// fault hook names the cells that must run.
 type localExec struct{}
 
 func (localExec) ExecCells(o Options, cells []GridCell) ([]json.RawMessage, error) {
+	store := o.Cache
+	if o.Trace != nil || o.faultHook != nil {
+		store = nil
+	}
 	raws := make([]json.RawMessage, len(cells))
 	todo := make([]int, 0, len(cells))
 	restored := 0
@@ -152,8 +178,8 @@ func (localExec) ExecCells(o Options, cells []GridCell) ([]json.RawMessage, erro
 				continue
 			}
 		}
-		if o.Cache != nil {
-			if raw, ok := o.Cache.Lookup(c.Key); ok {
+		if store != nil {
+			if raw, ok := store.Lookup(c.ID); ok {
 				raws[i] = raw
 				restored++
 				if o.Telemetry != nil {
@@ -194,8 +220,8 @@ func (localExec) ExecCells(o Options, cells []GridCell) ([]json.RawMessage, erro
 				return err
 			}
 		}
-		if o.Cache != nil {
-			if _, err := o.Cache.RecordOnce(c.Key, raw); err != nil {
+		if store != nil {
+			if _, err := store.RecordOnce(c.ID, raw); err != nil {
 				return err
 			}
 		}
@@ -210,16 +236,24 @@ func (localExec) ExecCells(o Options, cells []GridCell) ([]json.RawMessage, erro
 
 // runCells is the evaluation loop every cell-parallel experiment runs
 // on. It enumerates the grid — each item becomes a GridCell with a
-// stable key and a closure producing canonical JSON — and hands the
+// stable key, a content address, and a closure producing canonical
+// JSON — and hands the
 // batch to the configured executor (Options.Exec, defaulting to the
 // local pool). Results land in item order, and because every path
 // through an executor round-trips the same encoding/json bytes, a
 // resumed, cached, or distributed run's output is byte-identical to a
 // plain single-process one.
-func runCells[T, R any](o Options, items []T,
+//
+// ns names the cell function for the content address (GridCell.ID): it
+// must change whenever fn computes something different for the same
+// (o, item) — so it holds the experiment id plus every parameter fn
+// reads beyond them — and it is shared by experiments whose cells are
+// the same computation (Figs. 15-17 all pass "sweep").
+func runCells[T, R any](o Options, ns string, items []T,
 	key func(i int, item T) string,
 	fn func(ctx context.Context, i int, item T) (R, error)) ([]R, error) {
 
+	fp := Fingerprint(ns, o)
 	cells := make([]GridCell, len(items))
 	for i := range items {
 		i := i
@@ -228,6 +262,7 @@ func runCells[T, R any](o Options, items []T,
 		cells[i] = GridCell{
 			Index: i,
 			Key:   k,
+			ID:    fp + "/" + k,
 			Run: func(ctx context.Context) (json.RawMessage, error) {
 				r, err := fn(ctx, i, item)
 				if err != nil {

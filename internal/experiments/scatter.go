@@ -58,7 +58,7 @@ type ScatterResult struct {
 // Options.Workers with per-panel servers and attackers; output is
 // byte-identical at any worker count.
 func ScatterExperiment(o Options, mech Mechanism, id string) (*ScatterResult, error) {
-	panels, err := runCells(o, ScatterSubwarps,
+	panels, err := runCells(o, id+"/"+mech.String(), ScatterSubwarps,
 		func(_ int, m int) string { return fmt.Sprintf("%s/%d", mech, m) },
 		func(_ context.Context, _ int, m int) (ScatterPanel, error) {
 			srv, ds, err := collect(o, mech.Policy(m))

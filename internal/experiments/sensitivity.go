@@ -42,7 +42,7 @@ func ExtSensitivity(o Options) (*ExtSensitivityResult, error) {
 		{32, 32}, // 32-byte sectors: 32 blocks per table
 		{64, 16}, // 64-wide wavefronts (AMD-style)
 	}
-	rows, err := runCells(o, variants,
+	rows, err := runCells(o, "ext-sensitivity", variants,
 		func(_ int, v struct{ n, r int }) string { return fmt.Sprintf("n%d-r%d", v.n, v.r) },
 		func(_ context.Context, _ int, v struct{ n, r int }) ([]ExtSensitivityRow, error) {
 			md, err := theory.NewModel(v.n, v.r)

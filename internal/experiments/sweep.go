@@ -79,7 +79,7 @@ func Sweep(o Options, ms []int) (*SweepResult, error) {
 		Cell               SweepCell
 		BaseCycles, BaseTx float64
 	}
-	outs, err := runCells(o, jobs,
+	outs, err := runCells(o, "sweep", jobs,
 		func(_ int, jb job) string {
 			if jb.baseline {
 				return "baseline"

@@ -66,7 +66,7 @@ func ExtWorkloads(o Options) (*ExtWorkloadsResult, error) {
 	// Exported fields: cells round-trip through the checkpoint journal
 	// as JSON when Options.Journal is attached.
 	type raw struct{ Cycles, Tx float64 }
-	raws, err := runCells(o, jobs,
+	raws, err := runCells(o, "ext-workloads", jobs,
 		func(_ int, jb job) string { return jb.pattern.String() + "/" + jb.policy.Name() },
 		func(_ context.Context, _ int, jb job) (raw, error) {
 			cfg := o.gpuConfig()

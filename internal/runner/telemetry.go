@@ -111,8 +111,8 @@ func (t *Telemetry) AddRestored(n int) {
 	t.mu.Unlock()
 }
 
-// AddCacheHit records one cell served by the fingerprint-keyed results
-// cache. Hits are also restored cells — report them with AddRestored
+// AddCacheHit records one cell served by the content-addressed results
+// store. Hits are also restored cells — report them with AddRestored
 // too; this counter only tracks the cache's contribution.
 func (t *Telemetry) AddCacheHit() {
 	t.mu.Lock()

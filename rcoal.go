@@ -229,7 +229,10 @@ func RCoalScore(s, executionTime, a, b float64) float64 {
 // ExperimentOptions parameterizes a paper-reproduction experiment.
 type ExperimentOptions = experiments.Options
 
-// DefaultExperimentOptions mirrors the paper's evaluation setup.
+// DefaultExperimentOptions mirrors the paper's evaluation setup. The
+// returned value and its copies share one in-memory results store, so
+// a grid cell computed once is restored on every later run; set Cache
+// to nil to recompute every cell.
 func DefaultExperimentOptions() ExperimentOptions { return experiments.DefaultOptions() }
 
 // ExperimentIDs lists the reproducible paper artifacts ("fig6",
