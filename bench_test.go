@@ -14,6 +14,7 @@ import (
 	"rcoal/internal/aes"
 	"rcoal/internal/attack"
 	"rcoal/internal/core"
+	"rcoal/internal/experiments"
 	"rcoal/internal/gpusim"
 	"rcoal/internal/kernels"
 	"rcoal/internal/rng"
@@ -86,21 +87,42 @@ func BenchmarkExtSharedMemory(b *testing.B)      { runExperimentBench(b, "ext-sh
 // gates on it with -min-speedup (see Makefile `bench-json`). Workers
 // is pinned to 1 so the join measures the accelerators, not the pool.
 
-// benchSelectiveSweep runs the selective-RCoal mechanism sweep — the
-// prefix-fork target workload — once per iteration. A fresh cache per
-// iteration mirrors one CLI -accel invocation.
-func benchSelectiveSweep(b *testing.B, accel bool) {
+// benchSelectiveSweep collects the ext-selective-sweep grid once per
+// iteration: the undefended reference plus every mechanism at
+// num-subwarp 2, 4, 8 and 32, 17 policies replaying one plaintext
+// stream. The forked variant simulates each sample's
+// mechanism-independent prefix once (ForkedCollect, no trace cache);
+// the vanilla variant collects every policy from scratch, as
+// SelectiveSweep does under a trace sink.
+func benchSelectiveSweep(b *testing.B, forked bool) {
 	b.Helper()
 	o := DefaultExperimentOptions()
-	o.Samples = 6
-	o.Workers = 1
-	for i := 0; i < b.N; i++ {
-		if accel {
-			o.ForkPrefix = true
-			o.TraceCache = NewTraceCache()
+	const samples = 6
+	policies := []Mechanism{experiments.MechFSS.Policy(1)}
+	for _, mech := range experiments.AllMechanisms {
+		for _, m := range []int{2, 4, 8, 32} {
+			policies = append(policies, mech.Policy(m))
 		}
-		if _, err := RunExperiment("ext-selective-sweep", o); err != nil {
-			b.Fatal(err)
+	}
+	cfg := DefaultGPUConfig()
+	cfg.VulnerableRounds = []int{experiments.SelectiveSweepVulnerableRound}
+	for i := 0; i < b.N; i++ {
+		if forked {
+			if _, err := ForkedCollect(cfg, o.Key, policies, samples, o.Lines, o.Seed, nil); err != nil {
+				b.Fatal(err)
+			}
+			continue
+		}
+		for _, p := range policies {
+			c := cfg
+			c.Defense = p
+			srv, err := NewServer(c, o.Key)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := srv.Collect(samples, o.Lines, o.Seed); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }
@@ -111,8 +133,8 @@ func BenchmarkSelectiveMechanismSweepVanilla(b *testing.B) { benchSelectiveSweep
 // benchTraceCachedCollect measures the cache's real workload: two
 // grid cells (servers under different mechanisms) replaying the same
 // plaintext stream, so the second cell's builds all hit. The vanilla
-// variant rebuilds every trace; CI gates the pair at "not slower"
-// (the first cell's misses pay the keying overhead).
+// variant rebuilds every trace; CI gates the pair at >= 0.85x, up to
+// 15% slower (the first cell's misses pay the keying overhead).
 func benchTraceCachedCollect(b *testing.B, cached bool) {
 	b.Helper()
 	servers := make([]*Server, 2)

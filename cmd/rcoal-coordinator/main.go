@@ -32,7 +32,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -60,8 +59,7 @@ func main() {
 		resume   = flag.Bool("resume", false, "resume from existing ledgers: journaled cells restore, journaled leases stay stale-detectable")
 		cdir     = flag.String("cache", "", "directory for the content-addressed results store; cells computed by any prior sweep or experiment under identical options are restored instead of leased")
 		par      = flag.Int("parallel", 1, "experiments whose grids are open for leasing concurrently")
-		accel    = flag.Bool("accel", false, "lease cells with the exact accelerators enabled on workers (results are byte-identical)")
-		hybrid   = flag.Bool("hybrid", false, "lease cells with the hybrid analytical substitution (scores may differ within HybridScoreBound)")
+		accel    = flag.Bool("accel", false, "have workers share one AES trace cache across the cells they compute (results are byte-identical; uses more memory)")
 		mechs    = flag.String("mechanisms", "", "comma-separated defense specs restricting mechanism-enumerating experiments (ext-defense-frontier), e.g. \"baseline,rss+rts:8,delay:64\"; empty = full registry; the filter travels in each lease")
 		leaseTO  = flag.Duration("lease-timeout", 2*time.Minute, "silence budget per lease before the cell is re-issued to another worker; holders renew long computations via /lease/renew")
 		hb       = flag.Duration("heartbeat", 0, "period of the live status line on stderr (cells done, cache hit/miss, workers, rate, eta); 0 = off")
@@ -85,6 +83,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "rcoal-coordinator: %v\n", err)
 		os.Exit(2)
 	}
+	mechSpecs, err := cliutil.ParseMechanisms(*mechs)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "rcoal-coordinator: %v\n", err)
+		os.Exit(2)
+	}
 	// One results store for the whole sweep, opened before serving:
 	// cells one experiment finished are never leased for another.
 	var cache *checkpoint.Journal
@@ -102,18 +105,12 @@ func main() {
 	opts.Lines = *lines
 	opts.Seed = *seed
 	opts.Key = []byte(*key)
-	opts.Hybrid = *hybrid
-	if *mechs != "" {
-		for _, spec := range strings.Split(*mechs, ",") {
-			opts.Mechanisms = append(opts.Mechanisms, strings.TrimSpace(spec))
-		}
-	}
+	opts.Mechanisms = mechSpecs
 	if *accel {
 		// The coordinator never simulates, but a non-nil trace cache is
 		// how Options carries "accelerate" to dist.WireFrom; workers
 		// build their own shared cache per process.
 		opts.TraceCache = kernels.NewTraceCache()
-		opts.ForkPrefix = true
 	}
 
 	// Observability plane: one trace id for the whole sweep, minted

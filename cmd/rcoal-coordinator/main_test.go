@@ -23,8 +23,9 @@ func TestMain(m *testing.M) {
 
 const mainEnv = "RCOAL_COORDINATOR_RUN_MAIN"
 
-// TestFailFast: a bad output path or -cache directory exits with code
-// 2 before the coordinator serves or leases anything.
+// TestFailFast: a bad output path, -cache directory or -mechanisms
+// spec exits with code 2 before the coordinator serves or leases
+// anything.
 func TestFailFast(t *testing.T) {
 	dir := t.TempDir()
 	file := filepath.Join(dir, "file")
@@ -41,6 +42,7 @@ func TestFailFast(t *testing.T) {
 		{"trace parent missing", []string{"-trace-out", filepath.Join(missing, "t.json")}, "-trace-out"},
 		{"flight parent is a file", []string{"-flight-out", filepath.Join(file, "f.json")}, "-flight-out"},
 		{"cache is a file", []string{"-cache", file}, "-cache"},
+		{"bad mechanism", []string{"-mechanisms", "bogus:9"}, "-mechanisms"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)

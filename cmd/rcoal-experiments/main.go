@@ -9,8 +9,7 @@
 //	rcoal-experiments -run all -samples 100 -seed 7
 //	rcoal-experiments -run all -journal ckpt          # checkpoint finished cells
 //	rcoal-experiments -run all -journal ckpt -resume  # skip journaled cells
-//	rcoal-experiments -run all -accel                 # trace cache + prefix forking (byte-identical)
-//	rcoal-experiments -run fig15 -hybrid              # analytical closed cells (bounded score drift)
+//	rcoal-experiments -run all -accel                 # shared AES trace cache (byte-identical)
 //	rcoal-experiments -run all -cache cachedir        # reuse cells from any prior identical sweep
 //	rcoal-experiments -worker http://host:8077        # compute cells for a rcoal-coordinator
 package main
@@ -28,7 +27,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -64,8 +62,7 @@ func main() {
 		traceOut = flag.String("trace-out", "", "write a Chrome/Perfetto trace of every simulated launch to this file (large; best with a single small experiment)")
 		hb       = flag.Duration("heartbeat", 0, "period of the live telemetry line on stderr (cells done, rate, eta, worker utilization); 0 = off")
 		maddr    = flag.String("metrics-addr", "", "serve live run telemetry over HTTP expvar at this address (e.g. localhost:6060/debug/vars)")
-		accel    = flag.Bool("accel", false, "enable the exact accelerators: per-run trace caching plus copy-on-write prefix forking where applicable (results are byte-identical)")
-		hybrid   = flag.Bool("hybrid", false, "replace analytically closed sweep cells with the Section V model's score instead of simulating the attack (scores may differ within the documented HybridScoreBound; performance columns stay simulated)")
+		accel    = flag.Bool("accel", false, "share one AES trace cache across every cell of the run (results are byte-identical; uses more memory)")
 		cdir     = flag.String("cache", "", "directory for the content-addressed results store: cells computed by any prior run of any experiment under identical result-determining options are restored instead of re-run")
 		mechs    = flag.String("mechanisms", "", "comma-separated defense specs restricting mechanism-enumerating experiments (ext-defense-frontier), e.g. \"baseline,rss+rts:8,delay:64\"; empty = full registry")
 		worker   = flag.String("worker", "", "run as a distributed worker for the rcoal-coordinator at this base URL (e.g. http://host:8077) instead of running experiments locally; -workers bounds concurrent cells")
@@ -85,6 +82,11 @@ func main() {
 		os.Exit(2)
 	}
 	if err := cliutil.CheckOutputs(*csvDir, *traceOut, *flight); err != nil {
+		fmt.Fprintf(os.Stderr, "rcoal-experiments: %v\n", err)
+		os.Exit(2)
+	}
+	mechSpecs, err := cliutil.ParseMechanisms(*mechs)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "rcoal-experiments: %v\n", err)
 		os.Exit(2)
 	}
@@ -118,12 +120,7 @@ func main() {
 	opts.Workers = *workers
 	opts.CellTimeout = *cellTO
 	opts.Retries = *retries
-	opts.Hybrid = *hybrid
-	if *mechs != "" {
-		for _, spec := range strings.Split(*mechs, ",") {
-			opts.Mechanisms = append(opts.Mechanisms, strings.TrimSpace(spec))
-		}
-	}
+	opts.Mechanisms = mechSpecs
 	if *cdir != "" {
 		// One store for the whole invocation, opened before any
 		// compute: experiments share the cells they have in common.
@@ -139,7 +136,6 @@ func main() {
 		// One cache for the whole invocation: experiments share the key
 		// and plaintext streams, so cross-experiment hits are real.
 		opts.TraceCache = kernels.NewTraceCache()
-		opts.ForkPrefix = true
 	}
 
 	var exporter *tracevis.Exporter

@@ -87,16 +87,14 @@ func TestMain(m *testing.M) {
 
 const mainEnv = "RCOAL_EXPERIMENTS_RUN_MAIN"
 
-// TestCacheOpenedBeforeCompute: an unusable -cache directory exits
-// with code 2 before the first experiment runs.
-func TestCacheOpenedBeforeCompute(t *testing.T) {
-	file := filepath.Join(t.TempDir(), "file")
-	if err := os.WriteFile(file, nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
+// requireFailFast runs main in a child process with args and requires
+// it to exit with code 2, report wantErr on stderr, and print no
+// experiment report.
+func requireFailFast(t *testing.T, wantErr string, args ...string) {
+	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	cmd := exec.CommandContext(ctx, os.Args[0], "-run", "all", "-samples", "2", "-cache", file)
+	cmd := exec.CommandContext(ctx, os.Args[0], args...)
 	cmd.Env = append(os.Environ(), mainEnv+"=1")
 	var stdout, stderr strings.Builder
 	cmd.Stdout, cmd.Stderr = &stdout, &stderr
@@ -105,10 +103,27 @@ func TestCacheOpenedBeforeCompute(t *testing.T) {
 	if !errors.As(err, &ee) || ee.ExitCode() != 2 {
 		t.Fatalf("exit = %v, want code 2; stderr:\n%s", err, stderr.String())
 	}
-	if !strings.Contains(stderr.String(), "rcoal-experiments: -cache") {
-		t.Errorf("stderr does not report the -cache failure:\n%s", stderr.String())
+	if want := "rcoal-experiments: " + wantErr; !strings.Contains(stderr.String(), want) {
+		t.Errorf("stderr does not contain %q:\n%s", want, stderr.String())
 	}
 	if stdout.Len() != 0 {
 		t.Errorf("experiments ran before the failure:\n%s", stdout.String())
 	}
+}
+
+// TestCacheOpenedBeforeCompute: an unusable -cache directory exits
+// with code 2 before the first experiment runs.
+func TestCacheOpenedBeforeCompute(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	requireFailFast(t, "-cache", "-run", "all", "-samples", "2", "-cache", file)
+}
+
+// TestBadMechanismFailsFast: a -mechanisms spec that does not parse
+// exits with code 2 before any experiment runs, including experiments
+// that never read the filter.
+func TestBadMechanismFailsFast(t *testing.T) {
+	requireFailFast(t, "-mechanisms", "-run", "fig5", "-samples", "2", "-mechanisms", "rss+rts:8,bogus:9")
 }

@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
+
+	"rcoal/internal/mechanism"
 )
 
 // CheckOutputs validates output paths before any compute, since they
@@ -44,4 +47,24 @@ func CheckOutputs(csvDir, traceOut, flightOut string) error {
 		}
 	}
 	return nil
+}
+
+// ParseMechanisms splits a comma-separated -mechanisms value into
+// trimmed defense specs, validating each with mechanism.Parse so a bad
+// spec fails before any compute rather than inside the one experiment
+// that reads the filter. The specs are returned as written: they are
+// part of the result fingerprint. An empty value means no filter.
+func ParseMechanisms(list string) ([]string, error) {
+	if list == "" {
+		return nil, nil
+	}
+	var specs []string
+	for _, spec := range strings.Split(list, ",") {
+		spec = strings.TrimSpace(spec)
+		if _, err := mechanism.Parse(spec); err != nil {
+			return nil, fmt.Errorf("-mechanisms: %w", err)
+		}
+		specs = append(specs, spec)
+	}
+	return specs, nil
 }

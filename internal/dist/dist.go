@@ -66,13 +66,10 @@ type WireOptions struct {
 	Lines   int    `json:"lines"`
 	Seed    uint64 `json:"seed"`
 	KeyHex  string `json:"key_hex"`
-	// Hybrid selects the analytical closed-cell substitution — part of
-	// the result fingerprint, so it must travel with the lease.
-	Hybrid bool `json:"hybrid,omitempty"`
-	// Accel turns on the exact accelerators (trace cache, prefix
-	// forking) on the worker. Byte-identical by the internal/equiv
-	// contract, so it is NOT part of the fingerprint — an accelerated
-	// distributed sweep must match a vanilla single-process one.
+	// Accel installs a trace cache on the worker. Byte-identical by
+	// the internal/equiv contract, so it is NOT part of the
+	// fingerprint — an accelerated distributed sweep must match a
+	// vanilla single-process one.
 	Accel bool `json:"accel,omitempty"`
 	// Mechanisms is the defense-spec filter of mechanism-enumerating
 	// experiments (ext-defense-frontier). It must travel with the
@@ -89,8 +86,7 @@ func WireFrom(o experiments.Options) WireOptions {
 		Lines:      o.Lines,
 		Seed:       o.Seed,
 		KeyHex:     hex.EncodeToString(o.Key),
-		Hybrid:     o.Hybrid,
-		Accel:      o.TraceCache != nil || o.ForkPrefix,
+		Accel:      o.TraceCache != nil,
 		Mechanisms: o.Mechanisms,
 	}
 }
@@ -109,8 +105,6 @@ func (w WireOptions) Options() (experiments.Options, error) {
 	o.Lines = w.Lines
 	o.Seed = w.Seed
 	o.Key = key
-	o.Hybrid = w.Hybrid
-	o.ForkPrefix = w.Accel
 	o.Mechanisms = w.Mechanisms
 	o.Workers = 1
 	return o, nil

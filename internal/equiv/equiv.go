@@ -1,5 +1,5 @@
 // Package equiv is the differential-equivalence harness for the
-// simulation accelerators. Three contracts, in decreasing strictness:
+// simulation accelerators. Both must be invisible:
 //
 //  1. Trace caching (kernels.TraceCache) must be invisible: a server
 //     with the cache installed returns datasets byte-identical to an
@@ -7,10 +7,6 @@
 //  2. Copy-on-write prefix forking (aesgpu.ForkedCollect) must be
 //     invisible: forked collection across a policy set equals a fresh
 //     per-policy vanilla collection, bit for bit.
-//  3. Hybrid analytical cells (experiments.Options.Hybrid) are allowed
-//     to move security scores, but only on analytically decisive cells
-//     and only within experiments.HybridScoreBound; performance
-//     columns must not move at all.
 //
 // The harness functions return nil/zero on agreement and a
 // first-mismatch error otherwise; equiv_test.go wires them into the
@@ -23,7 +19,6 @@ import (
 	"reflect"
 
 	"rcoal/internal/aesgpu"
-	"rcoal/internal/experiments"
 	"rcoal/internal/gpusim"
 	"rcoal/internal/kernels"
 	"rcoal/internal/mechanism"
@@ -157,67 +152,4 @@ func ForkExact(g Grid, key []byte, tc *kernels.TraceCache) error {
 		}
 	}
 	return nil
-}
-
-// HybridReport summarizes a hybrid-vs-full sweep comparison.
-type HybridReport struct {
-	// MaxScoreDelta is max |AvgCorrectCorr(hybrid) − (full)| over the
-	// grid; contract 3 requires it ≤ experiments.HybridScoreBound.
-	MaxScoreDelta float64
-	// Substituted counts cells where hybrid mode changed the score —
-	// zero means the mode silently did nothing, which is also a bug.
-	Substituted int
-}
-
-// HybridWithinBound checks contract 3 on the given Fig-class subwarp
-// grid: scores move only within HybridScoreBound, performance columns
-// not at all.
-func HybridWithinBound(o experiments.Options, ms []int) (HybridReport, error) {
-	var rep HybridReport
-	full, err := experiments.Sweep(o, ms)
-	if err != nil {
-		return rep, err
-	}
-	o.Hybrid = true
-	hyb, err := experiments.Sweep(o, ms)
-	if err != nil {
-		return rep, err
-	}
-	if len(full.Cells) != len(hyb.Cells) {
-		return rep, fmt.Errorf("equiv: hybrid grid shape changed (%d vs %d cells)",
-			len(hyb.Cells), len(full.Cells))
-	}
-	for i := range full.Cells {
-		f, h := full.Cells[i], hyb.Cells[i]
-		if f.Mechanism != h.Mechanism || f.M != h.M {
-			return rep, fmt.Errorf("equiv: hybrid cell %d is (%s,%d), want (%s,%d)",
-				i, h.Mechanism, h.M, f.Mechanism, f.M)
-		}
-		// Performance must be untouched — hybrid only ever replaces
-		// the attack, never the simulation.
-		if f.MeanCycles != h.MeanCycles || f.MeanTx != h.MeanTx ||
-			f.NormCycles != h.NormCycles || f.NormTx != h.NormTx {
-			return rep, fmt.Errorf("equiv: hybrid moved performance columns at (%s,%d)",
-				f.Mechanism, f.M)
-		}
-		if d := abs(f.AvgCorrectCorr - h.AvgCorrectCorr); d > 0 {
-			rep.Substituted++
-			if d > rep.MaxScoreDelta {
-				rep.MaxScoreDelta = d
-			}
-			if d > experiments.HybridScoreBound {
-				return rep, fmt.Errorf("equiv: hybrid score off by %.3f at (%s,%d), bound %.2f (full %.3f, hybrid %.3f)",
-					d, f.Mechanism, f.M, experiments.HybridScoreBound,
-					f.AvgCorrectCorr, h.AvgCorrectCorr)
-			}
-		}
-	}
-	return rep, nil
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

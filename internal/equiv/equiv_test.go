@@ -3,7 +3,6 @@ package equiv
 import (
 	"testing"
 
-	"rcoal/internal/experiments"
 	"rcoal/internal/kernels"
 )
 
@@ -36,24 +35,4 @@ func TestForkExactWithTraceCache(t *testing.T) {
 	if err := ForkExact(testGrid(), equivKey, kernels.NewTraceCache()); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestHybridWithinBound(t *testing.T) {
-	o := experiments.DefaultOptions()
-	ms := experiments.Fig16Subwarps // superset grid of Figures 15-17
-	if testing.Short() {
-		o.Samples = 6
-		ms = []int{1, 4, 16}
-	} else {
-		o.Samples = 10
-	}
-	rep, err := HybridWithinBound(o, ms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Substituted == 0 {
-		t.Fatal("hybrid mode substituted no cells — the accelerator is inert")
-	}
-	t.Logf("hybrid: %d cells substituted, max score delta %.3f (bound %.2f)",
-		rep.Substituted, rep.MaxScoreDelta, experiments.HybridScoreBound)
 }

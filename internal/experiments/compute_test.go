@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"rcoal/internal/kernels"
 	"rcoal/internal/runner"
 )
 
@@ -124,6 +125,29 @@ func TestResultsCacheWarmSweep(t *testing.T) {
 	}
 }
 
+// TestFingerprintPinned pins the content addresses of default-option
+// runs: changing journalMeta must not orphan existing run journals or
+// results stores.
+func TestFingerprintPinned(t *testing.T) {
+	o := DefaultOptions()
+	frontier := o
+	frontier.Mechanisms = []string{"rss+rts:8"}
+	for _, tc := range []struct {
+		ns   string
+		o    Options
+		want string
+	}{
+		{"sweep", o, "9328b23d12286a1f"},
+		{"fig7", o, "c4a99811ca962612"},
+		{"fig18", o, "7deb2c1996310314"},
+		{"ext-defense-frontier", frontier, "14ae4121fc93f5b9"},
+	} {
+		if got := Fingerprint(tc.ns, tc.o); got != tc.want {
+			t.Errorf("Fingerprint(%q) = %s, want %s", tc.ns, got, tc.want)
+		}
+	}
+}
+
 func TestFingerprintSensitivity(t *testing.T) {
 	o := DefaultOptions()
 	base := Fingerprint("fig7", o)
@@ -131,7 +155,6 @@ func TestFingerprintSensitivity(t *testing.T) {
 		"seed":    func() Options { v := o; v.Seed++; return v }(),
 		"samples": func() Options { v := o; v.Samples++; return v }(),
 		"lines":   func() Options { v := o; v.Lines++; return v }(),
-		"hybrid":  func() Options { v := o; v.Hybrid = true; return v }(),
 		"key":     func() Options { v := o; v.Key = []byte("another 16B key!"); return v }(),
 	} {
 		if Fingerprint("fig7", variant) == base {
@@ -145,7 +168,7 @@ func TestFingerprintSensitivity(t *testing.T) {
 	// byte-identical by contract, so their results are shareable.
 	accel := o
 	accel.Workers = 7
-	accel.ForkPrefix = true
+	accel.TraceCache = kernels.NewTraceCache()
 	if Fingerprint("fig7", accel) != base {
 		t.Error("fingerprint varies with non-result-determining options")
 	}

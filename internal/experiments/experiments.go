@@ -101,27 +101,12 @@ type Options struct {
 	// plaintext streams, so the cache collapses their kernel builds to
 	// one. Purely an accelerator: results stay byte-identical.
 	TraceCache *kernels.TraceCache
-	// ForkPrefix routes eligible collection loops through
-	// copy-on-write prefix forking (aesgpu.ForkedCollect): the
-	// mechanism-independent prefix of each sample is simulated once
-	// and forked per mechanism configuration. Only honored by
-	// experiments whose cells are selective-RCoal with shared
-	// plaintext streams (ext-selective-sweep); byte-identical results.
-	ForkPrefix bool
 	// Mechanisms, when non-empty, restricts mechanism-enumerating
 	// experiments (currently ext-defense-frontier) to the given defense
 	// specs (mechanism.Parse grammar, e.g. "rss+rts:8", "delay:64").
 	// Empty means the registry's full frontier set. Specs are part of
 	// the result-determining fingerprint.
 	Mechanisms []string
-	// Hybrid replaces simulation of analytically decisive sweep cells
-	// with the Section V model's ρ prediction (see hybrid.go),
-	// reserving cycle-accurate simulation for cells near the decision
-	// threshold. UNLIKE the other accelerators this changes reported
-	// security scores, within the documented HybridScoreBound;
-	// performance columns stay fully simulated. Opt-in via
-	// cmd/rcoal-experiments -hybrid.
-	Hybrid bool
 }
 
 // gpuConfig is the GPU configuration every experiment starts from: the

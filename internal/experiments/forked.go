@@ -8,14 +8,13 @@ import (
 	"rcoal/internal/report"
 )
 
-// This file adds the selective-RCoal mechanism sweep, the experiment
-// the copy-on-write prefix-fork accelerator (aesgpu.ForkedCollect)
-// targets: every cell of the grid shares the same plaintext stream and
-// the same mechanism-independent prefix (all rounds but the vulnerable
-// one), so the prefix is simulated once per sample and forked per
-// (mechanism, num-subwarp) configuration. Options.ForkPrefix selects
-// the forked path; either path produces byte-identical results (the
-// contract internal/equiv enforces).
+// This file adds the selective-RCoal mechanism sweep. Every cell of
+// the grid shares the same plaintext stream and the same
+// mechanism-independent prefix (all rounds but the vulnerable one), so
+// SelectiveSweep simulates the prefix once per sample and forks it per
+// (mechanism, num-subwarp) configuration (aesgpu.ForkedCollect). The
+// forked datasets are byte-identical to per-cell collection, the
+// contract internal/equiv enforces.
 
 func init() {
 	Registry["ext-selective-sweep"] = func(o Options) (Result, error) {
@@ -51,9 +50,6 @@ type SelectiveSweepResult struct {
 	Cells []SelectiveSweepCell // mechanism-major, then M
 	// BaselineCycles is the undefended (whole-warp) reference.
 	BaselineCycles float64
-	// Forked records which collection path produced the result — the
-	// numbers are identical either way; only wall-clock differs.
-	Forked bool
 }
 
 // Cell returns the cell for (mech, m), or nil.
@@ -68,12 +64,14 @@ func (s *SelectiveSweepResult) Cell(mech Mechanism, m int) *SelectiveSweepCell {
 
 // SelectiveSweep evaluates every mechanism at every num-subwarp value
 // in ms under selective RCoal (only SelectiveSweepVulnerableRound is
-// randomized). All cells replay the same plaintext stream, so with
-// Options.ForkPrefix the mechanism-independent prefix of each sample
-// is simulated once and forked per cell; otherwise each cell collects
-// vanilla. Cells run serially in both paths (the forked path reuses
-// one prefix snapshot across cells, which a cell-parallel pool would
-// forfeit); Options.Workers is ignored.
+// randomized). All cells replay the same plaintext stream, so the
+// mechanism-independent prefix of each sample is simulated once and
+// forked per cell. gpusim refuses to fork a traced launch (prefix
+// events would repeat once per fork), so with Options.Trace set each
+// cell collects in full instead; the results are byte-identical either
+// way. Cells run serially (the forked path reuses one prefix snapshot
+// across cells, which a cell-parallel pool would forfeit);
+// Options.Workers is ignored.
 func SelectiveSweep(o Options, ms []int) (*SelectiveSweepResult, error) {
 	if err := o.validate(); err != nil {
 		return nil, err
@@ -91,7 +89,7 @@ func SelectiveSweep(o Options, ms []int) (*SelectiveSweepResult, error) {
 	cfg.VulnerableRounds = []int{SelectiveSweepVulnerableRound}
 
 	var dss []*aesgpu.Dataset
-	if o.ForkPrefix {
+	if o.Trace == nil {
 		var err error
 		dss, err = aesgpu.ForkedCollect(cfg, o.Key, policies,
 			o.Samples, o.Lines, o.Seed, o.TraceCache)
@@ -128,7 +126,7 @@ func SelectiveSweep(o Options, ms []int) (*SelectiveSweepResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &SelectiveSweepResult{Ms: ms, BaselineCycles: base.MeanCycles, Forked: o.ForkPrefix}
+	res := &SelectiveSweepResult{Ms: ms, BaselineCycles: base.MeanCycles}
 	i := 1
 	for _, mech := range AllMechanisms {
 		for _, m := range ms {
@@ -158,8 +156,5 @@ func (r *SelectiveSweepResult) Render() string {
 	b.WriteString("\nOnly the vulnerable round is randomized, so even aggressive subwarp\n" +
 		"counts cost little total time while the last-round channel degrades\n" +
 		"like full RCoal.\n")
-	if r.Forked {
-		b.WriteString("(collected via copy-on-write prefix forking — byte-identical to vanilla)\n")
-	}
 	return b.String()
 }

@@ -8,31 +8,23 @@ import (
 	"rcoal/internal/kernels"
 )
 
-// This file pins the accelerator contract at the experiment level: a
-// run with every accelerator enabled (trace cache installed, prefix
-// forking on) must emit CSVs byte-identical to the committed goldens,
-// which are generated with every accelerator OFF (`-update` runs the
-// vanilla path). A single flipped bit anywhere — cache key collision,
-// fork state leak, sample-assembly drift — fails the comparison.
-//
-// Hybrid mode is deliberately NOT exercised here: it is the one
-// accelerator allowed to change scores (see HybridScoreBound and
-// internal/equiv), so it can never sit behind a byte-identical pin.
+// This file pins the trace-cache contract at the experiment level: a
+// run with the cache installed must emit CSVs byte-identical to the
+// committed goldens, which are generated without it (`-update`). A
+// single flipped bit anywhere — cache key collision, fork state leak,
+// sample-assembly drift — fails the comparison.
 
-// accelOptions is goldenOptions with the exact-by-contract
-// accelerators switched on.
+// accelOptions is goldenOptions with the trace cache installed.
 func accelOptions() Options {
 	o := goldenOptions()
 	o.TraceCache = kernels.NewTraceCache()
-	o.ForkPrefix = true
 	return o
 }
 
 // accelGoldenCases spans the Fig-class shapes: raw scatter (fig5),
 // full key recovery (fig6), the FSS sweep (fig7), the 1024-line case
-// study (fig18), and the prefix-forked selective sweep — the only case
-// where ForkPrefix changes the execution path rather than being
-// ignored.
+// study (fig18), and the selective sweep, which collects through
+// prefix forking with the cache stacked on top.
 var accelGoldenCases = []struct {
 	name string
 	slow bool // skipped under -short (1024-line launches)
@@ -50,8 +42,8 @@ var accelGoldenCases = []struct {
 	}},
 }
 
-// TestAcceleratorsPreserveGoldenCSVs runs each case with caching and
-// forking enabled and compares against the vanilla-generated golden.
+// TestAcceleratorsPreserveGoldenCSVs runs each case with the trace
+// cache installed and compares against the uncached golden.
 func TestAcceleratorsPreserveGoldenCSVs(t *testing.T) {
 	for _, tc := range accelGoldenCases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -60,9 +52,12 @@ func TestAcceleratorsPreserveGoldenCSVs(t *testing.T) {
 			}
 			golden := filepath.Join("testdata", tc.name+".golden.csv")
 			if *updateGolden {
-				// Goldens come from the vanilla path: no cache, no
-				// forking. That is what makes the comparison below a
-				// differential test rather than a self-fulfilling pin.
+				// Goldens come from the uncached path. That is what
+				// makes the comparison below a differential test
+				// rather than a self-fulfilling pin. SelectiveSweep
+				// forks without a trace sink, so the selective golden
+				// is regenerated forked too; its reference check
+				// against per-policy collection is equiv.ForkExact.
 				res, err := tc.run(goldenOptions())
 				if err != nil {
 					t.Fatal(err)

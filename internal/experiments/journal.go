@@ -20,11 +20,10 @@ import (
 // incompatible configurations, so checkpoint.Resume rejects the
 // mismatch.
 //
-// Hybrid is part of the fingerprint because it changes reported scores
-// (within HybridScoreBound); the exact accelerators (trace cache,
-// prefix forking) are deliberately NOT — they are byte-identical by
-// the internal/equiv contract, so accelerated and vanilla runs may
-// share journals and stored cells.
+// The accelerators (trace cache, prefix forking) are deliberately NOT
+// part of the fingerprint: they are byte-identical by the
+// internal/equiv contract, so accelerated and vanilla runs may share
+// journals and stored cells.
 type journalMeta struct {
 	Experiment string `json:"experiment"`
 	Samples    int    `json:"samples"`
@@ -32,7 +31,6 @@ type journalMeta struct {
 	Seed       uint64 `json:"seed"`
 	// KeyHash fingerprints the AES key without writing it to disk.
 	KeyHash string `json:"keyHash"`
-	Hybrid  bool   `json:"hybrid,omitempty"`
 	// Mechanisms is the explicit defense-spec filter of mechanism-
 	// enumerating experiments. omitempty keeps the fingerprints of
 	// every pre-existing experiment (and of default frontier runs)
@@ -49,7 +47,6 @@ func metaFor(id string, o Options) journalMeta {
 		Lines:      o.Lines,
 		Seed:       o.Seed,
 		KeyHash:    fmt.Sprintf("%016x", h.Sum64()),
-		Hybrid:     o.Hybrid,
 		Mechanisms: o.Mechanisms,
 	}
 }

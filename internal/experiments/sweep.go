@@ -52,10 +52,6 @@ func (s *SweepResult) Cell(mech Mechanism, m int) *SweepCell {
 // Options.Workers; each cell owns its simulated server and attacker
 // and draws all randomness from seeds fixed by (o.Seed, mechanism, M),
 // so the result is byte-identical at any worker count.
-//
-// Under Options.Hybrid, analytically decisive cells (see hybrid.go)
-// substitute the Section V model's ρ for the simulated attack score;
-// performance columns are still simulated for every cell.
 func Sweep(o Options, ms []int) (*SweepResult, error) {
 	if err := o.validate(); err != nil {
 		return nil, err
@@ -113,12 +109,6 @@ func Sweep(o Options, ms []int) (*SweepResult, error) {
 			cell.MeanCycles /= float64(len(ds.Samples))
 			cell.MeanTx /= float64(len(ds.Samples))
 
-			if o.Hybrid {
-				if rho, ok := hybridScore(jb.mech, jb.m); ok {
-					cell.AvgCorrectCorr = rho
-					return out{Cell: cell}, nil
-				}
-			}
 			atk, err := attack.New(jb.mech.Policy(jb.m), o.Seed^0x5EC)
 			if err != nil {
 				return out{}, err
