@@ -33,9 +33,10 @@ frontier:
 vet-mechanism:
 	bash scripts/vet_mechanism.sh
 
-# Distributed sweep smoke: coordinator + two loopback workers (one
-# killed mid-grid) must match the single-process CSV byte for byte,
-# and a warm-cache rerun must be >= 10x faster.
+# Distributed sweep smoke: a coordinator (rcoal-experiments -serve) +
+# two loopback workers (one killed mid-grid) must match the
+# single-process CSV byte for byte, and a warm-cache rerun must be
+# >= 10x faster.
 dist-smoke:
 	bash scripts/dist_smoke.sh
 

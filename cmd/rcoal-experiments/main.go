@@ -2,6 +2,13 @@
 // every figure and table has a registered experiment that prints its
 // data as an ASCII table or chart.
 //
+// One run loop drives every experiment in two modes. By default the
+// experiments' cells run on the local worker pool. With -serve the
+// process coordinates a distributed fleet instead: it leases the same
+// cells to -worker processes over HTTP, journals every lease and
+// completion in a durable ledger (-journal, required), and renders the
+// same reports and CSVs — byte-identically, at any worker count.
+//
 // Usage:
 //
 //	rcoal-experiments -list
@@ -11,13 +18,21 @@
 //	rcoal-experiments -run all -journal ckpt -resume  # skip journaled cells
 //	rcoal-experiments -run all -accel                 # shared AES trace cache (byte-identical)
 //	rcoal-experiments -run all -cache cachedir        # reuse cells from any prior identical sweep
-//	rcoal-experiments -worker http://host:8077        # compute cells for a rcoal-coordinator
+//	rcoal-experiments -serve :8077 -run all -journal ckpt  # lease cells to a fleet
+//	rcoal-experiments -worker http://host:8077        # compute cells for a -serve coordinator
+//
+// In serve mode the control plane lives on the lease address: GET
+// /status for live grid progress, per-worker rates, and straggler
+// flags; GET /metrics for Prometheus text exposition; POST
+// /leases/cancel to revoke (and thereby retry) an in-flight lease.
+// -trace-out then writes one fleet-wide Chrome/Perfetto trace that
+// merges the coordinator's lease spans with the per-cell span reports
+// workers attach to completions.
 package main
 
 import (
 	"context"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"io"
@@ -26,6 +41,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"syscall"
@@ -33,6 +49,7 @@ import (
 
 	"rcoal/internal/atomicio"
 	"rcoal/internal/chaos"
+	"rcoal/internal/checkpoint"
 	"rcoal/internal/cliutil"
 	"rcoal/internal/dist"
 	"rcoal/internal/experiments"
@@ -43,73 +60,93 @@ import (
 	"rcoal/internal/runner"
 )
 
-func main() {
-	var (
-		list     = flag.Bool("list", false, "list available experiment IDs")
-		run      = flag.String("run", "", "experiment ID to run, or \"all\"")
-		samples  = flag.Int("samples", 100, "plaintext timing samples per configuration")
-		lines    = flag.Int("lines", 32, "plaintext lines per sample (fig18 always uses 1024)")
-		seed     = flag.Uint64("seed", 0x8C0A1, "master random seed")
-		key      = flag.String("key", "RCoal eval key 1", "AES key (16/24/32 bytes)")
-		csvDir   = flag.String("csv", "", "directory to write <id>.csv data files into (optional)")
-		par      = flag.Int("parallel", 1, "experiments to run concurrently (they are independent and deterministic)")
-		workers  = flag.Int("workers", 0, "cells evaluated concurrently inside each experiment; 0 = GOMAXPROCS, 1 = serial (results are identical at any setting)")
-		prog     = flag.Bool("progress", false, "report per-experiment cell progress on stderr")
-		jdir     = flag.String("journal", "", "directory for per-experiment checkpoint journals (<id>.journal); completed cells survive crashes")
-		resume   = flag.Bool("resume", false, "resume from existing journals, skipping journaled cells (requires -journal)")
-		cellTO   = flag.Duration("cell-timeout", 0, "per-cell time budget; 0 = unlimited")
-		retries  = flag.Int("retries", 0, "extra attempts for cells failing with a retryable fault")
-		traceOut = flag.String("trace-out", "", "write a Chrome/Perfetto trace of every simulated launch to this file (large; best with a single small experiment)")
-		hb       = flag.Duration("heartbeat", 0, "period of the live telemetry line on stderr (cells done, rate, eta, worker utilization); 0 = off")
-		maddr    = flag.String("metrics-addr", "", "serve live run telemetry over HTTP expvar at this address (e.g. localhost:6060/debug/vars)")
-		accel    = flag.Bool("accel", false, "share one AES trace cache across every cell of the run (results are byte-identical; uses more memory)")
-		cdir     = flag.String("cache", "", "directory for the content-addressed results store: cells computed by any prior run of any experiment under identical result-determining options are restored instead of re-run")
-		mechs    = flag.String("mechanisms", "", "comma-separated defense specs restricting mechanism-enumerating experiments (ext-defense-frontier), e.g. \"baseline,rss+rts:8,delay:64\"; empty = full registry")
-		worker   = flag.String("worker", "", "run as a distributed worker for the rcoal-coordinator at this base URL (e.g. http://host:8077) instead of running experiments locally; -workers bounds concurrent cells")
-		workerID = flag.String("worker-id", "", "worker name in the coordinator's ledger and status page; default host:pid")
-		chaosSee = flag.Uint64("chaos-seed", 0, "worker mode: inject deterministic network faults on every coordinator request from this seed's schedule (internal/chaos; testing only); 0 = off")
-		degrade  = flag.String("degraded-journal", "", "worker mode: local checkpoint journal for degraded standalone mode — completions undeliverable for -degraded-after park here instead of being lost and replay on the next run")
-		degAfter = flag.Duration("degraded-after", 30*time.Second, "worker mode: delivery-failure window before a completion is parked (requires -degraded-journal)")
-		reqTO    = flag.Duration("request-timeout", 30*time.Second, "worker mode: per-request HTTP timeout toward the coordinator")
-		logJSON  = flag.Bool("log-json", false, "emit structured lifecycle events as JSON lines on stderr (heartbeats, lease lifecycle in worker mode)")
-		logLevel = flag.String("log-level", "info", "structured log threshold: debug, info, warn, error (with -log-json)")
-		flight   = flag.String("flight-out", "", "dump the in-memory flight recorder (last events at every level) to this file on watchdog trips, cell panics, or degraded-mode entry")
-	)
-	flag.Parse()
+var (
+	list     = flag.Bool("list", false, "list available experiment IDs")
+	runID    = flag.String("run", "", "experiment ID to run, or \"all\"")
+	samples  = flag.Int("samples", 100, "plaintext timing samples per configuration")
+	lines    = flag.Int("lines", 32, "plaintext lines per sample (fig18 always uses 1024)")
+	seed     = flag.Uint64("seed", 0x8C0A1, "master random seed")
+	key      = flag.String("key", "RCoal eval key 1", "AES key (16/24/32 bytes)")
+	csvDir   = flag.String("csv", "", "directory to write <id>.csv data files into (optional)")
+	par      = flag.Int("parallel", 1, "experiments to run concurrently (they are independent and deterministic); in serve mode, experiments whose grids are open for leasing")
+	workers  = flag.Int("workers", 0, "cells evaluated concurrently inside each experiment; 0 = GOMAXPROCS, 1 = serial (results are identical at any setting)")
+	prog     = flag.Bool("progress", false, "report per-experiment cell progress on stderr")
+	jdir     = flag.String("journal", "", "directory for per-experiment checkpoint journals (<id>.journal); completed cells survive crashes; in serve mode also the lease ledger, and required")
+	resume   = flag.Bool("resume", false, "resume from existing journals, skipping journaled cells (requires -journal)")
+	cellTO   = flag.Duration("cell-timeout", 0, "per-cell time budget; 0 = unlimited")
+	retries  = flag.Int("retries", 0, "extra attempts for cells failing with a retryable fault")
+	traceOut = flag.String("trace-out", "", "write a Chrome/Perfetto trace of every simulated launch to this file (large; best with a single small experiment); in serve mode, the merged fleet trace of coordinator lease spans and per-cell worker spans")
+	hb       = flag.Duration("heartbeat", 0, "period of the live telemetry line on stderr (cells done, rate, eta, worker utilization; in serve mode also cache hit/miss and workers); 0 = off")
+	maddr    = flag.String("metrics-addr", "", "serve live run telemetry as Prometheus text at http://<addr>/metrics (local and worker modes; -serve exposes /metrics on its own address)")
+	accel    = flag.Bool("accel", false, "share one AES trace cache across every cell of the run (results are byte-identical; uses more memory)")
+	cdir     = flag.String("cache", "", "directory for the content-addressed results store: cells computed by any prior run of any experiment under identical result-determining options are restored instead of re-run")
+	mechs    = flag.String("mechanisms", "", "comma-separated defense specs restricting mechanism-enumerating experiments (ext-defense-frontier), e.g. \"baseline,rss+rts:8,delay:64\"; empty = full registry")
+	serve    = flag.String("serve", "", "coordinate a distributed sweep: serve the lease protocol and control plane (/status, /metrics) at this address and lease every grid cell to -worker processes instead of computing it here; requires -journal")
+	leaseTO  = flag.Duration("lease-timeout", 2*time.Minute, "serve mode: silence budget per lease before the cell is re-issued to another worker; holders renew long computations via /lease/renew")
+	drain    = flag.Duration("drain-wait", 2*time.Second, "serve mode: grace period after the last grid completes so polling workers see Done and exit")
+	worker   = flag.String("worker", "", "run as a distributed worker for the -serve coordinator at this base URL (e.g. http://host:8077) instead of running experiments locally; -workers bounds concurrent cells")
+	workerID = flag.String("worker-id", "", "worker name in the coordinator's ledger and status page; default host:pid")
+	chaosSee = flag.Uint64("chaos-seed", 0, "worker mode: inject deterministic network faults on every coordinator request from this seed's schedule (internal/chaos; testing only); 0 = off")
+	degrade  = flag.String("degraded-journal", "", "worker mode: local checkpoint journal for degraded standalone mode — completions undeliverable for -degraded-after park here instead of being lost and replay on the next run")
+	degAfter = flag.Duration("degraded-after", 30*time.Second, "worker mode: delivery-failure window before a completion is parked (requires -degraded-journal)")
+	reqTO    = flag.Duration("request-timeout", 30*time.Second, "worker mode: per-request HTTP timeout toward the coordinator")
+	logJSON  = flag.Bool("log-json", false, "emit structured lifecycle events as JSON lines on stderr (heartbeats; lease lifecycle in serve and worker modes)")
+	logLevel = flag.String("log-level", "info", "structured log threshold: debug, info, warn, error (with -log-json)")
+	flight   = flag.String("flight-out", "", "dump the in-memory flight recorder (last events at every level) to this file on experiment failure (watchdog trips, cell panics), degraded-mode entry, or a serve-mode shutdown signal")
+)
 
+func main() {
+	flag.Parse()
+	os.Exit(run())
+}
+
+// run implements every mode and returns the exit code.
+func run() int {
+	fail := func(format string, args ...any) int {
+		fmt.Fprintf(os.Stderr, "rcoal-experiments: "+format+"\n", args...)
+		return 2
+	}
+	if *serve != "" && *worker != "" {
+		return fail("-serve and -worker are exclusive: a process coordinates a fleet or computes for one")
+	}
 	if *resume && *jdir == "" {
-		fmt.Fprintln(os.Stderr, "rcoal-experiments: -resume requires -journal")
-		os.Exit(2)
+		return fail("-resume requires -journal")
 	}
 	if err := cliutil.CheckOutputs(*csvDir, *traceOut, *flight); err != nil {
-		fmt.Fprintf(os.Stderr, "rcoal-experiments: %v\n", err)
-		os.Exit(2)
+		return fail("%v", err)
 	}
 	mechSpecs, err := cliutil.ParseMechanisms(*mechs)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "rcoal-experiments: %v\n", err)
-		os.Exit(2)
+		return fail("%v", err)
 	}
 
 	if *worker != "" {
-		os.Exit(runWorker(workerConfig{
-			coordinator: *worker, id: *workerID, concurrency: *workers, verbose: *prog,
-			chaosSeed: *chaosSee, degradedPath: *degrade, degradedAfter: *degAfter,
-			requestTimeout: *reqTO,
-			metricsAddr:    *maddr,
-			logJSON:        *logJSON, logLevel: *logLevel, flightOut: *flight,
-		}))
+		return runWorker()
 	}
 
 	if *list {
 		for _, id := range experiments.IDs() {
 			fmt.Println(id)
 		}
-		return
+		return 0
 	}
-	if *run == "" {
-		fmt.Fprintln(os.Stderr, "usage: rcoal-experiments -run <id>|all  (or -list)")
-		os.Exit(2)
+	if *runID == "" {
+		fmt.Fprintln(os.Stderr, "usage: rcoal-experiments -run <id>|all [-serve <addr> -journal <dir>]  (or -list, or -worker <url>)")
+		return 2
+	}
+	ids := []string{*runID}
+	if *runID == "all" {
+		ids = experiments.IDs()
+	} else if !slices.Contains(experiments.IDs(), *runID) {
+		return fail("-run %s: unknown experiment (see -list)", *runID)
+	}
+	if *serve != "" {
+		if *jdir == "" {
+			return fail("-serve requires -journal (the ledger is what makes leases durable)")
+		}
+		if *maddr != "" {
+			return fail("-metrics-addr is for local and worker runs; -serve exposes /metrics on its own address")
+		}
 	}
 
 	opts := experiments.DefaultOptions()
@@ -121,83 +158,102 @@ func main() {
 	opts.CellTimeout = *cellTO
 	opts.Retries = *retries
 	opts.Mechanisms = mechSpecs
+	// One results store for the whole invocation, opened before any
+	// compute: experiments share the cells they have in common, and a
+	// coordinator never leases a cell the store already holds.
+	var cache *checkpoint.Journal
 	if *cdir != "" {
-		// One store for the whole invocation, opened before any
-		// compute: experiments share the cells they have in common.
-		c, err := experiments.OpenCache(*cdir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rcoal-experiments: -cache: %v\n", err)
-			os.Exit(2)
+		if cache, err = experiments.OpenCache(*cdir); err != nil {
+			return fail("-cache: %v", err)
 		}
-		defer c.Close()
-		opts.Cache = c
+		defer cache.Close()
+		opts.Cache = cache
 	}
 	if *accel {
 		// One cache for the whole invocation: experiments share the key
-		// and plaintext streams, so cross-experiment hits are real.
+		// and plaintext streams, so cross-experiment hits are real. A
+		// coordinator never simulates grid cells; the cache is how
+		// Options tells dist.WireFrom that workers should accelerate.
 		opts.TraceCache = kernels.NewTraceCache()
 	}
-
-	var exporter *tracevis.Exporter
-	if *traceOut != "" {
-		exporter = tracevis.New()
-		opts.Trace = exporter
-	}
-	// Local-mode observability: an optional flight recorder dumped on
-	// watchdog trips and cell panics, a structured logger teeing into
-	// it, and structured heartbeats when both -log-json and -heartbeat
-	// are set.
-	var recorder *obs.FlightRecorder
-	if *flight != "" {
-		recorder = obs.NewFlightRecorder(obs.DefaultFlightCapacity)
-	}
-	var logger *obs.Logger
-	if *logJSON || recorder != nil {
-		logDst := io.Writer(os.Stderr)
-		if !*logJSON {
-			logDst = io.Discard
+	// Every selected experiment's journal opens before the first one
+	// computes or the server listens, so a bad -journal directory or a
+	// -resume journal from another configuration fails here, not after
+	// the experiments ahead of it have run.
+	journals := make([]*checkpoint.Journal, len(ids))
+	if *jdir != "" {
+		for i, id := range ids {
+			path := filepath.Join(*jdir, id+".journal")
+			j, err := experiments.OpenJournal(path, id, opts, *resume)
+			if err != nil {
+				return fail("-journal %s: %v", path, err)
+			}
+			defer j.Close()
+			if *resume && j.Len() > 0 {
+				fmt.Fprintf(os.Stderr, "%s: resuming with %d journaled cells (%d discarded)\n",
+					id, j.Len(), j.Discarded)
+			}
+			journals[i] = j
 		}
-		logger = obs.NewLogger(logDst, obs.LogConfig{
-			JSON: true, Level: obs.ParseLevel(*logLevel), Recorder: recorder,
-		}).With("role", "local")
 	}
-	if *hb > 0 || *maddr != "" {
-		tel := runner.NewTelemetry()
-		opts.Telemetry = tel
+
+	// Observability: a structured logger teeing into the optional
+	// flight recorder, dumped once if an experiment fails. Serve mode
+	// mints the sweep's trace id, which travels to every worker through
+	// the lease protocol.
+	logAttrs, traceID := []any{"role", "local"}, ""
+	if *serve != "" {
+		traceID = obs.NewTraceID()
+		logAttrs = []any{"trace_id", traceID, "role", "coordinator"}
+	}
+	logger, dumpFlight := newEventLog(*logJSON, *logLevel, *flight, traceID, logAttrs...)
+
+	var coord *coordinator
+	var exporter *tracevis.Exporter
+	if *serve != "" {
+		coord, err = startCoordinator(*serve, *leaseTO, *drain, *traceOut, traceID, logger, dumpFlight)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "rcoal-experiments: -serve: %v\n", err)
+			return 1
+		}
+		logger.Info("coordinator serving", "addr", *serve, "run", *runID)
 		if *hb > 0 {
-			if *logJSON {
-				stop := tel.HeartbeatWith(*hb, func(s runner.TelemetryStats) {
+			defer coord.s.Heartbeat(os.Stderr, *hb)()
+		}
+	} else {
+		if *traceOut != "" {
+			exporter = tracevis.New()
+			opts.Trace = exporter
+		}
+		if *hb > 0 || *maddr != "" {
+			tel := runner.NewTelemetry()
+			opts.Telemetry = tel
+			if *hb > 0 && *logJSON {
+				defer tel.HeartbeatWith(*hb, func(s runner.TelemetryStats) {
 					logger.Info("telemetry",
 						"cells_done", s.CellsDone, "cells_total", s.TotalCells,
 						"cells_failed", s.CellsFailed, "cache_hits", s.CacheHits,
 						"cells_per_sec", s.CellsPerSec, "eta_sec", s.ETA.Seconds(),
 						"utilization", s.Utilization)
+				})()
+			} else if *hb > 0 {
+				defer tel.Heartbeat(os.Stderr, *hb)()
+			}
+			if *maddr != "" {
+				mux := http.NewServeMux()
+				mux.HandleFunc("/metrics", func(rw http.ResponseWriter, _ *http.Request) {
+					p := obs.NewProm()
+					p.Telemetry("rcoal", tel.Stats())
+					rw.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+					p.WriteTo(rw)
 				})
-				defer stop()
-			} else {
-				stop := tel.Heartbeat(os.Stderr, *hb)
-				defer stop()
+				go func() {
+					if err := http.ListenAndServe(*maddr, mux); err != nil {
+						fmt.Fprintf(os.Stderr, "rcoal-experiments: metrics endpoint: %v\n", err)
+					}
+				}()
 			}
 		}
-		if *maddr != "" {
-			expvar.Publish("rcoal_telemetry", expvar.Func(func() any { return tel.Stats() }))
-			http.HandleFunc("/metrics", func(rw http.ResponseWriter, _ *http.Request) {
-				p := obs.NewProm()
-				p.Telemetry("rcoal", tel.Stats())
-				rw.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-				p.WriteTo(rw)
-			})
-			go func() {
-				if err := http.ListenAndServe(*maddr, nil); err != nil {
-					fmt.Fprintf(os.Stderr, "rcoal-experiments: metrics endpoint: %v\n", err)
-				}
-			}()
-		}
-	}
-
-	ids := []string{*run}
-	if *run == "all" {
-		ids = experiments.IDs()
 	}
 
 	type outcome struct {
@@ -216,24 +272,15 @@ func main() {
 			defer func() { <-sem }()
 			start := time.Now()
 			o := opts
+			o.Journal = journals[i]
+			if coord != nil {
+				o.Exec = dist.NewExec(coord.s, id, journals[i], cache)
+			}
 			if *prog {
 				o.Progress = func(done, total int) {
 					fmt.Fprintf(os.Stderr, "%s: %d/%d cells\n", id, done, total)
 					logger.Debug("progress", "experiment", id, "done", done, "total", total)
 				}
-			}
-			if *jdir != "" {
-				j, jerr := experiments.OpenJournal(filepath.Join(*jdir, id+".journal"), id, o, *resume)
-				if jerr != nil {
-					results[i] = outcome{err: jerr}
-					return
-				}
-				defer j.Close()
-				if *resume && j.Len() > 0 {
-					fmt.Fprintf(os.Stderr, "%s: resuming with %d journaled cells (%d discarded)\n",
-						id, j.Len(), j.Discarded)
-				}
-				o.Journal = j
 			}
 			res, err := experiments.Run(id, o)
 			if err != nil {
@@ -255,75 +302,94 @@ func main() {
 		}(i, id)
 	}
 	wg.Wait()
-	if exporter != nil {
+
+	if coord != nil {
+		coord.finish()
+	} else if exporter != nil {
 		if err := exporter.WriteFile(*traceOut); err != nil {
 			fmt.Fprintf(os.Stderr, "rcoal-experiments: writing trace: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Fprintf(os.Stderr, "trace: %d events written to %s (load at ui.perfetto.dev)\n",
 			exporter.Len(), *traceOut)
 	}
+	// Report every failure; the flight dump says why the first one
+	// failed, and its path is printed next to the errors so the event
+	// ring and the diagnosis travel together.
+	reason := ""
 	for i, id := range ids {
-		if results[i].err != nil {
-			err := results[i].err
+		if err := results[i].err; err != nil {
 			fmt.Fprintf(os.Stderr, "rcoal-experiments: %s: %v\n", id, err)
 			logger.Error("experiment failed", "experiment", id, "error", err.Error())
-			if recorder != nil {
-				// Classify the failure so the flight dump says why it was
-				// taken; the dump path is referenced next to the error so
-				// the diagnostic snapshot and the event ring travel
-				// together.
-				reason := "experiment failure"
-				var pe *runner.PanicError
-				switch {
-				case errors.Is(err, gpusim.ErrNoProgress):
-					reason = "watchdog: no forward progress"
-				case errors.Is(err, gpusim.ErrMaxCycles):
-					reason = "watchdog: cycle budget exhausted"
-				case errors.As(err, &pe):
-					reason = "cell panic"
-				}
-				if derr := recorder.Dump(*flight, reason, ""); derr != nil {
-					fmt.Fprintf(os.Stderr, "rcoal-experiments: flight dump: %v\n", derr)
-				} else {
-					fmt.Fprintf(os.Stderr, "rcoal-experiments: flight recorder dumped to %s (%s)\n", *flight, reason)
-				}
+			if reason == "" {
+				reason = failureReason(err)
 			}
-			os.Exit(1)
+			continue
 		}
 		fmt.Printf("=== %s (%.1fs) ===\n%s\n", id, results[i].elapsed, results[i].report)
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
+	if reason != "" {
+		dumpFlight(reason)
+		return 1
 	}
-	return b
+	if coord != nil {
+		fmt.Fprintf(os.Stderr, "rcoal-experiments: done; served %d worker(s)\n", len(coord.s.Status().Workers))
+	}
+	return 0
 }
 
-// workerConfig bundles the worker-mode flags.
-type workerConfig struct {
-	coordinator    string
-	id             string
-	concurrency    int
-	verbose        bool
-	chaosSeed      uint64
-	degradedPath   string
-	degradedAfter  time.Duration
-	requestTimeout time.Duration
-	metricsAddr    string
-	logJSON        bool
-	logLevel       string
-	flightOut      string
+// failureReason classifies an experiment error for the flight dump.
+func failureReason(err error) string {
+	var pe *runner.PanicError
+	switch {
+	case errors.Is(err, gpusim.ErrNoProgress):
+		return "watchdog: no forward progress"
+	case errors.Is(err, gpusim.ErrMaxCycles):
+		return "watchdog: cycle budget exhausted"
+	case errors.As(err, &pe):
+		return "cell panic"
+	}
+	return "experiment failure"
+}
+
+// newEventLog builds the structured logger every mode shares: JSON
+// lines on stderr with -log-json, teed into a flight recorder when
+// flightOut is set (recorder-only mode keeps stderr quiet but still
+// feeds the event ring). The logger is nil, a valid no-op, when both
+// are off. dump writes the ring to flightOut, tagged with the reason
+// and traceID; it is a no-op without a recorder.
+func newEventLog(logJSON bool, level, flightOut, traceID string, attrs ...any) (logger *obs.Logger, dump func(reason string)) {
+	var recorder *obs.FlightRecorder
+	if flightOut != "" {
+		recorder = obs.NewFlightRecorder(obs.DefaultFlightCapacity)
+	}
+	if logJSON || recorder != nil {
+		dst := io.Writer(os.Stderr)
+		if !logJSON {
+			dst = io.Discard
+		}
+		logger = obs.NewLogger(dst, obs.LogConfig{
+			JSON: true, Level: obs.ParseLevel(level), Recorder: recorder,
+		}).With(attrs...)
+	}
+	return logger, func(reason string) {
+		if recorder == nil {
+			return
+		}
+		if err := recorder.Dump(flightOut, reason, traceID); err != nil {
+			fmt.Fprintf(os.Stderr, "rcoal-experiments: flight dump: %v\n", err)
+		} else {
+			fmt.Fprintf(os.Stderr, "rcoal-experiments: flight recorder dumped to %s (%s)\n", flightOut, reason)
+		}
+	}
 }
 
 // runWorker attaches this process to a coordinator as a cell-compute
 // worker until the coordinator drains, the first SIGTERM/SIGINT drains
 // this worker (finish and report the in-flight cell, then exit clean),
 // or a second signal kills it hard.
-func runWorker(cfg workerConfig) int {
-	id := cfg.id
+func runWorker() int {
+	id := *workerID
 	if id == "" {
 		host, _ := os.Hostname()
 		if host == "" {
@@ -331,42 +397,29 @@ func runWorker(cfg workerConfig) int {
 		}
 		id = fmt.Sprintf("%s:%d", host, os.Getpid())
 	}
-	concurrency := cfg.concurrency
+	concurrency := *workers
 	if concurrency <= 0 {
 		concurrency = runtime.GOMAXPROCS(0)
 	}
-	var recorder *obs.FlightRecorder
-	if cfg.flightOut != "" {
-		recorder = obs.NewFlightRecorder(obs.DefaultFlightCapacity)
-	}
-	var logger *obs.Logger
-	if cfg.logJSON || recorder != nil {
-		logDst := io.Writer(os.Stderr)
-		if !cfg.logJSON {
-			logDst = io.Discard
-		}
-		logger = obs.NewLogger(logDst, obs.LogConfig{
-			JSON: true, Level: obs.ParseLevel(cfg.logLevel), Recorder: recorder,
-		}).With("role", "worker", "worker", id)
-	}
+	logger, dumpFlight := newEventLog(*logJSON, *logLevel, *flight, "", "role", "worker", "worker", id)
 	w := &dist.Worker{
-		Coordinator:    cfg.coordinator,
+		Coordinator:    *worker,
 		ID:             id,
 		Concurrency:    concurrency,
-		RequestTimeout: cfg.requestTimeout,
-		DegradedPath:   cfg.degradedPath,
-		DegradedAfter:  cfg.degradedAfter,
+		RequestTimeout: *reqTO,
+		DegradedPath:   *degrade,
+		DegradedAfter:  *degAfter,
 		Logger:         logger,
 	}
-	if cfg.verbose {
+	if *prog {
 		w.Log = os.Stderr
 	}
 	var injector *chaos.Injector
-	if cfg.chaosSeed != 0 {
-		plan := chaos.NewPlan(cfg.chaosSeed, chaos.DefaultProfile())
+	if *chaosSee != 0 {
+		plan := chaos.NewPlan(*chaosSee, chaos.DefaultProfile())
 		in := chaos.NewInjector(plan)
 		injector = in
-		if cfg.verbose {
+		if *prog {
 			in.Log = os.Stderr
 		}
 		// Every injected fault becomes a trace mark on this worker's next
@@ -381,9 +434,8 @@ func runWorker(cfg workerConfig) int {
 		fmt.Fprintf(os.Stderr, "rcoal-experiments: %s\n", plan.Describe())
 		defer func() { fmt.Fprintf(os.Stderr, "rcoal-experiments: %s\n", in.Summary()) }()
 	}
-	if cfg.metricsAddr != "" {
+	if *maddr != "" {
 		mux := http.NewServeMux()
-		mux.Handle("/debug/vars", expvar.Handler())
 		mux.HandleFunc("/metrics", func(rw http.ResponseWriter, _ *http.Request) {
 			st := w.Stats()
 			p := obs.NewProm()
@@ -410,7 +462,7 @@ func runWorker(cfg workerConfig) int {
 			p.WriteTo(rw)
 		})
 		go func() {
-			if err := http.ListenAndServe(cfg.metricsAddr, mux); err != nil {
+			if err := http.ListenAndServe(*maddr, mux); err != nil {
 				fmt.Fprintf(os.Stderr, "rcoal-experiments: worker metrics endpoint: %v\n", err)
 			}
 		}()
@@ -430,18 +482,8 @@ func runWorker(cfg workerConfig) int {
 	}()
 
 	fmt.Fprintf(os.Stderr, "rcoal-experiments: worker %s attaching to %s (%d concurrent cells)\n",
-		id, cfg.coordinator, concurrency)
-	logger.Info("worker attaching", "coordinator", cfg.coordinator, "concurrency", concurrency)
-	dumpFlight := func(reason string) {
-		if recorder == nil {
-			return
-		}
-		if err := recorder.Dump(cfg.flightOut, reason, ""); err != nil {
-			fmt.Fprintf(os.Stderr, "rcoal-experiments: flight dump: %v\n", err)
-		} else {
-			fmt.Fprintf(os.Stderr, "rcoal-experiments: flight recorder dumped to %s (%s)\n", cfg.flightOut, reason)
-		}
-	}
+		id, *worker, concurrency)
+	logger.Info("worker attaching", "coordinator", *worker, "concurrency", concurrency)
 	if err := w.Run(ctx); err != nil {
 		fmt.Fprintf(os.Stderr, "rcoal-experiments: worker: %v\n", err)
 		logger.Error("worker failed", "error", err.Error())
@@ -450,7 +492,7 @@ func runWorker(cfg workerConfig) int {
 	}
 	if n := w.Parked(); n > 0 {
 		fmt.Fprintf(os.Stderr, "rcoal-experiments: worker %s degraded: %d completion(s) parked in %s; rerun with the same -degraded-journal once the coordinator is back\n",
-			id, n, cfg.degradedPath)
+			id, n, *degrade)
 		dumpFlight("degraded mode")
 		return 0
 	}

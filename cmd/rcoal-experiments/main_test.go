@@ -11,11 +11,11 @@ import (
 	"time"
 
 	"rcoal/internal/cliutil"
+	"rcoal/internal/experiments"
 )
 
 // TestCheckOutputs is the table for cliutil.CheckOutputs, the
-// pre-compute output checks rcoal-experiments and rcoal-coordinator
-// share.
+// pre-compute output checks local and serve mode share.
 func TestCheckOutputs(t *testing.T) {
 	dir := t.TempDir()
 	file := filepath.Join(dir, "file")
@@ -88,8 +88,8 @@ func TestMain(m *testing.M) {
 const mainEnv = "RCOAL_EXPERIMENTS_RUN_MAIN"
 
 // requireFailFast runs main in a child process with args and requires
-// it to exit with code 2, report wantErr on stderr, and print no
-// experiment report.
+// it to exit with code 2, report wantErr on stderr, print no experiment
+// report, and never start serving.
 func requireFailFast(t *testing.T, wantErr string, args ...string) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
@@ -109,6 +109,9 @@ func requireFailFast(t *testing.T, wantErr string, args ...string) {
 	if stdout.Len() != 0 {
 		t.Errorf("experiments ran before the failure:\n%s", stdout.String())
 	}
+	if strings.Contains(stderr.String(), "serving on") {
+		t.Errorf("coordinator started serving before failing:\n%s", stderr.String())
+	}
 }
 
 // TestCacheOpenedBeforeCompute: an unusable -cache directory exits
@@ -126,4 +129,69 @@ func TestCacheOpenedBeforeCompute(t *testing.T) {
 // that never read the filter.
 func TestBadMechanismFailsFast(t *testing.T) {
 	requireFailFast(t, "-mechanisms", "-run", "fig5", "-samples", "2", "-mechanisms", "rss+rts:8,bogus:9")
+}
+
+// TestUnknownRunFailsFast: an unknown -run id exits with code 2 before
+// any experiment runs.
+func TestUnknownRunFailsFast(t *testing.T) {
+	requireFailFast(t, "-run fig99", "-run", "fig99")
+}
+
+// mismatchedJournalDir returns a journal directory holding a fig7
+// journal written under another seed than the command-line default.
+func mismatchedJournalDir(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	o := experiments.DefaultOptions()
+	o.Seed = 1
+	j, err := experiments.OpenJournal(filepath.Join(dir, "fig7.journal"), "fig7", o, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// TestResumeMismatchFailsFast: with -run all, a -resume journal from
+// another configuration exits with code 2, naming the journal, before
+// the experiments ahead of it compute.
+func TestResumeMismatchFailsFast(t *testing.T) {
+	dir := mismatchedJournalDir(t)
+	requireFailFast(t, "-journal "+filepath.Join(dir, "fig7.journal"),
+		"-run", "all", "-samples", "4", "-journal", dir, "-resume")
+}
+
+// TestServeFailFast: in serve mode, a bad flag combination, output
+// path, -cache directory, -mechanisms spec, -run id or -resume journal
+// exits with code 2 before the coordinator serves or leases anything.
+func TestServeFailFast(t *testing.T) {
+	dir := t.TempDir()
+	file := filepath.Join(dir, "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	missing := filepath.Join(dir, "missing")
+	stale := mismatchedJournalDir(t)
+	for _, tc := range []struct {
+		name    string
+		args    []string
+		wantErr string
+	}{
+		{"csv missing", []string{"-journal", dir, "-csv", missing}, "-csv"},
+		{"trace parent missing", []string{"-journal", dir, "-trace-out", filepath.Join(missing, "t.json")}, "-trace-out"},
+		{"flight parent is a file", []string{"-journal", dir, "-flight-out", filepath.Join(file, "f.json")}, "-flight-out"},
+		{"cache is a file", []string{"-journal", dir, "-cache", file}, "-cache"},
+		{"bad mechanism", []string{"-journal", dir, "-mechanisms", "bogus:9"}, "-mechanisms"},
+		{"journal missing", nil, "-serve requires -journal"},
+		{"worker too", []string{"-journal", dir, "-worker", "http://127.0.0.1:1"}, "-serve and -worker"},
+		{"metrics addr", []string{"-journal", dir, "-metrics-addr", "127.0.0.1:0"}, "-metrics-addr"},
+		{"unknown run", []string{"-journal", dir, "-run", "fig99"}, "-run fig99"},
+		{"resume mismatch", []string{"-journal", stale, "-resume"}, "-journal " + filepath.Join(stale, "fig7.journal")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			requireFailFast(t, tc.wantErr, append([]string{"-serve", "127.0.0.1:0", "-run", "fig7"}, tc.args...)...)
+		})
+	}
 }

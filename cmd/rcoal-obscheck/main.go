@@ -1,6 +1,6 @@
 // Command rcoal-obscheck validates observability artifacts produced
 // by a sweep: Prometheus text exposition scraped from /metrics, and
-// the merged fleet trace written by rcoal-coordinator -trace-out. It
+// the merged fleet trace written by rcoal-experiments -serve -trace-out. It
 // exists so smoke scripts and CI can assert the observability plane's
 // output formats without external tooling.
 //

@@ -1,4 +1,4 @@
-// Package cliutil holds the checks the command-line binaries share.
+// Package cliutil holds the flag checks rcoal-experiments runs before any compute.
 package cliutil
 
 import (

@@ -177,7 +177,7 @@ func (s *Server) now() time.Time {
 	return time.Now()
 }
 
-// counter names surfaced via Status.Metrics and the expvar endpoint.
+// counter names surfaced via Status.Metrics, /status and /metrics.
 const (
 	cntCacheHits      = "dist_cache_hits"
 	cntCacheMisses    = "dist_cache_misses"

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -155,6 +156,29 @@ func TestFig8FSSAttackBeatsFSS(t *testing.T) {
 	}
 	if r.RecoveredCount() < len(r.Panels)/2 {
 		t.Errorf("FSS attack recovered only %d/%d panels", r.RecoveredCount(), len(r.Panels))
+	}
+}
+
+// TestScatterRejectsTooFewSamples: the scatter figures need more than
+// three samples for their noise floor, so 2 and 3 (which
+// Options.validate allows) are an error, not a panic after every cell
+// has run.
+func TestScatterRejectsTooFewSamples(t *testing.T) {
+	for _, id := range []string{"fig8", "fig12", "fig13", "fig14"} {
+		for _, n := range []int{2, 3} {
+			t.Run(fmt.Sprintf("%s/%d", id, n), func(t *testing.T) {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Fatalf("panicked: %v", p)
+					}
+				}()
+				o := testOptions()
+				o.Samples = n
+				if _, err := Run(id, o); err == nil || !strings.Contains(err.Error(), "samples") {
+					t.Errorf("error = %v, want one about samples", err)
+				}
+			})
+		}
 	}
 }
 

@@ -56,8 +56,12 @@ type ScatterResult struct {
 // attack across the standard num-subwarp panels. The panels — and,
 // within each panel, the 16-key-byte correlation loop — fan out over
 // Options.Workers with per-panel servers and attackers; output is
-// byte-identical at any worker count.
+// byte-identical at any worker count. The noise floor needs more than
+// three samples, so fewer is an error before any cell runs.
 func ScatterExperiment(o Options, mech Mechanism, id string) (*ScatterResult, error) {
+	if o.Samples <= 3 {
+		return nil, fmt.Errorf("experiments: %s needs > 3 samples for its noise floor, have %d", id, o.Samples)
+	}
 	panels, err := runCells(o, id+"/"+mech.String(), ScatterSubwarps,
 		func(_ int, m int) string { return fmt.Sprintf("%s/%d", mech, m) },
 		func(_ context.Context, _ int, m int) (ScatterPanel, error) {

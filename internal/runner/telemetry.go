@@ -134,8 +134,8 @@ func (t *Telemetry) retryEvent() {
 	t.mu.Unlock()
 }
 
-// TelemetryStats is a point-in-time summary, JSON-friendly for the
-// expvar endpoint.
+// TelemetryStats is a point-in-time summary, JSON-friendly for status
+// endpoints.
 type TelemetryStats struct {
 	TotalCells  int `json:"total_cells"`
 	CellsDone   int `json:"cells_done"`
@@ -192,7 +192,7 @@ func (t *Telemetry) Stats() TelemetryStats {
 	// When that window is zero-width — every cell so far was a cache
 	// hit or journal restore, so fresh == 0, or the clock has not
 	// advanced — the rate is undefined: report 0 and no ETA rather
-	// than NaN/Inf (which would poison the expvar/Prometheus JSON) or
+	// than NaN/Inf (which would poison JSON and Prometheus output) or
 	// a negative extrapolation.
 	fresh := t.done + t.failed
 	if fresh > 0 {

@@ -43,7 +43,7 @@ mkdir -p "$TMP/golden"
 
 echo "== chaos sweep: seeded faults ($SEED), worker killed, coordinator restarted ($ADDR) =="
 mkdir -p "$TMP/chaos-csv" "$TMP/journal"
-"$RCOAL_BIN/rcoal-coordinator" -addr "$ADDR" -run "$EXP" -mechanisms "$MECHS" \
+"$RCOAL_BIN/rcoal-experiments" -serve "$ADDR" -run "$EXP" -mechanisms "$MECHS" \
   -samples "$SAMPLES" -lines "$LINES" \
   -journal "$TMP/journal" -csv "$TMP/chaos-csv" \
   -lease-timeout 2s -drain-wait 500ms >/dev/null 2>"$TMP/coord1.log" &
@@ -64,7 +64,7 @@ sleep 0.4
 if kill -TERM "$COORD" 2>/dev/null; then
   wait "$COORD" 2>/dev/null || true
   echo "SIGTERMed the coordinator mid-sweep (ledger flushed); restarting with -resume"
-  "$RCOAL_BIN/rcoal-coordinator" -addr "$ADDR" -run "$EXP" -mechanisms "$MECHS" \
+  "$RCOAL_BIN/rcoal-experiments" -serve "$ADDR" -run "$EXP" -mechanisms "$MECHS" \
     -samples "$SAMPLES" -lines "$LINES" \
     -journal "$TMP/journal" -resume -csv "$TMP/chaos-csv" \
     -lease-timeout 2s -drain-wait 500ms >/dev/null 2>"$TMP/coord2.log" &

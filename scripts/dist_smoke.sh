@@ -36,7 +36,7 @@ mkdir -p "$TMP/golden"
 echo "== distributed: coordinator + 2 workers, one killed mid-grid ($ADDR) =="
 mkdir -p "$TMP/dist-csv" "$TMP/journal"
 t0=$(now_ms)
-"$RCOAL_BIN/rcoal-coordinator" -addr "$ADDR" -run "$EXP" \
+"$RCOAL_BIN/rcoal-experiments" -serve "$ADDR" -run "$EXP" \
   -samples "$SAMPLES" -lines "$LINES" \
   -journal "$TMP/journal" -cache "$TMP/cache" -csv "$TMP/dist-csv" \
   -lease-timeout 3s -drain-wait 500ms >/dev/null &
@@ -61,7 +61,7 @@ echo "OK: distributed CSV is byte-identical to the single-process golden (${cold
 echo "== warm cache: repeated sweep, no workers attached =="
 mkdir -p "$TMP/warm-csv" "$TMP/journal2"
 t2=$(now_ms)
-"$RCOAL_BIN/rcoal-coordinator" -addr "$ADDR" -run "$EXP" \
+"$RCOAL_BIN/rcoal-experiments" -serve "$ADDR" -run "$EXP" \
   -samples "$SAMPLES" -lines "$LINES" \
   -journal "$TMP/journal2" -cache "$TMP/cache" -csv "$TMP/warm-csv" \
   -drain-wait 0s >/dev/null

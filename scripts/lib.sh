@@ -24,12 +24,12 @@ rcoal_cleanup() {
   rm -rf "$RCOAL_TMP"
 }
 
-# rcoal_build compiles the named ./cmd packages (default: experiments
-# + coordinator) into $RCOAL_BIN.
+# rcoal_build compiles the named ./cmd packages (default:
+# rcoal-experiments, which also coordinates with -serve) into $RCOAL_BIN.
 rcoal_build() {
   local pkgs=("$@")
   if [ ${#pkgs[@]} -eq 0 ]; then
-    pkgs=(./cmd/rcoal-experiments ./cmd/rcoal-coordinator)
+    pkgs=(./cmd/rcoal-experiments)
   fi
   go build -o "$RCOAL_BIN/" "${pkgs[@]}"
 }

@@ -30,7 +30,7 @@ rcoal_init
 TMP=$RCOAL_TMP
 
 echo "== build =="
-rcoal_build ./cmd/rcoal-experiments ./cmd/rcoal-coordinator ./cmd/rcoal-obscheck
+rcoal_build ./cmd/rcoal-experiments ./cmd/rcoal-obscheck
 
 ADDR=$(rcoal_pick_addr)
 URL=http://$ADDR
@@ -45,7 +45,7 @@ echo "== observed sweep: coordinator + 4 chaos-faulted workers ($ADDR) =="
 # The short lease timeout makes renewals routine (renew tick ~100ms),
 # so lease_renewed events deterministically land in the trace.
 mkdir -p "$TMP/obs-csv" "$TMP/journal"
-"$RCOAL_BIN/rcoal-coordinator" -addr "$ADDR" -run "$EXP" -mechanisms "$MECHS" \
+"$RCOAL_BIN/rcoal-experiments" -serve "$ADDR" -run "$EXP" -mechanisms "$MECHS" \
   -samples "$SAMPLES" -lines "$LINES" \
   -journal "$TMP/journal" -csv "$TMP/obs-csv" \
   -lease-timeout 300ms -drain-wait 500ms \
