@@ -9,6 +9,7 @@ package rcoal
 // the attack inner loop, the analytical model).
 
 import (
+	"fmt"
 	"testing"
 
 	"rcoal/internal/aes"
@@ -98,10 +99,14 @@ func benchSelectiveSweep(b *testing.B, forked bool) {
 	b.Helper()
 	o := DefaultExperimentOptions()
 	const samples = 6
-	policies := []Mechanism{experiments.MechFSS.Policy(1)}
-	for _, mech := range experiments.AllMechanisms {
+	policies := []Mechanism{Baseline()}
+	for _, fam := range experiments.Families {
 		for _, m := range []int{2, 4, 8, 32} {
-			policies = append(policies, mech.Policy(m))
+			p, err := ParseMechanism(fmt.Sprintf("%s:%d", fam, m))
+			if err != nil {
+				b.Fatal(err)
+			}
+			policies = append(policies, p)
 		}
 	}
 	cfg := DefaultGPUConfig()

@@ -13,6 +13,7 @@
 //
 //	rcoal-experiments -list
 //	rcoal-experiments -run fig6
+//	rcoal-experiments -run table2,fig9
 //	rcoal-experiments -run all -samples 100 -seed 7
 //	rcoal-experiments -run all -journal ckpt          # checkpoint finished cells
 //	rcoal-experiments -run all -journal ckpt -resume  # skip journaled cells
@@ -43,6 +44,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -50,19 +52,19 @@ import (
 	"rcoal/internal/atomicio"
 	"rcoal/internal/chaos"
 	"rcoal/internal/checkpoint"
-	"rcoal/internal/cliutil"
 	"rcoal/internal/dist"
 	"rcoal/internal/experiments"
 	"rcoal/internal/gpusim"
 	"rcoal/internal/gpusim/tracevis"
 	"rcoal/internal/kernels"
+	"rcoal/internal/mechanism"
 	"rcoal/internal/obs"
 	"rcoal/internal/runner"
 )
 
 var (
 	list     = flag.Bool("list", false, "list available experiment IDs")
-	runID    = flag.String("run", "", "experiment ID to run, or \"all\"")
+	runID    = flag.String("run", "", "experiment ID to run, a comma-separated list of them, or \"all\"")
 	samples  = flag.Int("samples", 100, "plaintext timing samples per configuration")
 	lines    = flag.Int("lines", 32, "plaintext lines per sample (fig18 always uses 1024)")
 	seed     = flag.Uint64("seed", 0x8C0A1, "master random seed")
@@ -112,10 +114,10 @@ func run() int {
 	if *resume && *jdir == "" {
 		return fail("-resume requires -journal")
 	}
-	if err := cliutil.CheckOutputs(*csvDir, *traceOut, *flight); err != nil {
+	if err := checkOutputs(*csvDir, *traceOut, *flight); err != nil {
 		return fail("%v", err)
 	}
-	mechSpecs, err := cliutil.ParseMechanisms(*mechs)
+	mechSpecs, err := parseMechanisms(*mechs)
 	if err != nil {
 		return fail("%v", err)
 	}
@@ -131,14 +133,17 @@ func run() int {
 		return 0
 	}
 	if *runID == "" {
-		fmt.Fprintln(os.Stderr, "usage: rcoal-experiments -run <id>|all [-serve <addr> -journal <dir>]  (or -list, or -worker <url>)")
+		fmt.Fprintln(os.Stderr, "usage: rcoal-experiments -run <id>[,<id>...]|all [-serve <addr> -journal <dir>]  (or -list, or -worker <url>)")
 		return 2
 	}
-	ids := []string{*runID}
+	ids := strings.Split(*runID, ",")
 	if *runID == "all" {
 		ids = experiments.IDs()
-	} else if !slices.Contains(experiments.IDs(), *runID) {
-		return fail("-run %s: unknown experiment (see -list)", *runID)
+	}
+	for _, id := range ids {
+		if !slices.Contains(experiments.IDs(), id) {
+			return fail("-run %s: unknown experiment (see -list)", id)
+		}
 	}
 	if *serve != "" {
 		if *jdir == "" {
@@ -326,7 +331,9 @@ func run() int {
 			}
 			continue
 		}
-		fmt.Printf("=== %s (%.1fs) ===\n%s\n", id, results[i].elapsed, results[i].report)
+		// Wall time goes to stderr, so stdout is the same on every run.
+		fmt.Fprintf(os.Stderr, "%s: %.1fs\n", id, results[i].elapsed)
+		fmt.Printf("=== %s ===\n%s\n", id, results[i].report)
 	}
 	if reason != "" {
 		dumpFlight(reason)
@@ -336,6 +343,67 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "rcoal-experiments: done; served %d worker(s)\n", len(coord.s.Status().Workers))
 	}
 	return 0
+}
+
+// checkOutputs validates output paths before any compute, since they
+// are first written only after every experiment has finished: -csv
+// must name an existing directory this process can create files in
+// (probed by creating and removing one), and the parent directories of
+// -trace-out and -flight-out must exist. Empty paths are unused.
+func checkOutputs(csvDir, traceOut, flightOut string) error {
+	if csvDir != "" {
+		fi, err := os.Stat(csvDir)
+		if err != nil {
+			return fmt.Errorf("-csv: %w", err)
+		}
+		if !fi.IsDir() {
+			return fmt.Errorf("-csv %s: not a directory", csvDir)
+		}
+		probe, err := os.CreateTemp(csvDir, ".rcoal-probe-*")
+		if err != nil {
+			return fmt.Errorf("-csv %s: not writable: %w", csvDir, err)
+		}
+		probe.Close()
+		if err := os.Remove(probe.Name()); err != nil {
+			return fmt.Errorf("-csv %s: %w", csvDir, err)
+		}
+	}
+	for _, out := range []struct{ flag, path string }{{"-trace-out", traceOut}, {"-flight-out", flightOut}} {
+		if out.path == "" {
+			continue
+		}
+		dir := filepath.Dir(out.path)
+		fi, err := os.Stat(dir)
+		if err != nil {
+			return fmt.Errorf("%s %s: parent directory: %w", out.flag, out.path, err)
+		}
+		if !fi.IsDir() {
+			return fmt.Errorf("%s %s: parent %s is not a directory", out.flag, out.path, dir)
+		}
+	}
+	return nil
+}
+
+// parseMechanisms splits a comma-separated -mechanisms value into
+// defense specs, validating each with mechanism.Parse so a bad spec
+// fails before any compute rather than inside the one experiment that
+// reads the filter. Each spec comes back in its canonical spelling
+// (Spec): the specs are part of the result fingerprint, so
+// "RSS+RTS:8" and "rssrts:8" must address the same cells. An empty
+// value means no filter.
+func parseMechanisms(list string) ([]string, error) {
+	if list == "" {
+		return nil, nil
+	}
+	var specs []string
+	for _, spec := range strings.Split(list, ",") {
+		m, err := mechanism.Parse(spec)
+		if err != nil {
+			return nil, fmt.Errorf("-mechanisms: %w", err)
+		}
+		specs = append(specs, m.Spec())
+	}
+	return specs, nil
 }
 
 // failureReason classifies an experiment error for the flight dump.

@@ -6,16 +6,16 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
-	"rcoal/internal/cliutil"
 	"rcoal/internal/experiments"
 )
 
-// TestCheckOutputs is the table for cliutil.CheckOutputs, the
-// pre-compute output checks local and serve mode share.
+// TestCheckOutputs is the table for checkOutputs, the pre-compute
+// output checks local and serve mode share.
 func TestCheckOutputs(t *testing.T) {
 	dir := t.TempDir()
 	file := filepath.Join(dir, "file")
@@ -52,7 +52,7 @@ func TestCheckOutputs(t *testing.T) {
 			if tc.needsPerms && os.Geteuid() == 0 {
 				t.Skip("root bypasses directory permissions")
 			}
-			err := cliutil.CheckOutputs(tc.csv, tc.trace, tc.flight)
+			err := checkOutputs(tc.csv, tc.trace, tc.flight)
 			switch {
 			case tc.wantErr == "" && err != nil:
 				t.Fatalf("unexpected error: %v", err)
@@ -72,6 +72,39 @@ func TestCheckOutputs(t *testing.T) {
 		if strings.HasPrefix(e.Name(), ".rcoal-probe-") {
 			t.Errorf("probe file %s left in the -csv directory", e.Name())
 		}
+	}
+}
+
+func TestParseMechanisms(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		list    string
+		want    []string
+		wantErr string // substring; empty means no error
+	}{
+		{name: "empty", list: ""},
+		{name: "one", list: "rss+rts:8", want: []string{"rss+rts:8"}},
+		{name: "trimmed", list: " baseline , delay:64", want: []string{"baseline", "delay:64"}},
+		{name: "canonical spelling", list: "RSS+RTS:8,rssrts:8", want: []string{"rss+rts:8", "rss+rts:8"}},
+		{name: "unknown keyword", list: "bogus:9", wantErr: "bogus"},
+		{name: "bad after good", list: "baseline,fss:0", wantErr: "fss:0"},
+		{name: "empty spec", list: "baseline,,delay:64", wantErr: "-mechanisms"},
+		{name: "trailing comma", list: "baseline,", wantErr: "-mechanisms"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := parseMechanisms(tc.list)
+			switch {
+			case tc.wantErr == "" && err != nil:
+				t.Fatalf("unexpected error: %v", err)
+			case tc.wantErr != "" && err == nil:
+				t.Fatalf("no error (got %q), want one mentioning %q", got, tc.wantErr)
+			case tc.wantErr != "" && !strings.Contains(err.Error(), tc.wantErr):
+				t.Fatalf("error %q does not mention %q", err, tc.wantErr)
+			}
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("specs = %q, want %q", got, tc.want)
+			}
+		})
 	}
 }
 
@@ -111,6 +144,27 @@ func requireFailFast(t *testing.T, wantErr string, args ...string) {
 	}
 	if strings.Contains(stderr.String(), "serving on") {
 		t.Errorf("coordinator started serving before failing:\n%s", stderr.String())
+	}
+}
+
+// TestStdoutDeterministic: the stdout report carries no wall time, so
+// two runs of the same experiments print identical bytes.
+func TestStdoutDeterministic(t *testing.T) {
+	var outs [2]string
+	for i := range outs {
+		cmd := exec.Command(os.Args[0], "-run", "table2,fig9")
+		cmd.Env = append(os.Environ(), mainEnv+"=1")
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		outs[i] = string(out)
+	}
+	if !strings.Contains(outs[0], "=== table2 ===") || !strings.Contains(outs[0], "=== fig9 ===") {
+		t.Fatalf("report lacks an experiment header:\n%s", outs[0])
+	}
+	if outs[0] != outs[1] {
+		t.Errorf("stdout differs between runs:\n%s\nvs\n%s", outs[0], outs[1])
 	}
 }
 

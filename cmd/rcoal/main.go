@@ -271,7 +271,7 @@ func cmdSweep(args []string) error {
 	t := &report.Table{Title: fmt.Sprintf("mechanism sweep (%d samples; time/tx normalized to baseline)", *samples),
 		Headers: []string{"mechanism", "num-subwarp", "time (x)", "tx (x)", "attack corr"}}
 	for _, c := range sw.Cells {
-		t.AddRow(c.Mechanism.String(), c.M, c.NormCycles, c.NormTx, c.AvgCorrectCorr)
+		t.AddRow(c.Mechanism, c.M, c.NormCycles, c.NormTx, c.AvgCorrectCorr)
 	}
 	fmt.Print(t.String())
 	return nil

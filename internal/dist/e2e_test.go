@@ -241,9 +241,11 @@ func TestWarmCacheShortCircuitsGrid(t *testing.T) {
 // TestCacheSharedAcrossExperiments: with one results store, the
 // coordinator leases none of the cells another experiment of the sweep
 // already finished — fig17 is all fig15's cells, fig16 adds four —
-// while fig8, whose keys ("FSS/2", ...) collide with the sweep's but
-// name other computations, shares nothing. Every render still equals a
-// single-process run.
+// while fig8, whose keys ("FSS/2", ...) equal the sweep's but whose
+// cells, in namespace "fig8/FSS", compute something else than the
+// sweep's canonical-spec cells ("fss:2", ...), shares nothing. The
+// coordinator leases every row, including the M = 1 rows that repeat
+// the baseline's ID. Every render still equals a single-process run.
 func TestCacheSharedAcrossExperiments(t *testing.T) {
 	dir := t.TempDir()
 	o := e2eOptions()

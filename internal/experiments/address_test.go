@@ -33,15 +33,17 @@ func (g *gridExec) ExecCells(_ Options, cells []GridCell) ([]json.RawMessage, er
 // cellRef names one cell by the experiment that enumerates it.
 type cellRef struct{ exp, key string }
 
-// TestCellAddressSoundness: a content address may be shared across
-// experiments only if every experiment enumerating it computes the same
-// bytes there. Every registered experiment's grid is enumerated (no
-// cell runs); each ID that two or more experiments share is computed in
-// each of them and compared. The set relations pin the dedup of the
-// paper's Figs. 15-17 grid, so it cannot silently disappear.
+// TestCellAddressSoundness: a content address may be shared by several
+// cells — rows of one experiment or of several — only if every one of
+// them computes the same bytes. Every registered experiment's grid is
+// enumerated (no cell runs); each ID that two or more rows share is
+// computed for each of them and compared. The set relations pin the
+// dedup of the paper's Figs. 15-17 grid and of the M = 1 rows, so it
+// cannot silently disappear.
 func TestCellAddressSoundness(t *testing.T) {
 	o := addressOptions()
 	byID := map[string][]cellRef{}
+	rowsOf := map[string]int{}
 	idsOf := map[string]map[string]bool{}
 	for _, exp := range IDs() {
 		g := &gridExec{}
@@ -55,11 +57,9 @@ func TestCellAddressSoundness(t *testing.T) {
 			if c.ID == "" {
 				t.Fatalf("%s: cell %q has no ID", exp, c.Key)
 			}
-			if idsOf[exp][c.ID] {
-				t.Fatalf("%s: ID %q enumerated twice", exp, c.ID)
-			}
 			idsOf[exp][c.ID] = true
 			byID[c.ID] = append(byID[c.ID], cellRef{exp, c.Key})
+			rowsOf[exp]++
 		}
 	}
 
@@ -92,6 +92,13 @@ func TestCellAddressSoundness(t *testing.T) {
 	}
 	if shared == 0 {
 		t.Error("no experiments share a cell ID")
+	}
+	// Every family's M = 1 row shares the baseline's cell.
+	for _, exp := range []string{"fig15", "fig16", "fig17", "fig18"} {
+		if rows, ids := rowsOf[exp], len(idsOf[exp]); rows-ids != len(Families) {
+			t.Errorf("%s: %d rows, %d IDs; want the %d M = 1 rows to repeat the baseline's",
+				exp, rows, ids, len(Families))
+		}
 	}
 
 	fig15, fig16, fig17 := idsOf["fig15"], idsOf["fig16"], idsOf["fig17"]
@@ -138,8 +145,9 @@ func computedCells(t *testing.T, id string, o Options) (string, int) {
 }
 
 // TestSharedCellsComputedOnce: Figs. 15, 16 and 17 run on one Options
-// compute each shared cell once, with byte-identical output; a trace
-// sink or a fault hook bypasses the store so every cell runs.
+// compute each shared cell once — the M = 1 rows share the baseline's
+// cell — with byte-identical output; a trace sink or a fault hook
+// bypasses the store so every row runs.
 func TestSharedCellsComputedOnce(t *testing.T) {
 	figs := []string{"fig15", "fig16", "fig17"}
 	cells := func(o Options, want []int) (csvs []string) {
@@ -154,7 +162,7 @@ func TestSharedCellsComputedOnce(t *testing.T) {
 		return csvs
 	}
 
-	deduped := cells(addressOptions(), []int{21, 4, 0})
+	deduped := cells(addressOptions(), []int{17, 4, 0})
 
 	o := addressOptions()
 	shared := &countSink{}

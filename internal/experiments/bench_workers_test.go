@@ -41,7 +41,7 @@ func BenchmarkScatterWorkers(b *testing.B) {
 			o.Workers = workers
 			o.Cache = nil // every iteration computes every cell
 			for i := 0; i < b.N; i++ {
-				if _, err := ScatterExperiment(o, MechRSS, "fig13"); err != nil {
+				if _, err := ScatterExperiment(o, "rss", "fig13"); err != nil {
 					b.Fatal(err)
 				}
 			}

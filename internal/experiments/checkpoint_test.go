@@ -1,10 +1,14 @@
 package experiments
 
 import (
+	"encoding/json"
 	"errors"
+	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"rcoal/internal/checkpoint"
 	"rcoal/internal/faultinject"
 	"rcoal/internal/runner"
 )
@@ -139,6 +143,41 @@ func TestResumeRejectsChangedOptions(t *testing.T) {
 		t.Errorf("resume with changed Workers rejected: %v", err)
 	} else {
 		j.Close()
+	}
+}
+
+// TestResumeRejectsFormat1Journal: a journal written before the
+// subwarp-family grids stored label-free measurements (no format field
+// in its meta, and a differently shaped "baseline" cell) refuses to
+// resume, so its cells never decode into zeroed measurements.
+func TestResumeRejectsFormat1Journal(t *testing.T) {
+	o := testOptions()
+	cur := metaFor("fig15", o)
+	format1 := struct {
+		Experiment string `json:"experiment"`
+		Samples    int    `json:"samples"`
+		Lines      int    `json:"lines"`
+		Seed       uint64 `json:"seed"`
+		KeyHash    string `json:"keyHash"`
+	}{cur.Experiment, cur.Samples, cur.Lines, cur.Seed, cur.KeyHash}
+	// The format-1 meta is the current one minus its format field.
+	old, _ := json.Marshal(format1)
+	now, _ := json.Marshal(cur)
+	if want := fmt.Sprintf(`{"format":%d,`, cellFormat) + string(old[1:]); string(now) != want {
+		t.Fatalf("current meta %s, want %s", now, want)
+	}
+
+	path := filepath.Join(t.TempDir(), "fig15.journal")
+	j, err := checkpoint.Create(path, format1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Record("baseline", map[string]float64{"BaseCycles": 1, "BaseTx": 1}); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	if _, err := OpenJournal(path, "fig15", o, true); err == nil || !strings.Contains(err.Error(), "different experiment configuration") {
+		t.Errorf("resuming a format-1 journal: err = %v, want a configuration mismatch", err)
 	}
 }
 

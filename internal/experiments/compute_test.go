@@ -126,8 +126,9 @@ func TestResultsCacheWarmSweep(t *testing.T) {
 }
 
 // TestFingerprintPinned pins the content addresses of default-option
-// runs: changing journalMeta must not orphan existing run journals or
-// results stores.
+// runs: changing journalMeta orphans existing run journals and results
+// stores, so it must be deliberate — a cellFormat bump when the cell
+// encoding changes.
 func TestFingerprintPinned(t *testing.T) {
 	o := DefaultOptions()
 	frontier := o
@@ -137,10 +138,10 @@ func TestFingerprintPinned(t *testing.T) {
 		o    Options
 		want string
 	}{
-		{"sweep", o, "9328b23d12286a1f"},
-		{"fig7", o, "c4a99811ca962612"},
-		{"fig18", o, "7deb2c1996310314"},
-		{"ext-defense-frontier", frontier, "14ae4121fc93f5b9"},
+		{"sweep", o, "cd77725e5fa52dee"},
+		{"fig7", o, "7d042881806e5509"},
+		{"fig18", o, "8e2e0c326c9a1655"},
+		{"ext-defense-frontier", frontier, "0645c9d235158aa8"},
 	} {
 		if got := Fingerprint(tc.ns, tc.o); got != tc.want {
 			t.Errorf("Fingerprint(%q) = %s, want %s", tc.ns, got, tc.want)

@@ -109,8 +109,9 @@ func (r *Fig17Result) CSV() string {
 	var b strings.Builder
 	b.WriteString("num_subwarp,mechanism,security_score,performance_score\n")
 	for _, row := range r.Rows {
-		for _, mech := range AllMechanisms {
-			b.WriteString(csvJoin(row.M, mech, row.SecurityScore[mech], row.PerformanceScore[mech]))
+		for _, fam := range Families {
+			label := strings.ToUpper(fam)
+			b.WriteString(csvJoin(row.M, label, row.SecurityScore[label], row.PerformanceScore[label]))
 			b.WriteByte('\n')
 		}
 	}

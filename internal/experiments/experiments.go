@@ -158,54 +158,6 @@ func (o Options) validate() error {
 	return nil
 }
 
-// Mechanism identifies one defense mechanism family.
-type Mechanism int
-
-const (
-	// MechFSS is fixed-sized subwarps.
-	MechFSS Mechanism = iota
-	// MechFSSRTS is FSS with random thread allocation.
-	MechFSSRTS
-	// MechRSS is random-sized (skewed) subwarps.
-	MechRSS
-	// MechRSSRTS combines random sizing and random threads.
-	MechRSSRTS
-)
-
-// AllMechanisms lists the four mechanism families in paper order.
-var AllMechanisms = []Mechanism{MechFSS, MechFSSRTS, MechRSS, MechRSSRTS}
-
-// String returns the paper's name for the mechanism family.
-func (m Mechanism) String() string {
-	switch m {
-	case MechFSS:
-		return "FSS"
-	case MechFSSRTS:
-		return "FSS+RTS"
-	case MechRSS:
-		return "RSS"
-	case MechRSSRTS:
-		return "RSS+RTS"
-	}
-	return "unknown"
-}
-
-// Policy returns the subwarp-coalescing defense of this mechanism
-// family with m subwarps.
-func (m Mechanism) Policy(subwarps int) mechanism.Mechanism {
-	switch m {
-	case MechFSS:
-		return mechanism.FSS(subwarps)
-	case MechFSSRTS:
-		return mechanism.FSSRTS(subwarps)
-	case MechRSS:
-		return mechanism.RSS(subwarps)
-	case MechRSSRTS:
-		return mechanism.RSSRTS(subwarps)
-	}
-	panic("experiments: unknown mechanism")
-}
-
 // collect runs the encryption server under the given defense and
 // gathers the attacker's dataset.
 func collect(o Options, defense mechanism.Mechanism) (*aesgpu.Server, *aesgpu.Dataset, error) {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -32,18 +33,23 @@ func TestOptionsValidation(t *testing.T) {
 	}
 }
 
+// TestMechanismNaming: the families' labels are the paper's names,
+// and each family keyword parses to the policy of that name.
 func TestMechanismNaming(t *testing.T) {
-	wants := map[Mechanism]string{
-		MechFSS: "FSS", MechFSSRTS: "FSS+RTS", MechRSS: "RSS", MechRSSRTS: "RSS+RTS",
+	var labels []string
+	for _, fam := range Families {
+		label := strings.ToUpper(fam)
+		labels = append(labels, label)
+		p, err := familyPolicy(fam, 4)
+		if err != nil {
+			t.Fatalf("%s: %v", fam, err)
+		}
+		if want := label + "(4)"; p.Name() != want {
+			t.Errorf("%s:4 is %s, want %s", fam, p.Name(), want)
+		}
 	}
-	for mech, want := range wants {
-		if mech.String() != want {
-			t.Errorf("%d.String() = %q", mech, mech.String())
-		}
-		p := mech.Policy(4)
-		if err := p.ValidateFor(0); err != nil {
-			t.Errorf("%s policy invalid: %v", want, err)
-		}
+	if want := []string{"FSS", "FSS+RTS", "RSS", "RSS+RTS"}; !reflect.DeepEqual(labels, want) {
+		t.Errorf("family labels %q, want %q", labels, want)
 	}
 }
 
@@ -140,7 +146,7 @@ func TestFig7Shape(t *testing.T) {
 func TestFig8FSSAttackBeatsFSS(t *testing.T) {
 	o := testOptions()
 	o.Samples = 60
-	r, err := ScatterExperiment(o, MechFSS, "fig8")
+	r, err := ScatterExperiment(o, "fss", "fig8")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +191,7 @@ func TestScatterRejectsTooFewSamples(t *testing.T) {
 func TestFig12RandomizationResists(t *testing.T) {
 	o := testOptions()
 	o.Samples = 60
-	for _, mech := range []Mechanism{MechFSSRTS, MechRSSRTS} {
+	for _, mech := range []string{"fss+rts", "rss+rts"} {
 		r, err := ScatterExperiment(o, mech, "figX")
 		if err != nil {
 			t.Fatal(err)
@@ -244,10 +250,10 @@ func TestSweepShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Cells) != len(AllMechanisms)*3 {
+	if len(s.Cells) != len(Families)*3 {
 		t.Fatalf("%d cells", len(s.Cells))
 	}
-	for _, mech := range AllMechanisms {
+	for _, mech := range Families {
 		// Normalized metrics increase with M for every mechanism.
 		prev := 0.0
 		for _, m := range []int{1, 4, 16} {
@@ -265,7 +271,7 @@ func TestSweepShape(t *testing.T) {
 			t.Errorf("%s M=1 normalized cycles %v, want ≈1", mech, c.NormCycles)
 		}
 	}
-	if s.Cell(MechFSS, 99) != nil {
+	if s.Cell("FSS", 99) != nil {
 		t.Error("phantom cell returned")
 	}
 }
@@ -280,12 +286,12 @@ func TestFig16RSSCheaperThanFSS(t *testing.T) {
 	// Paper: skewed sizing recovers coalescing opportunities — RSS
 	// moves less data than FSS at intermediate num-subwarp.
 	for _, m := range []int{4, 8, 16} {
-		if rss, fss := r.Sweep.Cell(MechRSS, m).MeanTx, r.Sweep.Cell(MechFSS, m).MeanTx; rss >= fss {
+		if rss, fss := r.Sweep.Cell("RSS", m).MeanTx, r.Sweep.Cell("FSS", m).MeanTx; rss >= fss {
 			t.Errorf("M=%d: RSS tx %v not below FSS tx %v", m, rss, fss)
 		}
 	}
 	// M=32: all mechanisms degenerate to one thread per subwarp.
-	if a, b := r.Sweep.Cell(MechFSS, 32).MeanTx, r.Sweep.Cell(MechRSSRTS, 32).MeanTx; a != b {
+	if a, b := r.Sweep.Cell("FSS", 32).MeanTx, r.Sweep.Cell("RSS+RTS", 32).MeanTx; a != b {
 		t.Errorf("M=32 tx differ: FSS %v vs RSS+RTS %v", a, b)
 	}
 }
@@ -306,10 +312,10 @@ func TestFig17ScoresFavorRandomization(t *testing.T) {
 		if row.M < 8 {
 			continue
 		}
-		fss := row.SecurityScore[MechFSS]
-		best := row.SecurityScore[MechFSSRTS]
-		if row.SecurityScore[MechRSSRTS] > best {
-			best = row.SecurityScore[MechRSSRTS]
+		fss := row.SecurityScore["FSS"]
+		best := row.SecurityScore["FSS+RTS"]
+		if row.SecurityScore["RSS+RTS"] > best {
+			best = row.SecurityScore["RSS+RTS"]
 		}
 		if best <= fss {
 			t.Errorf("M=%d: randomized best score %v not above FSS %v", row.M, best, fss)

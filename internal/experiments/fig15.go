@@ -38,11 +38,11 @@ func (r *Fig15Result) Render() string {
 	b.WriteString("Figure 15: security comparison (avg correct-byte correlation, corresponding attacks)\n\n")
 	t := &report.Table{Headers: []string{"num-subwarp", "FSS", "FSS+RTS", "RSS", "RSS+RTS"}}
 	for _, m := range r.Sweep.Ms {
-		t.AddRow(m,
-			r.Sweep.Cell(MechFSS, m).AvgCorrectCorr,
-			r.Sweep.Cell(MechFSSRTS, m).AvgCorrectCorr,
-			r.Sweep.Cell(MechRSS, m).AvgCorrectCorr,
-			r.Sweep.Cell(MechRSSRTS, m).AvgCorrectCorr)
+		row := []any{m}
+		for _, fam := range Families {
+			row = append(row, r.Sweep.Cell(fam, m).AvgCorrectCorr)
+		}
+		t.AddRow(row...)
 	}
 	b.WriteString(t.String())
 	b.WriteString("\nPaper: FSS stays highly correlated (insecure); the randomized mechanisms\n" +
@@ -71,15 +71,13 @@ func (r *Fig16Result) Render() string {
 		"FSS tx", "FSS+RTS tx", "RSS tx", "RSS+RTS tx",
 		"FSS time", "FSS+RTS time", "RSS time", "RSS+RTS time"}}
 	for _, m := range r.Sweep.Ms {
-		t.AddRow(m,
-			r.Sweep.Cell(MechFSS, m).NormTx,
-			r.Sweep.Cell(MechFSSRTS, m).NormTx,
-			r.Sweep.Cell(MechRSS, m).NormTx,
-			r.Sweep.Cell(MechRSSRTS, m).NormTx,
-			r.Sweep.Cell(MechFSS, m).NormCycles,
-			r.Sweep.Cell(MechFSSRTS, m).NormCycles,
-			r.Sweep.Cell(MechRSS, m).NormCycles,
-			r.Sweep.Cell(MechRSSRTS, m).NormCycles)
+		tx, cycles := []any{m}, []any{}
+		for _, fam := range Families {
+			c := r.Sweep.Cell(fam, m)
+			tx = append(tx, c.NormTx)
+			cycles = append(cycles, c.NormCycles)
+		}
+		t.AddRow(append(tx, cycles...)...)
 	}
 	b.WriteString(t.String())
 	b.WriteString("\nPaper: accesses and time grow with num-subwarp; RTS is performance-\n" +
@@ -91,9 +89,9 @@ func (r *Fig16Result) Render() string {
 type Fig17Row struct {
 	M int
 	// SecurityScore / PerformanceScore are RCoal_Score with
-	// (a=1, b=1) and (a=1, b=20) respectively, per mechanism.
-	SecurityScore    map[Mechanism]float64
-	PerformanceScore map[Mechanism]float64
+	// (a=1, b=1) and (a=1, b=20) respectively, per family label.
+	SecurityScore    map[string]float64
+	PerformanceScore map[string]float64
 }
 
 // Fig17Result evaluates the RCoal_Score trade-off metric.
@@ -112,13 +110,13 @@ func Fig17(o Options) (*Fig17Result, error) {
 	res := &Fig17Result{Sweep: s}
 	for _, m := range s.Ms {
 		row := Fig17Row{M: m,
-			SecurityScore:    map[Mechanism]float64{},
-			PerformanceScore: map[Mechanism]float64{},
+			SecurityScore:    map[string]float64{},
+			PerformanceScore: map[string]float64{},
 		}
-		for _, mech := range AllMechanisms {
-			cell := s.Cell(mech, m)
-			row.SecurityScore[mech] = RCoalScoreOf(cell, 1, 1)
-			row.PerformanceScore[mech] = RCoalScoreOf(cell, 1, 20)
+		for _, fam := range Families {
+			cell := s.Cell(fam, m)
+			row.SecurityScore[cell.Mechanism] = RCoalScoreOf(cell, 1, 1)
+			row.PerformanceScore[cell.Mechanism] = RCoalScoreOf(cell, 1, 20)
 		}
 		res.Rows = append(res.Rows, row)
 	}
@@ -131,20 +129,20 @@ func (r *Fig17Result) Render() string {
 	b.WriteString("Figure 17: RCoal_Score trade-off (S^a / time^b)\n\n")
 	for _, variant := range []struct {
 		title string
-		pick  func(Fig17Row) map[Mechanism]float64
+		pick  func(Fig17Row) map[string]float64
 	}{
-		{"(a) security-oriented, a=1 b=1", func(r Fig17Row) map[Mechanism]float64 { return r.SecurityScore }},
-		{"(b) performance-oriented, a=1 b=20", func(r Fig17Row) map[Mechanism]float64 { return r.PerformanceScore }},
+		{"(a) security-oriented, a=1 b=1", func(r Fig17Row) map[string]float64 { return r.SecurityScore }},
+		{"(b) performance-oriented, a=1 b=20", func(r Fig17Row) map[string]float64 { return r.PerformanceScore }},
 	} {
 		t := &report.Table{Title: variant.title,
 			Headers: []string{"num-subwarp", "FSS", "FSS+RTS", "RSS", "RSS+RTS"}}
 		for _, row := range r.Rows {
 			sc := variant.pick(row)
-			t.AddRow(row.M,
-				fmt.Sprintf("%.3g", sc[MechFSS]),
-				fmt.Sprintf("%.3g", sc[MechFSSRTS]),
-				fmt.Sprintf("%.3g", sc[MechRSS]),
-				fmt.Sprintf("%.3g", sc[MechRSSRTS]))
+			cells := []any{row.M}
+			for _, fam := range Families {
+				cells = append(cells, fmt.Sprintf("%.3g", sc[strings.ToUpper(fam)]))
+			}
+			t.AddRow(cells...)
 		}
 		b.WriteString(t.String())
 		b.WriteString("\n")

@@ -1,11 +1,10 @@
 package experiments
 
 import (
-	"context"
-	"fmt"
 	"strings"
 
 	"rcoal/internal/attack"
+	"rcoal/internal/mechanism"
 	"rcoal/internal/report"
 )
 
@@ -17,7 +16,7 @@ var Fig18Subwarps = []int{1, 2, 4, 8, 16}
 // Fig18Cell is one (mechanism, num-subwarp) point of the 1024-line
 // case study.
 type Fig18Cell struct {
-	Mechanism Mechanism
+	Mechanism string // family label, as in SweepCell
 	M         int
 	// AvgCorrectCorr correlates the attack's estimated last-round
 	// accesses with the accesses *observed during encryption* — the
@@ -32,6 +31,41 @@ type Fig18Cell struct {
 	NormCycles float64
 }
 
+// fig18Measure is a case-study cell: Fig18Cell's measurements of one
+// defense, before normalization.
+type fig18Measure struct {
+	MeanCycles, AvgCorrectCorr, FullKeyCorr float64
+}
+
+// measureFig18 collects a dataset under defense and correlates the
+// corresponding attack's estimates with the observed last-round
+// accesses, not time, per Section VI-D.
+func measureFig18(o Options, defense mechanism.Mechanism) (fig18Measure, error) {
+	srv, ds, err := collect(o, defense)
+	if err != nil {
+		return fig18Measure{}, err
+	}
+	var mm fig18Measure
+	for _, s := range ds.Samples {
+		mm.MeanCycles += float64(s.TotalCycles)
+	}
+	mm.MeanCycles /= float64(len(ds.Samples))
+
+	atk, err := attack.New(defense, o.Seed^0x1024)
+	if err != nil {
+		return fig18Measure{}, err
+	}
+	// The grid saturates the pool, so the per-key-byte loops stay
+	// serial.
+	cts := ciphertexts(ds)
+	obs := ds.ObservedLastRoundTx()
+	if mm.AvgCorrectCorr, err = avgCorrectCorrelation(atk, cts, obs, srv.LastRoundKey(), 1); err != nil {
+		return fig18Measure{}, err
+	}
+	mm.FullKeyCorr, err = fullKeyEstimateCorrelation(atk, cts, obs, srv.LastRoundKey(), 1)
+	return mm, err
+}
+
 // Fig18Result is the scalability case study on 1024-line plaintexts.
 type Fig18Result struct {
 	Lines   int
@@ -42,97 +76,29 @@ type Fig18Result struct {
 // Fig18 runs the 1024-line case study. Options.Lines is overridden to
 // 1024 (the point of the experiment); Options.Samples is respected.
 //
-// The baseline and the mechanism × num-subwarp grid — the heaviest
-// simulation load in the repository — fan out over Options.Workers;
-// output is byte-identical at any worker count.
+// The distinct cells of the baseline and the family × num-subwarp
+// grid — the heaviest simulation load in the repository — fan out over
+// Options.Workers; output is byte-identical at any worker count.
 func Fig18(o Options) (*Fig18Result, error) {
 	o.Lines = 1024
-	res := &Fig18Result{Lines: o.Lines, Samples: o.Samples}
-
-	type job struct {
-		mech     Mechanism
-		m        int
-		baseline bool
-	}
-	jobs := []job{{baseline: true}}
-	for _, mech := range AllMechanisms {
-		for _, m := range Fig18Subwarps {
-			jobs = append(jobs, job{mech: mech, m: m})
-		}
-	}
-
-	// Exported fields: cells round-trip through the checkpoint journal
-	// as JSON when Options.Journal is attached.
-	type out struct {
-		Cell       Fig18Cell
-		BaseCycles float64
-		MeanCycles float64
-	}
-	outs, err := runCells(o, "fig18", jobs,
-		func(_ int, jb job) string {
-			if jb.baseline {
-				return "baseline"
-			}
-			return fmt.Sprintf("%s/%d", jb.mech, jb.m)
-		},
-		func(_ context.Context, _ int, jb job) (out, error) {
-			if jb.baseline {
-				_, base, err := collect(o, MechFSS.Policy(1))
-				if err != nil {
-					return out{}, err
-				}
-				baseCycles := 0.0
-				for _, s := range base.Samples {
-					baseCycles += float64(s.TotalCycles)
-				}
-				return out{BaseCycles: baseCycles / float64(len(base.Samples))}, nil
-			}
-			srv, ds, err := collect(o, jb.mech.Policy(jb.m))
-			if err != nil {
-				return out{}, err
-			}
-			cell := Fig18Cell{Mechanism: jb.mech, M: jb.m}
-			mean := 0.0
-			for _, s := range ds.Samples {
-				mean += float64(s.TotalCycles)
-			}
-
-			atk, err := attack.New(jb.mech.Policy(jb.m), o.Seed^0x1024)
-			if err != nil {
-				return out{}, err
-			}
-			// Correlate against observed last-round accesses, not time,
-			// per Section VI-D. The grid saturates the pool, so the
-			// per-key-byte loops stay serial.
-			cts := ciphertexts(ds)
-			obs := ds.ObservedLastRoundTx()
-			cell.AvgCorrectCorr, err = avgCorrectCorrelation(atk, cts, obs, srv.LastRoundKey(), 1)
-			if err != nil {
-				return out{}, err
-			}
-			cell.FullKeyCorr, err = fullKeyEstimateCorrelation(atk, cts, obs, srv.LastRoundKey(), 1)
-			if err != nil {
-				return out{}, err
-			}
-			return out{Cell: cell, MeanCycles: mean / float64(len(ds.Samples))}, nil
-		})
+	base, rows, err := familyGrid(o, "fig18", Fig18Subwarps, measureFig18)
 	if err != nil {
 		return nil, err
 	}
-
-	baseCycles := outs[0].BaseCycles
-	for _, ot := range outs[1:] {
-		cell := ot.Cell
-		cell.NormCycles = ot.MeanCycles / baseCycles
-		res.Cells = append(res.Cells, cell)
+	res := &Fig18Result{Lines: o.Lines, Samples: o.Samples}
+	for _, r := range rows {
+		res.Cells = append(res.Cells, Fig18Cell{Mechanism: r.Family, M: r.M,
+			AvgCorrectCorr: r.R.AvgCorrectCorr, FullKeyCorr: r.R.FullKeyCorr,
+			NormCycles: r.R.MeanCycles / base.MeanCycles})
 	}
 	return res, nil
 }
 
-// Cell returns the case-study cell for (mech, m), or nil.
-func (r *Fig18Result) Cell(mech Mechanism, m int) *Fig18Cell {
+// Cell returns the case-study cell for family fam (keyword or label)
+// at m, or nil.
+func (r *Fig18Result) Cell(fam string, m int) *Fig18Cell {
 	for i := range r.Cells {
-		if r.Cells[i].Mechanism == mech && r.Cells[i].M == m {
+		if strings.EqualFold(r.Cells[i].Mechanism, fam) && r.Cells[i].M == m {
 			return &r.Cells[i]
 		}
 	}
@@ -148,16 +114,14 @@ func (r *Fig18Result) Render() string {
 	tb := &report.Table{Title: "(b) normalized execution time",
 		Headers: []string{"num-subwarp", "FSS", "FSS+RTS", "RSS", "RSS+RTS"}}
 	for _, m := range Fig18Subwarps {
-		fmtCell := func(mech Mechanism) string {
-			c := r.Cell(mech, m)
-			return report.FormatFloat(c.AvgCorrectCorr, 3) + " | " + report.FormatFloat(c.FullKeyCorr, 3)
+		a, n := []any{m}, []any{m}
+		for _, fam := range Families {
+			c := r.Cell(fam, m)
+			a = append(a, report.FormatFloat(c.AvgCorrectCorr, 3)+" | "+report.FormatFloat(c.FullKeyCorr, 3))
+			n = append(n, c.NormCycles)
 		}
-		ta.AddRow(m, fmtCell(MechFSS), fmtCell(MechFSSRTS), fmtCell(MechRSS), fmtCell(MechRSSRTS))
-		tb.AddRow(m,
-			r.Cell(MechFSS, m).NormCycles,
-			r.Cell(MechFSSRTS, m).NormCycles,
-			r.Cell(MechRSS, m).NormCycles,
-			r.Cell(MechRSSRTS, m).NormCycles)
+		ta.AddRow(a...)
+		tb.AddRow(n...)
 	}
 	b.WriteString(ta.String())
 	b.WriteString("\n")

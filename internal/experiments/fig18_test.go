@@ -18,10 +18,10 @@ func TestFig18CaseStudy(t *testing.T) {
 	if r.Lines != 1024 {
 		t.Fatalf("lines = %d", r.Lines)
 	}
-	if len(r.Cells) != len(AllMechanisms)*len(Fig18Subwarps) {
+	if len(r.Cells) != len(Families)*len(Fig18Subwarps) {
 		t.Fatalf("%d cells", len(r.Cells))
 	}
-	for _, mech := range AllMechanisms {
+	for _, mech := range Families {
 		// Execution time grows with num-subwarp (18b).
 		prev := 0.0
 		for _, m := range Fig18Subwarps {
@@ -35,7 +35,7 @@ func TestFig18CaseStudy(t *testing.T) {
 		// randomized mechanisms cannot be reconstructed exactly.
 		for _, m := range Fig18Subwarps {
 			c := r.Cell(mech, m)
-			if mech == MechFSS || m == 1 {
+			if mech == "fss" || m == 1 {
 				if math.Abs(c.FullKeyCorr-1) > 1e-9 {
 					t.Errorf("%s M=%d: full-key corr %v, want exactly 1", mech, m, c.FullKeyCorr)
 				}
@@ -47,7 +47,7 @@ func TestFig18CaseStudy(t *testing.T) {
 	// Paper's headline range: RSS+RTS costs 29-76% at M = 2..8 for 1024
 	// lines; shape check — overhead within a sane band.
 	for _, m := range []int{2, 4, 8} {
-		c := r.Cell(MechRSSRTS, m)
+		c := r.Cell("rss+rts", m)
 		if c.NormCycles < 1.05 || c.NormCycles > 3 {
 			t.Errorf("RSS+RTS M=%d: overhead %vx outside plausible band", m, c.NormCycles)
 		}

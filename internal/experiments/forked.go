@@ -30,7 +30,7 @@ const SelectiveSweepVulnerableRound = 10
 // SelectiveSweepCell is one (mechanism, num-subwarp) point of the
 // selective sweep.
 type SelectiveSweepCell struct {
-	Mechanism Mechanism
+	Mechanism string // family label, as in SweepCell
 	M         int
 	// MeanCycles / MeanLastRoundTx are per-plaintext averages.
 	MeanCycles      float64
@@ -52,16 +52,6 @@ type SelectiveSweepResult struct {
 	BaselineCycles float64
 }
 
-// Cell returns the cell for (mech, m), or nil.
-func (s *SelectiveSweepResult) Cell(mech Mechanism, m int) *SelectiveSweepCell {
-	for i := range s.Cells {
-		if s.Cells[i].Mechanism == mech && s.Cells[i].M == m {
-			return &s.Cells[i]
-		}
-	}
-	return nil
-}
-
 // SelectiveSweep evaluates every mechanism at every num-subwarp value
 // in ms under selective RCoal (only SelectiveSweepVulnerableRound is
 // randomized). All cells replay the same plaintext stream, so the
@@ -77,11 +67,17 @@ func SelectiveSweep(o Options, ms []int) (*SelectiveSweepResult, error) {
 		return nil, err
 	}
 	// policies[0] is the undefended baseline reference; the rest are
-	// the grid, mechanism-major.
-	policies := []mechanism.Mechanism{MechFSS.Policy(1)}
-	for _, mech := range AllMechanisms {
+	// the grid, family-major, policies[i+1] for res.Cells[i].
+	res := &SelectiveSweepResult{Ms: ms}
+	policies := []mechanism.Mechanism{mechanism.Baseline()}
+	for _, fam := range Families {
 		for _, m := range ms {
-			policies = append(policies, mech.Policy(m))
+			p, err := familyPolicy(fam, m)
+			if err != nil {
+				return nil, err
+			}
+			policies = append(policies, p)
+			res.Cells = append(res.Cells, SelectiveSweepCell{Mechanism: strings.ToUpper(fam), M: m})
 		}
 	}
 
@@ -109,37 +105,28 @@ func SelectiveSweep(o Options, ms []int) (*SelectiveSweepResult, error) {
 		}
 	}
 
-	cell := func(ds *aesgpu.Dataset) (SelectiveSweepCell, error) {
-		var c SelectiveSweepCell
+	measure := func(c *SelectiveSweepCell, ds *aesgpu.Dataset) (err error) {
 		for _, s := range ds.Samples {
 			c.MeanCycles += float64(s.TotalCycles)
 			c.MeanLastRoundTx += float64(s.LastRoundTx)
 		}
 		c.MeanCycles /= float64(len(ds.Samples))
 		c.MeanLastRoundTx /= float64(len(ds.Samples))
-		var err error
 		c.ChannelCorr, err = channelCorrelation(ds)
-		return c, err
+		return err
 	}
 
-	base, err := cell(dss[0])
-	if err != nil {
+	var base SelectiveSweepCell
+	if err := measure(&base, dss[0]); err != nil {
 		return nil, err
 	}
-	res := &SelectiveSweepResult{Ms: ms, BaselineCycles: base.MeanCycles}
-	i := 1
-	for _, mech := range AllMechanisms {
-		for _, m := range ms {
-			c, err := cell(dss[i])
-			if err != nil {
-				return nil, err
-			}
-			i++
-			c.Mechanism = mech
-			c.M = m
-			c.NormCycles = c.MeanCycles / res.BaselineCycles
-			res.Cells = append(res.Cells, c)
+	res.BaselineCycles = base.MeanCycles
+	for i := range res.Cells {
+		c := &res.Cells[i]
+		if err := measure(c, dss[i+1]); err != nil {
+			return nil, err
 		}
+		c.NormCycles = c.MeanCycles / res.BaselineCycles
 	}
 	return res, nil
 }
@@ -150,7 +137,7 @@ func (r *SelectiveSweepResult) Render() string {
 	b.WriteString("Extension: selective-RCoal mechanism sweep (vulnerable round only)\n\n")
 	t := &report.Table{Headers: []string{"mechanism", "num-subwarp", "time (x baseline)", "last-round tx", "channel corr"}}
 	for _, c := range r.Cells {
-		t.AddRow(c.Mechanism.String(), c.M, c.NormCycles, c.MeanLastRoundTx, c.ChannelCorr)
+		t.AddRow(c.Mechanism, c.M, c.NormCycles, c.MeanLastRoundTx, c.ChannelCorr)
 	}
 	b.WriteString(t.String())
 	b.WriteString("\nOnly the vulnerable round is randomized, so even aggressive subwarp\n" +

@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 
 	"rcoal/internal/checkpoint"
 )
@@ -25,6 +26,9 @@ import (
 // internal/equiv contract, so accelerated and vanilla runs may share
 // journals and stored cells.
 type journalMeta struct {
+	// Format versions the cell encoding, so journals and stored cells
+	// of an older encoding never decode into the current one.
+	Format     int    `json:"format"`
 	Experiment string `json:"experiment"`
 	Samples    int    `json:"samples"`
 	Lines      int    `json:"lines"`
@@ -38,10 +42,14 @@ type journalMeta struct {
 	Mechanisms []string `json:"mechanisms,omitempty"`
 }
 
+// cellFormat is 2 since Sweep and Fig18 cells measure canonical specs.
+const cellFormat = 2
+
 func metaFor(id string, o Options) journalMeta {
 	h := fnv.New64a()
 	h.Write(o.Key)
 	return journalMeta{
+		Format:     cellFormat,
 		Experiment: id,
 		Samples:    o.Samples,
 		Lines:      o.Lines,
@@ -120,10 +128,13 @@ type GridCell struct {
 	// reuse a key for different computations.
 	Key string
 	// ID is the cell's content address: the fingerprint of its cell
-	// namespace and result-determining options, then Key. Cells with
-	// equal IDs compute equal bytes, whichever experiment enumerates
-	// them, so the results store (Options.Cache) is keyed by ID and
-	// answers a cell one experiment computed for every other.
+	// namespace and result-determining options, then what the cell
+	// computes — Key, or in the subwarp-family grids the canonical
+	// defense spec it measures. Cells with equal IDs compute equal
+	// bytes, whichever experiment or row enumerates them, so the
+	// results store (Options.Cache) is keyed by ID and answers a cell
+	// one experiment computed for every other, and a batch may repeat
+	// an ID.
 	ID string
 	// Run computes the cell. The result must depend only on the cell's
 	// identity and the result-determining Options (never on scheduling,
@@ -148,15 +159,18 @@ type CellExec interface {
 // localExec is the default executor: the journaled evaluation loop
 // every cell-parallel experiment runs on in a single process. Cells
 // already in the run's journal are restored; cells in the results
-// store (Options.Cache) are copied into the journal and restored; the
-// remainder fan out over the pool with the full robustness envelope
-// (panic recovery, per-cell timeout, retries) and are journaled and
-// stored as they complete. Restores and store hits are reported to
-// Telemetry outside the rate window.
+// store (Options.Cache) are copied into the journal and restored; a
+// cell whose ID an earlier cell of the batch already has takes that
+// cell's bytes once they exist, is journaled under its own key, and
+// counts as a store hit. The remainder fan out over the pool with the
+// full robustness envelope (panic recovery, per-cell timeout,
+// retries) and are journaled and stored as they complete. Restores
+// and store hits are reported to Telemetry outside the rate window.
 //
 // A run with a trace sink or a fault hook neither reads nor writes the
-// store: the sink is promised the events of every launch, and the
-// fault hook names the cells that must run.
+// store, nor shares bytes between cells of a batch: the sink is
+// promised the events of every launch, and the fault hook names the
+// cells that must run.
 type localExec struct{}
 
 func (localExec) ExecCells(o Options, cells []GridCell) ([]json.RawMessage, error) {
@@ -165,9 +179,24 @@ func (localExec) ExecCells(o Options, cells []GridCell) ([]json.RawMessage, erro
 		store = nil
 	}
 	raws := make([]json.RawMessage, len(cells))
+	// take gives cell i its bytes and journals them, so the run's
+	// ledger stays complete for a later resume.
+	take := func(i int, raw json.RawMessage) error {
+		raws[i] = raw
+		if o.Journal == nil {
+			return nil
+		}
+		return o.Journal.Record(cells[i].Key, raw)
+	}
 	todo := make([]int, 0, len(cells))
-	restored := 0
+	first := map[string]int{}  // ID -> first cell of the batch with it
+	repeats := map[int][]int{} // first cell still to compute -> later cells with its ID
+	restored, pending := 0, 0
 	for i, c := range cells {
+		f, repeat := first[c.ID]
+		if !repeat {
+			first[c.ID] = i
+		}
 		if o.Journal != nil {
 			if raw, ok := o.Journal.Lookup(c.Key); ok {
 				raws[i] = raw
@@ -175,33 +204,43 @@ func (localExec) ExecCells(o Options, cells []GridCell) ([]json.RawMessage, erro
 				continue
 			}
 		}
-		if store != nil {
-			if raw, ok := store.Lookup(c.ID); ok {
-				raws[i] = raw
-				restored++
-				if o.Telemetry != nil {
-					o.Telemetry.AddCacheHit()
-				}
-				// Copy into the run's journal so its ledger stays
-				// complete for a later resume.
-				if o.Journal != nil {
-					if err := o.Journal.Record(c.Key, raw); err != nil {
-						return nil, err
-					}
-				}
-				continue
-			}
+		if store == nil {
+			todo = append(todo, i)
+			continue
+		}
+		raw, ok := raws[f], repeat
+		if !repeat {
+			raw, ok = store.Lookup(c.ID)
+		}
+		if !ok {
 			if o.Telemetry != nil {
 				o.Telemetry.AddCacheMiss()
 			}
+			todo = append(todo, i)
+			continue
 		}
-		todo = append(todo, i)
+		restored++
+		if o.Telemetry != nil {
+			o.Telemetry.AddCacheHit()
+		}
+		if raw == nil {
+			repeats[f] = append(repeats[f], i)
+			pending++
+		} else if err := take(i, raw); err != nil {
+			return nil, err
+		}
 	}
 	if restored > 0 && o.Telemetry != nil {
 		o.Telemetry.AddRestored(restored)
 	}
 
-	err := o.pool().MapN(context.Background(), len(todo), func(ctx context.Context, ti int) error {
+	// Progress counts a repeat with the cell it waits for.
+	pool := o.pool()
+	var taken atomic.Int64
+	if pool.OnProgress != nil {
+		pool.OnProgress = func(done, total int) { o.Progress(done+int(taken.Load()), total+pending) }
+	}
+	err := pool.MapN(context.Background(), len(todo), func(ctx context.Context, ti int) error {
 		c := cells[todo[ti]]
 		if o.faultHook != nil {
 			if err := o.faultHook(c.Index); err != nil {
@@ -212,17 +251,17 @@ func (localExec) ExecCells(o Options, cells []GridCell) ([]json.RawMessage, erro
 		if err != nil {
 			return err
 		}
-		if o.Journal != nil {
-			if err := o.Journal.Record(c.Key, raw); err != nil {
-				return err
-			}
-		}
 		if store != nil {
 			if _, err := store.RecordOnce(c.ID, raw); err != nil {
 				return err
 			}
 		}
-		raws[todo[ti]] = raw
+		for _, i := range append([]int{todo[ti]}, repeats[todo[ti]]...) {
+			if err := take(i, raw); err != nil {
+				return err
+			}
+		}
+		taken.Add(int64(len(repeats[todo[ti]])))
 		return nil
 	})
 	if err != nil {
@@ -234,12 +273,11 @@ func (localExec) ExecCells(o Options, cells []GridCell) ([]json.RawMessage, erro
 // runCells is the evaluation loop every cell-parallel experiment runs
 // on. It enumerates the grid — each item becomes a GridCell with a
 // stable key, a content address, and a closure producing canonical
-// JSON — and hands the
-// batch to the configured executor (Options.Exec, defaulting to the
-// local pool). Results land in item order, and because every path
-// through an executor round-trips the same encoding/json bytes, a
-// resumed, cached, or distributed run's output is byte-identical to a
-// plain single-process one.
+// JSON — and hands the batch to the configured executor (Options.Exec,
+// defaulting to the local pool). Results land in item order, and
+// because every path through an executor round-trips the same
+// encoding/json bytes, a resumed, cached, or distributed run's output
+// is byte-identical to a plain single-process one.
 //
 // ns names the cell function for the content address (GridCell.ID): it
 // must change whenever fn computes something different for the same
@@ -250,18 +288,30 @@ func runCells[T, R any](o Options, ns string, items []T,
 	key func(i int, item T) string,
 	fn func(ctx context.Context, i int, item T) (R, error)) ([]R, error) {
 
+	keys := make([]string, len(items))
+	for i, item := range items {
+		keys[i] = key(i, item)
+	}
+	return execCells(o, ns, keys, keys, func(ctx context.Context, i int) (R, error) {
+		return fn(ctx, i, items[i])
+	})
+}
+
+// execCells is runCells over cells given by their keys and addresses:
+// cell i is journaled under keys[i] and content-addressed by ns and
+// addrs[i], and fn(i) must depend on (o, ns, addrs[i]) alone.
+func execCells[R any](o Options, ns string, keys, addrs []string,
+	fn func(ctx context.Context, i int) (R, error)) ([]R, error) {
+
 	fp := Fingerprint(ns, o)
-	cells := make([]GridCell, len(items))
-	for i := range items {
-		i := i
-		item := items[i]
-		k := key(i, item)
+	cells := make([]GridCell, len(keys))
+	for i, k := range keys {
 		cells[i] = GridCell{
 			Index: i,
 			Key:   k,
-			ID:    fp + "/" + k,
+			ID:    fp + "/" + addrs[i],
 			Run: func(ctx context.Context) (json.RawMessage, error) {
-				r, err := fn(ctx, i, item)
+				r, err := fn(ctx, i)
 				if err != nil {
 					return nil, err
 				}
@@ -285,7 +335,7 @@ func runCells[T, R any](o Options, ns string, items []T,
 	if len(raws) != len(cells) {
 		return nil, fmt.Errorf("experiments: executor returned %d results for %d cells", len(raws), len(cells))
 	}
-	out := make([]R, len(items))
+	out := make([]R, len(cells))
 	for i, raw := range raws {
 		if err := json.Unmarshal(raw, &out[i]); err != nil {
 			return nil, fmt.Errorf("experiments: decoding cell %q: %w", cells[i].Key, err)

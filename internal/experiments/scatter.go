@@ -15,10 +15,10 @@ import (
 // correlation scatter for key byte 0 at num-subwarp ∈ {2, 4, 8, 16}.
 
 func init() {
-	Registry["fig8"] = func(o Options) (Result, error) { return ScatterExperiment(o, MechFSS, "fig8") }
-	Registry["fig12"] = func(o Options) (Result, error) { return ScatterExperiment(o, MechFSSRTS, "fig12") }
-	Registry["fig13"] = func(o Options) (Result, error) { return ScatterExperiment(o, MechRSS, "fig13") }
-	Registry["fig14"] = func(o Options) (Result, error) { return ScatterExperiment(o, MechRSSRTS, "fig14") }
+	Registry["fig8"] = func(o Options) (Result, error) { return ScatterExperiment(o, "fss", "fig8") }
+	Registry["fig12"] = func(o Options) (Result, error) { return ScatterExperiment(o, "fss+rts", "fig12") }
+	Registry["fig13"] = func(o Options) (Result, error) { return ScatterExperiment(o, "rss", "fig13") }
+	Registry["fig14"] = func(o Options) (Result, error) { return ScatterExperiment(o, "rss+rts", "fig14") }
 }
 
 // ScatterSubwarps are the num-subwarp panels of Figures 8 and 12-14.
@@ -44,7 +44,7 @@ type ScatterPanel struct {
 // figures.
 type ScatterResult struct {
 	ID        string
-	Mechanism Mechanism
+	Mechanism string // family label, as in SweepCell
 	Panels    []ScatterPanel
 	// NoiseFloor is the expected best wrong-guess correlation at this
 	// sample count: correct-guess correlations below it are
@@ -52,26 +52,32 @@ type ScatterResult struct {
 	NoiseFloor float64
 }
 
-// ScatterExperiment runs mechanism mech against its corresponding
-// attack across the standard num-subwarp panels. The panels — and,
+// ScatterExperiment runs subwarp family fam (a registry keyword, see
+// Families) against its corresponding attack across the standard
+// num-subwarp panels. The panels — and,
 // within each panel, the 16-key-byte correlation loop — fan out over
 // Options.Workers with per-panel servers and attackers; output is
 // byte-identical at any worker count. The noise floor needs more than
 // three samples, so fewer is an error before any cell runs.
-func ScatterExperiment(o Options, mech Mechanism, id string) (*ScatterResult, error) {
+func ScatterExperiment(o Options, fam string, id string) (*ScatterResult, error) {
 	if o.Samples <= 3 {
 		return nil, fmt.Errorf("experiments: %s needs > 3 samples for its noise floor, have %d", id, o.Samples)
 	}
-	panels, err := runCells(o, id+"/"+mech.String(), ScatterSubwarps,
-		func(_ int, m int) string { return fmt.Sprintf("%s/%d", mech, m) },
+	label := strings.ToUpper(fam)
+	panels, err := runCells(o, id+"/"+label, ScatterSubwarps,
+		func(_ int, m int) string { return fmt.Sprintf("%s/%d", label, m) },
 		func(_ context.Context, _ int, m int) (ScatterPanel, error) {
-			srv, ds, err := collect(o, mech.Policy(m))
+			policy, err := familyPolicy(fam, m)
+			if err != nil {
+				return ScatterPanel{}, err
+			}
+			srv, ds, err := collect(o, policy)
 			if err != nil {
 				return ScatterPanel{}, err
 			}
 			// The corresponding attack assumes the same mechanism and M
 			// but runs on its own random stream.
-			atk, err := attack.New(mech.Policy(m), o.Seed^0xDEFEA7ED)
+			atk, err := attack.New(policy, o.Seed^0xDEFEA7ED)
 			if err != nil {
 				return ScatterPanel{}, err
 			}
@@ -100,7 +106,7 @@ func ScatterExperiment(o Options, mech Mechanism, id string) (*ScatterResult, er
 	if err != nil {
 		return nil, err
 	}
-	return &ScatterResult{ID: id, Mechanism: mech,
+	return &ScatterResult{ID: id, Mechanism: label,
 		NoiseFloor: stats.NoiseFloor(o.Samples, 255),
 		Panels:     panels}, nil
 }
@@ -130,7 +136,7 @@ func (r *ScatterResult) Render() string {
 	b.WriteString(t.String())
 	fmt.Fprintf(&b, "\n(wrong-guess noise floor at this sample count: ~%.3f)\n", r.NoiseFloor)
 	switch r.Mechanism {
-	case MechFSS:
+	case "FSS":
 		b.WriteString("\nPaper (Fig. 8): the FSS attack defeats FSS — recovery succeeds for all\n" +
 			"num-subwarp < 32 with high correlation.\n")
 	default:

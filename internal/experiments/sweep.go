@@ -3,15 +3,72 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"rcoal/internal/attack"
+	"rcoal/internal/mechanism"
 )
+
+// Families are the paper's four RCoal subwarp families as mechanism
+// registry keywords, in paper order. Reports, CSV rows and cell keys
+// label a family by its upper-cased keyword ("FSS+RTS").
+var Families = []string{"fss", "fss+rts", "rss", "rss+rts"}
+
+// familyPolicy returns family fam's defense with m subwarps.
+func familyPolicy(fam string, m int) (mechanism.Mechanism, error) {
+	return mechanism.Parse(fmt.Sprintf("%s:%d", fam, m))
+}
+
+// familyRow is one family, by label, at M subwarps, with what its
+// cell measured.
+type familyRow[R any] struct {
+	Family string
+	M      int
+	R      R
+}
+
+// familyGrid measures the rows Sweep and Fig18 share — the baseline,
+// then every family at every M in ms — as cells of namespace ns, each
+// addressed by and measuring its defense's canonical spec, so the rows
+// that reduce to the undefended coalescer take the baseline's cell. It
+// returns the baseline's measurement and the other rows in order.
+func familyGrid[R any](o Options, ns string, ms []int,
+	measure func(Options, mechanism.Mechanism) (R, error)) (base R, rows []familyRow[R], err error) {
+
+	keys, specs := []string{"baseline"}, []string{"baseline"}
+	for _, fam := range Families {
+		for _, m := range ms {
+			p, err := familyPolicy(fam, m)
+			if err != nil {
+				return base, nil, err
+			}
+			rows = append(rows, familyRow[R]{Family: strings.ToUpper(fam), M: m})
+			keys = append(keys, fmt.Sprintf("%s/%d", strings.ToUpper(fam), m))
+			specs = append(specs, mechanism.Canonical(p))
+		}
+	}
+	outs, err := execCells(o, ns, keys, specs, func(_ context.Context, i int) (R, error) {
+		p, err := mechanism.Parse(specs[i])
+		if err != nil {
+			return base, err
+		}
+		return measure(o, p)
+	})
+	if err != nil {
+		return base, nil, err
+	}
+	for i := range rows {
+		rows[i].R = outs[i+1]
+	}
+	return outs[0], rows, nil
+}
 
 // SweepCell is one (mechanism, num-subwarp) evaluation point shared by
 // Figures 15, 16, and 17: performance (cycles, accesses) plus security
 // (average correct-guess correlation under the corresponding attack).
 type SweepCell struct {
-	Mechanism Mechanism
+	// Mechanism is the family's label, e.g. "FSS+RTS".
+	Mechanism string
 	M         int
 	// MeanCycles / MeanTx are per-plaintext averages.
 	MeanCycles float64
@@ -26,6 +83,38 @@ type SweepCell struct {
 	NormTx float64
 }
 
+// sweepMeasure is a sweep cell: SweepCell's measurements of one
+// defense, before normalization.
+type sweepMeasure struct {
+	MeanCycles, MeanTx, AvgCorrectCorr float64
+}
+
+// measureSweep collects a dataset under defense and attacks it with
+// the corresponding attack.
+func measureSweep(o Options, defense mechanism.Mechanism) (sweepMeasure, error) {
+	srv, ds, err := collect(o, defense)
+	if err != nil {
+		return sweepMeasure{}, err
+	}
+	var mm sweepMeasure
+	for _, s := range ds.Samples {
+		mm.MeanCycles += float64(s.TotalCycles)
+		mm.MeanTx += float64(s.TotalTx)
+	}
+	mm.MeanCycles /= float64(len(ds.Samples))
+	mm.MeanTx /= float64(len(ds.Samples))
+
+	atk, err := attack.New(defense, o.Seed^0x5EC)
+	if err != nil {
+		return sweepMeasure{}, err
+	}
+	// The grid saturates the pool, so the per-key-byte loop inside
+	// each cell stays serial (workers = 1).
+	mm.AvgCorrectCorr, err = avgCorrectCorrelation(
+		atk, ciphertexts(ds), ds.LastRoundTimes(), srv.LastRoundKey(), 1)
+	return mm, err
+}
+
 // SweepResult is the full mechanism × num-subwarp grid.
 type SweepResult struct {
 	Ms    []int
@@ -35,104 +124,37 @@ type SweepResult struct {
 	BaselineTx     float64
 }
 
-// Cell returns the cell for (mech, m), or nil.
-func (s *SweepResult) Cell(mech Mechanism, m int) *SweepCell {
+// Cell returns the cell for family fam (keyword or label) at m, or nil.
+func (s *SweepResult) Cell(fam string, m int) *SweepCell {
 	for i := range s.Cells {
-		if s.Cells[i].Mechanism == mech && s.Cells[i].M == m {
+		if strings.EqualFold(s.Cells[i].Mechanism, fam) && s.Cells[i].M == m {
 			return &s.Cells[i]
 		}
 	}
 	return nil
 }
 
-// Sweep evaluates every mechanism at every num-subwarp value in ms.
-// The baseline reference is measured separately at num-subwarp = 1.
+// Sweep evaluates every family at every num-subwarp value in ms. The
+// baseline reference is measured separately at num-subwarp = 1.
 //
-// The baseline and every (mechanism, num-subwarp) cell fan out over
-// Options.Workers; each cell owns its simulated server and attacker
-// and draws all randomness from seeds fixed by (o.Seed, mechanism, M),
-// so the result is byte-identical at any worker count.
+// The distinct cells fan out over Options.Workers; each cell owns its
+// simulated server and attacker and draws all randomness from seeds
+// fixed by (o.Seed, defense), so the result is byte-identical at any
+// worker count.
 func Sweep(o Options, ms []int) (*SweepResult, error) {
 	if err := o.validate(); err != nil {
 		return nil, err
 	}
-	type job struct {
-		mech     Mechanism
-		m        int
-		baseline bool
-	}
-	jobs := make([]job, 0, len(AllMechanisms)*len(ms)+1)
-	jobs = append(jobs, job{baseline: true})
-	for _, mech := range AllMechanisms {
-		for _, m := range ms {
-			jobs = append(jobs, job{mech: mech, m: m})
-		}
-	}
-
-	// Exported fields: cells round-trip through the checkpoint journal
-	// as JSON when Options.Journal is attached.
-	type out struct {
-		Cell               SweepCell
-		BaseCycles, BaseTx float64
-	}
-	outs, err := runCells(o, "sweep", jobs,
-		func(_ int, jb job) string {
-			if jb.baseline {
-				return "baseline"
-			}
-			return fmt.Sprintf("%s/%d", jb.mech, jb.m)
-		},
-		func(_ context.Context, _ int, jb job) (out, error) {
-			if jb.baseline {
-				_, base, err := collect(o, MechFSS.Policy(1))
-				if err != nil {
-					return out{}, err
-				}
-				var ot out
-				for _, s := range base.Samples {
-					ot.BaseCycles += float64(s.TotalCycles)
-					ot.BaseTx += float64(s.TotalTx)
-				}
-				ot.BaseCycles /= float64(len(base.Samples))
-				ot.BaseTx /= float64(len(base.Samples))
-				return ot, nil
-			}
-			srv, ds, err := collect(o, jb.mech.Policy(jb.m))
-			if err != nil {
-				return out{}, err
-			}
-			cell := SweepCell{Mechanism: jb.mech, M: jb.m}
-			for _, s := range ds.Samples {
-				cell.MeanCycles += float64(s.TotalCycles)
-				cell.MeanTx += float64(s.TotalTx)
-			}
-			cell.MeanCycles /= float64(len(ds.Samples))
-			cell.MeanTx /= float64(len(ds.Samples))
-
-			atk, err := attack.New(jb.mech.Policy(jb.m), o.Seed^0x5EC)
-			if err != nil {
-				return out{}, err
-			}
-			// The grid saturates the pool, so the per-key-byte loop
-			// inside each cell stays serial (workers = 1).
-			cell.AvgCorrectCorr, err = avgCorrectCorrelation(
-				atk, ciphertexts(ds), ds.LastRoundTimes(), srv.LastRoundKey(), 1)
-			if err != nil {
-				return out{}, err
-			}
-			return out{Cell: cell}, nil
-		})
+	base, rows, err := familyGrid(o, "sweep", ms, measureSweep)
 	if err != nil {
 		return nil, err
 	}
-
-	res := &SweepResult{Ms: ms,
-		BaselineCycles: outs[0].BaseCycles, BaselineTx: outs[0].BaseTx}
-	for _, ot := range outs[1:] {
-		cell := ot.Cell
-		cell.NormCycles = cell.MeanCycles / res.BaselineCycles
-		cell.NormTx = cell.MeanTx / res.BaselineTx
-		res.Cells = append(res.Cells, cell)
+	res := &SweepResult{Ms: ms, BaselineCycles: base.MeanCycles, BaselineTx: base.MeanTx}
+	for _, r := range rows {
+		res.Cells = append(res.Cells, SweepCell{Mechanism: r.Family, M: r.M,
+			MeanCycles: r.R.MeanCycles, MeanTx: r.R.MeanTx, AvgCorrectCorr: r.R.AvgCorrectCorr,
+			NormCycles: r.R.MeanCycles / base.MeanCycles,
+			NormTx:     r.R.MeanTx / base.MeanTx})
 	}
 	return res, nil
 }

@@ -213,6 +213,35 @@ func TestParseSpecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCanonical: the single-subwarp fixed and skewed policies, with or
+// without RTS, collapse to "baseline"; everything else keeps its Spec,
+// and a canonical spec is its own canonical form.
+func TestCanonical(t *testing.T) {
+	for spec, want := range map[string]string{
+		"baseline": "baseline", "fss:1": "baseline", "fss+rts:1": "baseline",
+		"rss:1": "baseline", "RSSRTS:1": "baseline",
+		"fss:2": "fss:2", "rss+rts:8": "rss+rts:8", "fss:32": "fss:32",
+		"rss-normal:1": "rss-normal:1", "rss-normal+rts:1": "rss-normal+rts:1",
+		"delay:64": "delay:64", "shuffle": "shuffle", "nocoal": "nocoal",
+	} {
+		m, err := Parse(spec)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", spec, err)
+		}
+		got := Canonical(m)
+		if got != want {
+			t.Errorf("Canonical(%q) = %q, want %q", spec, got, want)
+		}
+		again, err := Parse(got)
+		if err != nil {
+			t.Fatalf("canonical spec %q does not parse: %v", got, err)
+		}
+		if Canonical(again) != got {
+			t.Errorf("Canonical(%q) = %q, not a fixed point", got, Canonical(again))
+		}
+	}
+}
+
 func TestParseErrors(t *testing.T) {
 	bad := []string{
 		"", "warp", "fss:0", "fss:3", "fss:x", "fss:4:4", "rss:33",

@@ -79,6 +79,20 @@ func Parse(spec string) (Mechanism, error) {
 	return m, nil
 }
 
+// Canonical returns the spec standing for every mechanism that behaves
+// exactly like m, so equal canonical specs may share measurements. A
+// subwarp policy with one subwarp and fixed or skewed sizing, with or
+// without RTS, collects the undefended datasets (a property test in
+// internal/experiments pins this) and maps to "baseline"; every other
+// mechanism maps to its own Spec.
+func Canonical(m Mechanism) string {
+	if c, ok := SubwarpConfig(m); ok && c.NumSubwarps == 1 &&
+		(c.SizeDist == core.SizeFixed || c.SizeDist == core.SizeSkewed) {
+		return "baseline"
+	}
+	return m.Spec()
+}
+
 // List returns the visible registry entries in registration order.
 func List() []Info {
 	out := make([]Info, 0, len(registry))
