@@ -110,7 +110,6 @@ examples:
 fuzz:
 	$(GO) test -fuzz FuzzEncryptMatchesStdlib -fuzztime 30s ./internal/aes/
 	$(GO) test -fuzz FuzzParseMechanism -fuzztime 15s .
-	$(GO) test -fuzz FuzzRunnerSeedSplit -fuzztime 15s .
 
 clean:
 	$(GO) clean -testcache

@@ -75,8 +75,6 @@ var (
 	prog     = flag.Bool("progress", false, "report per-experiment cell progress on stderr")
 	jdir     = flag.String("journal", "", "directory for per-experiment checkpoint journals (<id>.journal); completed cells survive crashes; in serve mode also the lease ledger, and required")
 	resume   = flag.Bool("resume", false, "resume from existing journals, skipping journaled cells (requires -journal)")
-	cellTO   = flag.Duration("cell-timeout", 0, "per-cell time budget; 0 = unlimited")
-	retries  = flag.Int("retries", 0, "extra attempts for cells failing with a retryable fault")
 	traceOut = flag.String("trace-out", "", "write a Chrome/Perfetto trace of every simulated launch to this file (large; best with a single small experiment); in serve mode, the merged fleet trace of coordinator lease spans and per-cell worker spans")
 	hb       = flag.Duration("heartbeat", 0, "period of the live telemetry line on stderr (cells done, rate, eta, worker utilization; in serve mode also cache hit/miss and workers); 0 = off")
 	maddr    = flag.String("metrics-addr", "", "serve live run telemetry as Prometheus text at http://<addr>/metrics (local and worker modes; -serve exposes /metrics on its own address)")
@@ -160,9 +158,10 @@ func run() int {
 	opts.Seed = *seed
 	opts.Key = []byte(*key)
 	opts.Workers = *workers
-	opts.CellTimeout = *cellTO
-	opts.Retries = *retries
 	opts.Mechanisms = mechSpecs
+	if err := opts.Validate(); err != nil {
+		return fail("-%s", strings.TrimPrefix(err.Error(), "experiments: "))
+	}
 	// One results store for the whole invocation, opened before any
 	// compute: experiments share the cells they have in common, and a
 	// coordinator never leases a cell the store already holds.

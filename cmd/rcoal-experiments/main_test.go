@@ -191,6 +191,28 @@ func TestUnknownRunFailsFast(t *testing.T) {
 	requireFailFast(t, "-run fig99", "-run", "fig99")
 }
 
+// TestBadOptionsFailFast: a run option every experiment rejects exits
+// with code 2, naming its flag, before any experiment runs — including
+// experiments that never read it (table2) or override it (fig18's
+// line count).
+func TestBadOptionsFailFast(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		args    []string
+		wantErr string
+	}{
+		{"one sample", []string{"-samples", "1"}, "-samples 1"},
+		{"zero lines", []string{"-lines", "0"}, "-lines 0"},
+		{"short key", []string{"-key", "short"}, "-key"},
+		{"negative workers", []string{"-workers", "-1"}, "-workers -1"},
+		{"zero lines fig18", []string{"-run", "fig18", "-lines", "0"}, "-lines 0"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			requireFailFast(t, tc.wantErr, append([]string{"-run", "table2,fig7"}, tc.args...)...)
+		})
+	}
+}
+
 // mismatchedJournalDir returns a journal directory holding a fig7
 // journal written under another seed than the command-line default.
 func mismatchedJournalDir(t *testing.T) string {
@@ -218,8 +240,8 @@ func TestResumeMismatchFailsFast(t *testing.T) {
 }
 
 // TestServeFailFast: in serve mode, a bad flag combination, output
-// path, -cache directory, -mechanisms spec, -run id or -resume journal
-// exits with code 2 before the coordinator serves or leases anything.
+// path, -cache directory, -mechanisms spec, run option, -run id or
+// -resume journal exits with code 2 before the coordinator serves or leases anything.
 func TestServeFailFast(t *testing.T) {
 	dir := t.TempDir()
 	file := filepath.Join(dir, "file")
@@ -238,6 +260,7 @@ func TestServeFailFast(t *testing.T) {
 		{"flight parent is a file", []string{"-journal", dir, "-flight-out", filepath.Join(file, "f.json")}, "-flight-out"},
 		{"cache is a file", []string{"-journal", dir, "-cache", file}, "-cache"},
 		{"bad mechanism", []string{"-journal", dir, "-mechanisms", "bogus:9"}, "-mechanisms"},
+		{"one sample", []string{"-journal", dir, "-samples", "1"}, "-samples 1"},
 		{"journal missing", nil, "-serve requires -journal"},
 		{"worker too", []string{"-journal", dir, "-worker", "http://127.0.0.1:1"}, "-serve and -worker"},
 		{"metrics addr", []string{"-journal", dir, "-metrics-addr", "127.0.0.1:0"}, "-metrics-addr"},

@@ -1,10 +1,6 @@
 package rcoal
 
-import (
-	"testing"
-
-	"rcoal/internal/runner"
-)
+import "testing"
 
 func FuzzParseMechanism(f *testing.F) {
 	for _, seed := range []string{
@@ -35,44 +31,6 @@ func FuzzParseMechanism(f *testing.F) {
 		if again.Spec() != m.Spec() || again.Name() != m.Name() {
 			t.Fatalf("round-trip drift: %q -> (%q, %q) -> (%q, %q)",
 				spec, m.Spec(), m.Name(), again.Spec(), again.Name())
-		}
-	})
-}
-
-// FuzzRunnerSeedSplit checks the injectivity contract of the parallel
-// runner's seed derivation: distinct label tuples must yield distinct
-// per-cell seeds, and a tuple's seed must depend on the master seed,
-// on every label, and on tuple boundaries (("ab") vs ("a","b")).
-func FuzzRunnerSeedSplit(f *testing.F) {
-	f.Add(uint64(42), "sweep", 4, "fss")
-	f.Add(uint64(42), "sweep", 4, "rss")
-	f.Add(uint64(0), "", 0, "")
-	f.Add(uint64(1), "a", 1, "b")
-	f.Fuzz(func(t *testing.T, master uint64, s1 string, n int, s2 string) {
-		base := runner.CellSeed(master, s1, n, s2)
-		if again := runner.CellSeed(master, s1, n, s2); again != base {
-			t.Fatalf("CellSeed not deterministic: %#x vs %#x", base, again)
-		}
-		// Any single-component perturbation must change the seed.
-		if got := runner.CellSeed(master^1, s1, n, s2); got == base {
-			t.Errorf("seed ignores master: %#x", base)
-		}
-		if got := runner.CellSeed(master, s1+"x", n, s2); got == base {
-			t.Errorf("seed ignores label 1: %#x", base)
-		}
-		if got := runner.CellSeed(master, s1, n+1, s2); got == base {
-			t.Errorf("seed ignores label 2: %#x", base)
-		}
-		if got := runner.CellSeed(master, s1, n, s2+"x"); got == base {
-			t.Errorf("seed ignores label 3: %#x", base)
-		}
-		// Tuple boundaries matter: folding s1 and s2 into one label or
-		// dropping one must not alias (length prefixes guarantee this).
-		if got := runner.CellSeed(master, s1+s2, n); got == base {
-			t.Errorf("tuple boundary alias: (%q,%d,%q) vs (%q,%d)", s1, n, s2, s1+s2, n)
-		}
-		if got := runner.CellSeed(master, s1, n); got == base {
-			t.Errorf("dropped label aliases: (%q,%d,%q) vs (%q,%d)", s1, n, s2, s1, n)
 		}
 	})
 }

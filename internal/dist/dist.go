@@ -3,7 +3,7 @@
 // hands cells out over HTTP as leases; workers pull a lease, recompute
 // exactly that cell with experiments.ComputeCell, and POST the result
 // back. Because every cell derives all of its randomness from explicit
-// seeds (runner.CellSeed), cells are location-independent, and the
+// seeds (Options.Seed), cells are location-independent, and the
 // final CSVs are byte-identical at any shard count — the property the
 // end-to-end tests and the CI smoke step enforce.
 //

@@ -83,9 +83,6 @@ type ServerConfig struct {
 	// elsewhere. Un-renewed expiry stays harmless either way, since
 	// completions are first-writer-wins over identical bytes.
 	LeaseTimeout time.Duration
-	// PollWait is the retry hint returned when no cell is pending.
-	// 0 means the default (250ms).
-	PollWait time.Duration
 	// LivenessWindow is how recently a worker must have been seen
 	// (poll, renewal, or completion) to count as live in /status and
 	// the autoscaling-hint aggregate. 0 means the default (15s).
@@ -104,16 +101,20 @@ type ServerConfig struct {
 	// disables logging — the nil-receiver contract of obs.Logger makes
 	// every call site unconditional.
 	Log *obs.Logger
-	// StragglerRatio flags a live worker whose per-worker rate falls
-	// below this fraction of the live-fleet median. 0 means the
-	// default (0.5).
-	StragglerRatio float64
-	// StragglerMinCells is how many completions a worker needs before
-	// its rate joins the straggler baseline. 0 means the default (3).
-	StragglerMinCells int
 	// Clock overrides time.Now (tests).
 	Clock func() time.Time
 }
+
+const (
+	// pollWait is the retry hint returned when no cell is pending.
+	pollWait = 250 * time.Millisecond
+	// stragglerRatio flags a live worker whose per-worker rate falls
+	// below this fraction of the live-fleet median.
+	stragglerRatio = 0.5
+	// stragglerMinCells is how many completions a worker needs before
+	// its rate joins the straggler baseline.
+	stragglerMinCells = 3
+)
 
 // Server is the coordinator: the lease state machine over every
 // registered experiment grid, exposed as an http.Handler. All state is
@@ -139,17 +140,8 @@ func NewServer(cfg ServerConfig) *Server {
 	if cfg.LeaseTimeout <= 0 {
 		cfg.LeaseTimeout = 2 * time.Minute
 	}
-	if cfg.PollWait <= 0 {
-		cfg.PollWait = 250 * time.Millisecond
-	}
 	if cfg.LivenessWindow <= 0 {
 		cfg.LivenessWindow = 15 * time.Second
-	}
-	if cfg.StragglerRatio <= 0 {
-		cfg.StragglerRatio = 0.5
-	}
-	if cfg.StragglerMinCells <= 0 {
-		cfg.StragglerMinCells = 3
 	}
 	// The coordinator owns pid 0 of the merged trace regardless of
 	// which worker reports first.
@@ -402,7 +394,7 @@ func (s *Server) handleLease(rw http.ResponseWriter, req *http.Request) {
 	case drained:
 		resp.Done = true
 	default:
-		resp.WaitMS = s.cfg.PollWait.Milliseconds()
+		resp.WaitMS = pollWait.Milliseconds()
 	}
 	writeJSON(rw, resp)
 }
@@ -655,7 +647,7 @@ func (s *Server) Status() Status {
 		if ws.Live {
 			st.LiveWorkers++
 			liveRate += ws.CellsPerSec
-			if w.completed >= s.cfg.StragglerMinCells {
+			if w.completed >= stragglerMinCells {
 				baselineRates = append(baselineRates, ws.CellsPerSec)
 			}
 		}
@@ -679,7 +671,7 @@ func (s *Server) Status() Status {
 				w := s.workers[ws.ID]
 				ws.RateRatio = ws.CellsPerSec / median
 				if ws.Live && now.Sub(w.firstSeen) >= s.cfg.LivenessWindow &&
-					ws.CellsPerSec < s.cfg.StragglerRatio*median {
+					ws.CellsPerSec < stragglerRatio*median {
 					ws.Straggler = true
 				}
 			}

@@ -59,7 +59,7 @@ type Worker struct {
 	// BackoffBase is the first pause after a transport failure; the
 	// pause doubles per consecutive failure up to BackoffCap, scaled
 	// by a jitter factor in [0.5, 1.0) drawn from a stream seeded by
-	// the worker ID, and floored at the coordinator's last PollWait
+	// the worker ID, and floored at the coordinator's last WaitMS
 	// hint. 0 means 100ms.
 	BackoffBase time.Duration
 	// BackoffCap caps the exponential growth; 0 means 5s.
@@ -91,7 +91,7 @@ type Worker struct {
 	cacheOnce  sync.Once
 	traceCache *kernels.TraceCache
 
-	// pollWaitMS is the coordinator's last PollWait hint, the floor
+	// pollWaitMS is the coordinator's last WaitMS hint, the floor
 	// for error backoff.
 	pollWaitMS atomic.Int64
 	// draining, once set, stops the loops from taking new leases;
@@ -254,7 +254,7 @@ func (w *Worker) maxErrors() int {
 // backoff returns the pause before retry attempt n (1-based):
 // min(BackoffCap, BackoffBase<<(n-1)) scaled by a deterministic
 // jitter in [0.5, 1.0) from src, floored at the coordinator's last
-// PollWait hint so workers never hammer a coordinator that asked for
+// WaitMS hint so workers never hammer a coordinator that asked for
 // patience.
 func (w *Worker) backoff(src *rng.Source, attempt int) time.Duration {
 	base := w.BackoffBase

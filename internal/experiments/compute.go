@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -63,7 +62,7 @@ func (c *captureExec) ExecCells(_ Options, cells []GridCell) ([]json.RawMessage,
 	for _, cell := range cells {
 		if cell.Key == c.key {
 			c.found = true
-			c.raw, c.err = cell.Run(context.Background())
+			c.raw, c.err = cell.Run()
 			break
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"rcoal/internal/attack"
 	"rcoal/internal/runner"
 )
 
@@ -92,6 +93,7 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 func TestCSVSchemasMatchCommittedData(t *testing.T) {
 	headers := map[string]CSVer{
 		"fig5":                 &Fig5Result{},
+		"fig6":                 &Fig6Result{Enabled: Fig6Case{Byte0: &attack.ByteResult{}}, Disabled: Fig6Case{Byte0: &attack.ByteResult{}}},
 		"fig7":                 &Fig7Result{},
 		"fig8":                 &ScatterResult{},
 		"fig12":                &ScatterResult{},
@@ -106,6 +108,7 @@ func TestCSVSchemasMatchCommittedData(t *testing.T) {
 		"ext-sensitivity":      &ExtSensitivityResult{},
 		"ext-workloads":        &ExtWorkloadsResult{},
 		"ext-defense-frontier": &FrontierResult{},
+		"ext-selective-sweep":  &SelectiveSweepResult{},
 	}
 	for id, res := range headers {
 		path := filepath.Join("..", "..", "data", id+".csv")
@@ -182,7 +185,7 @@ func TestProgressReporting(t *testing.T) {
 func TestWorkersValidation(t *testing.T) {
 	o := DefaultOptions()
 	o.Workers = -1
-	if err := o.validate(); err == nil {
+	if err := o.Validate(); err == nil {
 		t.Error("negative Workers accepted")
 	}
 	if _, err := Sweep(o, []int{1}); err == nil {

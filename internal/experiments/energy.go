@@ -41,7 +41,7 @@ type ExtEnergyResult struct {
 
 // ExtEnergy measures energy per 32-line encryption across defenses.
 func ExtEnergy(o Options) (*ExtEnergyResult, error) {
-	if err := o.validate(); err != nil {
+	if err := o.Validate(); err != nil {
 		return nil, err
 	}
 	c, err := aes.NewCipher(o.Key)
@@ -140,7 +140,7 @@ type ExtNoiseResult struct {
 // ExtNoise measures the timing channel under increasing background
 // load on the undefended GPU.
 func ExtNoise(o Options) (*ExtNoiseResult, error) {
-	if err := o.validate(); err != nil {
+	if err := o.Validate(); err != nil {
 		return nil, err
 	}
 	c, err := aes.NewCipher(o.Key)

@@ -49,7 +49,7 @@ type ExtEq4Result struct {
 // (larger M needs prohibitively many samples, exactly as the paper
 // argues).
 func ExtEq4(o Options) (*ExtEq4Result, error) {
-	if err := o.validate(); err != nil {
+	if err := o.Validate(); err != nil {
 		return nil, err
 	}
 	const alpha = 0.99

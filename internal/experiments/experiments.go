@@ -14,7 +14,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"rcoal/internal/aesgpu"
 	"rcoal/internal/attack"
@@ -39,8 +38,6 @@ type Options struct {
 	Seed uint64
 	// Key is the AES key under attack.
 	Key []byte
-	// Width is the render width for bar charts.
-	Width int
 	// Workers bounds how many evaluation cells an experiment runs
 	// concurrently: 0 means GOMAXPROCS, 1 forces serial execution.
 	// The worker count never changes results — every cell derives its
@@ -75,13 +72,6 @@ type Options struct {
 	// seeds), so any executor that runs GridCell.Run faithfully
 	// produces byte-identical results. See CellExec.
 	Exec CellExec
-	// CellTimeout, when positive, bounds each evaluation cell's run
-	// (runner.Pool.CellTimeout).
-	CellTimeout time.Duration
-	// Retries re-runs a failed cell up to this many extra times when
-	// its error is retryable (runner.MarkRetryable); same-seed retries
-	// cannot change results.
-	Retries int
 	// faultHook, when non-nil, runs before each freshly evaluated cell
 	// with the cell's index. Test-only: the crash-safety tests use it
 	// to panic or fail inside a chosen cell (see internal/faultinject).
@@ -93,7 +83,7 @@ type Options struct {
 	// (every issue, transaction, and reply of every sample).
 	Trace gpusim.TraceSink
 	// Telemetry, when non-nil, aggregates live per-cell runtime stats
-	// (timing, retries, throughput) from the experiment's worker pools.
+	// (timing, failures, throughput) from the experiment's worker pools.
 	Telemetry *runner.Telemetry
 	// TraceCache, when non-nil, memoizes per-plaintext AES trace
 	// construction across cells (kernels.TraceCache). Cells of a grid
@@ -119,13 +109,7 @@ func (o Options) gpuConfig() gpusim.Config {
 
 // pool returns the worker pool experiments fan their cells out over.
 func (o Options) pool() runner.Pool {
-	return runner.Pool{
-		Workers:     o.Workers,
-		OnProgress:  o.Progress,
-		CellTimeout: o.CellTimeout,
-		Retries:     o.Retries,
-		Telemetry:   o.Telemetry,
-	}
+	return runner.Pool{Workers: o.Workers, OnProgress: o.Progress, Telemetry: o.Telemetry}
 }
 
 // DefaultOptions mirrors the paper's evaluation setup, with a fresh
@@ -137,23 +121,25 @@ func DefaultOptions() Options {
 		Lines:   32,
 		Seed:    0x8C0A1,
 		Key:     []byte("RCoal eval key 1"),
-		Width:   40,
 		Cache:   checkpoint.NewMemory(),
 	}
 }
 
-func (o Options) validate() error {
+// Validate checks the options every experiment needs. Each message
+// after the "experiments: " prefix starts with the lower-cased name of
+// the offending field.
+func (o Options) Validate() error {
 	if o.Samples < 2 {
-		return fmt.Errorf("experiments: need >= 2 samples, have %d", o.Samples)
+		return fmt.Errorf("experiments: samples %d: need >= 2", o.Samples)
 	}
 	if o.Lines < 1 {
-		return fmt.Errorf("experiments: need >= 1 line, have %d", o.Lines)
+		return fmt.Errorf("experiments: lines %d: need >= 1", o.Lines)
 	}
 	if len(o.Key) != 16 && len(o.Key) != 24 && len(o.Key) != 32 {
-		return fmt.Errorf("experiments: key length %d invalid", len(o.Key))
+		return fmt.Errorf("experiments: key of %d bytes: need 16, 24 or 32", len(o.Key))
 	}
 	if o.Workers < 0 {
-		return fmt.Errorf("experiments: negative worker count %d", o.Workers)
+		return fmt.Errorf("experiments: workers %d: need >= 0 (0 = GOMAXPROCS)", o.Workers)
 	}
 	return nil
 }
@@ -161,11 +147,16 @@ func (o Options) validate() error {
 // collect runs the encryption server under the given defense and
 // gathers the attacker's dataset.
 func collect(o Options, defense mechanism.Mechanism) (*aesgpu.Server, *aesgpu.Dataset, error) {
-	if err := o.validate(); err != nil {
-		return nil, nil, err
-	}
 	cfg := o.gpuConfig()
 	cfg.Defense = defense
+	return collectCfg(o, cfg)
+}
+
+// collectCfg is collect under a fully specified GPU config.
+func collectCfg(o Options, cfg gpusim.Config) (*aesgpu.Server, *aesgpu.Dataset, error) {
+	if err := o.Validate(); err != nil {
+		return nil, nil, err
+	}
 	srv, err := aesgpu.NewServer(cfg, o.Key)
 	if err != nil {
 		return nil, nil, err

@@ -18,18 +18,63 @@ func testOptions() Options {
 func TestOptionsValidation(t *testing.T) {
 	bad := DefaultOptions()
 	bad.Samples = 1
-	if bad.validate() == nil {
+	if bad.Validate() == nil {
 		t.Error("1 sample accepted")
 	}
 	bad = DefaultOptions()
 	bad.Lines = 0
-	if bad.validate() == nil {
+	if bad.Validate() == nil {
 		t.Error("0 lines accepted")
 	}
 	bad = DefaultOptions()
 	bad.Key = []byte("short")
-	if bad.validate() == nil {
+	if bad.Validate() == nil {
 		t.Error("bad key accepted")
+	}
+	if err := DefaultOptions().Validate(); err != nil {
+		t.Errorf("default options rejected: %v", err)
+	}
+}
+
+// TestWorkloadSeedPinnedAndDistinct pins the seed derivation behind
+// data/ext-workloads.csv and checks that distinct tuples get distinct
+// streams: concatenated labels, a shared prefix, another rep or
+// another master must not alias.
+func TestWorkloadSeedPinnedAndDistinct(t *testing.T) {
+	for _, tc := range []struct {
+		master uint64
+		rep    int
+		labels []string
+		want   uint64
+	}{
+		{0x8C0A1, 0, []string{"ext-workloads/kernel", "sequential"}, 0x3556066f747e925a},
+		{0x8C0A1, 2, []string{"ext-workloads/hw", "strided", "RSS+RTS(8)"}, 0x586fd607704945c3},
+		{7, -1, []string{"ext-workloads/hw", "", ""}, 0x8de2fa960bc8cd21},
+	} {
+		if got := workloadSeed(tc.master, tc.rep, tc.labels...); got != tc.want {
+			t.Errorf("workloadSeed(%#x, %d, %q) = %#x, want %#x", tc.master, tc.rep, tc.labels, got, tc.want)
+		}
+	}
+	type tuple struct {
+		master uint64
+		rep    int
+		labels []string
+	}
+	seen := map[uint64]tuple{}
+	for _, tu := range []tuple{
+		{1, 0, []string{"sweep"}},
+		{1, 0, []string{"swee", "p"}},
+		{1, 0, []string{"sweep", ""}},
+		{1, 1, []string{"sweep"}},
+		{2, 0, []string{"sweep"}},
+		{1, 0, nil},
+		{1, 0, []string{"0"}},
+	} {
+		s := workloadSeed(tu.master, tu.rep, tu.labels...)
+		if prev, dup := seen[s]; dup {
+			t.Errorf("workloadSeed collision between %v and %v", prev, tu)
+		}
+		seen[s] = tu
 	}
 }
 

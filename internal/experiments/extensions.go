@@ -29,23 +29,6 @@ func init() {
 	Registry["ext-rssdist"] = func(o Options) (Result, error) { return ExtRSSDist(o) }
 }
 
-// collectCfg is like collect but takes a fully specified GPU config.
-func collectCfg(o Options, cfg gpusim.Config) (*aesgpu.Server, *aesgpu.Dataset, error) {
-	if err := o.validate(); err != nil {
-		return nil, nil, err
-	}
-	srv, err := aesgpu.NewServer(cfg, o.Key)
-	if err != nil {
-		return nil, nil, err
-	}
-	srv.SetTraceCache(o.TraceCache)
-	ds, err := srv.Collect(o.Samples, o.Lines, o.Seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	return srv, ds, nil
-}
-
 // --- ext-selective: future work #1 -------------------------------------------
 
 // ExtSelectiveRow is one configuration of the selective-RCoal study.
@@ -249,7 +232,7 @@ type ExtInferMResult struct {
 // ExtInferM calibrates on attacker-controlled hardware and infers each
 // victim configuration's num-subwarp.
 func ExtInferM(o Options) (*ExtInferMResult, error) {
-	if err := o.validate(); err != nil {
+	if err := o.Validate(); err != nil {
 		return nil, err
 	}
 	candidates := []int{1, 2, 4, 8, 16, 32}
@@ -391,7 +374,7 @@ type ExtPlanPerWarpRow struct {
 // construction supports enough samples to resolve the small
 // correlation differences the ablation is after.
 func ExtPlanPerWarp(o Options) (*ExtPlanPerWarpResult, error) {
-	if err := o.validate(); err != nil {
+	if err := o.Validate(); err != nil {
 		return nil, err
 	}
 	const warps = 4

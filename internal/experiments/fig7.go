@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -38,8 +37,8 @@ var Fig7Subwarps = []int{1, 2, 4, 8, 16, 32}
 // byte-identical at any worker count.
 func Fig7(o Options) (*Fig7Result, error) {
 	rows, err := runCells(o, "fig7", Fig7Subwarps,
-		func(_ int, m int) string { return fmt.Sprintf("fss/%d", m) },
-		func(_ context.Context, _ int, m int) (Fig7Row, error) {
+		func(m int) string { return fmt.Sprintf("fss/%d", m) },
+		func(m int) (Fig7Row, error) {
 			srv, ds, err := collect(o, mechanism.FSS(m))
 			if err != nil {
 				return Fig7Row{}, err

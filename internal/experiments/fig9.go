@@ -19,20 +19,22 @@ type Fig9Result struct {
 	Draws  int
 	Normal []int // Normal[s] = how often a subwarp of size s occurred
 	Skewed []int
-	Width  int
 }
 
 // Fig9Draws matches the paper's 1000 plaintexts.
 const Fig9Draws = 1000
 
+// fig9Width is the render width of the histogram bars.
+const fig9Width = 40
+
 // Fig9 samples both RSS sizing distributions.
 func Fig9(o Options) (*Fig9Result, error) {
-	if err := o.validate(); err != nil {
+	if err := o.Validate(); err != nil {
 		return nil, err
 	}
 	const m = 4
 	res := &Fig9Result{M: m, Draws: Fig9Draws,
-		Normal: make([]int, 33), Skewed: make([]int, 33), Width: o.Width}
+		Normal: make([]int, 33), Skewed: make([]int, 33)}
 	rNorm := rng.New(o.Seed).Split(901)
 	rSkew := rng.New(o.Seed).Split(902)
 	normal := mechanism.RSSNormal(m, 1.5)
@@ -71,9 +73,9 @@ func Mode(hist []int) int {
 func (r *Fig9Result) Render() string {
 	var b strings.Builder
 	b.WriteString("Figure 9: RSS subwarp size distribution, num-subwarp = 4, 1000 plaintexts\n\n")
-	b.WriteString(report.Histogram("Normal sizing (mode should sit at 32/M = 8):", r.Normal, r.Width))
+	b.WriteString(report.Histogram("Normal sizing (mode should sit at 32/M = 8):", r.Normal, fig9Width))
 	b.WriteString("\n")
-	b.WriteString(report.Histogram("Skewed sizing (uniform over compositions; small sizes dominate):", r.Skewed, r.Width))
+	b.WriteString(report.Histogram("Skewed sizing (uniform over compositions; small sizes dominate):", r.Skewed, fig9Width))
 	b.WriteString("\nPaper: the skewed distribution is the RSS default — it spreads sizes\n" +
 		"widely, improving both security and coalescing opportunities.\n")
 	return b.String()

@@ -63,7 +63,7 @@ type SelectiveSweepResult struct {
 // across cells, which a cell-parallel pool would forfeit);
 // Options.Workers is ignored.
 func SelectiveSweep(o Options, ms []int) (*SelectiveSweepResult, error) {
-	if err := o.validate(); err != nil {
+	if err := o.Validate(); err != nil {
 		return nil, err
 	}
 	// policies[0] is the undefended baseline reference; the rest are

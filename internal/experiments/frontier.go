@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -99,7 +98,7 @@ func frontierSpecs(o Options) ([]string, error) {
 // worker count and across distributed executors, and cells journal,
 // cache, and resume through the usual checkpoint machinery.
 func DefenseFrontier(o Options) (*FrontierResult, error) {
-	if err := o.validate(); err != nil {
+	if err := o.Validate(); err != nil {
 		return nil, err
 	}
 	specs, err := frontierSpecs(o)
@@ -111,8 +110,8 @@ func DefenseFrontier(o Options) (*FrontierResult, error) {
 	// as JSON when Options.Journal is attached.
 	type out struct{ Cell FrontierCell }
 	outs, err := runCells(o, "ext-defense-frontier", specs,
-		func(_ int, spec string) string { return spec },
-		func(_ context.Context, _ int, spec string) (out, error) {
+		func(spec string) string { return spec },
+		func(spec string) (out, error) {
 			// Parse inside the cell: cells must be self-contained so a
 			// distributed worker can run them from the key alone.
 			mech, err := mechanism.Parse(spec)

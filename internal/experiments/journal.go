@@ -140,7 +140,7 @@ type GridCell struct {
 	// identity and the result-determining Options (never on scheduling,
 	// location, or worker count) — the property that makes cells
 	// location-independent and distributed execution byte-identical.
-	Run func(ctx context.Context) (json.RawMessage, error)
+	Run func() (json.RawMessage, error)
 }
 
 // CellExec executes one enumerated batch of grid cells and returns
@@ -162,9 +162,9 @@ type CellExec interface {
 // store (Options.Cache) are copied into the journal and restored; a
 // cell whose ID an earlier cell of the batch already has takes that
 // cell's bytes once they exist, is journaled under its own key, and
-// counts as a store hit. The remainder fan out over the pool with the
-// full robustness envelope (panic recovery, per-cell timeout,
-// retries) and are journaled and stored as they complete. Restores
+// counts as a store hit. The remainder fan out over the pool, which
+// recovers a panicking cell into an error, and are journaled and
+// stored as they complete. Restores
 // and store hits are reported to Telemetry outside the rate window.
 //
 // A run with a trace sink or a fault hook neither reads nor writes the
@@ -240,14 +240,14 @@ func (localExec) ExecCells(o Options, cells []GridCell) ([]json.RawMessage, erro
 	if pool.OnProgress != nil {
 		pool.OnProgress = func(done, total int) { o.Progress(done+int(taken.Load()), total+pending) }
 	}
-	err := pool.MapN(context.Background(), len(todo), func(ctx context.Context, ti int) error {
+	err := pool.MapN(context.Background(), len(todo), func(_ context.Context, ti int) error {
 		c := cells[todo[ti]]
 		if o.faultHook != nil {
 			if err := o.faultHook(c.Index); err != nil {
 				return err
 			}
 		}
-		raw, err := c.Run(ctx)
+		raw, err := c.Run()
 		if err != nil {
 			return err
 		}
@@ -285,23 +285,21 @@ func (localExec) ExecCells(o Options, cells []GridCell) ([]json.RawMessage, erro
 // reads beyond them — and it is shared by experiments whose cells are
 // the same computation (Figs. 15-17 all pass "sweep").
 func runCells[T, R any](o Options, ns string, items []T,
-	key func(i int, item T) string,
-	fn func(ctx context.Context, i int, item T) (R, error)) ([]R, error) {
+	key func(item T) string,
+	fn func(item T) (R, error)) ([]R, error) {
 
 	keys := make([]string, len(items))
 	for i, item := range items {
-		keys[i] = key(i, item)
+		keys[i] = key(item)
 	}
-	return execCells(o, ns, keys, keys, func(ctx context.Context, i int) (R, error) {
-		return fn(ctx, i, items[i])
-	})
+	return execCells(o, ns, keys, keys, func(i int) (R, error) { return fn(items[i]) })
 }
 
 // execCells is runCells over cells given by their keys and addresses:
 // cell i is journaled under keys[i] and content-addressed by ns and
 // addrs[i], and fn(i) must depend on (o, ns, addrs[i]) alone.
 func execCells[R any](o Options, ns string, keys, addrs []string,
-	fn func(ctx context.Context, i int) (R, error)) ([]R, error) {
+	fn func(i int) (R, error)) ([]R, error) {
 
 	fp := Fingerprint(ns, o)
 	cells := make([]GridCell, len(keys))
@@ -310,8 +308,8 @@ func execCells[R any](o Options, ns string, keys, addrs []string,
 			Index: i,
 			Key:   k,
 			ID:    fp + "/" + addrs[i],
-			Run: func(ctx context.Context) (json.RawMessage, error) {
-				r, err := fn(ctx, i)
+			Run: func() (json.RawMessage, error) {
+				r, err := fn(i)
 				if err != nil {
 					return nil, err
 				}

@@ -40,7 +40,7 @@ type ExtModesResult struct {
 // ExtModes runs the attack against decryption and CTR services,
 // undefended and defended.
 func ExtModes(o Options) (*ExtModesResult, error) {
-	if err := o.validate(); err != nil {
+	if err := o.Validate(); err != nil {
 		return nil, err
 	}
 	res := &ExtModesResult{}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -65,8 +64,8 @@ func ScatterExperiment(o Options, fam string, id string) (*ScatterResult, error)
 	}
 	label := strings.ToUpper(fam)
 	panels, err := runCells(o, id+"/"+label, ScatterSubwarps,
-		func(_ int, m int) string { return fmt.Sprintf("%s/%d", label, m) },
-		func(_ context.Context, _ int, m int) (ScatterPanel, error) {
+		func(m int) string { return fmt.Sprintf("%s/%d", label, m) },
+		func(m int) (ScatterPanel, error) {
 			policy, err := familyPolicy(fam, m)
 			if err != nil {
 				return ScatterPanel{}, err

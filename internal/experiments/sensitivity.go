@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -33,7 +32,7 @@ type ExtSensitivityResult struct {
 // variant's combinatorics build independently on the worker pool; rows
 // are flattened in variant order, identical at any worker count.
 func ExtSensitivity(o Options) (*ExtSensitivityResult, error) {
-	if err := o.validate(); err != nil {
+	if err := o.Validate(); err != nil {
 		return nil, err
 	}
 	variants := []struct{ n, r int }{
@@ -43,8 +42,8 @@ func ExtSensitivity(o Options) (*ExtSensitivityResult, error) {
 		{64, 16}, // 64-wide wavefronts (AMD-style)
 	}
 	rows, err := runCells(o, "ext-sensitivity", variants,
-		func(_ int, v struct{ n, r int }) string { return fmt.Sprintf("n%d-r%d", v.n, v.r) },
-		func(_ context.Context, _ int, v struct{ n, r int }) ([]ExtSensitivityRow, error) {
+		func(v struct{ n, r int }) string { return fmt.Sprintf("n%d-r%d", v.n, v.r) },
+		func(v struct{ n, r int }) ([]ExtSensitivityRow, error) {
 			md, err := theory.NewModel(v.n, v.r)
 			if err != nil {
 				return nil, err

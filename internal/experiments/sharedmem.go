@@ -42,7 +42,7 @@ type ExtSharedMemResult struct {
 // ExtSharedMem attacks the shared-memory AES server through both
 // channels, undefended and under RCoal.
 func ExtSharedMem(o Options) (*ExtSharedMemResult, error) {
-	if err := o.validate(); err != nil {
+	if err := o.Validate(); err != nil {
 		return nil, err
 	}
 	res := &ExtSharedMemResult{Samples: o.Samples}

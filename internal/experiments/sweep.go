@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -47,7 +46,7 @@ func familyGrid[R any](o Options, ns string, ms []int,
 			specs = append(specs, mechanism.Canonical(p))
 		}
 	}
-	outs, err := execCells(o, ns, keys, specs, func(_ context.Context, i int) (R, error) {
+	outs, err := execCells(o, ns, keys, specs, func(i int) (R, error) {
 		p, err := mechanism.Parse(specs[i])
 		if err != nil {
 			return base, err
@@ -142,7 +141,7 @@ func (s *SweepResult) Cell(fam string, m int) *SweepCell {
 // fixed by (o.Seed, defense), so the result is byte-identical at any
 // worker count.
 func Sweep(o Options, ms []int) (*SweepResult, error) {
-	if err := o.validate(); err != nil {
+	if err := o.Validate(); err != nil {
 		return nil, err
 	}
 	base, rows, err := familyGrid(o, "sweep", ms, measureSweep)

@@ -1,15 +1,16 @@
 package experiments
 
 import (
-	"context"
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"strings"
 
 	"rcoal/internal/gpusim"
 	"rcoal/internal/kernels"
 	"rcoal/internal/mechanism"
 	"rcoal/internal/report"
-	"rcoal/internal/runner"
+	"rcoal/internal/rng"
 )
 
 func init() {
@@ -37,13 +38,12 @@ type ExtWorkloadsResult struct {
 
 // ExtWorkloads measures each mechanism on each synthetic pattern. The
 // (pattern, mechanism) cells fan out over Options.Workers; each cell
-// owns its simulator, and per-rep seeds derive via runner.CellSeed so
-// the kernel stream is shared by every mechanism within a pattern (the
+// owns its simulator, and per-rep seeds derive via workloadSeed so the
+// kernel stream is shared by every mechanism within a pattern (the
 // normalization compares like against like) while the hardware stream
-// stays distinct from it — the old ad-hoc xor derivation aliased both
-// streams at rep 0.
+// stays distinct from it.
 func ExtWorkloads(o Options) (*ExtWorkloadsResult, error) {
-	if err := o.validate(); err != nil {
+	if err := o.Validate(); err != nil {
 		return nil, err
 	}
 	const warps, loads = 4, 64
@@ -67,8 +67,8 @@ func ExtWorkloads(o Options) (*ExtWorkloadsResult, error) {
 	// as JSON when Options.Journal is attached.
 	type raw struct{ Cycles, Tx float64 }
 	raws, err := runCells(o, "ext-workloads", jobs,
-		func(_ int, jb job) string { return jb.pattern.String() + "/" + jb.policy.Name() },
-		func(_ context.Context, _ int, jb job) (raw, error) {
+		func(jb job) string { return jb.pattern.String() + "/" + jb.policy.Name() },
+		func(jb job) (raw, error) {
 			cfg := o.gpuConfig()
 			cfg.Defense = jb.policy
 			g, err := gpusim.New(cfg)
@@ -78,12 +78,12 @@ func ExtWorkloads(o Options) (*ExtWorkloadsResult, error) {
 			var r raw
 			for rep := 0; rep < reps; rep++ {
 				kern, err := kernels.BuildSynthetic(jb.pattern, warps, loads,
-					runner.CellSeed(o.Seed, "ext-workloads/kernel", jb.pattern.String(), rep))
+					workloadSeed(o.Seed, rep, "ext-workloads/kernel", jb.pattern.String()))
 				if err != nil {
 					return raw{}, err
 				}
 				rr, err := g.Run(kern,
-					runner.CellSeed(o.Seed, "ext-workloads/hw", jb.pattern.String(), jb.policy.Name(), rep))
+					workloadSeed(o.Seed, rep, "ext-workloads/hw", jb.pattern.String(), jb.policy.Name()))
 				if err != nil {
 					return raw{}, err
 				}
@@ -122,6 +122,29 @@ func (r *ExtWorkloadsResult) Cell(pattern, mech string) *ExtWorkloadsCell {
 		}
 	}
 	return nil
+}
+
+// workloadSeed derives one rep's seed from the master seed and the
+// tuple (labels..., rep): the tuple is hashed, each element tagged and
+// length-delimited so ("ab") and ("a", "b") differ, and split off the
+// master stream. The encoding fixes data/ext-workloads.csv; changing it
+// changes the committed numbers.
+func workloadSeed(master uint64, rep int, labels ...string) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	word := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	word(uint64(len(labels) + 1))
+	for _, l := range labels {
+		h.Write([]byte{'s'})
+		word(uint64(len(l)))
+		h.Write([]byte(l))
+	}
+	h.Write([]byte{'i'})
+	word(uint64(rep))
+	return rng.New(master).Split(h.Sum64()).Uint64()
 }
 
 // Render implements Result.

@@ -103,11 +103,10 @@ func (p *Prom) Telemetry(prefix string, s runner.TelemetryStats) {
 	n := func(name string) string { return MetricName(prefix, name) }
 	p.Gauge(n("cells_total"), "cells in the grid (including restored)", float64(s.TotalCells))
 	p.Gauge(n("cells_done"), "cells completed (including restored)", float64(s.CellsDone))
-	p.Gauge(n("cells_failed"), "cells that exhausted retries", float64(s.CellsFailed))
+	p.Gauge(n("cells_failed"), "cells that failed", float64(s.CellsFailed))
 	p.Gauge(n("cells_restored"), "cells satisfied from journal or cache", float64(s.RestoredCells))
 	p.Counter(n("cache_hits_total"), "results-cache hits", float64(s.CacheHits))
 	p.Counter(n("cache_misses_total"), "results-cache misses", float64(s.CacheMisses))
-	p.Counter(n("retries_total"), "extra attempts of failed cells", float64(s.Retries))
 	p.Gauge(n("workers_active"), "workers currently inside a cell", float64(s.ActiveWorkers))
 	p.Gauge(n("workers_peak"), "peak concurrent workers seen", float64(s.PeakWorkers))
 	p.Gauge(n("elapsed_seconds"), "observation window length", s.Elapsed.Seconds())

@@ -1,10 +1,6 @@
 package runner
 
-import (
-	"errors"
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // PanicError is a recovered cell panic. The pool converts panics into
 // errors so one bad cell cancels its siblings and surfaces like any
@@ -22,47 +18,4 @@ type PanicError struct {
 
 func (e *PanicError) Error() string {
 	return fmt.Sprintf("runner: cell %d panicked: %v\n%s", e.Cell, e.Value, e.Stack)
-}
-
-// TimeoutError reports a cell that exceeded the pool's CellTimeout.
-// It unwraps to the cell's own error (typically context.DeadlineExceeded
-// surfaced by whatever the cell was blocked on).
-type TimeoutError struct {
-	// Cell is the timed-out cell's index.
-	Cell int
-	// Timeout is the configured per-cell budget.
-	Timeout time.Duration
-	// Err is the error the cell returned when its context expired.
-	Err error
-}
-
-func (e *TimeoutError) Error() string {
-	return fmt.Sprintf("runner: cell %d exceeded its %v timeout: %v", e.Cell, e.Timeout, e.Err)
-}
-
-func (e *TimeoutError) Unwrap() error { return e.Err }
-
-// retryable wraps an error marked safe to re-attempt.
-type retryable struct{ err error }
-
-func (r retryable) Error() string { return r.err.Error() }
-func (r retryable) Unwrap() error { return r.err }
-
-// MarkRetryable flags err as a transient fault the pool may re-run
-// under Pool.Retries. Only mark faults whose retry cannot change
-// results: cells derive all randomness from explicit seeds (CellSeed),
-// so a same-seed re-attempt either fails again or produces the exact
-// bytes a first-try success would have.
-func MarkRetryable(err error) error {
-	if err == nil {
-		return nil
-	}
-	return retryable{err: err}
-}
-
-// IsRetryable reports whether err (or anything it wraps) was marked
-// with MarkRetryable. Panics and timeouts are never retryable.
-func IsRetryable(err error) bool {
-	var r retryable
-	return errors.As(err, &r)
 }

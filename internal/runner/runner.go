@@ -9,9 +9,9 @@
 //
 //   - results land in input order, regardless of completion order;
 //   - the worker count changes wall-clock time only, never output
-//     bytes — each cell must derive all of its randomness from an
-//     explicit per-cell seed (see CellSeed) and own all of its mutable
-//     state (its gpusim server, its attack.Attacker);
+//     bytes — each cell must derive all of its randomness from explicit
+//     seeds (the experiments seed from Options.Seed) and own all of its
+//     mutable state (its gpusim server, its attack.Attacker);
 //   - the first error (lowest cell index among failures) cancels the
 //     remaining cells and is returned;
 //   - a panicking cell is recovered into a *PanicError and propagated
@@ -28,7 +28,6 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Workers resolves a worker-count request: n > 0 is honored as given;
@@ -50,20 +49,9 @@ type Pool struct {
 	// with the completion count so far and the total. Calls are
 	// serialized, so the callback needs no locking of its own.
 	OnProgress func(done, total int)
-	// CellTimeout, when positive, bounds each cell's run: the cell's
-	// context is canceled at the deadline, and an error the cell then
-	// returns is wrapped in a *TimeoutError. Cells must honor their
-	// context for the bound to bite — the pool never abandons a running
-	// goroutine (that would leak it).
-	CellTimeout time.Duration
-	// Retries re-runs a failed cell up to this many extra times when
-	// its error is marked retryable (MarkRetryable). A retried cell
-	// keeps its index and therefore its CellSeed-derived randomness, so
-	// an eventual success is byte-identical to a first-try success.
-	Retries int
 	// Telemetry, when non-nil, receives live per-cell runtime stats
-	// (timings, retries, failures, worker occupancy). One Telemetry may
-	// be shared across pools; see its docs.
+	// (timings, failures, worker occupancy). One Telemetry may be
+	// shared across pools; see its docs.
 	Telemetry *Telemetry
 }
 
@@ -139,69 +127,16 @@ func (p Pool) MapN(ctx context.Context, n int, fn func(ctx context.Context, i in
 	return ctx.Err()
 }
 
-// runCell executes one cell with the robustness envelope: bounded
-// same-seed retries around attempts that recover panics and enforce
-// the per-cell timeout.
-func (p Pool) runCell(ctx context.Context, i int, fn func(ctx context.Context, i int) error) error {
-	var start time.Time
+// runCell executes one cell, recovering a panic into a *PanicError.
+func (p Pool) runCell(ctx context.Context, i int, fn func(ctx context.Context, i int) error) (err error) {
 	if p.Telemetry != nil {
-		start = p.Telemetry.cellStart()
-	}
-	for attempt := 0; ; attempt++ {
-		err := p.attemptCell(ctx, i, fn)
-		if err == nil || attempt >= p.Retries || !IsRetryable(err) || ctx.Err() != nil {
-			if p.Telemetry != nil {
-				p.Telemetry.cellEnd(start, err)
-			}
-			return err
-		}
-		if p.Telemetry != nil {
-			p.Telemetry.retryEvent()
-		}
-	}
-}
-
-func (p Pool) attemptCell(ctx context.Context, i int, fn func(ctx context.Context, i int) error) (err error) {
-	cellCtx := ctx
-	if p.CellTimeout > 0 {
-		var cancel context.CancelFunc
-		cellCtx, cancel = context.WithTimeout(ctx, p.CellTimeout)
-		defer cancel()
+		start := p.Telemetry.cellStart()
+		defer func() { p.Telemetry.cellEnd(start, err) }()
 	}
 	defer func() {
 		if v := recover(); v != nil {
 			err = &PanicError{Cell: i, Value: v, Stack: debug.Stack()}
 		}
 	}()
-	err = fn(cellCtx, i)
-	if err != nil && cellCtx.Err() == context.DeadlineExceeded && ctx.Err() == nil {
-		err = &TimeoutError{Cell: i, Timeout: p.CellTimeout, Err: err}
-	}
-	return err
-}
-
-// Map fans fn out over items on at most workers goroutines (<= 0
-// means GOMAXPROCS) and returns the results in input order. Error and
-// cancellation semantics are those of Pool.MapN.
-func Map[T, R any](ctx context.Context, workers int, items []T, fn func(ctx context.Context, i int, item T) (R, error)) ([]R, error) {
-	return MapWith(ctx, Pool{Workers: workers}, items, fn)
-}
-
-// MapWith is Map running on an explicit Pool, for callers that also
-// want progress reporting. (A free function because Go methods cannot
-// be generic.)
-func MapWith[T, R any](ctx context.Context, p Pool, items []T, fn func(ctx context.Context, i int, item T) (R, error)) ([]R, error) {
-	out := make([]R, len(items))
-	err := p.MapN(ctx, len(items), func(ctx context.Context, i int) error {
-		r, err := fn(ctx, i, items[i])
-		if err != nil {
-			return err
-		}
-		out[i] = r
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return fn(ctx, i)
 }

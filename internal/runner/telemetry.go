@@ -9,7 +9,7 @@ import (
 )
 
 // Telemetry aggregates live runtime statistics from one or more Pools:
-// cell timings, retries, failures, throughput, and worker occupancy.
+// cell timings, failures, throughput, and worker occupancy.
 // Unlike the simulator's metrics registry (single-goroutine by
 // design), Telemetry is concurrency-safe — many worker goroutines and
 // a heartbeat reader share one instance. Attach it via Pool.Telemetry;
@@ -25,7 +25,6 @@ type Telemetry struct {
 	restored   int
 	cacheHits  int
 	cacheMiss  int
-	retries    int
 	active     int
 	peakActive int
 	busy       time.Duration
@@ -75,7 +74,7 @@ func (t *Telemetry) cellStart() time.Time {
 	return now
 }
 
-// cellEnd records a cell finishing (across all of its retry attempts).
+// cellEnd records a cell finishing.
 func (t *Telemetry) cellEnd(start time.Time, err error) {
 	d := t.clock().Sub(start)
 	t.mu.Lock()
@@ -127,13 +126,6 @@ func (t *Telemetry) AddCacheMiss() {
 	t.mu.Unlock()
 }
 
-// retryEvent records one extra attempt of a failed cell.
-func (t *Telemetry) retryEvent() {
-	t.mu.Lock()
-	t.retries++
-	t.mu.Unlock()
-}
-
 // TelemetryStats is a point-in-time summary, JSON-friendly for status
 // endpoints.
 type TelemetryStats struct {
@@ -143,9 +135,11 @@ type TelemetryStats struct {
 	// RestoredCells were satisfied without computation (journal resume
 	// or results cache). They are included in TotalCells and CellsDone
 	// but excluded from CellsPerSec and ETA — see AddRestored.
-	RestoredCells int           `json:"restored_cells"`
-	CacheHits     int           `json:"cache_hits"`
-	CacheMisses   int           `json:"cache_misses"`
+	RestoredCells int `json:"restored_cells"`
+	CacheHits     int `json:"cache_hits"`
+	CacheMisses   int `json:"cache_misses"`
+	// Retries is always 0: the pool runs each cell once. The field
+	// stays for readers of the JSON stats.
 	Retries       int           `json:"retries"`
 	ActiveWorkers int           `json:"active_workers"`
 	PeakWorkers   int           `json:"peak_workers"`
@@ -174,7 +168,6 @@ func (t *Telemetry) Stats() TelemetryStats {
 		RestoredCells: t.restored,
 		CacheHits:     t.cacheHits,
 		CacheMisses:   t.cacheMiss,
-		Retries:       t.retries,
 		ActiveWorkers: t.active,
 		PeakWorkers:   t.peakActive,
 		MinCell:       t.minCell,
@@ -235,9 +228,6 @@ func (s TelemetryStats) String() string {
 	}
 	if s.CacheHits+s.CacheMisses > 0 {
 		line += fmt.Sprintf(", cache %d hit/%d miss", s.CacheHits, s.CacheMisses)
-	}
-	if s.Retries > 0 {
-		line += fmt.Sprintf(", %d retries", s.Retries)
 	}
 	line += fmt.Sprintf(", %.1f cells/s", s.CellsPerSec)
 	if s.ETA > 0 {
