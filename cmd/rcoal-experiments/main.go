@@ -72,7 +72,7 @@ var (
 	csvDir   = flag.String("csv", "", "directory to write <id>.csv data files into (optional)")
 	par      = flag.Int("parallel", 1, "experiments to run concurrently (they are independent and deterministic); in serve mode, experiments whose grids are open for leasing")
 	workers  = flag.Int("workers", 0, "cells evaluated concurrently inside each experiment; 0 = GOMAXPROCS, 1 = serial (results are identical at any setting)")
-	prog     = flag.Bool("progress", false, "report per-experiment cell progress on stderr")
+	prog     = flag.Bool("progress", false, "report per-experiment cell progress on stderr; in worker mode, the lease lifecycle as key=value text events (unless -log-json)")
 	jdir     = flag.String("journal", "", "directory for per-experiment checkpoint journals (<id>.journal); completed cells survive crashes; in serve mode also the lease ledger, and required")
 	resume   = flag.Bool("resume", false, "resume from existing journals, skipping journaled cells (requires -journal)")
 	traceOut = flag.String("trace-out", "", "write a Chrome/Perfetto trace of every simulated launch to this file (large; best with a single small experiment); in serve mode, the merged fleet trace of coordinator lease spans and per-cell worker spans")
@@ -163,11 +163,12 @@ func run() int {
 		return fail("-%s", strings.TrimPrefix(err.Error(), "experiments: "))
 	}
 	// One results store for the whole invocation, opened before any
-	// compute: experiments share the cells they have in common, and a
+	// compute: the memory store of DefaultOptions, or with -cache a
+	// file. Experiments share the cells they have in common, and a
 	// coordinator never leases a cell the store already holds.
-	var cache *checkpoint.Journal
 	if *cdir != "" {
-		if cache, err = experiments.OpenCache(*cdir); err != nil {
+		cache, err := experiments.OpenCache(*cdir)
+		if err != nil {
 			return fail("-cache: %v", err)
 		}
 		defer cache.Close()
@@ -210,7 +211,7 @@ func run() int {
 		traceID = obs.NewTraceID()
 		logAttrs = []any{"trace_id", traceID, "role", "coordinator"}
 	}
-	logger, dumpFlight := newEventLog(*logJSON, *logLevel, *flight, traceID, logAttrs...)
+	logger, dumpFlight := newEventLog(*logJSON, false, *logLevel, *flight, traceID, logAttrs...)
 
 	var coord *coordinator
 	var exporter *tracevis.Exporter
@@ -278,7 +279,7 @@ func run() int {
 			o := opts
 			o.Journal = journals[i]
 			if coord != nil {
-				o.Exec = dist.NewExec(coord.s, id, journals[i], cache)
+				o.Exec = dist.NewExec(coord.s, id, o.Journal, o.Cache)
 			}
 			if *prog {
 				o.Progress = func(done, total int) {
@@ -420,23 +421,24 @@ func failureReason(err error) string {
 }
 
 // newEventLog builds the structured logger every mode shares: JSON
-// lines on stderr with -log-json, teed into a flight recorder when
-// flightOut is set (recorder-only mode keeps stderr quiet but still
-// feeds the event ring). The logger is nil, a valid no-op, when both
-// are off. dump writes the ring to flightOut, tagged with the reason
-// and traceID; it is a no-op without a recorder.
-func newEventLog(logJSON bool, level, flightOut, traceID string, attrs ...any) (logger *obs.Logger, dump func(reason string)) {
+// lines on stderr with -log-json, else key=value text lines with
+// logText, teed into a flight recorder when flightOut is set
+// (recorder-only mode keeps stderr quiet but still feeds the event
+// ring). The logger is nil, a valid no-op, when all three are off.
+// dump writes the ring to flightOut, tagged with the reason and
+// traceID; it is a no-op without a recorder.
+func newEventLog(logJSON, logText bool, level, flightOut, traceID string, attrs ...any) (logger *obs.Logger, dump func(reason string)) {
 	var recorder *obs.FlightRecorder
 	if flightOut != "" {
 		recorder = obs.NewFlightRecorder(obs.DefaultFlightCapacity)
 	}
-	if logJSON || recorder != nil {
+	if logJSON || logText || recorder != nil {
 		dst := io.Writer(os.Stderr)
-		if !logJSON {
+		if !logJSON && !logText {
 			dst = io.Discard
 		}
 		logger = obs.NewLogger(dst, obs.LogConfig{
-			JSON: true, Level: obs.ParseLevel(level), Recorder: recorder,
+			JSON: logJSON, Level: obs.ParseLevel(level), Recorder: recorder,
 		}).With(attrs...)
 	}
 	return logger, func(reason string) {
@@ -468,7 +470,7 @@ func runWorker() int {
 	if concurrency <= 0 {
 		concurrency = runtime.GOMAXPROCS(0)
 	}
-	logger, dumpFlight := newEventLog(*logJSON, *logLevel, *flight, "", "role", "worker", "worker", id)
+	logger, dumpFlight := newEventLog(*logJSON, *prog, *logLevel, *flight, "", "role", "worker", "worker", id)
 	w := &dist.Worker{
 		Coordinator:    *worker,
 		ID:             id,
@@ -478,17 +480,11 @@ func runWorker() int {
 		DegradedAfter:  *degAfter,
 		Logger:         logger,
 	}
-	if *prog {
-		w.Log = os.Stderr
-	}
 	var injector *chaos.Injector
 	if *chaosSee != 0 {
 		plan := chaos.NewPlan(*chaosSee, chaos.DefaultProfile())
 		in := chaos.NewInjector(plan)
 		injector = in
-		if *prog {
-			in.Log = os.Stderr
-		}
 		// Every injected fault becomes a trace mark on this worker's next
 		// completion and a structured warning, so faults are visible in
 		// the merged fleet trace and the event log, not just the counters.

@@ -16,14 +16,10 @@
 // only the partition windows are evaluated against the wall clock,
 // and their offsets too are fixed by the seed.
 //
-// Injection points:
-//
-//   - Transport is an http.RoundTripper faulting a worker's view of
-//     the network (install on dist.Worker.Client, or via the
-//     rcoal-experiments -chaos-seed flag);
-//   - Middleman is an http.Handler proxying to a coordinator, for
-//     standing a faulty network segment between real processes
-//     (scripts/chaos_smoke.sh) or between test servers.
+// The injection point is Transport, an http.RoundTripper faulting a
+// worker's view of the network: install it on dist.Worker.Client, or
+// set the rcoal-experiments -chaos-seed flag, as scripts/chaos_smoke.sh
+// does for its real worker processes.
 //
 // Because the lease protocol is idempotent (journaled leases,
 // first-writer-wins completions, stale-seq rejection) and every cell

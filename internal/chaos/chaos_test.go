@@ -274,76 +274,6 @@ func TestTransportFaults(t *testing.T) {
 	}
 }
 
-// TestMiddlemanFaults drives each fault kind through the proxy-side
-// Middleman.
-func TestMiddlemanFaults(t *testing.T) {
-	body := `{"ok":true,"pad":"` + strings.Repeat("y", 64) + `"}`
-	cases := []struct {
-		kind     Kind
-		wantHits int
-		wantErr  bool
-		want5xx  bool
-	}{
-		{kind: None, wantHits: 1},
-		{kind: DropRequest, wantHits: 0, wantErr: true},
-		{kind: DropResponse, wantHits: 1, wantErr: true},
-		{kind: Err5xx, wantHits: 0, want5xx: true},
-		{kind: Torn, wantHits: 1, wantErr: true}, // torn body = read error client-side
-		{kind: Dup, wantHits: 2},
-		{kind: Delay, wantHits: 1},
-	}
-	for _, tc := range cases {
-		t.Run(tc.kind.String(), func(t *testing.T) {
-			u := &upstream{body: body}
-			origin := httptest.NewServer(u.handler())
-			defer origin.Close()
-			mm := NewMiddleman(origin.URL, NewInjector(planFor(tc.kind)))
-			proxy := httptest.NewServer(mm)
-			defer proxy.Close()
-
-			resp, got, err := get(t, http.DefaultClient, proxy.URL+"/probe")
-			if u.hits != tc.wantHits {
-				t.Errorf("upstream saw %d deliveries, want %d", u.hits, tc.wantHits)
-			}
-			switch {
-			case tc.wantErr:
-				if err == nil && got == body {
-					t.Fatalf("want broken exchange, got intact body")
-				}
-			case tc.want5xx:
-				if err != nil || resp.StatusCode != http.StatusServiceUnavailable {
-					t.Fatalf("want 503, got %v err %v", resp, err)
-				}
-			default:
-				if err != nil || got != body {
-					t.Fatalf("want intact body, got %q err %v", got, err)
-				}
-			}
-		})
-	}
-}
-
-// TestMiddlemanRetarget checks SetTarget follows a restarted upstream.
-func TestMiddlemanRetarget(t *testing.T) {
-	u1 := &upstream{body: `"one"`}
-	s1 := httptest.NewServer(u1.handler())
-	mm := NewMiddleman(s1.URL, NewInjector(NewPlan(1, Profile{})))
-	proxy := httptest.NewServer(mm)
-	defer proxy.Close()
-
-	if _, got, err := get(t, http.DefaultClient, proxy.URL+"/x"); err != nil || got != `"one"` {
-		t.Fatalf("first target: got %q err %v", got, err)
-	}
-	s1.Close()
-	u2 := &upstream{body: `"two"`}
-	s2 := httptest.NewServer(u2.handler())
-	defer s2.Close()
-	mm.SetTarget(s2.URL)
-	if _, got, err := get(t, http.DefaultClient, proxy.URL+"/x"); err != nil || got != `"two"` {
-		t.Fatalf("after retarget: got %q err %v", got, err)
-	}
-}
-
 // TestPartitionForcesDrop checks that inside a window every request
 // drops regardless of its per-request decision.
 func TestPartitionForcesDrop(t *testing.T) {

@@ -3,6 +3,8 @@ package chaos_test
 import (
 	"context"
 	"fmt"
+	"net"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"sync"
@@ -23,13 +25,36 @@ func soakProfile() chaos.Profile {
 	return p
 }
 
+// serveAt serves h on addr, retrying briefly so a coordinator
+// restarted on the address of one just closed can bind it.
+func serveAt(t *testing.T, addr string, h http.Handler) *httptest.Server {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		ln, err := net.Listen("tcp", addr)
+		if err == nil {
+			srv := httptest.NewUnstartedServer(h)
+			srv.Listener.Close()
+			srv.Listener = ln
+			srv.Start()
+			return srv
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("listening on %s: %v", addr, err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // TestChaosSoakByteIdentity is the acceptance criterion of the chaos
-// layer: the fig7 grid swept through a fault-injecting middleman —
-// with roughly a third of all traffic dropped, duplicated, delayed,
-// torn, or 5xx'd, one worker killed mid-sweep, and the coordinator
-// crashed and resumed at a new address mid-sweep — produces results
-// byte-identical to a vanilla single-process run. Transport faults
-// may cost time; they may never change bytes.
+// layer: the fig7 grid swept by workers whose clients run through one
+// fault-injecting chaos.Transport — with roughly a third of all
+// traffic dropped, duplicated, delayed, torn, or 5xx'd, one worker
+// killed mid-sweep, and the coordinator crashed and resumed on the
+// same address mid-sweep, as scripts/chaos_smoke.sh does with real
+// processes — produces results byte-identical to a vanilla
+// single-process run. Transport faults may cost time; they may never
+// change bytes.
 func TestChaosSoakByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak exercises real sweeps; skipped in -short")
@@ -53,25 +78,26 @@ func TestChaosSoakByteIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Chaos phase 1: coordinator behind the middleman, three workers.
+	// Chaos phase 1: a coordinator and three workers sharing one flaky
+	// network.
 	path := filepath.Join(dir, "chaos.journal")
 	j1, err := experiments.OpenJournal(path, "fig7", o, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s1 := dist.NewServer(dist.ServerConfig{LeaseTimeout: 500 * time.Millisecond})
-	srv1 := httptest.NewServer(s1.Handler())
+	srv1 := serveAt(t, "127.0.0.1:0", s1.Handler())
+	addr := srv1.Listener.Addr().String()
 
 	plan := chaos.NewPlan(0xC0A1_50AC, soakProfile())
 	t.Log(plan.Describe())
 	in := chaos.NewInjector(plan)
-	mm := chaos.NewMiddleman(srv1.URL, in)
-	proxy := httptest.NewServer(mm)
-	defer proxy.Close()
+	client := &http.Client{Transport: chaos.NewTransport(in, nil)}
 
 	newWorker := func(i int) *dist.Worker {
 		return &dist.Worker{
-			Coordinator:    proxy.URL,
+			Coordinator:    "http://" + addr,
+			Client:         client,
 			ID:             fmt.Sprintf("soak%d", i),
 			PollInterval:   5 * time.Millisecond,
 			MaxErrors:      1_000_000, // chaos makes errors routine; the test bounds time, not retries
@@ -133,17 +159,16 @@ func TestChaosSoakByteIdentity(t *testing.T) {
 	}
 	j1.Close()
 
-	// Chaos phase 2: resume at a new address; the middleman follows,
-	// the surviving workers retry their way through.
+	// Chaos phase 2: resume on the same address; the surviving workers
+	// retry their way through.
 	j2, err := experiments.OpenJournal(path, "fig7", o, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j2.Close()
 	s2 := dist.NewServer(dist.ServerConfig{LeaseTimeout: 500 * time.Millisecond})
-	srv2 := httptest.NewServer(s2.Handler())
+	srv2 := serveAt(t, addr, s2.Handler())
 	defer srv2.Close()
-	mm.SetTarget(srv2.URL)
 
 	oo = o
 	oo.Exec = dist.NewExec(s2, "fig7", j2, nil)

@@ -7,24 +7,24 @@
 // final CSVs are byte-identical at any shard count — the property the
 // end-to-end tests and the CI smoke step enforce.
 //
-// Durability is delegated to the checksummed checkpoint journal
-// (internal/checkpoint), which the coordinator uses as a work ledger:
+// What a batch restores, shares and records is decided by
+// experiments.RunBatch, the one cell ledger the local executor runs on
+// too: it restores cells already in the run journal, answers cells the
+// content-addressed results store holds (or an earlier cell of the
+// batch with the same ID will compute) instead of leasing them, and
+// hands Exec the rest. The coordinator only leases those and hands
+// each accepted completion back to RunBatch, which stores it and
+// journals it first-writer-wins, so a timed-out lease whose original
+// holder reports late cannot clobber the re-issued lease's result
+// (they are identical bytes anyway — determinism makes the race
+// benign, the ledger makes it visible).
 //
-//   - a lease is journaled (RecordLease) before it is granted, so a
-//     coordinator crash never forgets a cell was in flight;
-//   - a completion is journaled first-writer-wins (RecordOnce), so a
-//     timed-out lease whose original holder reports late cannot
-//     clobber the re-issued lease's result (they are identical bytes
-//     anyway — determinism makes the race benign, the ledger makes it
-//     visible);
-//   - on restart the coordinator resumes the journal, restores every
-//     completed cell, and re-issues the rest — no cell runs more than
-//     once per lease timeout.
-//
-// Repeated cells are short-circuited by the content-addressed results
-// store (experiments.OpenCache): any cell computed under identical
-// result-determining options by any prior sweep or experiment — local
-// or distributed — is restored instead of leased.
+// The run journal doubles as the lease ledger: a lease is journaled
+// (RecordLease) before it is granted, so a coordinator crash never
+// forgets a cell was in flight, and on restart the coordinator resumes
+// the journal, RunBatch restores every completed cell, and the rest
+// re-issue with their journaled lease numbers — no cell runs more
+// than once per lease timeout.
 //
 // The wire protocol is plain JSON over four endpoints:
 //

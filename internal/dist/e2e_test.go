@@ -12,6 +12,7 @@ import (
 
 	"rcoal/internal/checkpoint"
 	"rcoal/internal/experiments"
+	"rcoal/internal/gpusim"
 	"rcoal/internal/kernels"
 )
 
@@ -244,8 +245,9 @@ func TestWarmCacheShortCircuitsGrid(t *testing.T) {
 // while fig8, whose keys ("FSS/2", ...) equal the sweep's but whose
 // cells, in namespace "fig8/FSS", compute something else than the
 // sweep's canonical-spec cells ("fss:2", ...), shares nothing. The
-// coordinator leases every row, including the M = 1 rows that repeat
-// the baseline's ID. Every render still equals a single-process run.
+// M = 1 rows repeat the baseline's ID, so fig15 leases 17 of its 21
+// rows, as a local run computes 17. Every render still equals a
+// single-process run.
 func TestCacheSharedAcrossExperiments(t *testing.T) {
 	dir := t.TempDir()
 	o := e2eOptions()
@@ -259,7 +261,7 @@ func TestCacheSharedAcrossExperiments(t *testing.T) {
 	for _, tc := range []struct {
 		id     string
 		leases uint64
-	}{{"fig15", 21}, {"fig17", 0}, {"fig16", 4}, {"fig8", 4}} {
+	}{{"fig15", 17}, {"fig17", 0}, {"fig16", 4}, {"fig8", 4}} {
 		res, j, st := runDistributed(t, tc.id, o, 2, filepath.Join(dir, tc.id+".journal"), false, cache, nil)
 		j.Close()
 		if n := st.Metrics.Counters[cntLeasesIssued]; n != tc.leases {
@@ -272,6 +274,71 @@ func TestCacheSharedAcrossExperiments(t *testing.T) {
 		if res.Render() != local.Render() {
 			t.Errorf("%s: render differs from a single-process run", tc.id)
 		}
+	}
+}
+
+// TestCoordinatorSharesMemoryStore: one coordinator running fig15 then
+// fig17 over a memory store leases as a local run computes, 17 then 0.
+// With a trace sink on the run, the ledger bypasses the store as the
+// local executor does: every row leases, 21 then 21, and nothing is
+// stored. Every render equals a single-process run.
+func TestCoordinatorSharesMemoryStore(t *testing.T) {
+	o := e2eOptions()
+	o.Samples = 4
+	o.Lines = 2
+	for _, tc := range []struct {
+		name   string
+		trace  bool
+		leases []uint64
+	}{{"store", false, []uint64{17, 0}}, {"trace", true, []uint64{21, 21}}} {
+		t.Run(tc.name, func(t *testing.T) {
+			store := checkpoint.NewMemory()
+			s := NewServer(ServerConfig{})
+			srv := httptest.NewServer(s.Handler())
+			defer srv.Close()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var wg sync.WaitGroup
+			defer wg.Wait()
+			defer s.Drain()
+			for i := 0; i < 2; i++ {
+				w := &Worker{Coordinator: srv.URL, ID: fmt.Sprintf("w%d", i), PollInterval: 5 * time.Millisecond}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if err := w.Run(ctx); err != nil && ctx.Err() == nil {
+						t.Errorf("worker %s: %v", w.ID, err)
+					}
+				}()
+			}
+			oo := o
+			if tc.trace {
+				oo.Trace = &gpusim.CountingSink{}
+			}
+			var issued uint64
+			for k, id := range []string{"fig15", "fig17"} {
+				oo.Exec = NewExec(s, id, nil, store)
+				res, err := experiments.Run(id, oo)
+				if err != nil {
+					t.Fatal(err)
+				}
+				n := s.Status().Metrics.Counters[cntLeasesIssued] - issued
+				issued += n
+				if n != tc.leases[k] {
+					t.Errorf("%s leased %d cells, want %d", id, n, tc.leases[k])
+				}
+				local, err := experiments.Run(id, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Render() != local.Render() {
+					t.Errorf("%s: render differs from a single-process run", id)
+				}
+			}
+			if tc.trace && store.Len() != 0 {
+				t.Errorf("traced runs stored %d cells, want none", store.Len())
+			}
+		})
 	}
 }
 

@@ -24,41 +24,42 @@ const (
 	cellDone
 )
 
-// cellState is one enumerated grid cell as the coordinator tracks it.
+// cellState is one grid cell to compute as the coordinator tracks it.
 type cellState struct {
-	index     int
+	index     int // position in the registered batch, for record
 	key       string
-	id        string // content address in the results store
 	phase     cellPhase
-	raw       json.RawMessage
 	worker    string
 	seq       int64 // last issued lease number; bumps on re-issue/cancel
 	deadline  time.Time
 	grantedAt time.Time // current lease's grant time, for the fleet-trace span
-	restored  bool
-	cacheHit  bool
 }
 
-// expState is one experiment's registered grid plus its durable ledger.
+// expState is one experiment's registered grid: the cells
+// experiments.RunBatch left to compute, leased out and recorded back
+// through it.
 type expState struct {
 	id      string
-	journal *checkpoint.Journal
-	cache   *checkpoint.Journal // nil without a results cache
+	journal *checkpoint.Journal // lease ledger; nil without one
 	wire    WireOptions
-	cells   []*cellState
-	byKey   map[string]*cellState
-	pending int
-	leased  int
-	done    int
+	// record hands a completed cell's bytes to RunBatch, which stores
+	// and journals them.
+	record func(i int, raw json.RawMessage) error
+	// total, restored and cacheHits describe the full grid, for
+	// /status: RunBatch answered restored+cacheHits of its total cells
+	// without registering them.
+	total     int
+	restored  int
+	cacheHits int
+	cells     []*cellState
+	byKey     map[string]*cellState
+	pending   int
+	leased    int
+	done      int
 	// failure, when non-nil, aborts the experiment: the first cell
 	// error reported by a worker, mirroring the local pool's
 	// first-error-cancels contract.
 	failure error
-	// progress mirrors experiments.Options.Progress for the
-	// registering driver; counts freshly computed completions only.
-	progress   func(done, total int)
-	freshDone  int
-	freshTotal int
 }
 
 func (e *expState) complete() bool { return e.failure != nil || e.done == len(e.cells) }
@@ -201,10 +202,10 @@ func (s *Server) Close() {
 	s.mu.Unlock()
 }
 
-// register installs a grid batch for experiment id, restoring cells
-// from the ledger journal (by key) and the results store (by ID).
-// Caller is exec.go.
-func (s *Server) register(e *Exec, cells []experiments.GridCell) (*expState, error) {
+// register installs the cells of grid batch b left to compute for
+// experiment id; record is RunBatch's done callback. Caller is exec.go.
+func (s *Server) register(e *Exec, wire WireOptions, cells []experiments.GridCell, b experiments.Batch,
+	record func(int, json.RawMessage) error) (*expState, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -214,11 +215,15 @@ func (s *Server) register(e *Exec, cells []experiments.GridCell) (*expState, err
 		return nil, fmt.Errorf("dist: experiment %q registered twice", e.id)
 	}
 	st := &expState{
-		id:      e.id,
-		journal: e.journal,
-		cache:   e.cache,
-		wire:    e.wire,
-		byKey:   make(map[string]*cellState, len(cells)),
+		id:        e.id,
+		journal:   e.journal,
+		wire:      wire,
+		record:    record,
+		total:     len(cells),
+		restored:  b.Restored,
+		cacheHits: b.CacheHits,
+		pending:   len(b.Todo),
+		byKey:     make(map[string]*cellState, len(b.Todo)),
 	}
 	// Leases journaled by a previous coordinator incarnation seed the
 	// per-cell sequence numbers, so completions of pre-crash leases
@@ -227,46 +232,37 @@ func (s *Server) register(e *Exec, cells []experiments.GridCell) (*expState, err
 	if e.journal != nil {
 		prior = e.journal.Leases()
 	}
-	restored, cacheHits := 0, 0
-	for i, gc := range cells {
-		key := gc.Key
-		c := &cellState{index: i, key: key, id: gc.ID}
-		if pl, ok := prior[key]; ok {
-			c.seq = pl.Seq
-		}
-		if e.journal != nil {
-			if raw, ok := e.journal.Lookup(key); ok {
-				c.phase, c.raw, c.restored = cellDone, raw, true
-				restored++
-			}
-		}
-		if c.phase != cellDone && e.cache != nil {
-			if raw, ok := e.cache.Lookup(c.id); ok {
-				c.phase, c.raw, c.cacheHit = cellDone, raw, true
-				cacheHits++
-				if e.journal != nil {
-					if err := e.journal.Record(key, raw); err != nil {
-						return nil, err
-					}
-				}
-			} else {
-				s.reg.Counter(cntCacheMisses).Inc()
-			}
-		}
-		if c.phase == cellDone {
-			st.done++
-		} else {
-			st.pending++
-		}
+	for _, i := range b.Todo {
+		c := &cellState{index: i, key: cells[i].Key, seq: prior[cells[i].Key].Seq}
 		st.cells = append(st.cells, c)
-		st.byKey[key] = c
+		st.byKey[c.key] = c
 	}
-	st.freshTotal = st.pending
-	s.reg.Counter(cntRestored).Add(uint64(restored))
-	s.reg.Counter(cntCacheHits).Add(uint64(cacheHits))
+	s.reg.Counter(cntRestored).Add(uint64(b.Restored))
+	s.reg.Counter(cntCacheHits).Add(uint64(b.CacheHits))
+	if b.CacheMisses > 0 {
+		s.reg.Counter(cntCacheMisses).Add(uint64(b.CacheMisses))
+	}
 	s.exps = append(s.exps, st)
 	s.byID[st.id] = st
 	return st, nil
+}
+
+// wait blocks until st's cells are all delivered, one failed, or the
+// coordinator closed. A grid that did not complete is unregistered.
+func (s *Server) wait(st *expState) error {
+	s.mu.Lock()
+	for !st.complete() && !s.closed {
+		s.cond.Wait()
+	}
+	err := st.failure
+	if err == nil && s.closed {
+		err = errServerClosed
+	}
+	s.mu.Unlock()
+	if err != nil {
+		s.unregister(st)
+	}
+	return err
 }
 
 // unregister removes a failed experiment's grid so a rebuilt Exec
@@ -462,17 +458,9 @@ func (s *Server) handleComplete(rw http.ResponseWriter, req *http.Request) {
 		writeJSON(rw, CompleteResponse{Accepted: true})
 		return
 	}
-	if e.journal != nil {
-		if _, err := e.journal.RecordOnce(cr.Key, cr.Value); err != nil {
-			http.Error(rw, err.Error(), http.StatusInternalServerError)
-			return
-		}
-	}
-	if e.cache != nil {
-		if _, err := e.cache.RecordOnce(c.id, cr.Value); err != nil {
-			http.Error(rw, err.Error(), http.StatusInternalServerError)
-			return
-		}
+	if err := e.record(c.index, cr.Value); err != nil {
+		http.Error(rw, err.Error(), http.StatusInternalServerError)
+		return
 	}
 	if c.phase == cellLeased {
 		e.leased--
@@ -480,9 +468,7 @@ func (s *Server) handleComplete(rw http.ResponseWriter, req *http.Request) {
 		e.pending-- // expired lease whose holder still delivered
 	}
 	c.phase = cellDone
-	c.raw = cr.Value
 	e.done++
-	e.freshDone++
 	if w.active > 0 {
 		w.active--
 	}
@@ -490,7 +476,7 @@ func (s *Server) handleComplete(rw http.ResponseWriter, req *http.Request) {
 	s.reg.Counter(cntCompletions).Inc()
 	s.cfg.Log.Info("completion accepted",
 		"experiment", e.id, "cell", cr.Key, "seq", cr.Seq, "worker", cr.Worker,
-		"done", e.done, "total", len(e.cells))
+		"done", e.total-len(e.cells)+e.done, "total", e.total)
 	if s.cfg.Trace != nil {
 		// The coordinator's view of the cell: one lease-hold span from
 		// grant to accepted completion on the experiment's track.
@@ -507,9 +493,6 @@ func (s *Server) handleComplete(rw http.ResponseWriter, req *http.Request) {
 		if cr.Trace != nil {
 			s.cfg.Trace.AddCell(workerProc(cr.Worker), *cr.Trace)
 		}
-	}
-	if e.progress != nil {
-		e.progress(e.freshDone, e.freshTotal)
 	}
 	s.cond.Broadcast()
 	writeJSON(rw, CompleteResponse{Accepted: true})
@@ -611,18 +594,11 @@ func (s *Server) Status() Status {
 	totalPending, totalLeased, fresh := 0, 0, 0
 	for _, e := range s.exps {
 		es := ExperimentStatus{
-			ID: e.id, Total: len(e.cells), Done: e.done,
+			ID: e.id, Total: e.total, Done: e.total - len(e.cells) + e.done,
+			Restored: e.restored, CacheHit: e.cacheHits,
 			Pending: e.pending, Leased: e.leased,
 		}
-		for _, c := range e.cells {
-			if c.restored {
-				es.Restored++
-			}
-			if c.cacheHit {
-				es.CacheHit++
-			}
-		}
-		fresh += e.freshDone
+		fresh += e.done
 		totalPending += e.pending
 		totalLeased += e.leased
 		st.Experiments = append(st.Experiments, es)

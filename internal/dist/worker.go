@@ -76,9 +76,7 @@ type Worker struct {
 	// DegradedAfter is the delivery-failure window before a completion
 	// is parked (only meaningful with DegradedPath); 0 means 30s.
 	DegradedAfter time.Duration
-	// Log, when non-nil, receives one line per lease lifecycle event.
-	Log io.Writer
-	// Logger, when non-nil, receives the same lifecycle as structured
+	// Logger, when non-nil, receives the lease lifecycle as structured
 	// events (obs.Logger is nil-receiver safe, so call sites are
 	// unconditional). Typically pre-tagged with the worker id.
 	Logger *obs.Logger
@@ -196,12 +194,6 @@ type degradedMeta struct {
 }
 
 func parkedMeta() degradedMeta { return degradedMeta{Format: "rcoal-degraded-completions", V: 1} }
-
-func (w *Worker) logf(format string, args ...any) {
-	if w.Log != nil {
-		fmt.Fprintf(w.Log, "worker %s: %s\n", w.ID, fmt.Sprintf(format, args...))
-	}
-}
 
 // Completed returns how many cells this worker delivered (accepted or
 // not).
@@ -327,7 +319,8 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 	w.mu.Unlock()
 	if n := w.Parked(); n > 0 {
-		w.logf("degraded: %d completion(s) parked in %s; rerun this worker to replay them", n, w.DegradedPath)
+		w.Logger.Warn("degraded mode: completions parked; rerun this worker to replay them",
+			"parked", n, "journal", w.DegradedPath)
 	}
 	return first
 }
@@ -345,7 +338,7 @@ func (w *Worker) runLoop(ctx context.Context, client *http.Client, loop int) err
 			return err
 		}
 		if w.draining.Load() {
-			w.logf("drained, exiting")
+			w.Logger.Info("worker drained")
 			return nil
 		}
 		var resp LeaseResponse
@@ -355,7 +348,8 @@ func (w *Worker) runLoop(ctx context.Context, client *http.Client, loop int) err
 			if consecutive >= maxErrs {
 				return fmt.Errorf("dist: worker %s: %d consecutive coordinator errors, last: %w", w.ID, consecutive, err)
 			}
-			w.logf("lease poll failed (%d/%d): %v", consecutive, maxErrs, err)
+			w.Logger.Warn("lease poll failed",
+				"attempt", consecutive, "max_errors", maxErrs, "error", err.Error())
 			if !w.sleep(ctx, w.backoff(jitter, consecutive)) {
 				return ctx.Err()
 			}
@@ -364,7 +358,7 @@ func (w *Worker) runLoop(ctx context.Context, client *http.Client, loop int) err
 		consecutive = 0
 		switch {
 		case resp.Done:
-			w.logf("coordinator drained, exiting")
+			w.Logger.Info("coordinator drained")
 			return nil
 		case resp.Lease == nil:
 			wait := poll
@@ -463,7 +457,6 @@ func (b *cellTraceBuilder) snapshot() *obs.CellTrace {
 // journal) — a cell computation failure is reported to the
 // coordinator (which fails that experiment), not up the worker loop.
 func (w *Worker) serveLease(ctx context.Context, client *http.Client, jitter *rng.Source, g *LeaseGrant) error {
-	w.logf("leased %s %s (seq %d)", g.Experiment, g.Key, g.Seq)
 	w.Logger.Info("lease granted",
 		"experiment", g.Experiment, "cell", g.Key, "seq", g.Seq)
 	// A non-empty TraceID in the grant is the coordinator's signal to
@@ -523,12 +516,10 @@ func (w *Worker) deliver(ctx context.Context, client *http.Client, jitter *rng.S
 				// delivery of this one whose response was lost) already
 				// landed the identical bytes. Informational, not an error.
 				w.rejected.Add(1)
-				w.logf("completion of %s %s rejected: %s", req.Experiment, req.Key, resp.Reason)
 				w.Logger.Info("completion rejected",
 					"experiment", req.Experiment, "cell", req.Key, "seq", req.Seq, "reason", resp.Reason)
 			} else {
 				w.accepted.Add(1)
-				w.logf("completed %s %s", req.Experiment, req.Key)
 				w.Logger.Info("completion accepted",
 					"experiment", req.Experiment, "cell", req.Key, "seq", req.Seq, "attempts", attempt)
 			}
@@ -537,7 +528,6 @@ func (w *Worker) deliver(ctx context.Context, client *http.Client, jitter *rng.S
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		w.logf("completion post for %s %s failed (%d/%d): %v", req.Experiment, req.Key, attempt, maxErrs, err)
 		w.Logger.Warn("completion post failed",
 			"experiment", req.Experiment, "cell", req.Key, "attempt", attempt, "error", err.Error())
 		if w.DegradedPath != "" && time.Since(start) >= window {
@@ -590,7 +580,6 @@ func (w *Worker) park(req CompleteRequest) error {
 		return fmt.Errorf("dist: parking completion %s %s: %w", req.Experiment, req.Key, err)
 	}
 	w.degraded.Add(1)
-	w.logf("degraded: coordinator unreachable, parked completion of %s %s locally", req.Experiment, req.Key)
 	w.Logger.Error("degraded mode: completion parked locally",
 		"experiment", req.Experiment, "cell", req.Key, "journal", w.DegradedPath)
 	w.Drain()
@@ -613,25 +602,23 @@ func (w *Worker) replayParked(ctx context.Context, client *http.Client) {
 	j.Range(func(key string, value json.RawMessage) bool {
 		var req CompleteRequest
 		if err := json.Unmarshal(value, &req); err != nil {
-			w.logf("degraded replay: unreadable parked entry %q: %v", key, err)
+			w.Logger.Error("degraded replay: unreadable parked entry", "entry", key, "error", err.Error())
 			failed++
 			return true
 		}
 		var resp CompleteResponse
 		if err := w.post(ctx, client, "/complete", req, &resp); err != nil {
-			w.logf("degraded replay: %s %s undeliverable: %v", req.Experiment, req.Key, err)
+			w.Logger.Warn("degraded replay: completion undeliverable",
+				"experiment", req.Experiment, "cell", req.Key, "error", err.Error())
 			failed++
 			return true
 		}
 		delivered++
-		if !resp.Accepted {
-			w.logf("degraded replay: %s %s already delivered (%s)", req.Experiment, req.Key, resp.Reason)
-		} else {
-			w.logf("degraded replay: delivered parked completion of %s %s", req.Experiment, req.Key)
-		}
+		w.Logger.Info("degraded replay: parked completion delivered",
+			"experiment", req.Experiment, "cell", req.Key, "accepted", resp.Accepted, "reason", resp.Reason)
 		return true
 	})
-	w.logf("degraded replay: %d delivered, %d still parked", delivered, failed)
+	w.Logger.Info("degraded replay", "delivered", delivered, "still_parked", failed)
 }
 
 // startRenewer keeps g alive while its cell computes: a goroutine
@@ -668,14 +655,12 @@ func (w *Worker) startRenewer(ctx context.Context, client *http.Client, g *Lease
 					Worker: w.ID, Experiment: g.Experiment, Key: g.Key, Seq: g.Seq,
 				}, &resp)
 				if err != nil {
-					w.logf("lease renewal for %s %s failed: %v", g.Experiment, g.Key, err)
 					w.Logger.Warn("lease renewal failed",
 						"experiment", g.Experiment, "cell", g.Key, "error", err.Error())
 					continue
 				}
 				if !resp.Renewed {
 					w.renewalsLost.Add(1)
-					w.logf("lease %s %s no longer renewable: %s", g.Experiment, g.Key, resp.Reason)
 					w.Logger.Warn("lease lost",
 						"experiment", g.Experiment, "cell", g.Key, "reason", resp.Reason)
 					tb.mark("lease_lost", time.Now(), map[string]string{

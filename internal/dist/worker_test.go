@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,11 +9,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"rcoal/internal/experiments"
+	"rcoal/internal/obs"
 )
 
 // TestBackoffDeterministicJitter pins the retry-pause contract: the
@@ -259,6 +262,44 @@ func TestDrainFinishesInFlight(t *testing.T) {
 	complete(t, srv.URL, g, "B", `"rest"`)
 	if res := <-done; res.err != nil {
 		t.Fatal(res.err)
+	}
+}
+
+// TestWorkerTextLog: a worker's lease lifecycle reaches a text logger,
+// the event path -progress streams in worker mode.
+func TestWorkerTextLog(t *testing.T) {
+	s := NewServer(ServerConfig{})
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	done := startBatch(s, "exp", nil, nil, "cell/0")
+	var buf bytes.Buffer
+	w := &Worker{
+		Coordinator:  srv.URL,
+		ID:           "talker",
+		PollInterval: 5 * time.Millisecond,
+		Logger:       obs.NewLogger(&buf, obs.LogConfig{}).With("worker", "talker"),
+		Compute: func(string, experiments.Options, string) (json.RawMessage, error) {
+			return json.RawMessage(`"v"`), nil
+		},
+	}
+	runErr := make(chan error, 1)
+	go func() { runErr <- w.Run(context.Background()) }()
+	if res := <-done; res.err != nil {
+		t.Fatal(res.err)
+	}
+	s.Drain()
+	if err := <-runErr; err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`msg="lease granted" worker=talker experiment=exp cell=cell/0`,
+		`msg="completion accepted" worker=talker experiment=exp cell=cell/0`,
+		`msg="coordinator drained" worker=talker`,
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("worker log lacks %q:\n%s", want, buf.String())
+		}
 	}
 }
 

@@ -107,11 +107,6 @@ func (o Options) gpuConfig() gpusim.Config {
 	return cfg
 }
 
-// pool returns the worker pool experiments fan their cells out over.
-func (o Options) pool() runner.Pool {
-	return runner.Pool{Workers: o.Workers, OnProgress: o.Progress, Telemetry: o.Telemetry}
-}
-
 // DefaultOptions mirrors the paper's evaluation setup, with a fresh
 // memory-only results store shared by every run of the returned value
 // and its copies.

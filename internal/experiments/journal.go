@@ -7,9 +7,10 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
-	"sync/atomic"
+	"sync"
 
 	"rcoal/internal/checkpoint"
+	"rcoal/internal/runner"
 )
 
 // journalMeta fingerprints the options that determine a cell's
@@ -147,8 +148,9 @@ type GridCell struct {
 // each cell's JSON result in order. It is the seam that decouples grid
 // enumeration from execution: the default local executor fans cells
 // out over the in-process worker pool, while internal/dist's executor
-// leases them to remote workers. An executor owns the durability of
-// what it runs (journaling, caching); runCells only unmarshals.
+// leases them to remote workers. Both run the batch through RunBatch,
+// the one ledger of what is restored, shared and recorded; runCells
+// only unmarshals.
 //
 // Every current experiment enumerates its full grid in a single batch
 // (one runCells call per driver); executors may rely on that.
@@ -156,25 +158,42 @@ type CellExec interface {
 	ExecCells(o Options, cells []GridCell) ([]json.RawMessage, error)
 }
 
-// localExec is the default executor: the journaled evaluation loop
-// every cell-parallel experiment runs on in a single process. Cells
-// already in the run's journal are restored; cells in the results
-// store (Options.Cache) are copied into the journal and restored; a
-// cell whose ID an earlier cell of the batch already has takes that
-// cell's bytes once they exist, is journaled under its own key, and
-// counts as a store hit. The remainder fan out over the pool, which
-// recovers a panicking cell into an error, and are journaled and
-// stored as they complete. Restores
-// and store hits are reported to Telemetry outside the rate window.
+// Batch is the part of a grid batch RunBatch leaves its executor to
+// compute, with the counts of what it answered instead.
+type Batch struct {
+	// Todo lists, in grid order, the indices of the cells to compute.
+	Todo []int
+	// Restored counts the cells the run journal answered by key.
+	Restored int
+	// CacheHits counts the cells answered by ID: from the results
+	// store, or from an earlier cell of the batch with the same ID.
+	CacheHits int
+	// CacheMisses counts the cells the store was asked for and lacked.
+	CacheMisses int
+}
+
+// RunBatch is the cell ledger every executor runs a grid batch
+// through; compute does the rest. Cells already in the run journal are
+// restored by key; cells in the results store are copied into the
+// journal and restored by ID; a cell whose ID an earlier cell of the
+// batch already has takes that cell's bytes once they exist, is
+// journaled under its own key, and counts as a store hit. Restores and
+// store hits are reported to Telemetry outside the rate window.
+//
+// compute must compute the cells of b.Todo and hand each result to
+// done(i, raw), where i indexes cells. done may be called from any
+// goroutine. It stores the bytes under the cell's ID, journals them
+// first-writer-wins under the key of the cell and of every repeat of
+// it, and reports Progress, which counts a repeat with the cell it
+// waits for.
 //
 // A run with a trace sink or a fault hook neither reads nor writes the
 // store, nor shares bytes between cells of a batch: the sink is
 // promised the events of every launch, and the fault hook names the
 // cells that must run.
-type localExec struct{}
+func RunBatch(o Options, journal, store *checkpoint.Journal, cells []GridCell,
+	compute func(b Batch, done func(i int, raw json.RawMessage) error) error) ([]json.RawMessage, error) {
 
-func (localExec) ExecCells(o Options, cells []GridCell) ([]json.RawMessage, error) {
-	store := o.Cache
 	if o.Trace != nil || o.faultHook != nil {
 		store = nil
 	}
@@ -183,29 +202,30 @@ func (localExec) ExecCells(o Options, cells []GridCell) ([]json.RawMessage, erro
 	// ledger stays complete for a later resume.
 	take := func(i int, raw json.RawMessage) error {
 		raws[i] = raw
-		if o.Journal == nil {
+		if journal == nil {
 			return nil
 		}
-		return o.Journal.Record(cells[i].Key, raw)
+		_, err := journal.RecordOnce(cells[i].Key, raw)
+		return err
 	}
-	todo := make([]int, 0, len(cells))
+	b := Batch{Todo: make([]int, 0, len(cells))}
 	first := map[string]int{}  // ID -> first cell of the batch with it
 	repeats := map[int][]int{} // first cell still to compute -> later cells with its ID
-	restored, pending := 0, 0
+	pending := 0
 	for i, c := range cells {
 		f, repeat := first[c.ID]
 		if !repeat {
 			first[c.ID] = i
 		}
-		if o.Journal != nil {
-			if raw, ok := o.Journal.Lookup(c.Key); ok {
+		if journal != nil {
+			if raw, ok := journal.Lookup(c.Key); ok {
 				raws[i] = raw
-				restored++
+				b.Restored++
 				continue
 			}
 		}
 		if store == nil {
-			todo = append(todo, i)
+			b.Todo = append(b.Todo, i)
 			continue
 		}
 		raw, ok := raws[f], repeat
@@ -213,16 +233,11 @@ func (localExec) ExecCells(o Options, cells []GridCell) ([]json.RawMessage, erro
 			raw, ok = store.Lookup(c.ID)
 		}
 		if !ok {
-			if o.Telemetry != nil {
-				o.Telemetry.AddCacheMiss()
-			}
-			todo = append(todo, i)
+			b.CacheMisses++
+			b.Todo = append(b.Todo, i)
 			continue
 		}
-		restored++
-		if o.Telemetry != nil {
-			o.Telemetry.AddCacheHit()
-		}
+		b.CacheHits++
 		if raw == nil {
 			repeats[f] = append(repeats[f], i)
 			pending++
@@ -230,44 +245,67 @@ func (localExec) ExecCells(o Options, cells []GridCell) ([]json.RawMessage, erro
 			return nil, err
 		}
 	}
-	if restored > 0 && o.Telemetry != nil {
-		o.Telemetry.AddRestored(restored)
+	if t := o.Telemetry; t != nil {
+		if n := b.Restored + b.CacheHits; n > 0 {
+			t.AddRestored(n)
+		}
+		for range b.CacheHits {
+			t.AddCacheHit()
+		}
+		for range b.CacheMisses {
+			t.AddCacheMiss()
+		}
 	}
 
-	// Progress counts a repeat with the cell it waits for.
-	pool := o.pool()
-	var taken atomic.Int64
-	if pool.OnProgress != nil {
-		pool.OnProgress = func(done, total int) { o.Progress(done+int(taken.Load()), total+pending) }
-	}
-	err := pool.MapN(context.Background(), len(todo), func(_ context.Context, ti int) error {
-		c := cells[todo[ti]]
-		if o.faultHook != nil {
-			if err := o.faultHook(c.Index); err != nil {
-				return err
-			}
-		}
-		raw, err := c.Run()
-		if err != nil {
-			return err
-		}
+	var mu sync.Mutex
+	computed := 0
+	done := func(i int, raw json.RawMessage) error {
 		if store != nil {
-			if _, err := store.RecordOnce(c.ID, raw); err != nil {
+			if _, err := store.RecordOnce(cells[i].ID, raw); err != nil {
 				return err
 			}
 		}
-		for _, i := range append([]int{todo[ti]}, repeats[todo[ti]]...) {
-			if err := take(i, raw); err != nil {
+		for _, k := range append([]int{i}, repeats[i]...) {
+			if err := take(k, raw); err != nil {
 				return err
 			}
 		}
-		taken.Add(int64(len(repeats[todo[ti]])))
+		if o.Progress != nil {
+			mu.Lock()
+			computed += 1 + len(repeats[i])
+			o.Progress(computed, len(b.Todo)+pending)
+			mu.Unlock()
+		}
 		return nil
-	})
-	if err != nil {
+	}
+	if err := compute(b, done); err != nil {
 		return nil, err
 	}
 	return raws, nil
+}
+
+// localExec is the default executor: RunBatch over the run's journal
+// and store, with the cells to compute fanned out over the pool, which
+// recovers a panicking cell into an error.
+type localExec struct{}
+
+func (localExec) ExecCells(o Options, cells []GridCell) ([]json.RawMessage, error) {
+	return RunBatch(o, o.Journal, o.Cache, cells, func(b Batch, done func(int, json.RawMessage) error) error {
+		pool := runner.Pool{Workers: o.Workers, Telemetry: o.Telemetry}
+		return pool.MapN(context.Background(), len(b.Todo), func(_ context.Context, ti int) error {
+			i := b.Todo[ti]
+			if o.faultHook != nil {
+				if err := o.faultHook(cells[i].Index); err != nil {
+					return err
+				}
+			}
+			raw, err := cells[i].Run()
+			if err != nil {
+				return err
+			}
+			return done(i, raw)
+		})
+	})
 }
 
 // runCells is the evaluation loop every cell-parallel experiment runs
