@@ -9,6 +9,7 @@ all: build test
 # Mirror of .github/workflows/ci.yml: everything the gate runs.
 ci: build test
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)"
 	bash scripts/vet_mechanism.sh
 	$(GO) test -race -short ./...
 	$(GO) test -run TestFastForward ./internal/gpusim

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"rcoal/internal/runner"
 )
 
 // testOptions keeps experiment tests fast; shape assertions hold at
@@ -389,6 +391,32 @@ func TestNoCoalShape(t *testing.T) {
 	// The 1024-line slowdown exceeds the 32-line one (paper: 178%).
 	if r.Rows[1].SlowdownPct <= r.Rows[0].SlowdownPct {
 		t.Error("1024-line slowdown should exceed 32-line slowdown")
+	}
+}
+
+// TestNoCoalWorkersRenderIdentically checks that nocoal's four cells,
+// fanned out over the pool, render the same report serially and on two
+// workers, each run computing all four.
+func TestNoCoalWorkersRenderIdentically(t *testing.T) {
+	var ref string
+	for _, workers := range []int{1, 2} {
+		o := testOptions()
+		o.Samples = 3
+		o.Workers = workers
+		tel := runner.NewTelemetry()
+		o.Telemetry = tel
+		r, err := NoCoal(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := tel.Stats(); st.CellsDone != 4 || st.RestoredCells != 0 {
+			t.Fatalf("workers=%d: %d cells done, %d restored; want 4 computed", workers, st.CellsDone, st.RestoredCells)
+		}
+		if got := r.Render(); ref == "" {
+			ref = got
+		} else if got != ref {
+			t.Errorf("workers=%d renders differently from workers=1:\n%s\nvs\n%s", workers, got, ref)
+		}
 	}
 }
 

@@ -27,31 +27,49 @@ type NoCoalResult struct {
 	Rows []NoCoalRow
 }
 
-// NoCoal measures the strawman defense at 32 and 1024 lines.
+// noCoalSums is a nocoal cell: one collect's cycle and transaction
+// totals, summed over its samples in sample order.
+type noCoalSums struct {
+	Cycles, Tx float64
+}
+
+// NoCoal measures the strawman defense at 32 and 1024 lines. Its four
+// collects run as grid cells keyed <lines>/<spec>.
 func NoCoal(o Options) (*NoCoalResult, error) {
-	res := &NoCoalResult{}
+	type item struct {
+		lines   int
+		defense mechanism.Mechanism
+	}
+	var items []item
 	for _, lines := range []int{32, 1024} {
-		opt := o
-		opt.Lines = lines
-		_, on, err := collect(opt, mechanism.Baseline())
-		if err != nil {
-			return nil, err
-		}
-		_, off, err := collect(opt, mechanism.NoCoal())
-		if err != nil {
-			return nil, err
-		}
-		var onC, offC, onT, offT float64
-		for i := range on.Samples {
-			onC += float64(on.Samples[i].TotalCycles)
-			offC += float64(off.Samples[i].TotalCycles)
-			onT += float64(on.Samples[i].TotalTx)
-			offT += float64(off.Samples[i].TotalTx)
-		}
+		items = append(items, item{lines, mechanism.Baseline()}, item{lines, mechanism.NoCoal()})
+	}
+	sums, err := runCells(o, "nocoal", items,
+		func(it item) string { return fmt.Sprintf("%d/%s", it.lines, mechanism.Canonical(it.defense)) },
+		func(it item) (noCoalSums, error) {
+			opt := o
+			opt.Lines = it.lines
+			_, ds, err := collect(opt, it.defense)
+			if err != nil {
+				return noCoalSums{}, err
+			}
+			var s noCoalSums
+			for _, smp := range ds.Samples {
+				s.Cycles += float64(smp.TotalCycles)
+				s.Tx += float64(smp.TotalTx)
+			}
+			return s, nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	res := &NoCoalResult{}
+	for i := 0; i < len(items); i += 2 {
+		on, off := sums[i], sums[i+1]
 		res.Rows = append(res.Rows, NoCoalRow{
-			Lines:       lines,
-			SlowdownPct: (offC/onC - 1) * 100,
-			TxRatio:     offT / onT,
+			Lines:       items[i].lines,
+			SlowdownPct: (off.Cycles/on.Cycles - 1) * 100,
+			TxRatio:     off.Tx / on.Tx,
 		})
 	}
 	return res, nil

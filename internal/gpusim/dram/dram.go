@@ -94,6 +94,12 @@ type Controller struct {
 	addrMap mem.AddressMap
 	banks   []bankState
 	queue   []queued // arrival order preserved (FCFS component)
+	// next holds a directly accepted request (next.req is nil when
+	// none): one that arrived at an empty, unstalled controller, where
+	// it is the only scheduling candidate, so it skips the queue. A
+	// later arrival before Tick demotes it to the queue head, keeping
+	// FCFS age order.
+	next queued
 	// inflight holds scheduled requests waiting for data return, in
 	// schedule order — which is also strictly increasing Done order
 	// (see schedule), so completions pop from the head.
@@ -172,11 +178,13 @@ func NewController(t Timing, m mem.AddressMap, queueCap int) (*Controller, error
 
 // CanAccept reports whether the request queue has room.
 func (c *Controller) CanAccept() bool {
-	return c.queueCap <= 0 || len(c.queue) < c.queueCap
+	return c.queueCap <= 0 || c.QueueLen() < c.queueCap
 }
 
-// Push enqueues a request. It panics if the queue is full; callers
-// gate on CanAccept (back-pressure propagates into the interconnect).
+// Push enqueues a request, or accepts it directly when it is the only
+// candidate (see Controller.next). It panics if the queue is full;
+// callers gate on CanAccept (back-pressure propagates into the
+// interconnect).
 func (c *Controller) Push(r *mem.Request) {
 	if !c.CanAccept() {
 		panic("dram: push into full queue")
@@ -187,17 +195,32 @@ func (c *Controller) Push(r *mem.Request) {
 	if loc == (mem.Location{}) && r.Addr != 0 {
 		loc = c.addrMap.Decode(r.Addr)
 	}
-	c.queue = append(c.queue, queued{req: r, loc: loc})
-	if len(c.queue) > c.Stats.MaxQueue {
-		c.Stats.MaxQueue = len(c.queue)
+	if c.next.req != nil {
+		c.queue = append(c.queue, c.next)
+		c.next = queued{}
+	}
+	if len(c.queue) == 0 && !(c.stallArmed && c.Stats.Accesses >= c.stallAfter) {
+		c.next = queued{req: r, loc: loc}
+	} else {
+		c.queue = append(c.queue, queued{req: r, loc: loc})
+	}
+	n := c.QueueLen()
+	if n > c.Stats.MaxQueue {
+		c.Stats.MaxQueue = n
 	}
 	if c.DepthHist != nil {
-		c.DepthHist.Observe(int64(len(c.queue)))
+		c.DepthHist.Observe(int64(n))
 	}
 }
 
-// QueueLen returns the number of waiting (unscheduled) requests.
-func (c *Controller) QueueLen() int { return len(c.queue) }
+// QueueLen returns the number of waiting (unscheduled) requests,
+// counting a directly accepted one.
+func (c *Controller) QueueLen() int {
+	if c.next.req != nil {
+		return len(c.queue) + 1
+	}
+	return len(c.queue)
+}
 
 // InFlight returns the number of scheduled requests whose data has not
 // returned yet.
@@ -224,25 +247,31 @@ func (c *Controller) InjectStall(after uint64) {
 }
 
 func (c *Controller) schedule(now int64) {
-	if len(c.queue) == 0 || (c.stallArmed && c.Stats.Accesses >= c.stallAfter) {
+	if c.QueueLen() == 0 || (c.stallArmed && c.Stats.Accesses >= c.stallAfter) {
 		return
 	}
-	// First-ready: the oldest request whose bank has the needed row open
-	// and can take a column command now; while the data bus is busy none
-	// is, so the scan is skipped. FCFS fallback: the oldest request,
-	// whenever its bank allows.
-	pick := 0
-	if c.busFree <= now {
-		for i := range c.queue {
-			loc := &c.queue[i].loc
-			if b := &c.banks[loc.Bank]; b.openRow == loc.Row && b.nextCol <= now {
-				pick = i
-				break
+	q := c.next
+	if q.req != nil {
+		c.next = queued{}
+	} else {
+		// First-ready: the oldest request whose bank has the needed row
+		// open and can take a column command now; while the data bus is
+		// busy none is, so the scan is skipped. FCFS fallback: the
+		// oldest request, whenever its bank allows.
+		pick := 0
+		if c.busFree <= now {
+			for i := range c.queue {
+				loc := &c.queue[i].loc
+				if b := &c.banks[loc.Bank]; b.openRow == loc.Row && b.nextCol <= now {
+					pick = i
+					break
+				}
 			}
 		}
+		q = c.queue[pick]
+		c.queue = append(c.queue[:pick], c.queue[pick+1:]...)
 	}
-	r := c.queue[pick].req
-	loc := c.queue[pick].loc
+	r, loc := q.req, q.loc
 	b := &c.banks[loc.Bank]
 
 	var colCmd int64
@@ -276,8 +305,6 @@ func (c *Controller) schedule(now int64) {
 	r.Done = colCmd + int64(c.timing.CL) + int64(c.timing.Burst)
 	b.accesses++
 	c.Stats.Accesses++
-
-	c.queue = append(c.queue[:pick], c.queue[pick+1:]...)
 	c.inflight.Push(r)
 }
 
@@ -292,7 +319,7 @@ func (c *Controller) collect(now int64) []*mem.Request {
 }
 
 // Idle reports whether the controller has no queued or in-flight work.
-func (c *Controller) Idle() bool { return len(c.queue) == 0 && c.inflight.Len() == 0 }
+func (c *Controller) Idle() bool { return c.QueueLen() == 0 && c.inflight.Len() == 0 }
 
 // NextEvent returns the earliest cycle strictly after now at which the
 // controller can make progress, or math.MaxInt64 when idle. While
@@ -301,7 +328,7 @@ func (c *Controller) Idle() bool { return len(c.queue) == 0 && c.inflight.Len() 
 // the earliest data return. Fast-forwarding to the returned cycle is
 // safe: Tick is a no-op at every cycle in between.
 func (c *Controller) NextEvent(now int64) int64 {
-	if len(c.queue) > 0 {
+	if c.QueueLen() > 0 {
 		return now + 1
 	}
 	if c.inflight.Len() == 0 {
@@ -340,6 +367,11 @@ func (c *Controller) Snapshot(intern func(*mem.Request) int) *Snapshot {
 		lastAct: c.lastAct,
 		stats:   c.Stats,
 	}
+	// A directly accepted request is the oldest waiting one: it is
+	// captured as the queue head, which schedules identically.
+	if c.next.req != nil {
+		s.queue = append(s.queue, snapQueued{req: intern(c.next.req), loc: c.next.loc})
+	}
 	for _, q := range c.queue {
 		s.queue = append(s.queue, snapQueued{req: intern(q.req), loc: q.loc})
 	}
@@ -358,6 +390,7 @@ func (c *Controller) Restore(s *Snapshot, req func(int) *mem.Request) {
 		panic(fmt.Sprintf("dram: restore across bank counts (%d != %d)", len(c.banks), len(s.banks)))
 	}
 	copy(c.banks, s.banks)
+	c.next = queued{}
 	c.queue = c.queue[:0]
 	for _, q := range s.queue {
 		c.queue = append(c.queue, queued{req: req(q.req), loc: q.loc})
@@ -378,6 +411,7 @@ func (c *Controller) Reset() {
 	for i := range c.banks {
 		c.banks[i] = bankState{openRow: -1}
 	}
+	c.next = queued{}
 	c.queue = c.queue[:0]
 	c.inflight.Reset()
 	c.busFree = 0

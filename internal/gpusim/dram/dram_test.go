@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"rcoal/internal/gpusim/mem"
+	"rcoal/internal/metrics"
 )
 
 func newTestController(t *testing.T, queueCap int) *Controller {
@@ -204,6 +205,42 @@ func TestStatsAndIdle(t *testing.T) {
 	done, _ := drain(c, 1, 1000)
 	if len(done) != 1 || !c.Idle() || c.Stats.Accesses != 1 {
 		t.Errorf("drain: %d done, stats %+v", len(done), c.Stats)
+	}
+}
+
+// TestDirectAccept: a request reaching an empty controller skips the
+// FR-FCFS queue yet counts as waiting everywhere the queue does, and a
+// second arrival before Tick demotes it to the queue head, so the older
+// of two row misses still schedules first. A snapshot taken with a
+// directly accepted request restores it as the queue head.
+func TestDirectAccept(t *testing.T) {
+	c := newTestController(t, 0)
+	c.DepthHist = metrics.NewHistogram(metrics.LinearBounds(1, 4))
+	older := &mem.Request{ID: 1, Addr: 0}       // bank 0
+	newer := &mem.Request{ID: 2, Addr: 6 * 256} // bank 1
+	c.Push(older)
+	if c.Idle() || c.QueueLen() != 1 || c.NextEvent(0) != 1 || c.DepthHist.Max() != 1 {
+		t.Fatalf("direct accept: idle=%v queue=%d next=%d depth=%d, want a waiting request of depth 1",
+			c.Idle(), c.QueueLen(), c.NextEvent(0), c.DepthHist.Max())
+	}
+	snap := c.Snapshot(func(r *mem.Request) int { return int(r.ID) })
+	c.Push(newer)
+	if c.QueueLen() != 2 || c.Stats.MaxQueue != 2 || c.DepthHist.Max() != 2 {
+		t.Fatalf("after a second arrival: queue=%d max=%d depth=%d, want 2/2/2",
+			c.QueueLen(), c.Stats.MaxQueue, c.DepthHist.Max())
+	}
+	done, _ := drain(c, 0, 1000)
+	if len(done) != 2 || done[0] != older || done[1] != newer {
+		t.Fatalf("completion order %v, want the older request first", done)
+	}
+
+	fresh := newTestController(t, 0)
+	fresh.Restore(snap, func(i int) *mem.Request { return &mem.Request{ID: uint64(i)} })
+	if fresh.QueueLen() != 1 || fresh.Idle() {
+		t.Fatalf("restored controller: queue=%d idle=%v, want the request waiting", fresh.QueueLen(), fresh.Idle())
+	}
+	if got, _ := drain(fresh, 0, 1000); len(got) != 1 || got[0].ID != 1 || got[0].Done != older.Done {
+		t.Fatalf("restored controller serviced %v, want request 1 done at %d", got, older.Done)
 	}
 }
 

@@ -54,6 +54,54 @@ func randomKernel(seed uint64, warps, rounds int) *Kernel {
 	return k
 }
 
+// saturatedKernel builds a DRAM-saturating kernel: every thread of
+// every load reads its own block, scattered over 1 MiB so the requests
+// hit every partition, every bank and many rows. Under the
+// no-coalescing defense each load is 32 transactions, so the
+// controllers' buses and banks stay busy for the whole launch and the
+// partitions wake on in-flight data and crossbar arrivals.
+func saturatedKernel(seed uint64, warps int) *Kernel {
+	r := rng.New(seed)
+	k := &Kernel{Label: fmt.Sprintf("ff-saturated-%d", seed)}
+	for wid := 0; wid < warps; wid++ {
+		wp := &WarpProgram{ID: wid}
+		for round := 1; round <= 2; round++ {
+			wp.Instrs = append(wp.Instrs, Instr{Kind: RoundMark, Round: round})
+			for l := 0; l < 2; l++ {
+				addrs := make([]uint64, 32)
+				for t := range addrs {
+					addrs[t] = uint64(r.Intn(1<<14)) * 64
+				}
+				wp.Instrs = append(wp.Instrs, Instr{Kind: Load, Addrs: addrs, Round: round})
+			}
+		}
+		k.Warps = append(k.Warps, wp)
+	}
+	return k
+}
+
+// onePartitionKernel builds a kernel whose every access maps to
+// memory partition 0 (256-byte chunks interleave over six partitions),
+// so the other five partitions stay idle for the whole launch.
+func onePartitionKernel(seed uint64, warps int) *Kernel {
+	r := rng.New(seed)
+	k := &Kernel{Label: fmt.Sprintf("ff-one-partition-%d", seed)}
+	for wid := 0; wid < warps; wid++ {
+		wp := &WarpProgram{ID: wid}
+		for round := 1; round <= 2; round++ {
+			wp.Instrs = append(wp.Instrs, Instr{Kind: RoundMark, Round: round},
+				Instr{Kind: ALU, Round: round})
+			addrs := make([]uint64, 32)
+			for t := range addrs {
+				addrs[t] = uint64(6*r.Intn(16))*256 + uint64(r.Intn(4))*64
+			}
+			wp.Instrs = append(wp.Instrs, Instr{Kind: Load, Addrs: addrs, Round: round})
+		}
+		k.Warps = append(k.Warps, wp)
+	}
+	return k
+}
+
 // ffVariant is one configuration point of the differential grid.
 type ffVariant struct {
 	name string
@@ -98,15 +146,30 @@ func ffMechanisms() []mechanism.Mechanism {
 // 4-warp kernel leaves at most one warp per scheduler; the 64-warp one
 // puts two or three on each, so the per-scheduler wake horizons, the
 // multi-warp L1/MSHR settle paths and scheduler arbitration are all
-// compared against pure cycle-stepping. On the 64-warp kernel a
-// metrics-on run (which steps every SM every cycle) must also match
-// the metrics-off Result apart from the Metrics snapshot itself.
+// compared against pure cycle-stepping. The 8-warp kernel leaves five
+// partitions idle throughout, so fast-forward only skips if an idle
+// partition's horizon reads "never". The 96-warp DRAM-saturated
+// kernel runs under the no-coalescing defense only: it keeps every
+// partition's wake horizon on in-flight DRAM data and crossbar
+// arrivals, and recycles request slots under full load. On the
+// multi-warp kernels a metrics-on run (which steps every SM and
+// partition every cycle) must also match the metrics-off Result apart
+// from the Metrics snapshot itself.
 func TestFastForwardByteIdenticalResults(t *testing.T) {
-	kerns := []*Kernel{randomKernel(11, 4, 4), randomKernel(12, 64, 2)}
+	cases := []struct {
+		kern  *Kernel
+		mechs []mechanism.Mechanism
+	}{
+		{randomKernel(11, 4, 4), ffMechanisms()},
+		{randomKernel(12, 64, 2), ffMechanisms()},
+		{onePartitionKernel(14, 8), ffMechanisms()},
+		{saturatedKernel(13, 96), []mechanism.Mechanism{mechanism.NoCoal()}},
+	}
 	seeds := []uint64{1, 42, 0xdecaf}
-	for _, kern := range kerns {
+	for _, c := range cases {
+		kern := c.kern
 		for _, variant := range ffVariants() {
-			for _, mech := range ffMechanisms() {
+			for _, mech := range c.mechs {
 				multiWarp := len(kern.Warps) > 4
 				name := fmt.Sprintf("%s/%s", variant.name, mech.Name())
 				if multiWarp {

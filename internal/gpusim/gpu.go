@@ -48,10 +48,11 @@ type GPU struct {
 	rt    *runState
 	arena reqArena
 
-	// skipIdle enables the per-SM and per-scheduler wake horizons
-	// (stepSMs, issueOne). It is off under FastForwardDisabled, which
-	// keeps the step-everything path as the differential oracle, and
-	// under Metrics, whose per-slot stall counters need every scheduler
+	// skipIdle enables the per-SM, per-scheduler and per-partition wake
+	// horizons (stepSMs, issueOne, stepMemory) and request-slot
+	// recycling. It is off under FastForwardDisabled, which keeps the
+	// step-everything path as the differential oracle, and under
+	// Metrics, whose per-slot stall counters need every scheduler
 	// visited every cycle.
 	skipIdle bool
 
@@ -81,19 +82,28 @@ const reqChunk = 512
 
 // reqArena hands out mem.Request values from chunked storage that is
 // reset (not freed) between launches: requests only live within one
-// Run, so steady-state runs allocate no request memory at all.
+// Run, so steady-state runs allocate no request memory at all. Slots
+// handed back by put are reused first, so a launch whose replies are
+// recycled holds only its peak in-flight requests.
 type reqArena struct {
 	chunks [][]mem.Request
 	ci     int // current chunk
 	used   int // slots used in the current chunk
+	free   []*mem.Request
 }
 
+// get returns a request slot. Its contents are stale: every caller
+// overwrites the whole value.
 func (a *reqArena) get() *mem.Request {
+	if n := len(a.free); n > 0 {
+		r := a.free[n-1]
+		a.free = a.free[:n-1]
+		return r
+	}
 	if a.ci == len(a.chunks) {
 		a.chunks = append(a.chunks, make([]mem.Request, reqChunk))
 	}
 	r := &a.chunks[a.ci][a.used]
-	*r = mem.Request{}
 	a.used++
 	if a.used == reqChunk {
 		a.ci++
@@ -102,7 +112,10 @@ func (a *reqArena) get() *mem.Request {
 	return r
 }
 
-func (a *reqArena) reset() { a.ci, a.used = 0, 0 }
+// put hands back a slot nothing references any more.
+func (a *reqArena) put(r *mem.Request) { a.free = append(a.free, r) }
+
+func (a *reqArena) reset() { a.ci, a.used, a.free = 0, 0, a.free[:0] }
 
 // warpRun is the runtime state of one warp.
 type warpRun struct {
@@ -171,12 +184,19 @@ type partState struct {
 	ctrl    *dram.Controller
 	l2      *cache.Cache
 	replies []*mem.Request // L2 hits, delivered when Done <= now
+	// wake is the partition's horizon, as smState.wake is the SM's:
+	// under GPU.skipIdle, stepMemory skips it before wake.
+	wake int64
 }
 
 // runState bundles one launch's mutable state.
 type runState struct {
-	runs      []*warpRun
-	sms       []*smState
+	runs []*warpRun
+	sms  []*smState
+	// warpSMs lists the SMs with resident warps in id order; the others
+	// never issue or receive traffic, so the cycle loop never visits
+	// them.
+	warpSMs   []int
 	parts     []*partState
 	toMem     *icnt.Crossbar
 	toSM      *icnt.Crossbar
@@ -259,7 +279,7 @@ func (g *GPU) loop(st *runState, k *Kernel, start int64, pauseAtVulnerable bool)
 			return now, true, nil
 		}
 		smBusy := g.stepSMs(st, now)
-		memBusy := g.stepMemory(st, now)
+		g.stepMemory(st, now)
 		if st.remaining == 0 && st.toMem.Idle() && st.toSM.Idle() && st.idleMemory() && st.idleSMs() {
 			st.res.Cycles = now
 			return 0, false, nil
@@ -270,14 +290,14 @@ func (g *GPU) loop(st *runState, k *Kernel, start int64, pauseAtVulnerable bool)
 		} else if stalled++; stalled >= window {
 			return 0, false, &NoProgressError{Kernel: k.Label, Cycle: now, Window: window, Snapshot: g.snapshot(st, now)}
 		}
-		if fastForward && !smBusy && !memBusy {
+		if fastForward && !smBusy {
 			// Event-driven fast-forward: when no subsystem can make
 			// progress before some future cycle, jump straight to it.
 			// Every skipped cycle is one where stepSMs and stepMemory
 			// would have been no-ops, so results are byte-identical to
-			// pure cycle-stepping. The busy flags are a fast path: a
-			// non-empty inject or DRAM queue pins the horizon to now+1,
-			// so the full scan below would find nothing to skip.
+			// pure cycle-stepping. The busy flag is a fast path: a
+			// non-empty inject queue pins the horizon to now+1, so the
+			// full scan below would find nothing to skip.
 			next := g.nextEvent(st, now)
 			if next == math.MaxInt64 {
 				// Warps remain unfinished yet nothing is in flight
@@ -347,10 +367,8 @@ func (st *runState) atVulnerableBoundary(now int64) bool {
 // simply steps a few idle cycles), but it is never later.
 func (g *GPU) nextEvent(st *runState, now int64) int64 {
 	next := int64(math.MaxInt64)
-	for smID, sm := range st.sms {
-		if len(sm.warps) == 0 {
-			continue // never receives traffic, never issues
-		}
+	for _, smID := range st.warpSMs {
+		sm := st.sms[smID]
 		if g.skipIdle {
 			// The SM's wake horizon already bounds every source below.
 			if sm.wake <= now+1 {
@@ -387,24 +405,13 @@ func (g *GPU) nextEvent(st *runState, now int64) int64 {
 			}
 		}
 	}
-	for pid, p := range st.parts {
-		t := p.ctrl.NextEvent(now)
-		if t == now+1 {
+	for _, p := range st.parts {
+		// The partition's wake horizon bounds its controller, its
+		// request port and its L2 replies.
+		if p.wake <= now+1 {
 			return now + 1
 		}
-		if t < next {
-			next = t
-		}
-		for _, r := range p.replies {
-			if r.Done < next {
-				next = r.Done
-			}
-		}
-		// The controller queue is empty here (NextEvent would have
-		// returned now+1), so it can always accept a delivery.
-		if t := st.toMem.NextDeliverable(pid); t < next {
-			next = t
-		}
+		next = min(next, p.wake)
 	}
 	return next
 }
@@ -508,7 +515,10 @@ func (g *GPU) build(nWarps int) (*runState, error) {
 		st.runs[i] = w
 		st.sms[i%len(st.sms)].warps = append(st.sms[i%len(st.sms)].warps, w)
 	}
-	for _, sm := range st.sms {
+	for smID, sm := range st.sms {
+		if len(sm.warps) > 0 {
+			st.warpSMs = append(st.warpSMs, smID)
+		}
 		sm.sched = make([][]*warpRun, g.cfg.SchedulersPerSM)
 		for i, w := range sm.warps {
 			s := i % g.cfg.SchedulersPerSM
@@ -601,6 +611,7 @@ func (g *GPU) resetRuntime(st *runState, cacheRNG *rng.Source) {
 	for _, p := range st.parts {
 		p.ctrl.Reset()
 		p.replies = p.replies[:0]
+		p.wake = 0
 		if p.l2 != nil {
 			p.l2.Reset(cacheRNG.Uint64())
 		}
@@ -615,9 +626,10 @@ func (g *GPU) resetRuntime(st *runState, cacheRNG *rng.Source) {
 // reports whether some SM still holds queued transactions, which pins
 // the event horizon to now+1 (see nextEvent).
 func (g *GPU) stepSMs(st *runState, now int64) (busy bool) {
-	for smID, sm := range st.sms {
-		if len(sm.warps) == 0 || now < sm.wake {
-			continue // no resident warps, or provably nothing to do yet
+	for _, smID := range st.warpSMs {
+		sm := st.sms[smID]
+		if now < sm.wake {
+			continue // provably nothing to do yet
 		}
 		// 1a. L1-hit replies maturing this cycle.
 		if len(sm.replies) > 0 {
@@ -648,6 +660,9 @@ func (g *GPU) stepSMs(st *runState, now int64) (busy bool) {
 					delete(sm.mshr, block)
 				}
 			}
+			if g.skipIdle {
+				g.arena.put(r) // the reply is consumed; nothing holds r
+			}
 		}
 
 		// 2. Drain the LD/ST injection queue into the interconnect.
@@ -655,6 +670,7 @@ func (g *GPU) stepSMs(st *runState, now int64) (busy bool) {
 			req := sm.injectQ.Pop()
 			req.Issued = now
 			st.toMem.Push(req.Loc.Partition, req, now)
+			st.wakePart(req.Loc.Partition)
 			st.progress++
 		}
 
@@ -745,14 +761,18 @@ func (g *GPU) retire(st *runState, w *warpRun, now int64) {
 
 // stepMemory advances every partition: accept a request from the
 // interconnect (through the L2 when enabled), tick the DRAM
-// controller, and send replies back. The returned flag reports
-// whether some controller still queues unscheduled requests, which
-// pins the event horizon to now+1 (see nextEvent).
-func (g *GPU) stepMemory(st *runState, now int64) (busy bool) {
+// controller, and send replies back. A partition whose wake horizon
+// lies in the future is skipped; every visited one gets a fresh
+// horizon (partHorizon), which nextEvent reads.
+func (g *GPU) stepMemory(st *runState, now int64) {
 	for pid, p := range st.parts {
+		if g.skipIdle && now < p.wake {
+			continue // provably nothing to do yet
+		}
 		// A partition with no queued, in-flight, or deliverable work is
 		// a strict no-op this cycle; skip its whole body.
 		if len(p.replies) == 0 && p.ctrl.Idle() && st.toMem.Pending(pid) == 0 {
+			p.wake = math.MaxInt64
 			continue
 		}
 		// L2-hit replies maturing this cycle.
@@ -806,11 +826,30 @@ func (g *GPU) stepMemory(st *runState, now int64) (busy bool) {
 				st.progress++
 			}
 		}
-		if p.ctrl.QueueLen() > 0 {
-			busy = true
-		}
+		p.wake = st.partHorizon(p, pid, now)
 	}
-	return busy
+}
+
+// partHorizon returns the partition's wake horizon after its step at
+// cycle now: the earliest of its controller's next event, its next
+// request-port delivery and its pending L2-hit replies. An idle
+// partition's horizon is math.MaxInt64, never a past cycle, which would
+// pin nextEvent to now+1. Requests pushed toward the partition later
+// lower it again (wakePart); nothing else outside the partition's own
+// step changes its state.
+func (st *runState) partHorizon(p *partState, pid int, now int64) int64 {
+	h := min(p.ctrl.NextEvent(now), st.toMem.NextDeliverable(pid))
+	for _, r := range p.replies {
+		h = min(h, r.Done)
+	}
+	return h
+}
+
+// wakePart lowers a partition's horizon to its request port's next
+// delivery, after an SM pushed a request toward it.
+func (st *runState) wakePart(pid int) {
+	p := st.parts[pid]
+	p.wake = min(p.wake, st.toMem.NextDeliverable(pid))
 }
 
 func (st *runState) idleMemory() bool {

@@ -24,8 +24,8 @@ func LintProm(data []byte) error {
 }
 
 type promLinter struct {
-	typed  map[string]string // family → type
-	closed map[string]bool   // families whose sample block has ended
+	typed    map[string]string // family → type
+	closed   map[string]bool   // families whose sample block has ended
 	cur      string            // family currently accepting samples
 	curTyp   string
 	hist     *histCheck
