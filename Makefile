@@ -82,11 +82,12 @@ bench:
 
 # Machine-readable benchmark report. Set BENCH_BASELINE to a previous
 # raw `go test -bench` log to record before/after speedups alongside
-# the fresh numbers. The accelerator X/XVanilla pairs are joined
-# within the run and gated: the prefix-forked sweep must hold >= 2x,
-# the trace-cached collect >= 0.85x (up to 15% slower than vanilla).
+# the fresh numbers. The X/XVanilla pairs are joined within the run
+# and gated: the prefix-forked sweep must hold >= 2x, the trace-cached
+# collect >= 0.85x (up to 15% slower than vanilla), and the 1024-line
+# launch >= 1.4x with fast-forward on than with it off.
 BENCHTIME ?= 1s
-MIN_SPEEDUPS = SelectiveMechanismSweep:2.0,TraceCachedCollect:0.85
+MIN_SPEEDUPS = SelectiveMechanismSweep:2.0,TraceCachedCollect:0.85,SimulatorEncrypt1024Lines:1.4
 bench-json:
 	$(GO) test -run '^$$' -bench . -benchtime=$(BENCHTIME) -benchmem -count=1 . > bench_raw.txt
 	$(GO) run ./cmd/rcoal-benchjson -gpu-metrics $(if $(BENCH_BASELINE),-baseline $(BENCH_BASELINE)) \

@@ -257,8 +257,17 @@ func BenchmarkSimulatorEncrypt32Lines(b *testing.B) {
 	}
 }
 
-func BenchmarkSimulatorEncrypt1024Lines(b *testing.B) {
-	srv, err := NewServer(DefaultGPUConfig(), []byte("benchmark key!!!"))
+func BenchmarkSimulatorEncrypt1024Lines(b *testing.B) { benchEncrypt1024(b, false) }
+
+// BenchmarkSimulatorEncrypt1024LinesVanilla runs the same launch with
+// fast-forward off, the simulator's differential oracle; the joined
+// pair gates the fast-forward core (Makefile `bench-json`).
+func BenchmarkSimulatorEncrypt1024LinesVanilla(b *testing.B) { benchEncrypt1024(b, true) }
+
+func benchEncrypt1024(b *testing.B, ffDisabled bool) {
+	cfg := DefaultGPUConfig()
+	cfg.FastForwardDisabled = ffDisabled
+	srv, err := NewServer(cfg, []byte("benchmark key!!!"))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -99,7 +99,6 @@ func TestChaosSoakByteIdentity(t *testing.T) {
 			Coordinator:    "http://" + addr,
 			Client:         client,
 			ID:             fmt.Sprintf("soak%d", i),
-			PollInterval:   5 * time.Millisecond,
 			MaxErrors:      1_000_000, // chaos makes errors routine; the test bounds time, not retries
 			BackoffBase:    time.Millisecond,
 			BackoffCap:     25 * time.Millisecond,

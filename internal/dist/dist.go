@@ -164,12 +164,12 @@ type RenewResponse struct {
 }
 
 // LeaseResponse answers a lease poll. Exactly one of the three shapes
-// applies: a grant, a wait hint (nothing pending right now), or Done
-// (the coordinator has drained — the worker should exit).
+// applies: a grant, Done (the coordinator has drained — the worker
+// should exit), or neither: the coordinator held the poll for its
+// whole hold and nothing became grantable, so the worker polls again.
 type LeaseResponse struct {
-	Done   bool        `json:"done,omitempty"`
-	WaitMS int64       `json:"wait_ms,omitempty"`
-	Lease  *LeaseGrant `json:"lease,omitempty"`
+	Done  bool        `json:"done,omitempty"`
+	Lease *LeaseGrant `json:"lease,omitempty"`
 }
 
 // CompleteRequest reports a computed cell (or the error that killed

@@ -59,10 +59,9 @@ func runDistributed(t *testing.T, id string, o experiments.Options, n int, journ
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		w := &Worker{
-			Coordinator:  srv.URL,
-			ID:           fmt.Sprintf("w%d", i),
-			PollInterval: 5 * time.Millisecond,
-			Compute:      compute,
+			Coordinator: srv.URL,
+			ID:          fmt.Sprintf("w%d", i),
+			Compute:     compute,
 		}
 		wg.Add(1)
 		go func() {
@@ -302,7 +301,7 @@ func TestCoordinatorSharesMemoryStore(t *testing.T) {
 			defer wg.Wait()
 			defer s.Drain()
 			for i := 0; i < 2; i++ {
-				w := &Worker{Coordinator: srv.URL, ID: fmt.Sprintf("w%d", i), PollInterval: 5 * time.Millisecond}
+				w := &Worker{Coordinator: srv.URL, ID: fmt.Sprintf("w%d", i)}
 				wg.Add(1)
 				go func() {
 					defer wg.Done()

@@ -107,7 +107,8 @@ type ServerConfig struct {
 }
 
 const (
-	// pollWait is the retry hint returned when no cell is pending.
+	// pollWait is how long a lease poll that finds nothing to grant is
+	// held before it answers empty.
 	pollWait = 250 * time.Millisecond
 	// stragglerRatio flags a live worker whose per-worker rate falls
 	// below this fraction of the live-fleet median.
@@ -120,12 +121,15 @@ const (
 // Server is the coordinator: the lease state machine over every
 // registered experiment grid, exposed as an http.Handler. All state is
 // guarded by one mutex; completions broadcast on cond to wake the
-// Exec goroutines blocked in ExecCells.
+// Exec goroutines blocked in ExecCells, and anything that may give a
+// held lease poll an answer closes wake.
 type Server struct {
 	cfg  ServerConfig
 	mu   sync.Mutex
 	cond *sync.Cond
 	reg  *metrics.Registry
+	// wake is closed and replaced (under mu) by wakePolls.
+	wake chan struct{}
 
 	exps    []*expState
 	byID    map[string]*expState
@@ -152,6 +156,7 @@ func NewServer(cfg ServerConfig) *Server {
 		reg:     metrics.NewRegistry(),
 		byID:    make(map[string]*expState),
 		workers: make(map[string]*workerState),
+		wake:    make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	return s
@@ -189,7 +194,16 @@ const (
 func (s *Server) Drain() {
 	s.mu.Lock()
 	s.drained = true
+	s.wakePolls()
 	s.mu.Unlock()
+}
+
+// wakePolls wakes every held lease poll to re-check for a grant or
+// Done: a grid was registered, a cell returned to pending, or the
+// coordinator drained. Caller holds mu.
+func (s *Server) wakePolls() {
+	close(s.wake)
+	s.wake = make(chan struct{})
 }
 
 // Close aborts the coordinator: every blocked Exec returns an error.
@@ -244,6 +258,7 @@ func (s *Server) register(e *Exec, wire WireOptions, cells []experiments.GridCel
 	}
 	s.exps = append(s.exps, st)
 	s.byID[st.id] = st
+	s.wakePolls()
 	return st, nil
 }
 
@@ -363,7 +378,9 @@ func (s *Server) worker(id string, now time.Time) *workerState {
 	return w
 }
 
-// handleLease serves POST /lease.
+// handleLease serves POST /lease. A poll that finds nothing to grant
+// is held for up to pollWait without mu, re-checking on every wakePolls,
+// and answers empty only when the hold ends with still nothing to grant.
 func (s *Server) handleLease(rw http.ResponseWriter, req *http.Request) {
 	var lr LeaseRequest
 	if err := decodeJSON(rw, req, &lr); err != nil {
@@ -372,27 +389,32 @@ func (s *Server) handleLease(rw http.ResponseWriter, req *http.Request) {
 	if lr.Worker == "" {
 		lr.Worker = "anonymous"
 	}
-	now := s.now()
-	s.mu.Lock()
-	s.reapExpired(now)
-	w := s.worker(lr.Worker, now)
-	grant, err := s.grantLease(w, now)
-	drained := s.drained
-	s.mu.Unlock()
-	if err != nil {
-		http.Error(rw, err.Error(), http.StatusInternalServerError)
-		return
+	hold := time.NewTimer(pollWait)
+	defer hold.Stop()
+	for expired := false; ; {
+		now := s.now()
+		s.mu.Lock()
+		s.reapExpired(now)
+		w := s.worker(lr.Worker, now)
+		grant, err := s.grantLease(w, now)
+		drained, wake := s.drained, s.wake
+		s.mu.Unlock()
+		switch {
+		case err != nil:
+			http.Error(rw, err.Error(), http.StatusInternalServerError)
+			return
+		case grant != nil || drained || expired:
+			writeJSON(rw, LeaseResponse{Lease: grant, Done: grant == nil && drained})
+			return
+		}
+		select {
+		case <-wake:
+		case <-hold.C:
+			expired = true
+		case <-req.Context().Done():
+			return
+		}
 	}
-	resp := LeaseResponse{}
-	switch {
-	case grant != nil:
-		resp.Lease = grant
-	case drained:
-		resp.Done = true
-	default:
-		resp.WaitMS = pollWait.Milliseconds()
-	}
-	writeJSON(rw, resp)
 }
 
 // handleComplete serves POST /complete.
@@ -450,6 +472,7 @@ func (s *Server) handleComplete(rw http.ResponseWriter, req *http.Request) {
 			c.phase = cellPending
 			e.leased--
 			e.pending++
+			s.wakePolls()
 		}
 		if w.active > 0 {
 			w.active--
@@ -572,6 +595,7 @@ func (s *Server) handleCancel(rw http.ResponseWriter, req *http.Request) {
 	c.phase = cellPending
 	e.leased--
 	e.pending++
+	s.wakePolls()
 	if w := s.workers[c.worker]; w != nil && w.active > 0 {
 		w.active--
 	}

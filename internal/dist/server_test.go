@@ -2,12 +2,14 @@ package dist
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -365,5 +367,149 @@ func TestStatusAndHeartbeat(t *testing.T) {
 	postJSON(t, srv.URL+"/lease", LeaseRequest{Worker: "A"}, &lr)
 	if !lr.Done {
 		t.Error("post-drain poll did not report Done")
+	}
+}
+
+// pollLease POSTs one lease poll under ctx and times it.
+func pollLease(ctx context.Context, url string) (LeaseResponse, time.Duration, error) {
+	var lr LeaseResponse
+	start := time.Now()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/lease", strings.NewReader(`{"worker":"held"}`))
+	if err != nil {
+		return lr, 0, err
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return lr, time.Since(start), err
+	}
+	defer resp.Body.Close()
+	err = json.NewDecoder(resp.Body).Decode(&lr)
+	return lr, time.Since(start), err
+}
+
+// heldPollFixture is one TestHeldLeasePoll case's coordinator: polls
+// counts /lease arrivals, returned receives the time each /lease
+// handler returns. returned's buffer outsizes the polls any case makes
+// (an idle worker makes about 4 a second); a send to a full buffer is
+// dropped rather than blocking the handler.
+type heldPollFixture struct {
+	s        *Server
+	url      string
+	polls    atomic.Int64
+	returned chan time.Time
+}
+
+// TestHeldLeasePoll pins the held lease poll: a poll with nothing to
+// grant waits on the coordinator for up to pollWait, answers as soon as
+// a grid registers or the coordinator drains, answers empty when the
+// hold ends, and frees its handler when the client goes away. An idle
+// worker therefore neither hot-loops nor sleeps past a new grid.
+func TestHeldLeasePoll(t *testing.T) {
+	const at = 50 * time.Millisecond // when a case acts, into the hold
+	cases := []struct {
+		name string
+		run  func(t *testing.T, f *heldPollFixture)
+	}{
+		{"grid registered mid-hold is granted in the same answer", func(t *testing.T, f *heldPollFixture) {
+			batch := make(chan (<-chan execResult), 1)
+			time.AfterFunc(at, func() { batch <- startBatch(f.s, "exp", nil, nil, "cell/0") })
+			lr, took, err := pollLease(context.Background(), f.url)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lr.Lease == nil || lr.Lease.Key != "cell/0" || took >= pollWait-at {
+				t.Fatalf("poll answered %+v after %v, want cell/0's lease within %v", lr, took, pollWait-at)
+			}
+			complete(t, f.url, lr.Lease, "held", `"v"`)
+			if res := <-<-batch; res.err != nil {
+				t.Fatal(res.err)
+			}
+		}},
+		{"drain answers Done inside the hold", func(t *testing.T, f *heldPollFixture) {
+			time.AfterFunc(at, f.s.Drain)
+			lr, took, err := pollLease(context.Background(), f.url)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !lr.Done || took >= pollWait-at {
+				t.Fatalf("poll answered %+v after %v, want Done within %v", lr, took, pollWait-at)
+			}
+		}},
+		{"nothing to grant answers empty when the hold ends", func(t *testing.T, f *heldPollFixture) {
+			lr, took, err := pollLease(context.Background(), f.url)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lr.Done || lr.Lease != nil || took < pollWait || took > pollWait+500*time.Millisecond {
+				t.Fatalf("poll answered %+v after %v, want an empty answer after %v to %v",
+					lr, took, pollWait, pollWait+500*time.Millisecond)
+			}
+		}},
+		{"abandoned poll frees its handler", func(t *testing.T, f *heldPollFixture) {
+			ctx, cancel := context.WithTimeout(context.Background(), at)
+			defer cancel()
+			start := time.Now()
+			if lr, took, err := pollLease(ctx, f.url); err == nil {
+				t.Fatalf("poll answered %+v after %v, want it held until the client gave up", lr, took)
+			}
+			select {
+			case ret := <-f.returned:
+				if ret.Sub(start) >= pollWait {
+					t.Errorf("handler returned %v after the poll began, not before the hold's end", ret.Sub(start))
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("handler of the abandoned poll never returned")
+			}
+		}},
+		{"idle worker neither hot-loops nor sleeps past a new grid", func(t *testing.T, f *heldPollFixture) {
+			w := &Worker{Coordinator: f.url, ID: "idle", Compute: func(string, experiments.Options, string) (json.RawMessage, error) {
+				return json.RawMessage(`"v"`), nil
+			}}
+			runErr := make(chan error, 1)
+			go func() { runErr <- w.Run(context.Background()) }()
+			time.Sleep(time.Second)
+			if n := f.polls.Load(); n > 5 {
+				t.Errorf("idle worker sent %d polls in 1s, want at most 5", n)
+			}
+			// Register right after an empty answer: the worker's next poll
+			// must find the grid at once rather than after a pause.
+			for len(f.returned) > 0 {
+				<-f.returned
+			}
+			<-f.returned
+			start := time.Now()
+			if res := <-startBatch(f.s, "exp", nil, nil, "cell/0"); res.err != nil {
+				t.Fatal(res.err)
+			}
+			if took := time.Since(start); took >= pollWait/2 {
+				t.Errorf("grid registered after an empty answer took %v to compute, want under %v", took, pollWait/2)
+			}
+			f.s.Drain()
+			if err := <-runErr; err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f := &heldPollFixture{s: NewServer(ServerConfig{LeaseTimeout: time.Minute}), returned: make(chan time.Time, 64)}
+			inner := f.s.Handler()
+			srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
+				if req.URL.Path == "/lease" {
+					f.polls.Add(1)
+					defer func() {
+						select {
+						case f.returned <- time.Now():
+						default:
+						}
+					}()
+				}
+				inner.ServeHTTP(rw, req)
+			}))
+			defer srv.Close()
+			defer f.s.Close()
+			f.url = srv.URL
+			tc.run(t, f)
+		})
 	}
 }

@@ -49,9 +49,6 @@ type Worker struct {
 	// Client overrides http.DefaultClient (e.g. to install
 	// chaos.Transport).
 	Client *http.Client
-	// PollInterval bounds lease-poll backoff when the coordinator has
-	// nothing pending and gave no hint; 0 means 250ms.
-	PollInterval time.Duration
 	// MaxErrors aborts Run after this many consecutive transport
 	// failures (coordinator unreachable); 0 means 25. Rejected
 	// completions (duplicate/stale) are not errors.
@@ -59,8 +56,7 @@ type Worker struct {
 	// BackoffBase is the first pause after a transport failure; the
 	// pause doubles per consecutive failure up to BackoffCap, scaled
 	// by a jitter factor in [0.5, 1.0) drawn from a stream seeded by
-	// the worker ID, and floored at the coordinator's last WaitMS
-	// hint. 0 means 100ms.
+	// the worker ID. 0 means 100ms.
 	BackoffBase time.Duration
 	// BackoffCap caps the exponential growth; 0 means 5s.
 	BackoffCap time.Duration
@@ -89,9 +85,6 @@ type Worker struct {
 	cacheOnce  sync.Once
 	traceCache *kernels.TraceCache
 
-	// pollWaitMS is the coordinator's last WaitMS hint, the floor
-	// for error backoff.
-	pollWaitMS atomic.Int64
 	// draining, once set, stops the loops from taking new leases;
 	// in-flight cells finish and report first.
 	draining atomic.Bool
@@ -245,9 +238,7 @@ func (w *Worker) maxErrors() int {
 
 // backoff returns the pause before retry attempt n (1-based):
 // min(BackoffCap, BackoffBase<<(n-1)) scaled by a deterministic
-// jitter in [0.5, 1.0) from src, floored at the coordinator's last
-// WaitMS hint so workers never hammer a coordinator that asked for
-// patience.
+// jitter in [0.5, 1.0) from src.
 func (w *Worker) backoff(src *rng.Source, attempt int) time.Duration {
 	base := w.BackoffBase
 	if base <= 0 {
@@ -264,11 +255,7 @@ func (w *Worker) backoff(src *rng.Source, attempt int) time.Duration {
 	if d > cap {
 		d = cap
 	}
-	d = d/2 + time.Duration(src.Intn(int(d/2)))
-	if floor := time.Duration(w.pollWaitMS.Load()) * time.Millisecond; d < floor {
-		d = floor
-	}
-	return d
+	return d/2 + time.Duration(src.Intn(int(d/2)))
 }
 
 // jitterSource seeds loop's deterministic backoff stream from the
@@ -326,10 +313,6 @@ func (w *Worker) Run(ctx context.Context) error {
 }
 
 func (w *Worker) runLoop(ctx context.Context, client *http.Client, loop int) error {
-	poll := w.PollInterval
-	if poll <= 0 {
-		poll = 250 * time.Millisecond
-	}
 	maxErrs := w.maxErrors()
 	jitter := w.jitterSource(loop)
 	consecutive := 0
@@ -356,20 +339,13 @@ func (w *Worker) runLoop(ctx context.Context, client *http.Client, loop int) err
 			continue
 		}
 		consecutive = 0
+		// An answer with neither a lease nor Done ends a hold in which
+		// nothing became grantable: poll again at once.
 		switch {
 		case resp.Done:
 			w.Logger.Info("coordinator drained")
 			return nil
-		case resp.Lease == nil:
-			wait := poll
-			if resp.WaitMS > 0 {
-				wait = time.Duration(resp.WaitMS) * time.Millisecond
-				w.pollWaitMS.Store(resp.WaitMS)
-			}
-			if !w.sleep(ctx, wait) {
-				return ctx.Err()
-			}
-		default:
+		case resp.Lease != nil:
 			if err := w.serveLease(ctx, client, jitter, resp.Lease); err != nil {
 				return err
 			}

@@ -63,16 +63,6 @@ func TestBackoffDeterministicJitter(t *testing.T) {
 	}
 }
 
-// TestBackoffHonorsPollWaitFloor: the coordinator's PollWait hint
-// floors the error backoff.
-func TestBackoffHonorsPollWaitFloor(t *testing.T) {
-	w := &Worker{ID: "x", BackoffBase: time.Millisecond, BackoffCap: 2 * time.Millisecond}
-	w.pollWaitMS.Store(500)
-	if d := w.backoff(w.jitterSource(0), 1); d < 500*time.Millisecond {
-		t.Errorf("backoff %v below the coordinator's 500ms PollWait floor", d)
-	}
-}
-
 // TestRenewalKeepsSlowCell is the deadline-recompute fix: an honest
 // computation outlasting LeaseTimeout renews its lease, so the cell
 // is never re-issued and the slow holder's completion is accepted.
@@ -90,9 +80,8 @@ func TestRenewalKeepsSlowCell(t *testing.T) {
 	done := startBatch(s, "exp", nil, nil, "cell/0")
 	release := make(chan struct{})
 	slow := &Worker{
-		Coordinator:  srv.URL,
-		ID:           "slow",
-		PollInterval: 5 * time.Millisecond,
+		Coordinator: srv.URL,
+		ID:          "slow",
 		Compute: func(id string, o experiments.Options, key string) (json.RawMessage, error) {
 			<-release
 			return json.RawMessage(`"slow but honest"`), nil
@@ -214,9 +203,8 @@ func TestDrainFinishesInFlight(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	w := &Worker{
-		Coordinator:  srv.URL,
-		ID:           "draining",
-		PollInterval: 5 * time.Millisecond,
+		Coordinator: srv.URL,
+		ID:          "draining",
 		Compute: func(id string, o experiments.Options, key string) (json.RawMessage, error) {
 			close(started)
 			<-release
@@ -275,10 +263,9 @@ func TestWorkerTextLog(t *testing.T) {
 	done := startBatch(s, "exp", nil, nil, "cell/0")
 	var buf bytes.Buffer
 	w := &Worker{
-		Coordinator:  srv.URL,
-		ID:           "talker",
-		PollInterval: 5 * time.Millisecond,
-		Logger:       obs.NewLogger(&buf, obs.LogConfig{}).With("worker", "talker"),
+		Coordinator: srv.URL,
+		ID:          "talker",
+		Logger:      obs.NewLogger(&buf, obs.LogConfig{}).With("worker", "talker"),
 		Compute: func(string, experiments.Options, string) (json.RawMessage, error) {
 			return json.RawMessage(`"v"`), nil
 		},
@@ -337,7 +324,6 @@ func TestDegradedParkAndReplay(t *testing.T) {
 	w1 := &Worker{
 		Coordinator:   srv.URL,
 		ID:            "stranded",
-		PollInterval:  time.Millisecond,
 		MaxErrors:     100000,
 		BackoffBase:   time.Millisecond,
 		BackoffCap:    5 * time.Millisecond,
@@ -360,7 +346,6 @@ func TestDegradedParkAndReplay(t *testing.T) {
 	w2 := &Worker{
 		Coordinator:  srv.URL,
 		ID:           "recovered",
-		PollInterval: time.Millisecond,
 		DegradedPath: parkPath,
 		Compute: func(id string, o experiments.Options, key string) (json.RawMessage, error) {
 			return nil, fmt.Errorf("nothing should need computing")
@@ -385,7 +370,7 @@ func TestDegradedParkAndReplay(t *testing.T) {
 
 	// Replay is idempotent: a third run with the same journal finds the
 	// completion already delivered and nothing breaks.
-	w3 := &Worker{Coordinator: srv.URL, ID: "again", PollInterval: time.Millisecond, DegradedPath: parkPath}
+	w3 := &Worker{Coordinator: srv.URL, ID: "again", DegradedPath: parkPath}
 	if err := w3.Run(context.Background()); err != nil {
 		t.Errorf("idempotent replay returned %v", err)
 	}
@@ -416,11 +401,10 @@ func TestRetryableCompletionDelivery(t *testing.T) {
 
 	done := startBatch(s, "exp", nil, nil, "cell/0")
 	w := &Worker{
-		Coordinator:  srv.URL,
-		ID:           "persistent",
-		PollInterval: time.Millisecond,
-		BackoffBase:  time.Millisecond,
-		BackoffCap:   4 * time.Millisecond,
+		Coordinator: srv.URL,
+		ID:          "persistent",
+		BackoffBase: time.Millisecond,
+		BackoffCap:  4 * time.Millisecond,
 		Compute: func(id string, o experiments.Options, key string) (json.RawMessage, error) {
 			return json.RawMessage(`"delivered eventually"`), nil
 		},
