@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race cover bench bench-json ci equiv experiments examples fuzz dist-smoke chaos frontier obs-smoke vet-mechanism clean
+.PHONY: all build test test-race cover bench bench-json profile ci equiv experiments examples fuzz dist-smoke chaos frontier obs-smoke vet-mechanism clean
 
 all: build test
 
@@ -95,6 +95,15 @@ bench-json:
 		-out BENCH_gpusim.json bench_raw.txt
 	@rm -f bench_raw.txt
 	@echo wrote BENCH_gpusim.json
+
+# CPU profile of the 1024-line case study (fig18), the reproduction's
+# dominant cost: writes .bench_build/fig18.prof (with the test binary
+# pprof needs beside it) and prints the top functions. Not a CI step.
+profile:
+	mkdir -p .bench_build
+	$(GO) test -run '^$$' -bench 'Fig18CaseStudy1024$$' -benchtime 2x \
+		-cpuprofile .bench_build/fig18.prof -o .bench_build/rcoal.test .
+	$(GO) tool pprof -top -nodecount 40 .bench_build/rcoal.test .bench_build/fig18.prof
 
 # Reproduce every paper figure/table (plus extensions) at the paper's
 # sample count, writing CSV data files under data/.

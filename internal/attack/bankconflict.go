@@ -2,6 +2,7 @@ package attack
 
 import (
 	"fmt"
+	"math/bits"
 
 	"rcoal/internal/aes"
 	"rcoal/internal/kernels"
@@ -52,22 +53,13 @@ func EstimateSharedSample(lines []kernels.Line, j int, m byte) int {
 		}
 		degree := 0
 		for b := 0; b < SharedBanks; b++ {
-			if n := popcount8(words[b]); n > degree {
+			if n := bits.OnesCount8(words[b]); n > degree {
 				degree = n
 			}
 		}
 		total += degree
 	}
 	return total
-}
-
-func popcount8(x uint8) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
 }
 
 // BankConflictAttacker mounts the correlation attack over the bank-

@@ -1,5 +1,7 @@
 package core
 
+import "math/bits"
+
 // This file is the coalescing logic itself: turning a warp-wide memory
 // instruction (one block address per active thread) into the set of
 // memory transactions the MCU emits. Coalescing happens independently
@@ -75,69 +77,15 @@ func (p Plan) CoalesceBlocks(blocks []uint64, active []bool, out []uint64) []uin
 	if active != nil && len(active) != len(p.SID) {
 		panic("core: CoalesceBlocks active length does not match warp size")
 	}
-	for s := 0; s < len(p.Sizes); s++ {
-		start := len(out)
-		for tid, sid := range p.SID {
-			if int(sid) != s || (active != nil && !active[tid]) {
-				continue
-			}
-			b := blocks[tid]
-			dup := false
-			for i := start; i < len(out); i++ {
-				if out[i] == b {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				out = append(out, b)
-			}
-		}
-	}
-	return out
-}
-
-// CoalesceGroupSizes appends to out, for each transaction
-// CoalesceBlocks would produce (same count, same order), the number of
-// threads merged into it — the Algorithm-1 group sizes the MCU
-// instrumentation histograms. Allocation-free when out has capacity.
-func (p Plan) CoalesceGroupSizes(blocks []uint64, active []bool, out []int) []int {
-	if len(blocks) != len(p.SID) {
-		panic("core: CoalesceGroupSizes blocks length does not match warp size")
-	}
-	if active != nil && len(active) != len(p.SID) {
-		panic("core: CoalesceGroupSizes active length does not match warp size")
-	}
-	for s := 0; s < len(p.Sizes); s++ {
-		start := len(out)
-		var keyBuf [DefaultWarpSize]uint64
-		keys := keyBuf[:0]
-		for tid, sid := range p.SID {
-			if int(sid) != s || (active != nil && !active[tid]) {
-				continue
-			}
-			b := blocks[tid]
-			merged := false
-			for i, k := range keys {
-				if k == b {
-					out[start+i]++
-					merged = true
-					break
-				}
-			}
-			if !merged {
-				keys = append(keys, b)
-				out = append(out, 1)
-			}
-		}
-	}
+	out, _ = p.coalesce(blocks, active, out, nil, false)
 	return out
 }
 
 // CoalesceBlocksSizes is the fused variant for the instrumented
-// simulator hot path: one scan appending both the block keys
-// CoalesceBlocks would produce and the group sizes CoalesceGroupSizes
-// would produce (same count, same order), so enabling metrics does not
+// simulator hot path: one pass appending both the block keys
+// CoalesceBlocks would produce and, for each, the number of threads
+// merged into it — the Algorithm-1 group sizes the MCU instrumentation
+// histograms (same count, same order), so enabling metrics does not
 // re-run the coalescing pass. outBlocks and outSizes must enter with
 // equal lengths; they are appended in lockstep.
 func (p Plan) CoalesceBlocksSizes(blocks []uint64, active []bool, outBlocks []uint64, outSizes []int) ([]uint64, []int) {
@@ -150,28 +98,85 @@ func (p Plan) CoalesceBlocksSizes(blocks []uint64, active []bool, outBlocks []ui
 	if len(outBlocks) != len(outSizes) {
 		panic("core: CoalesceBlocksSizes output slices out of lockstep")
 	}
-	for s := 0; s < len(p.Sizes); s++ {
-		start := len(outBlocks)
-		for tid, sid := range p.SID {
-			if int(sid) != s || (active != nil && !active[tid]) {
-				continue
+	return p.coalesce(blocks, active, outBlocks, outSizes, true)
+}
+
+// coalesce is the one-pass coalescer behind CoalesceBlocks and
+// CoalesceBlocksSizes. One walk over the threads in tid order groups
+// the active ones by subwarp (members[s], a bitset of tids) and marks
+// in first the threads that request a block first within their
+// subwarp; the first threads of each subwarp, in tid order, are the
+// output. When the warp's blocks span fewer than 64 keys (every AES
+// table load), block b mod 64 is unique among them, so a 64-bit mask
+// per subwarp finds duplicates without a branch; otherwise a second
+// walk finds them by a linear scan of the subwarp's earlier blocks.
+func (p Plan) coalesce(blocks []uint64, active []bool, out []uint64, sizes []int, withSizes bool) ([]uint64, []int) {
+	n, m := len(p.SID), len(p.Sizes)
+	if n > 64 {
+		// Wider than a bitset word: the reference coalescer.
+		for _, tx := range p.Coalesce(blocks, active) {
+			out = append(out, tx.Block)
+			if withSizes {
+				sizes = append(sizes, len(tx.Threads))
 			}
-			b := blocks[tid]
-			merged := false
-			for i := start; i < len(outBlocks); i++ {
-				if outBlocks[i] == b {
-					outSizes[i]++
-					merged = true
-					break
-				}
-			}
-			if !merged {
-				outBlocks = append(outBlocks, b)
-				outSizes = append(outSizes, 1)
+		}
+		return out, sizes
+	}
+	var membersBuf, seenBuf [DefaultWarpSize]uint64
+	members, seen := membersBuf[:], seenBuf[:]
+	if m > len(members) {
+		members, seen = make([]uint64, m), make([]uint64, m)
+	}
+	members, seen = members[:m], seen[:m]
+	var first uint64
+	lo, hi := ^uint64(0), uint64(0)
+	for tid, s := range p.SID {
+		if int(s) >= m || active != nil && !active[tid] {
+			continue
+		}
+		b := blocks[tid]
+		lo, hi = min(lo, b), max(hi, b)
+		members[s] |= 1 << tid
+		first |= (^seen[s] >> (b & 63) & 1) << tid
+		seen[s] |= 1 << (b & 63)
+	}
+	if hi-lo >= 64 { // b mod 64 aliases: scan instead
+		first = 0
+		for tid, s := range p.SID {
+			if int(s) < m && members[s]>>tid&1 != 0 && firstWith(blocks, members[s]&first, blocks[tid]) < 0 {
+				first |= 1 << tid
 			}
 		}
 	}
-	return outBlocks, outSizes
+	for s := range members {
+		for set := members[s] & first; set != 0; set &= set - 1 {
+			out = append(out, blocks[bits.TrailingZeros64(set)])
+		}
+	}
+	if withSizes {
+		var count [64]int
+		for tid, s := range p.SID {
+			if int(s) < m && members[s]>>tid&1 != 0 {
+				count[firstWith(blocks, members[s]&first, blocks[tid])]++
+			}
+		}
+		for s := range members {
+			for set := members[s] & first; set != 0; set &= set - 1 {
+				sizes = append(sizes, count[bits.TrailingZeros64(set)])
+			}
+		}
+	}
+	return out, sizes
+}
+
+// firstWith returns the lowest tid in set whose block is b, or -1.
+func firstWith(blocks []uint64, set uint64, b uint64) int {
+	for ; set != 0; set &= set - 1 {
+		if tid := bits.TrailingZeros64(set); blocks[tid] == b {
+			return tid
+		}
+	}
+	return -1
 }
 
 // CountCoalesced returns only the number of transactions Coalesce
@@ -180,34 +185,9 @@ func (p Plan) CountCoalesced(blocks []uint64, active []bool) int {
 	if len(blocks) != len(p.SID) {
 		panic("core: CountCoalesced blocks length does not match warp size")
 	}
-	count := 0
-	var seenBuf [DefaultWarpSize]uint64 // distinct blocks seen per subwarp scan
-	seen := seenBuf[:]
-	if len(p.SID) > len(seen) {
-		seen = make([]uint64, len(p.SID))
-	}
-	for s := 0; s < len(p.Sizes); s++ {
-		n := 0
-		for tid, sid := range p.SID {
-			if int(sid) != s || (active != nil && !active[tid]) {
-				continue
-			}
-			b := blocks[tid]
-			dup := false
-			for i := 0; i < n; i++ {
-				if seen[i] == b {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				seen[n] = b
-				n++
-			}
-		}
-		count += n
-	}
-	return count
+	var buf [64]uint64
+	out, _ := p.coalesce(blocks, active, buf[:0], nil, false)
+	return len(out)
 }
 
 // CountSmallBlocks is the attacker-side hot path: per-thread block ids
@@ -235,18 +215,9 @@ func (p Plan) CountSmallBlocks(blocks []int) int {
 	}
 	count := 0
 	for s := 0; s < len(p.Sizes); s++ {
-		count += popcount(masks[s])
+		count += bits.OnesCount64(masks[s])
 	}
 	return count
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
 }
 
 // CountUncoalesced returns the transaction count with coalescing

@@ -79,85 +79,103 @@ func TestCoalesceThreadsSortedAndAttributed(t *testing.T) {
 	}
 }
 
+// randomAccess draws one warp-wide access: block keys of the given
+// shape and, half the time, a random active mask (nil otherwise).
+// Shapes: 0 is a 16-line table, 1 a 64-key window (span 63), 2 a
+// 65-key window (span up to 64, so b%64 aliases), 3 a pool of eight
+// arbitrary 64-bit keys.
+func randomAccess(src *rng.Source, shape int) ([]uint64, []bool) {
+	base := src.Uint64() >> 1
+	var pool [8]uint64
+	for i := range pool {
+		pool[i] = src.Uint64()
+	}
+	blocks := make([]uint64, 32)
+	for i := range blocks {
+		switch shape {
+		case 0:
+			blocks[i] = uint64(src.Intn(16))
+		case 1:
+			blocks[i] = base + uint64(src.Intn(64))
+		case 2:
+			blocks[i] = base + uint64(src.Intn(65))
+		default:
+			blocks[i] = pool[src.Intn(len(pool))]
+		}
+	}
+	if src.Intn(2) == 0 {
+		return blocks, nil
+	}
+	active := make([]bool, 32)
+	for i := range active {
+		active[i] = src.Intn(4) != 0
+	}
+	return blocks, active
+}
+
+// TestCountMatchesCoalesce checks every coalescing variant against the
+// reference Plan.Coalesce, for all four families at every M, over
+// narrow and wide block keys with and without active masks:
+// CoalesceBlocks and CoalesceBlocksSizes must agree in count, order
+// and content, and the counting variants in count.
 func TestCountMatchesCoalesce(t *testing.T) {
 	r := rng.New(11)
-	f := func(seed uint64, mRaw uint8) bool {
+	f := func(seed uint64, mRaw, shapeRaw uint8) bool {
 		ms := []int{1, 2, 4, 8, 16, 32}
 		m := ms[int(mRaw)%len(ms)]
 		src := rng.New(seed)
 		for _, cfg := range []Config{FSS(m), FSSRTS(m), RSS(m), RSSRTS(m)} {
 			p := cfg.NewPlan(r)
-			blocks := make([]uint64, 32)
-			small := make([]int, 32)
-			for i := range blocks {
-				b := src.Intn(16)
-				blocks[i] = uint64(b)
-				small[i] = b
-			}
-			txs := p.Coalesce(blocks, nil)
+			blocks, active := randomAccess(src, int(shapeRaw)%4)
+			txs := p.Coalesce(blocks, active)
 			want := len(txs)
-			if p.CountCoalesced(blocks, nil) != want {
+			if p.CountCoalesced(blocks, active) != want {
 				return false
 			}
-			if p.CountSmallBlocks(small) != want {
+			if shapeRaw%4 == 0 {
+				small := make([]int, 32)
+				for i, b := range blocks {
+					small[i] = int(b)
+					if active != nil && !active[i] {
+						small[i] = -1
+					}
+				}
+				if p.CountSmallBlocks(small) != want {
+					return false
+				}
+			}
+			lean := p.CoalesceBlocks(blocks, active, nil)
+			fb, fs := p.CoalesceBlocksSizes(blocks, active, nil, nil)
+			if len(lean) != want || len(fb) != want || len(fs) != want {
 				return false
 			}
-			// CoalesceBlocks agrees in count, order, and content.
-			lean := p.CoalesceBlocks(blocks, nil, nil)
-			if len(lean) != want {
-				return false
-			}
-			for i := range lean {
-				if lean[i] != txs[i].Block {
+			for i, tx := range txs {
+				if lean[i] != tx.Block || fb[i] != tx.Block || fs[i] != len(tx.Threads) {
 					return false
 				}
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Error(err)
 	}
 }
 
+// TestCoalesceGroupSizesMatchThreadLists checks the group sizes of the
+// fused variant against the reference thread lists, including when the
+// outputs are appended to reused scratch slices (the simulator's
+// hot-path usage).
 func TestCoalesceGroupSizesMatchThreadLists(t *testing.T) {
 	planRNG := rng.New(11)
 	src := rng.New(12)
 	mechs := []Config{Baseline(), FSS(4), FSSRTS(8), RSS(4), RSSRTS(8)}
+	blockScratch, sizeScratch := make([]uint64, 0, 64), make([]int, 0, 64)
 	for trial := 0; trial < 200; trial++ {
 		plan := mechs[trial%len(mechs)].NewPlan(planRNG)
-		blocks := make([]uint64, 32)
-		active := make([]bool, 32)
-		for i := range blocks {
-			blocks[i] = uint64(src.Intn(8))
-			active[i] = src.Intn(4) != 0
-		}
-		var mask []bool
-		if trial%2 == 0 {
-			mask = active
-		}
+		blocks, mask := randomAccess(src, trial%4)
 		txs := plan.Coalesce(blocks, mask)
-		sizes := plan.CoalesceGroupSizes(blocks, mask, nil)
-		if len(sizes) != len(txs) {
-			t.Fatalf("trial %d: %d sizes for %d transactions", trial, len(sizes), len(txs))
-		}
-		for i, tx := range txs {
-			if sizes[i] != len(tx.Threads) {
-				t.Fatalf("trial %d tx %d: size %d, want %d threads", trial, i, sizes[i], len(tx.Threads))
-			}
-		}
-		// Reuse a scratch slice: appending after reslice must keep the
-		// same results (the simulator's hot-path usage).
-		scratch := make([]int, 0, 64)
-		again := plan.CoalesceGroupSizes(blocks, mask, scratch[:0])
-		for i := range sizes {
-			if again[i] != sizes[i] {
-				t.Fatalf("trial %d: scratch reuse changed size %d", trial, i)
-			}
-		}
-		// The fused variant agrees with both unfused passes in count,
-		// order, and content.
-		fb, fs := plan.CoalesceBlocksSizes(blocks, mask, nil, nil)
+		fb, fs := plan.CoalesceBlocksSizes(blocks, mask, blockScratch[:0], sizeScratch[:0])
 		if len(fb) != len(txs) || len(fs) != len(txs) {
 			t.Fatalf("trial %d: fused lengths %d/%d, want %d", trial, len(fb), len(fs), len(txs))
 		}
@@ -167,15 +185,15 @@ func TestCoalesceGroupSizesMatchThreadLists(t *testing.T) {
 					trial, i, fb[i], fs[i], tx.Block, len(tx.Threads))
 			}
 		}
+		blockScratch, sizeScratch = fb, fs
 	}
 }
 
 func TestCoalesceGroupSizesLengthMismatchPanics(t *testing.T) {
 	p := fullWarpPlan()
 	for name, fn := range map[string]func(){
-		"short blocks":       func() { p.CoalesceGroupSizes(make([]uint64, 3), nil, nil) },
-		"short active":       func() { p.CoalesceGroupSizes(make([]uint64, len(p.SID)), make([]bool, 2), nil) },
 		"fused short blocks": func() { p.CoalesceBlocksSizes(make([]uint64, 3), nil, nil, nil) },
+		"fused short active": func() { p.CoalesceBlocksSizes(make([]uint64, len(p.SID)), make([]bool, 2), nil, nil) },
 		"fused lockstep": func() {
 			p.CoalesceBlocksSizes(make([]uint64, len(p.SID)), nil, make([]uint64, 1), nil)
 		},

@@ -70,15 +70,16 @@ func (t Timing) Validate() error {
 	return nil
 }
 
-// queued pairs a request with its pre-decoded location so the FR-FCFS
-// scan does not re-decode every queued address every cycle.
+// queued pairs a request with its pre-decoded bank and row, all the
+// FR-FCFS scan reads, so it does not re-decode every queued address
+// every cycle.
 type queued struct {
-	req *mem.Request
-	loc mem.Location
+	req       *mem.Request
+	bank, row int32
 }
 
 type bankState struct {
-	openRow  int   // currently open row, -1 if closed
+	openRow  int32 // currently open row, -1 if closed
 	nextCol  int64 // earliest cycle for the next column command
 	nextAct  int64 // earliest cycle for the next activate (tRC)
 	nextPre  int64 // earliest cycle the open row may be precharged (tRAS)
@@ -195,14 +196,15 @@ func (c *Controller) Push(r *mem.Request) {
 	if loc == (mem.Location{}) && r.Addr != 0 {
 		loc = c.addrMap.Decode(r.Addr)
 	}
+	q := queued{req: r, bank: int32(loc.Bank), row: int32(loc.Row)}
 	if c.next.req != nil {
 		c.queue = append(c.queue, c.next)
 		c.next = queued{}
 	}
 	if len(c.queue) == 0 && !(c.stallArmed && c.Stats.Accesses >= c.stallAfter) {
-		c.next = queued{req: r, loc: loc}
+		c.next = q
 	} else {
-		c.queue = append(c.queue, queued{req: r, loc: loc})
+		c.queue = append(c.queue, q)
 	}
 	n := c.QueueLen()
 	if n > c.Stats.MaxQueue {
@@ -261,8 +263,8 @@ func (c *Controller) schedule(now int64) {
 		pick := 0
 		if c.busFree <= now {
 			for i := range c.queue {
-				loc := &c.queue[i].loc
-				if b := &c.banks[loc.Bank]; b.openRow == loc.Row && b.nextCol <= now {
+				e := &c.queue[i]
+				if b := &c.banks[e.bank]; b.openRow == e.row && b.nextCol <= now {
 					pick = i
 					break
 				}
@@ -271,29 +273,29 @@ func (c *Controller) schedule(now int64) {
 		q = c.queue[pick]
 		c.queue = append(c.queue[:pick], c.queue[pick+1:]...)
 	}
-	r, loc := q.req, q.loc
-	b := &c.banks[loc.Bank]
+	r := q.req
+	b := &c.banks[q.bank]
 
 	var colCmd int64
-	if b.openRow == loc.Row {
+	if b.openRow == q.row {
 		// Row hit: column command when the bank and bus allow.
-		colCmd = maxi64(now, b.nextCol, c.busFree)
+		colCmd = max(now, b.nextCol, c.busFree)
 		b.rowHits++
 		c.Stats.RowHits++
 	} else {
 		// Row miss/conflict: precharge (respecting tRAS) + activate
 		// (respecting tRC and tRRD) + tRCD before the column command.
-		act := maxi64(now, b.nextAct, c.lastAct+int64(c.timing.RRD))
+		act := max(now, b.nextAct, c.lastAct+int64(c.timing.RRD))
 		if b.openRow >= 0 {
-			act = maxi64(act, b.nextPre+int64(c.timing.RP))
+			act = max(act, b.nextPre+int64(c.timing.RP))
 			b.rowConfl++
 			c.Stats.RowConflicts++
 		}
-		b.openRow = loc.Row
+		b.openRow = q.row
 		b.nextAct = act + int64(c.timing.RC)
 		b.nextPre = act + int64(c.timing.RAS)
 		c.lastAct = act
-		colCmd = maxi64(act+int64(c.timing.RCD), c.busFree)
+		colCmd = max(act+int64(c.timing.RCD), c.busFree)
 		b.rowMiss++
 		c.Stats.RowMisses++
 	}
@@ -310,6 +312,9 @@ func (c *Controller) schedule(now int64) {
 
 // collect pops every in-flight request whose data is ready by now.
 func (c *Controller) collect(now int64) []*mem.Request {
+	if c.inflight.Len() == 0 || c.inflight.Peek().Done > now {
+		return nil // most ticks: nothing completes
+	}
 	done := c.doneBuf[:0]
 	for c.inflight.Len() > 0 && c.inflight.Peek().Done <= now {
 		done = append(done, c.inflight.Pop())
@@ -352,8 +357,8 @@ type Snapshot struct {
 }
 
 type snapQueued struct {
-	req int
-	loc mem.Location
+	req       int
+	bank, row int32
 }
 
 // Snapshot captures the controller's state. intern maps each live
@@ -370,10 +375,10 @@ func (c *Controller) Snapshot(intern func(*mem.Request) int) *Snapshot {
 	// A directly accepted request is the oldest waiting one: it is
 	// captured as the queue head, which schedules identically.
 	if c.next.req != nil {
-		s.queue = append(s.queue, snapQueued{req: intern(c.next.req), loc: c.next.loc})
+		s.queue = append(s.queue, snapQueued{req: intern(c.next.req), bank: c.next.bank, row: c.next.row})
 	}
 	for _, q := range c.queue {
-		s.queue = append(s.queue, snapQueued{req: intern(q.req), loc: q.loc})
+		s.queue = append(s.queue, snapQueued{req: intern(q.req), bank: q.bank, row: q.row})
 	}
 	for _, r := range c.inflight.Snapshot(nil) {
 		s.inflight = append(s.inflight, intern(r))
@@ -393,7 +398,7 @@ func (c *Controller) Restore(s *Snapshot, req func(int) *mem.Request) {
 	c.next = queued{}
 	c.queue = c.queue[:0]
 	for _, q := range s.queue {
-		c.queue = append(c.queue, queued{req: req(q.req), loc: q.loc})
+		c.queue = append(c.queue, queued{req: req(q.req), bank: q.bank, row: q.row})
 	}
 	c.inflight.Reset()
 	for _, i := range s.inflight {
@@ -417,14 +422,4 @@ func (c *Controller) Reset() {
 	c.busFree = 0
 	c.lastAct = -int64(c.timing.RRD) - 1
 	c.Stats = Stats{}
-}
-
-func maxi64(vs ...int64) int64 {
-	m := vs[0]
-	for _, v := range vs[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
 }

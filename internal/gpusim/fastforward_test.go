@@ -102,6 +102,28 @@ func onePartitionKernel(seed uint64, warps int) *Kernel {
 	return k
 }
 
+// slowALUKernel builds a kernel whose ALU instructions take 100–400
+// cycles, so scheduler and SM wake horizons lie beyond the visit
+// calendar's reach and hop along its wheel.
+func slowALUKernel(seed uint64, warps int) *Kernel {
+	r := rng.New(seed)
+	k := &Kernel{Label: fmt.Sprintf("ff-slow-alu-%d", seed)}
+	for wid := 0; wid < warps; wid++ {
+		wp := &WarpProgram{ID: wid}
+		for round := 1; round <= 2; round++ {
+			addrs := make([]uint64, 32)
+			for t := range addrs {
+				addrs[t] = uint64(r.Intn(64)) * 64
+			}
+			wp.Instrs = append(wp.Instrs, Instr{Kind: RoundMark, Round: round},
+				Instr{Kind: ALU, Round: round, Latency: 100 + r.Intn(300)},
+				Instr{Kind: Load, Addrs: addrs, Round: round})
+		}
+		k.Warps = append(k.Warps, wp)
+	}
+	return k
+}
+
 // ffVariant is one configuration point of the differential grid.
 type ffVariant struct {
 	name string
@@ -151,19 +173,27 @@ func ffMechanisms() []mechanism.Mechanism {
 // partition's horizon reads "never". The 96-warp DRAM-saturated
 // kernel runs under the no-coalescing defense only: it keeps every
 // partition's wake horizon on in-flight DRAM data and crossbar
-// arrivals, and recycles request slots under full load. On the
-// multi-warp kernels a metrics-on run (which steps every SM and
+// arrivals, and recycles request slots under full load; it runs once
+// more on an 80-SM machine, whose visit calendar spans two bitset
+// words. The 12-warp kernel's ALU latencies and a 100-cycle crossbar
+// put SM and partition wake horizons beyond the calendar's wheel. On
+// the multi-warp kernels a metrics-on run (which steps every SM and
 // partition every cycle) must also match the metrics-off Result apart
 // from the Metrics snapshot itself.
 func TestFastForwardByteIdenticalResults(t *testing.T) {
+	nocoal := []mechanism.Mechanism{mechanism.NoCoal()}
 	cases := []struct {
-		kern  *Kernel
-		mechs []mechanism.Mechanism
+		kern    *Kernel
+		mechs   []mechanism.Mechanism
+		machine string        // subtest prefix naming mut
+		mut     func(*Config) // a machine other than Table I's
 	}{
-		{randomKernel(11, 4, 4), ffMechanisms()},
-		{randomKernel(12, 64, 2), ffMechanisms()},
-		{onePartitionKernel(14, 8), ffMechanisms()},
-		{saturatedKernel(13, 96), []mechanism.Mechanism{mechanism.NoCoal()}},
+		{randomKernel(11, 4, 4), ffMechanisms(), "", nil},
+		{randomKernel(12, 64, 2), ffMechanisms(), "", nil},
+		{onePartitionKernel(14, 8), ffMechanisms(), "", nil},
+		{saturatedKernel(13, 96), nocoal, "", nil},
+		{saturatedKernel(13, 96), nocoal, "80sms", func(c *Config) { c.NumSMs = 80 }},
+		{slowALUKernel(15, 12), ffMechanisms(), "slow", func(c *Config) { c.ICNTLatency = 100 }},
 	}
 	seeds := []uint64{1, 42, 0xdecaf}
 	for _, c := range cases {
@@ -175,9 +205,15 @@ func TestFastForwardByteIdenticalResults(t *testing.T) {
 				if multiWarp {
 					name = fmt.Sprintf("%dwarps/%s", len(kern.Warps), name)
 				}
+				if c.machine != "" {
+					name = c.machine + "/" + name
+				}
 				t.Run(name, func(t *testing.T) {
 					cfg := DefaultConfig()
 					cfg.Defense = mech
+					if c.mut != nil {
+						c.mut(&cfg)
+					}
 					variant.mut(&cfg)
 
 					slow := cfg

@@ -3,6 +3,7 @@ package gpusim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"rcoal/internal/core"
 	"rcoal/internal/gpusim/cache"
@@ -47,6 +48,10 @@ type GPU struct {
 	// had the same warp count.
 	rt    *runState
 	arena reqArena
+	// locs memoizes AddressMap.Decode, direct-mapped by block: a launch
+	// decodes one address per transaction but touches few distinct
+	// blocks (the T-tables), and Decode divides by run-time sizes.
+	locs [locSlots]locEntry
 
 	// skipIdle enables the per-SM, per-scheduler and per-partition wake
 	// horizons (stepSMs, issueOne, stepMemory) and request-slot
@@ -76,6 +81,25 @@ func New(cfg Config) (*GPU, error) {
 
 // Config returns the configuration the GPU was built with.
 func (g *GPU) Config() Config { return g.cfg }
+
+// locSlots is the size of the GPU's decode memo (a power of two).
+const locSlots = 256
+
+// locEntry is one decode memo slot; tag is the block plus one, so the
+// zero value matches no block.
+type locEntry struct {
+	tag uint64
+	loc mem.Location
+}
+
+// decode returns the physical location of block b's address.
+func (g *GPU) decode(b uint64) mem.Location {
+	e := &g.locs[b&(locSlots-1)]
+	if e.tag != b+1 {
+		*e = locEntry{tag: b + 1, loc: g.cfg.AddressMap.Decode(b * mem.BlockBytes)}
+	}
+	return e.loc
+}
 
 // reqChunk is the request-arena chunk size.
 const reqChunk = 512
@@ -170,11 +194,10 @@ type smState struct {
 	// request-table occupancy of Figure 11); maintained only when
 	// metrics are installed.
 	prt int
-	// wake is the SM's horizon: stepping it at any cycle before wake is
-	// a no-op, so stepSMs skips it. schedWake[s] is the same bound for
-	// scheduler s alone. Unless GPU.skipIdle, both keep their reset
-	// values, which skip nothing.
-	wake      int64
+	// schedWake[s] is scheduler s's horizon: issuing from it at any
+	// cycle before is a no-op. The SM's own horizon, bounding all of
+	// them, lives in runState.cal. Unless GPU.skipIdle, both keep
+	// their reset values, which skip nothing.
 	schedWake []int64
 }
 
@@ -184,9 +207,6 @@ type partState struct {
 	ctrl    *dram.Controller
 	l2      *cache.Cache
 	replies []*mem.Request // L2 hits, delivered when Done <= now
-	// wake is the partition's horizon, as smState.wake is the SM's:
-	// under GPU.skipIdle, stepMemory skips it before wake.
-	wake int64
 }
 
 // runState bundles one launch's mutable state.
@@ -196,8 +216,15 @@ type runState struct {
 	// warpSMs lists the SMs with resident warps in id order; the others
 	// never issue or receive traffic, so the cycle loop never visits
 	// them.
-	warpSMs   []int
-	parts     []*partState
+	warpSMs []int
+	parts   []*partState
+	// cal holds the wake horizons of the SMs (units 0..NumSMs-1) and
+	// the memory partitions (units NumSMs+pid): stepping a unit at any
+	// cycle before its wake is a no-op, so the cycle loop visits only
+	// the units the calendar says are due. members lists the units the
+	// loop steps at all: warpSMs, then every partition.
+	cal       *calendar
+	members   []int
 	toMem     *icnt.Crossbar
 	toSM      *icnt.Crossbar
 	res       *Result
@@ -271,6 +298,7 @@ func (g *GPU) loop(st *runState, k *Kernel, start int64, pauseAtVulnerable bool)
 	var lastProgress uint64
 	var stalled int64
 
+	st.cal.reset(start, st.members, !g.skipIdle)
 	for now := start; ; now++ {
 		if now > maxCycles {
 			return 0, false, &MaxCyclesError{Kernel: k.Label, MaxCycles: maxCycles, Snapshot: g.snapshot(st, now)}
@@ -278,8 +306,9 @@ func (g *GPU) loop(st *runState, k *Kernel, start int64, pauseAtVulnerable bool)
 		if pauseAtVulnerable && st.atVulnerableBoundary(now) {
 			return now, true, nil
 		}
-		smBusy := g.stepSMs(st, now)
-		g.stepMemory(st, now)
+		due := st.cal.take(now)
+		smBusy := g.stepSMs(st, now, due)
+		g.stepMemory(st, now, due)
 		if st.remaining == 0 && st.toMem.Idle() && st.toSM.Idle() && st.idleMemory() && st.idleSMs() {
 			st.res.Cycles = now
 			return 0, false, nil
@@ -366,19 +395,26 @@ func (st *runState) atVulnerableBoundary(now int64) bool {
 // the subsystem's next true state change (in which case the simulator
 // simply steps a few idle cycles), but it is never later.
 func (g *GPU) nextEvent(st *runState, now int64) int64 {
+	// The partitions' wake horizons bound their controllers, request
+	// ports and L2 replies; under skipIdle the SMs' bound every source
+	// the scan below reads.
 	next := int64(math.MaxInt64)
+	for _, t := range st.cal.wake[len(st.sms):] {
+		if t <= now+1 {
+			return now + 1
+		}
+		next = min(next, t)
+	}
 	for _, smID := range st.warpSMs {
-		sm := st.sms[smID]
 		if g.skipIdle {
-			// The SM's wake horizon already bounds every source below.
-			if sm.wake <= now+1 {
+			t := st.cal.wake[smID]
+			if t <= now+1 {
 				return now + 1
 			}
-			if sm.wake < next {
-				next = sm.wake
-			}
+			next = min(next, t)
 			continue
 		}
+		sm := st.sms[smID]
 		// A queued transaction drains next cycle.
 		if sm.injectQ.Len() > 0 {
 			return now + 1
@@ -405,15 +441,7 @@ func (g *GPU) nextEvent(st *runState, now int64) int64 {
 			}
 		}
 	}
-	for _, p := range st.parts {
-		// The partition's wake horizon bounds its controller, its
-		// request port and its L2 replies.
-		if p.wake <= now+1 {
-			return now + 1
-		}
-		next = min(next, p.wake)
-	}
-	return next
+	return max(now+1, next)
 }
 
 // setup builds the launch state: warps on SMs, plans, interconnect,
@@ -527,6 +555,12 @@ func (g *GPU) build(nWarps int) (*runState, error) {
 		}
 	}
 
+	st.cal = newCalendar(len(st.sms) + g.cfg.AddressMap.Partitions)
+	st.members = append([]int(nil), st.warpSMs...)
+	for pid := 0; pid < g.cfg.AddressMap.Partitions; pid++ {
+		st.members = append(st.members, len(st.sms)+pid)
+	}
+
 	var err error
 	st.toMem, err = icnt.NewCrossbar(g.cfg.AddressMap.Partitions, g.cfg.ICNTLatency, 1)
 	if err != nil {
@@ -599,7 +633,6 @@ func (g *GPU) resetRuntime(st *runState, cacheRNG *rng.Source) {
 				sm.schedWake[i] = math.MaxInt64 // no warps: never issues
 			}
 		}
-		sm.wake = 0
 		if sm.l1 != nil {
 			sm.l1.Reset(cacheRNG.Uint64())
 		}
@@ -611,7 +644,6 @@ func (g *GPU) resetRuntime(st *runState, cacheRNG *rng.Source) {
 	for _, p := range st.parts {
 		p.ctrl.Reset()
 		p.replies = p.replies[:0]
-		p.wake = 0
 		if p.l2 != nil {
 			p.l2.Reset(cacheRNG.Uint64())
 		}
@@ -620,70 +652,81 @@ func (g *GPU) resetRuntime(st *runState, cacheRNG *rng.Source) {
 	st.toSM.Reset()
 }
 
-// stepSMs advances every SM one cycle: deliver replies, drain the
-// LD/ST injection queues, and let the schedulers issue. An SM whose
-// wake horizon lies in the future is skipped. The returned flag
-// reports whether some SM still holds queued transactions, which pins
-// the event horizon to now+1 (see nextEvent).
-func (g *GPU) stepSMs(st *runState, now int64) (busy bool) {
-	for _, smID := range st.warpSMs {
-		sm := st.sms[smID]
-		if now < sm.wake {
-			continue // provably nothing to do yet
-		}
-		// 1a. L1-hit replies maturing this cycle.
-		if len(sm.replies) > 0 {
-			kept := sm.replies[:0]
-			for _, lr := range sm.replies {
-				if lr.at <= now {
-					g.settle(st, sm, smID, st.runs[lr.warp], now)
-				} else {
-					kept = append(kept, lr)
-				}
+// stepSMs advances every SM due this cycle (the SM bits of due, the
+// calendar's take) by one cycle: deliver replies, drain the LD/ST
+// injection queues, and let the schedulers issue. An SM whose wake
+// horizon lies in the future is skipped. The returned flag reports
+// whether some SM still holds queued transactions, which pins the
+// event horizon to now+1 (see nextEvent).
+func (g *GPU) stepSMs(st *runState, now int64, due []uint64) (busy bool) {
+	for w, word := range due {
+		for ; word != 0; word &= word - 1 {
+			smID := w<<6 | bits.TrailingZeros64(word)
+			if smID >= len(st.sms) {
+				return busy // the partitions' bits follow
 			}
-			sm.replies = kept
-		}
-
-		// 1b. Memory replies from the interconnect (one per cycle:
-		// return-port bandwidth).
-		if r := st.toSM.Pop(smID, now); r != nil {
-			if sm.l1 != nil && r.Kind == mem.Load {
-				sm.l1.Access(mem.BlockOf(r.Addr)) // fill
+			sm := st.sms[smID]
+			if t := st.cal.wake[smID]; now < t {
+				st.cal.insert(smID, t) // not due yet: keep a bit for its wake
+				continue
 			}
-			g.settle(st, sm, smID, st.runs[r.Warp], now)
-			if sm.mshr != nil {
-				block := mem.BlockOf(r.Addr)
-				if waiters, ok := sm.mshr[block]; ok {
-					for _, waiter := range waiters {
-						g.settle(st, sm, smID, st.runs[waiter], now)
+			// 1a. L1-hit replies maturing this cycle.
+			if len(sm.replies) > 0 {
+				kept := sm.replies[:0]
+				for _, lr := range sm.replies {
+					if lr.at <= now {
+						g.settle(st, sm, smID, st.runs[lr.warp], now)
+					} else {
+						kept = append(kept, lr)
 					}
-					delete(sm.mshr, block)
 				}
+				sm.replies = kept
+			}
+
+			// 1b. Memory replies from the interconnect (one per cycle:
+			// return-port bandwidth).
+			if r := st.toSM.Pop(smID, now); r != nil {
+				if sm.l1 != nil && r.Kind == mem.Load {
+					sm.l1.Access(mem.BlockOf(r.Addr)) // fill
+				}
+				g.settle(st, sm, smID, st.runs[r.Warp], now)
+				if sm.mshr != nil {
+					block := mem.BlockOf(r.Addr)
+					if waiters, ok := sm.mshr[block]; ok {
+						for _, waiter := range waiters {
+							g.settle(st, sm, smID, st.runs[waiter], now)
+						}
+						delete(sm.mshr, block)
+					}
+				}
+				if g.skipIdle {
+					g.arena.put(r) // the reply is consumed; nothing holds r
+				}
+			}
+
+			// 2. Drain the LD/ST injection queue into the interconnect.
+			for n := 0; n < g.cfg.MCURate && sm.injectQ.Len() > 0; n++ {
+				req := sm.injectQ.Pop()
+				req.Issued = now
+				st.toMem.Push(req.Loc.Partition, req, now)
+				st.wakePart(req.Loc.Partition)
+				st.progress++
+			}
+
+			// 3. Warp schedulers issue. One whose wake lies in the future
+			// is skipped; one with no warps never wakes.
+			for s, wake := range sm.schedWake {
+				if now >= wake {
+					g.issueOne(st, sm, smID, s, now)
+				}
+			}
+
+			if sm.injectQ.Len() > 0 {
+				busy = true
 			}
 			if g.skipIdle {
-				g.arena.put(r) // the reply is consumed; nothing holds r
+				st.cal.set(smID, st.smHorizon(sm, smID, now), now)
 			}
-		}
-
-		// 2. Drain the LD/ST injection queue into the interconnect.
-		for n := 0; n < g.cfg.MCURate && sm.injectQ.Len() > 0; n++ {
-			req := sm.injectQ.Pop()
-			req.Issued = now
-			st.toMem.Push(req.Loc.Partition, req, now)
-			st.wakePart(req.Loc.Partition)
-			st.progress++
-		}
-
-		// 3. Warp schedulers issue.
-		for s := 0; s < g.cfg.SchedulersPerSM; s++ {
-			g.issueOne(st, sm, smID, s, now)
-		}
-
-		if sm.injectQ.Len() > 0 {
-			busy = true
-		}
-		if g.skipIdle {
-			sm.wake = st.smHorizon(sm, smID, now)
 		}
 	}
 	return busy
@@ -716,10 +759,7 @@ func (st *runState) smHorizon(sm *smState, smID int, now int64) int64 {
 // wakeSM lowers an SM's horizon to its reply port's next delivery,
 // after the memory side pushed a reply toward it.
 func (st *runState) wakeSM(smID int) {
-	sm := st.sms[smID]
-	if t := st.toSM.NextDeliverable(smID); t < sm.wake {
-		sm.wake = t
-	}
+	st.cal.lower(smID, st.toSM.NextDeliverable(smID))
 }
 
 // settle delivers one memory reply to a warp, retiring the warp if it
@@ -759,74 +799,86 @@ func (g *GPU) retire(st *runState, w *warpRun, now int64) {
 	}
 }
 
-// stepMemory advances every partition: accept a request from the
-// interconnect (through the L2 when enabled), tick the DRAM
-// controller, and send replies back. A partition whose wake horizon
-// lies in the future is skipped; every visited one gets a fresh
-// horizon (partHorizon), which nextEvent reads.
-func (g *GPU) stepMemory(st *runState, now int64) {
-	for pid, p := range st.parts {
-		if g.skipIdle && now < p.wake {
-			continue // provably nothing to do yet
+// stepMemory advances every partition due this cycle (the partition
+// bits of due, the calendar's take; partition pid is unit
+// len(st.sms)+pid): accept a request from the interconnect (through
+// the L2 when enabled), tick the DRAM controller, and send replies
+// back. Under skipIdle a partition whose wake horizon lies in the
+// future is skipped; every visited one gets a fresh horizon
+// (partHorizon), which nextEvent reads.
+func (g *GPU) stepMemory(st *runState, now int64, due []uint64) {
+	nSM := len(st.sms)
+	for w := nSM >> 6; w < len(due); w++ {
+		word := due[w]
+		if w == nSM>>6 {
+			word &^= 1<<(nSM&63) - 1 // the SMs' bits
 		}
-		// A partition with no queued, in-flight, or deliverable work is
-		// a strict no-op this cycle; skip its whole body.
-		if len(p.replies) == 0 && p.ctrl.Idle() && st.toMem.Pending(pid) == 0 {
-			p.wake = math.MaxInt64
-			continue
-		}
-		// L2-hit replies maturing this cycle.
-		if len(p.replies) > 0 {
-			kept := p.replies[:0]
-			for _, r := range p.replies {
-				if r.Done <= now {
-					st.toSM.Push(r.SM, r, now)
-					st.wakeSM(r.SM)
-					st.progress++
-				} else {
-					kept = append(kept, r)
-				}
+		for ; word != 0; word &= word - 1 {
+			id := w<<6 | bits.TrailingZeros64(word)
+			pid, p := id-nSM, st.parts[id-nSM]
+			if t := st.cal.wake[id]; g.skipIdle && now < t {
+				st.cal.insert(id, t) // not due yet: keep a bit for its wake
+				continue
 			}
-			p.replies = kept
-		}
-
-		if p.ctrl.CanAccept() {
-			if r := st.toMem.Pop(pid, now); r != nil {
-				st.progress++
-				if p.l2 != nil && r.Kind == mem.Load {
-					if hit, _, _ := p.l2.Access(mem.BlockOf(r.Addr)); hit {
-						r.Done = now + int64(p.l2.HitLatency())
-						p.replies = append(p.replies, r)
-						goto tick
+			// A partition with no queued, in-flight, or deliverable work is
+			// a strict no-op this cycle; skip its whole body.
+			if len(p.replies) == 0 && p.ctrl.Idle() && st.toMem.Pending(pid) == 0 {
+				st.cal.set(id, math.MaxInt64, now)
+				continue
+			}
+			// L2-hit replies maturing this cycle.
+			if len(p.replies) > 0 {
+				kept := p.replies[:0]
+				for _, r := range p.replies {
+					if r.Done <= now {
+						st.toSM.Push(r.SM, r, now)
+						st.wakeSM(r.SM)
+						st.progress++
+					} else {
+						kept = append(kept, r)
 					}
 				}
-				r.Arrived = now
-				p.ctrl.Push(r)
+				p.replies = kept
 			}
-		}
-	tick:
-		{
-			// Scheduling moves a request queue→in-flight without
-			// completing anything; detect it by queue shrinkage so a
-			// frozen controller (fault injection, modeling bugs) reads
-			// as no progress rather than spinning forever.
-			qBefore := p.ctrl.QueueLen()
-			for _, done := range p.ctrl.Tick(now) {
-				done.Done = now
-				if g.cfg.Trace != nil {
-					g.cfg.Trace.Emit(Event{Cycle: now, Kind: EvDRAMService, SM: done.SM,
-						Warp: done.Warp, Addr: done.Addr, Round: done.Round,
-						Part: pid, N: now - done.Arrived})
+
+			if p.ctrl.CanAccept() {
+				if r := st.toMem.Pop(pid, now); r != nil {
+					st.progress++
+					if p.l2 != nil && r.Kind == mem.Load {
+						if hit, _, _ := p.l2.Access(mem.BlockOf(r.Addr)); hit {
+							r.Done = now + int64(p.l2.HitLatency())
+							p.replies = append(p.replies, r)
+							goto tick
+						}
+					}
+					r.Arrived = now
+					p.ctrl.Push(r)
 				}
-				st.toSM.Push(done.SM, done, now)
-				st.wakeSM(done.SM)
-				st.progress++
 			}
-			if p.ctrl.QueueLen() != qBefore {
-				st.progress++
+		tick:
+			{
+				// Scheduling moves a request queue→in-flight without
+				// completing anything; detect it by the access count so a
+				// frozen controller (fault injection, modeling bugs) reads
+				// as no progress rather than spinning forever.
+				scheduled := p.ctrl.Stats.Accesses
+				for _, done := range p.ctrl.Tick(now) {
+					done.Done = now
+					if g.cfg.Trace != nil {
+						g.cfg.Trace.Emit(Event{Cycle: now, Kind: EvDRAMService, SM: done.SM,
+							Warp: done.Warp, Addr: done.Addr, Round: done.Round,
+							Part: pid, N: now - done.Arrived})
+					}
+					st.toSM.Push(done.SM, done, now)
+					st.wakeSM(done.SM)
+					st.progress++
+				}
+				if p.ctrl.Stats.Accesses != scheduled {
+					st.progress++
+				}
 			}
+			st.cal.set(id, st.partHorizon(p, pid, now), now)
 		}
-		p.wake = st.partHorizon(p, pid, now)
 	}
 }
 
@@ -848,8 +900,7 @@ func (st *runState) partHorizon(p *partState, pid int, now int64) int64 {
 // wakePart lowers a partition's horizon to its request port's next
 // delivery, after an SM pushed a request toward it.
 func (st *runState) wakePart(pid int) {
-	p := st.parts[pid]
-	p.wake = min(p.wake, st.toMem.NextDeliverable(pid))
+	st.cal.lower(len(st.sms)+pid, st.toMem.NextDeliverable(pid))
 }
 
 func (st *runState) idleMemory() bool {
@@ -882,14 +933,10 @@ func (w *warpRun) finish(now int64, stats *WarpStats) {
 // issueOne lets scheduler s of the SM issue for at most one warp.
 // Under LRR the scan starts after the last issued warp; under GTO the
 // scheduler greedily retries the warp it issued last and otherwise
-// falls back to the oldest ready warp (subset order encodes age). A
-// scheduler whose wake lies in the future is skipped.
+// falls back to the oldest ready warp (subset order encodes age).
 func (g *GPU) issueOne(st *runState, sm *smState, smID, s int, now int64) {
 	mine := sm.sched[s]
 	nLocal := len(mine)
-	if nLocal == 0 || now < sm.schedWake[s] {
-		return
-	}
 	start := sm.schedPtr[s]
 	if g.cfg.Scheduler == GTO {
 		prev := start - 1
@@ -1199,17 +1246,13 @@ func (g *GPU) issueMemory(st *runState, sm *smState, smID int, w *warpRun, ins *
 			g.cfg.Trace.Emit(Event{Cycle: now, Kind: EvMemTx, SM: smID, Warp: w.prog.ID, Addr: b * mem.BlockBytes, Round: round})
 		}
 		st.reqID++
+		// Field by field: a composite literal is built aside and
+		// copied, which costs as much again on this path.
 		req := g.arena.get()
-		addr := b * mem.BlockBytes
-		*req = mem.Request{
-			ID:    st.reqID,
-			Addr:  addr,
-			Kind:  kindOf(ins.Kind),
-			SM:    smID,
-			Warp:  w.prog.ID,
-			Round: round,
-			Loc:   g.cfg.AddressMap.Decode(addr),
-		}
+		req.ID, req.Addr, req.Kind = st.reqID, b*mem.BlockBytes, kindOf(ins.Kind)
+		req.SM, req.Warp, req.Round = smID, w.prog.ID, round
+		req.Issued, req.Arrived, req.Done = 0, 0, 0
+		req.Loc = g.decode(b)
 		sm.injectQ.Push(req)
 		if m := g.cfg.Metrics; m != nil {
 			m.injectDepth.Observe(int64(sm.injectQ.Len()))

@@ -31,6 +31,11 @@ type Crossbar struct {
 	// nextSlot[p] is the next cycle at which port p may deliver,
 	// enforcing the per-packet port occupancy.
 	nextSlot []int64
+	// due[p] is the cycle port p's head packet can be delivered, the
+	// later of its readyAt and nextSlot[p]; math.MaxInt64 while the
+	// port is empty. Pop and NextDeliverable read it instead of the
+	// ring.
+	due []int64
 
 	// dropPort/dropNth/dropSeen are the fault-injection seam (see
 	// InjectDrop): when dropNth > 0, the dropNth-th push toward
@@ -63,12 +68,15 @@ func NewCrossbar(ports int, latency, occupancy int) (*Crossbar, error) {
 	if occupancy < 1 {
 		return nil, fmt.Errorf("icnt: occupancy %d must be >= 1", occupancy)
 	}
-	return &Crossbar{
+	x := &Crossbar{
 		latency:   int64(latency),
 		occupancy: int64(occupancy),
 		ports:     make([]ringbuf.Ring[packet], ports),
 		nextSlot:  make([]int64, ports),
-	}, nil
+		due:       make([]int64, ports),
+	}
+	x.Reset()
+	return x, nil
 }
 
 // InjectDrop arms the crossbar's test-only fault seam
@@ -95,6 +103,9 @@ func (x *Crossbar) Push(dst int, r *mem.Request, now int64) {
 		}
 	}
 	x.ports[dst].Push(packet{req: r, readyAt: now + x.latency})
+	if x.ports[dst].Len() == 1 {
+		x.due[dst] = max(now+x.latency, x.nextSlot[dst])
+	}
 	if n := x.ports[dst].Len(); n > x.MaxQueue {
 		x.MaxQueue = n
 	}
@@ -107,24 +118,27 @@ func (x *Crossbar) Push(dst int, r *mem.Request, now int64) {
 // now, honoring in-order delivery, pipeline latency, and port
 // bandwidth. It returns nil when nothing is deliverable.
 func (x *Crossbar) Pop(dst int, now int64) *mem.Request {
+	if now < x.due[dst] {
+		return nil // the common case, kept small enough to inline
+	}
+	return x.pop(dst, now)
+}
+
+func (x *Crossbar) pop(dst int, now int64) *mem.Request {
 	q := &x.ports[dst]
-	if q.Len() == 0 {
-		return nil
-	}
-	if q.Peek().readyAt > now || x.nextSlot[dst] > now {
-		return nil
-	}
 	head := q.Pop()
 	x.nextSlot[dst] = now + x.occupancy
 	x.Delivered++
+	x.setDue(dst)
 	return head.req
 }
 
-// Peek reports whether port dst could deliver at cycle now without
-// consuming the packet (used for back-pressure checks).
-func (x *Crossbar) Peek(dst int, now int64) bool {
-	q := &x.ports[dst]
-	return q.Len() > 0 && q.Peek().readyAt <= now && x.nextSlot[dst] <= now
+// setDue recomputes port dst's due cycle from its head and nextSlot.
+func (x *Crossbar) setDue(dst int) {
+	x.due[dst] = math.MaxInt64
+	if q := &x.ports[dst]; q.Len() > 0 {
+		x.due[dst] = max(q.Peek().readyAt, x.nextSlot[dst])
+	}
 }
 
 // NextDeliverable returns the earliest cycle at which port dst could
@@ -133,17 +147,7 @@ func (x *Crossbar) Peek(dst int, now int64) bool {
 // minimum readyAt; the port's bandwidth slot can only push delivery
 // later. This is the port's event horizon for fast-forwarding: no
 // cycle strictly before the returned value can observe a delivery.
-func (x *Crossbar) NextDeliverable(dst int) int64 {
-	q := &x.ports[dst]
-	if q.Len() == 0 {
-		return math.MaxInt64
-	}
-	t := q.Peek().readyAt
-	if s := x.nextSlot[dst]; s > t {
-		t = s
-	}
-	return t
-}
+func (x *Crossbar) NextDeliverable(dst int) int64 { return x.due[dst] }
 
 // Pending returns the number of packets queued for port dst.
 func (x *Crossbar) Pending(dst int) int { return x.ports[dst].Len() }
@@ -214,6 +218,9 @@ func (x *Crossbar) Restore(s *Snapshot, req func(int) *mem.Request) {
 		}
 	}
 	copy(x.nextSlot, s.nextSlot)
+	for i := range x.ports {
+		x.setDue(i)
+	}
 	x.Delivered = s.delivered
 	x.MaxQueue = s.maxQueue
 	x.dropSeen = s.dropSeen
@@ -226,6 +233,7 @@ func (x *Crossbar) Reset() {
 	for i := range x.ports {
 		x.ports[i].Reset()
 		x.nextSlot[i] = 0
+		x.due[i] = math.MaxInt64
 	}
 	x.Delivered = 0
 	x.MaxQueue = 0

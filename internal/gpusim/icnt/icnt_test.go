@@ -69,20 +69,6 @@ func TestPortsIndependent(t *testing.T) {
 	}
 }
 
-func TestPeekDoesNotConsume(t *testing.T) {
-	x, _ := NewCrossbar(1, 1, 1)
-	x.Push(0, &mem.Request{ID: 7}, 0)
-	if x.Peek(0, 0) {
-		t.Error("peek true before latency")
-	}
-	if !x.Peek(0, 1) || !x.Peek(0, 1) {
-		t.Error("peek consumed or false when deliverable")
-	}
-	if x.Pop(0, 1) == nil {
-		t.Error("pop failed after peek")
-	}
-}
-
 func TestIdleAndPending(t *testing.T) {
 	x, _ := NewCrossbar(3, 2, 1)
 	if !x.Idle() {

@@ -20,16 +20,14 @@ func (r *Ring[T]) Len() int { return r.n }
 // Cap returns the current capacity of the backing buffer.
 func (r *Ring[T]) Cap() int { return len(r.buf) }
 
-// Push appends v at the tail, growing the buffer if full.
+// Push appends v at the tail, growing the buffer if full. The
+// capacity is a power of two (grow doubles from 8), so indices wrap by
+// masking.
 func (r *Ring[T]) Push(v T) {
 	if r.n == len(r.buf) {
 		r.grow()
 	}
-	tail := r.head + r.n
-	if tail >= len(r.buf) {
-		tail -= len(r.buf)
-	}
-	r.buf[tail] = v
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = v
 	r.n++
 }
 
@@ -42,10 +40,7 @@ func (r *Ring[T]) Pop() T {
 	v := r.buf[r.head]
 	var zero T
 	r.buf[r.head] = zero // drop the reference for GC
-	r.head++
-	if r.head == len(r.buf) {
-		r.head = 0
-	}
+	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.n--
 	return v
 }
