@@ -21,6 +21,7 @@
 //	rcoal-experiments -run all -cache cachedir        # reuse cells from any prior identical sweep
 //	rcoal-experiments -serve :8077 -run all -journal ckpt  # lease cells to a fleet
 //	rcoal-experiments -worker http://host:8077        # compute cells for a -serve coordinator
+//	rcoal-experiments -worker http://host:8077 -cache wcache  # answer re-leased cells it already computed
 //
 // In serve mode the control plane lives on the lease address: GET
 // /status for live grid progress, per-worker rates, and straggler
@@ -79,7 +80,7 @@ var (
 	hb       = flag.Duration("heartbeat", 0, "period of the live telemetry line on stderr (cells done, rate, eta, worker utilization; in serve mode also cache hit/miss and workers); 0 = off")
 	maddr    = flag.String("metrics-addr", "", "serve live run telemetry as Prometheus text at http://<addr>/metrics (local and worker modes; -serve exposes /metrics on its own address)")
 	accel    = flag.Bool("accel", false, "share one AES trace cache across every cell of the run (results are byte-identical; uses more memory)")
-	cdir     = flag.String("cache", "", "directory for the content-addressed results store: cells computed by any prior run of any experiment under identical result-determining options are restored instead of re-run")
+	cdir     = flag.String("cache", "", "directory for the content-addressed results store: cells computed by any prior run of any experiment under identical result-determining options are restored instead of re-run; in worker mode, the worker's own store, which answers a re-leased cell it already computed")
 	mechs    = flag.String("mechanisms", "", "comma-separated defense specs restricting mechanism-enumerating experiments (ext-defense-frontier), e.g. \"baseline,rss+rts:8,delay:64\"; empty = full registry")
 	serve    = flag.String("serve", "", "coordinate a distributed sweep: serve the lease protocol and control plane (/status, /metrics) at this address and lease every grid cell to -worker processes instead of computing it here; requires -journal")
 	leaseTO  = flag.Duration("lease-timeout", 2*time.Minute, "serve mode: silence budget per lease before the cell is re-issued to another worker; holders renew long computations via /lease/renew")
@@ -87,12 +88,10 @@ var (
 	worker   = flag.String("worker", "", "run as a distributed worker for the -serve coordinator at this base URL (e.g. http://host:8077) instead of running experiments locally; -workers bounds concurrent cells")
 	workerID = flag.String("worker-id", "", "worker name in the coordinator's ledger and status page; default host:pid")
 	chaosSee = flag.Uint64("chaos-seed", 0, "worker mode: inject deterministic network faults on every coordinator request from this seed's schedule (internal/chaos; testing only); 0 = off")
-	degrade  = flag.String("degraded-journal", "", "worker mode: local checkpoint journal for degraded standalone mode — completions undeliverable for -degraded-after park here instead of being lost and replay on the next run")
-	degAfter = flag.Duration("degraded-after", 30*time.Second, "worker mode: delivery-failure window before a completion is parked (requires -degraded-journal)")
 	reqTO    = flag.Duration("request-timeout", 30*time.Second, "worker mode: per-request HTTP timeout toward the coordinator")
 	logJSON  = flag.Bool("log-json", false, "emit structured lifecycle events as JSON lines on stderr (heartbeats; lease lifecycle in serve and worker modes)")
 	logLevel = flag.String("log-level", "info", "structured log threshold: debug, info, warn, error (with -log-json)")
-	flight   = flag.String("flight-out", "", "dump the in-memory flight recorder (last events at every level) to this file on experiment failure (watchdog trips, cell panics), degraded-mode entry, or a serve-mode shutdown signal")
+	flight   = flag.String("flight-out", "", "dump the in-memory flight recorder (last events at every level) to this file on experiment failure (watchdog trips, cell panics), worker failure, or a serve-mode shutdown signal")
 )
 
 func main() {
@@ -108,6 +107,9 @@ func run() int {
 	}
 	if *serve != "" && *worker != "" {
 		return fail("-serve and -worker are exclusive: a process coordinates a fleet or computes for one")
+	}
+	if err := checkModeFlags(); err != nil {
+		return fail("%v", err)
 	}
 	if *resume && *jdir == "" {
 		return fail("-resume requires -journal")
@@ -345,6 +347,34 @@ func run() int {
 	return 0
 }
 
+// checkModeFlags rejects a flag set explicitly in a mode that ignores
+// it. flag.Visit sees only the flags given on the command line, so
+// defaults never trip the check.
+func checkModeFlags() error {
+	serving, working := *serve != "", *worker != ""
+	var err error
+	flag.Visit(func(f *flag.Flag) {
+		if err != nil {
+			return
+		}
+		switch f.Name {
+		case "lease-timeout", "drain-wait":
+			if !serving {
+				err = fmt.Errorf("-%s is only for -serve", f.Name)
+			}
+		case "worker-id", "chaos-seed", "request-timeout":
+			if !working {
+				err = fmt.Errorf("-%s is only for -worker", f.Name)
+			}
+		case "run", "csv", "journal", "resume", "trace-out":
+			if working {
+				err = fmt.Errorf("-%s does not apply to -worker", f.Name)
+			}
+		}
+	})
+	return err
+}
+
 // checkOutputs validates output paths before any compute, since they
 // are first written only after every experiment has finished: -csv
 // must name an existing directory this process can create files in
@@ -476,9 +506,19 @@ func runWorker() int {
 		ID:             id,
 		Concurrency:    concurrency,
 		RequestTimeout: *reqTO,
-		DegradedPath:   *degrade,
-		DegradedAfter:  *degAfter,
 		Logger:         logger,
+	}
+	// The worker's results store opens before its first poll: each
+	// computed cell is recorded by ID, so a lease re-issued after a
+	// lost completion is answered without computing.
+	if *cdir != "" {
+		store, err := experiments.OpenCache(*cdir)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "rcoal-experiments: -cache: %v\n", err)
+			return 2
+		}
+		defer store.Close()
+		w.Store = store
 	}
 	var injector *chaos.Injector
 	if *chaosSee != 0 {
@@ -505,7 +545,6 @@ func runWorker() int {
 			p.Gauge("rcoal_worker_cells_completed", "Cells this worker delivered (accepted or not).", float64(st.Completed))
 			p.Counter("rcoal_worker_completions_accepted_total", "Completions the coordinator accepted.", float64(st.Accepted))
 			p.Counter("rcoal_worker_completions_rejected_total", "Duplicate/stale completions (benign).", float64(st.Rejected))
-			p.Counter("rcoal_worker_completions_parked_total", "Completions checkpointed in degraded mode.", float64(st.Parked))
 			p.Counter("rcoal_worker_renewals_lost_total", "Leases the coordinator declined to renew.", float64(st.RenewalsLost))
 			p.Counter("rcoal_worker_chaos_faults_total", "Chaos faults observed by this worker.", float64(st.FaultsSeen))
 			if injector != nil {
@@ -553,13 +592,7 @@ func runWorker() int {
 		dumpFlight("worker failure")
 		return 1
 	}
-	if n := w.Parked(); n > 0 {
-		fmt.Fprintf(os.Stderr, "rcoal-experiments: worker %s degraded: %d completion(s) parked in %s; rerun with the same -degraded-journal once the coordinator is back\n",
-			id, n, *degrade)
-		dumpFlight("degraded mode")
-		return 0
-	}
-	fmt.Fprintf(os.Stderr, "rcoal-experiments: worker %s done (%d cells computed)\n", id, w.Completed())
+	fmt.Fprintf(os.Stderr, "rcoal-experiments: worker %s done (%d cells delivered)\n", id, w.Completed())
 	logger.Info("worker done", "cells", w.Completed())
 	return 0
 }

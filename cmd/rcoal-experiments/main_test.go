@@ -272,3 +272,41 @@ func TestServeFailFast(t *testing.T) {
 		})
 	}
 }
+
+// TestModeFlagsFailFast: a flag set explicitly in a mode that ignores
+// it exits with code 2, naming the flag, before any compute, serving or
+// polling; so does an unusable worker -cache directory. Defaults never
+// trip the check (every other test runs with them).
+func TestModeFlagsFailFast(t *testing.T) {
+	dir := t.TempDir()
+	file := filepath.Join(dir, "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	local := []string{"-run", "table2"}
+	serve := []string{"-serve", "127.0.0.1:0", "-journal", dir, "-run", "fig7"}
+	worker := []string{"-worker", "http://127.0.0.1:1"}
+	for _, tc := range []struct {
+		name    string
+		mode    []string
+		args    []string
+		wantErr string
+	}{
+		{"lease timeout local", local, []string{"-lease-timeout", "1s"}, "-lease-timeout is only for -serve"},
+		{"drain wait local", local, []string{"-drain-wait", "0s"}, "-drain-wait is only for -serve"},
+		{"lease timeout worker", worker, []string{"-lease-timeout", "1s"}, "-lease-timeout is only for -serve"},
+		{"worker id local", local, []string{"-worker-id", "w1"}, "-worker-id is only for -worker"},
+		{"chaos seed serve", serve, []string{"-chaos-seed", "7"}, "-chaos-seed is only for -worker"},
+		{"request timeout local", local, []string{"-request-timeout", "1s"}, "-request-timeout is only for -worker"},
+		{"run worker", worker, []string{"-run", "fig7"}, "-run does not apply to -worker"},
+		{"csv worker", worker, []string{"-csv", dir}, "-csv does not apply to -worker"},
+		{"journal worker", worker, []string{"-journal", dir}, "-journal does not apply to -worker"},
+		{"resume worker", worker, []string{"-resume"}, "-resume does not apply to -worker"},
+		{"trace out worker", worker, []string{"-trace-out", filepath.Join(dir, "t.json")}, "-trace-out does not apply to -worker"},
+		{"worker cache is a file", worker, []string{"-cache", file}, "-cache"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			requireFailFast(t, tc.wantErr, append(append([]string{}, tc.mode...), tc.args...)...)
+		})
+	}
+}

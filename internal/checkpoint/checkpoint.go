@@ -307,20 +307,6 @@ func (j *Journal) Lookup(key string) (json.RawMessage, bool) {
 	return v, ok
 }
 
-// Range calls fn for every journaled result until fn returns false.
-// Iteration order is unspecified. fn must not call back into the
-// journal (the lock is held) — it is for draining small side journals,
-// e.g. a worker replaying parked degraded-mode completions.
-func (j *Journal) Range(fn func(key string, value json.RawMessage) bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	for k, v := range j.seen {
-		if !fn(k, v) {
-			return
-		}
-	}
-}
-
 // Len reports how many journaled cells are available to Lookup.
 func (j *Journal) Len() int {
 	j.mu.Lock()

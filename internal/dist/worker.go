@@ -32,11 +32,10 @@ import (
 // retry under capped exponential backoff with deterministic jitter,
 // completions are redelivered until the coordinator acknowledges them,
 // long computations renew their lease, SIGTERM-style draining finishes
-// and reports the in-flight cell before exiting, and a coordinator
-// unreachable past DegradedAfter fails the worker over to degraded
-// standalone mode: the already-computed completion is checkpointed to
-// a local journal (DegradedPath) instead of being lost, and a later
-// run replays it.
+// and reports the in-flight cell before exiting. A completion that
+// cannot be delivered fails Run after MaxErrors; with a Store its bytes
+// are already kept there, so once the coordinator re-issues the expired
+// lease, a worker on the same store answers it without computing.
 type Worker struct {
 	// Coordinator is the coordinator's base URL (http://host:port).
 	Coordinator string
@@ -63,21 +62,18 @@ type Worker struct {
 	// RequestTimeout bounds each HTTP round trip; 0 means 30s,
 	// negative means no per-request timeout.
 	RequestTimeout time.Duration
-	// DegradedPath, when non-empty, is the local checkpoint journal
-	// for degraded standalone mode: a computed completion that cannot
-	// be delivered within DegradedAfter is parked there instead of
-	// lost, the worker exits cleanly, and the next Run with the same
-	// path replays parked completions to the coordinator first.
-	DegradedPath string
-	// DegradedAfter is the delivery-failure window before a completion
-	// is parked (only meaningful with DegradedPath); 0 means 30s.
-	DegradedAfter time.Duration
+	// Store, when non-nil, is this worker's results store
+	// (experiments.OpenCache): every leased cell is looked up by its
+	// content address before computing, and every computed cell is
+	// recorded there. nil computes every lease and remembers nothing.
+	Store *checkpoint.Journal
 	// Logger, when non-nil, receives the lease lifecycle as structured
 	// events (obs.Logger is nil-receiver safe, so call sites are
 	// unconditional). Typically pre-tagged with the worker id.
 	Logger *obs.Logger
 	// Compute overrides cell computation (tests). nil means
-	// experiments.ComputeCell with panic recovery.
+	// experiments.ComputeCell with panic recovery. Either way the
+	// options carry Store as their Cache.
 	Compute func(id string, o experiments.Options, key string) (json.RawMessage, error)
 
 	// traceCache is shared by all goroutines of this worker; built
@@ -88,9 +84,6 @@ type Worker struct {
 	// draining, once set, stops the loops from taking new leases;
 	// in-flight cells finish and report first.
 	draining atomic.Bool
-	// degraded counts completions parked to the local journal this
-	// run; nonzero means the worker exited in degraded mode.
-	degraded atomic.Int64
 
 	// accepted/rejected/renewalsLost/faultsSeen feed the worker-side
 	// /metrics endpoint; completed (below) counts deliveries of either
@@ -102,7 +95,6 @@ type Worker struct {
 
 	mu        sync.Mutex
 	drainCh   chan struct{}
-	parked    *checkpoint.Journal
 	completed int
 	// pendingMarks buffers chaos-fault observations (ObserveFault) that
 	// arrive while no cell trace is being built — e.g. faults injected
@@ -120,7 +112,6 @@ type WorkerStats struct {
 	Completed    int   // deliveries, accepted or not
 	Accepted     int64 // completions the coordinator accepted
 	Rejected     int64 // duplicate/stale completions (benign)
-	Parked       int64 // completions checkpointed in degraded mode
 	RenewalsLost int64 // leases the coordinator declined to renew
 	FaultsSeen   int64 // chaos faults observed via ObserveFault
 }
@@ -134,7 +125,6 @@ func (w *Worker) Stats() WorkerStats {
 		Completed:    completed,
 		Accepted:     w.accepted.Load(),
 		Rejected:     w.rejected.Load(),
-		Parked:       w.degraded.Load(),
 		RenewalsLost: w.renewalsLost.Load(),
 		FaultsSeen:   w.faultsSeen.Load(),
 	}
@@ -177,17 +167,6 @@ func (w *Worker) drainMarks(track string) []obs.Mark {
 	return marks
 }
 
-// degradedMeta fingerprints the parked-completion journal. It is
-// constant: parked completions carry their own experiment identity in
-// the value, so any worker run may append to (and replay from) the
-// same file.
-type degradedMeta struct {
-	Format string `json:"format"`
-	V      int    `json:"v"`
-}
-
-func parkedMeta() degradedMeta { return degradedMeta{Format: "rcoal-degraded-completions", V: 1} }
-
 // Completed returns how many cells this worker delivered (accepted or
 // not).
 func (w *Worker) Completed() int {
@@ -195,10 +174,6 @@ func (w *Worker) Completed() int {
 	defer w.mu.Unlock()
 	return w.completed
 }
-
-// Parked returns how many completions this run checkpointed to the
-// degraded journal instead of delivering.
-func (w *Worker) Parked() int { return int(w.degraded.Load()) }
 
 // Drain asks the worker to stop taking new leases: each loop finishes
 // and reports its in-flight cell, then exits. Run then returns nil —
@@ -269,8 +244,6 @@ func (w *Worker) jitterSource(loop int) *rng.Source {
 // Run polls for leases until the coordinator reports Done, the context
 // is canceled, Drain finishes the in-flight work, or MaxErrors
 // consecutive transport failures. A nil error means a clean drain.
-// With DegradedPath set, Run first replays completions parked by a
-// previous degraded run.
 func (w *Worker) Run(ctx context.Context) error {
 	if w.ID == "" {
 		w.ID = "worker"
@@ -278,12 +251,6 @@ func (w *Worker) Run(ctx context.Context) error {
 	client := w.Client
 	if client == nil {
 		client = http.DefaultClient
-	}
-	if w.DegradedPath != "" {
-		if err := w.openParked(); err != nil {
-			return err
-		}
-		w.replayParked(ctx, client)
 	}
 	conc := w.Concurrency
 	if conc <= 0 {
@@ -298,16 +265,6 @@ func (w *Worker) Run(ctx context.Context) error {
 		if err := <-errs; err != nil && first == nil {
 			first = err
 		}
-	}
-	w.mu.Lock()
-	if w.parked != nil {
-		w.parked.Close()
-		w.parked = nil
-	}
-	w.mu.Unlock()
-	if n := w.Parked(); n > 0 {
-		w.Logger.Warn("degraded mode: completions parked; rerun this worker to replay them",
-			"parked", n, "journal", w.DegradedPath)
 	}
 	return first
 }
@@ -429,9 +386,9 @@ func (b *cellTraceBuilder) snapshot() *obs.CellTrace {
 
 // serveLease computes one leased cell and delivers the outcome,
 // renewing the lease while it works. The returned error means
-// delivery definitively failed (retries exhausted with no degraded
-// journal) — a cell computation failure is reported to the
-// coordinator (which fails that experiment), not up the worker loop.
+// delivery definitively failed (retries exhausted) — a cell
+// computation failure is reported to the coordinator (which fails
+// that experiment), not up the worker loop.
 func (w *Worker) serveLease(ctx context.Context, client *http.Client, jitter *rng.Source, g *LeaseGrant) error {
 	w.Logger.Info("lease granted",
 		"experiment", g.Experiment, "cell", g.Key, "seq", g.Seq)
@@ -466,17 +423,11 @@ func (w *Worker) serveLease(ctx context.Context, client *http.Client, jitter *rn
 }
 
 // deliver redelivers one completion until the coordinator
-// acknowledges it, the retry budget runs out, or — with a degraded
-// journal configured — the failure window closes and the completion
-// is parked locally instead. Delivery continues through Drain: a
-// draining worker reports its in-flight cell before exiting.
+// acknowledges it or the retry budget runs out. Delivery continues
+// through Drain: a draining worker reports its in-flight cell before
+// exiting.
 func (w *Worker) deliver(ctx context.Context, client *http.Client, jitter *rng.Source, req CompleteRequest, tb *cellTraceBuilder) error {
 	maxErrs := w.maxErrors()
-	window := w.DegradedAfter
-	if window <= 0 {
-		window = 30 * time.Second
-	}
-	start := time.Now()
 	for attempt := 1; ; attempt++ {
 		if tb != nil {
 			// Refresh the attached trace each attempt: backoff marks and
@@ -506,9 +457,6 @@ func (w *Worker) deliver(ctx context.Context, client *http.Client, jitter *rng.S
 		}
 		w.Logger.Warn("completion post failed",
 			"experiment", req.Experiment, "cell", req.Key, "attempt", attempt, "error", err.Error())
-		if w.DegradedPath != "" && time.Since(start) >= window {
-			return w.park(req)
-		}
 		if attempt >= maxErrs {
 			return fmt.Errorf("dist: worker %s: %d consecutive coordinator errors delivering %s %s, last: %w",
 				w.ID, attempt, req.Experiment, req.Key, err)
@@ -522,79 +470,6 @@ func (w *Worker) deliver(ctx context.Context, client *http.Client, jitter *rng.S
 			return ctx.Err()
 		}
 	}
-}
-
-// openParked opens (or creates) the degraded journal at DegradedPath.
-func (w *Worker) openParked() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.parked != nil {
-		return nil
-	}
-	j, err := checkpoint.Resume(w.DegradedPath, parkedMeta())
-	if err != nil {
-		return fmt.Errorf("dist: opening degraded journal: %w", err)
-	}
-	w.parked = j
-	return nil
-}
-
-// park checkpoints an undeliverable completion to the degraded
-// journal and switches the worker to degraded standalone mode: the
-// loops stop polling (the coordinator is unreachable anyway) and Run
-// returns cleanly with the work preserved instead of hanging or
-// dropping it.
-func (w *Worker) park(req CompleteRequest) error {
-	w.mu.Lock()
-	j := w.parked
-	w.mu.Unlock()
-	if j == nil {
-		return fmt.Errorf("dist: worker %s: degraded journal not open", w.ID)
-	}
-	key := req.Experiment + "\x1f" + req.Key
-	if _, err := j.RecordOnce(key, req); err != nil {
-		return fmt.Errorf("dist: parking completion %s %s: %w", req.Experiment, req.Key, err)
-	}
-	w.degraded.Add(1)
-	w.Logger.Error("degraded mode: completion parked locally",
-		"experiment", req.Experiment, "cell", req.Key, "journal", w.DegradedPath)
-	w.Drain()
-	return nil
-}
-
-// replayParked delivers completions a previous degraded run
-// checkpointed locally. Parked entries are never removed — replaying
-// an already-delivered completion is rejected first-writer-wins by
-// the coordinator, so replay is idempotent. Failures leave the entry
-// parked for the next run.
-func (w *Worker) replayParked(ctx context.Context, client *http.Client) {
-	w.mu.Lock()
-	j := w.parked
-	w.mu.Unlock()
-	if j == nil || j.Len() == 0 {
-		return
-	}
-	delivered, failed := 0, 0
-	j.Range(func(key string, value json.RawMessage) bool {
-		var req CompleteRequest
-		if err := json.Unmarshal(value, &req); err != nil {
-			w.Logger.Error("degraded replay: unreadable parked entry", "entry", key, "error", err.Error())
-			failed++
-			return true
-		}
-		var resp CompleteResponse
-		if err := w.post(ctx, client, "/complete", req, &resp); err != nil {
-			w.Logger.Warn("degraded replay: completion undeliverable",
-				"experiment", req.Experiment, "cell", req.Key, "error", err.Error())
-			failed++
-			return true
-		}
-		delivered++
-		w.Logger.Info("degraded replay: parked completion delivered",
-			"experiment", req.Experiment, "cell", req.Key, "accepted", resp.Accepted, "reason", resp.Reason)
-		return true
-	})
-	w.Logger.Info("degraded replay", "delivered", delivered, "still_parked", failed)
 }
 
 // startRenewer keeps g alive while its cell computes: a goroutine
@@ -655,9 +530,10 @@ func (w *Worker) startRenewer(ctx context.Context, client *http.Client, g *Lease
 	}
 }
 
-// compute reconstructs the leased cell's options and recomputes it,
-// converting panics into reportable errors so a poisoned cell fails
-// its experiment instead of killing the worker.
+// compute reconstructs the leased cell's options and computes it
+// against the worker's store, converting panics into reportable errors
+// so a poisoned cell fails its experiment instead of killing the
+// worker.
 func (w *Worker) compute(g *LeaseGrant) (raw json.RawMessage, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -668,6 +544,8 @@ func (w *Worker) compute(g *LeaseGrant) (raw json.RawMessage, err error) {
 	if err != nil {
 		return nil, err
 	}
+	// Never the throwaway memory store the wire options come with.
+	o.Cache = w.Store
 	if g.Options.Accel {
 		w.cacheOnce.Do(func() { w.traceCache = kernels.NewTraceCache() })
 		o.TraceCache = w.traceCache

@@ -5,17 +5,17 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"rcoal/internal/checkpoint"
 	"rcoal/internal/experiments"
 	"rcoal/internal/obs"
+	"rcoal/internal/runner"
 )
 
 // TestBackoffDeterministicJitter pins the retry-pause contract: the
@@ -307,72 +307,150 @@ func (b *blockPath) RoundTrip(req *http.Request) (*http.Response, error) {
 	return http.DefaultTransport.RoundTrip(req)
 }
 
-// TestDegradedParkAndReplay is the graceful-degradation contract: a
-// worker that computes a cell but cannot deliver it within
-// DegradedAfter parks the completion in its local journal and exits
-// cleanly; the next run with the same journal replays it to the
-// coordinator, and the batch finishes with the parked value.
-func TestDegradedParkAndReplay(t *testing.T) {
-	s := NewServer(ServerConfig{LeaseTimeout: time.Hour})
+// TestWorkerStoreAnswersReLease: a worker with a results store records
+// the cell it computes, so a completion lost to a coordinator outage
+// is not lost work. Worker 1 computes a cell while /complete is
+// blocked and Run fails after MaxErrors; once the lease expires and
+// re-issues, worker 2 on the same store delivers the identical bytes
+// without computing, and a third run on that store answers the cell
+// once more.
+func TestWorkerStoreAnswersReLease(t *testing.T) {
+	o := experiments.DefaultOptions()
+	o.Samples, o.Lines = 4, 2
+	const exp, key = "fig7", "fss/4"
+	ref := o
+	ref.Cache = nil
+	want, err := experiments.ComputeCell(exp, ref, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Without a store the worker computes with none, not with the
+	// memory store the wire options come with.
+	bare := &Worker{Compute: func(_ string, wo experiments.Options, _ string) (json.RawMessage, error) {
+		if wo.Cache != nil {
+			t.Error("storeless worker computed against a store")
+		}
+		return nil, nil
+	}}
+	if _, err := bare.compute(&LeaseGrant{Experiment: exp, Key: key, Options: WireFrom(o)}); err != nil {
+		t.Fatal(err)
+	}
+
+	// counting computes through ComputeCell, tallying store hits and
+	// misses, and fails if the worker passed no store.
+	var hits, misses atomic.Int64
+	counting := func(id string, wo experiments.Options, k string) (json.RawMessage, error) {
+		if wo.Cache == nil {
+			return nil, errors.New("worker passed no store")
+		}
+		tel := runner.NewTelemetry()
+		wo.Telemetry = tel
+		raw, err := experiments.ComputeCell(id, wo, k)
+		st := tel.Stats()
+		hits.Add(int64(st.CacheHits))
+		misses.Add(int64(st.CacheMisses))
+		return raw, err
+	}
+	dir := t.TempDir()
+	openStore := func() *checkpoint.Journal {
+		store, err := experiments.OpenCache(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return store
+	}
+	serve := func(s *Server) <-chan execResult {
+		done := make(chan execResult, 1)
+		go func() {
+			raws, err := NewExec(s, exp, nil, nil).ExecCells(o, fakeCells(key))
+			done <- execResult{raws, err}
+		}()
+		return done
+	}
+
+	clock := newTestClock()
+	s := NewServer(ServerConfig{LeaseTimeout: time.Minute, Clock: clock.Now})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
-	done := startBatch(s, "exp", nil, nil, "cell/0")
+	done := serve(s)
 
-	parkPath := filepath.Join(t.TempDir(), "degraded.journal")
 	outage := &blockPath{path: "/complete"}
 	outage.blocked.Store(true)
+	store1 := openStore()
 	w1 := &Worker{
-		Coordinator:   srv.URL,
-		ID:            "stranded",
-		MaxErrors:     100000,
-		BackoffBase:   time.Millisecond,
-		BackoffCap:    5 * time.Millisecond,
-		DegradedPath:  parkPath,
-		DegradedAfter: 20 * time.Millisecond,
-		Client:        &http.Client{Transport: outage},
-		Compute: func(id string, o experiments.Options, key string) (json.RawMessage, error) {
-			return json.RawMessage(`"computed in the dark"`), nil
-		},
+		Coordinator: srv.URL,
+		ID:          "stranded",
+		MaxErrors:   3,
+		BackoffBase: time.Millisecond,
+		BackoffCap:  5 * time.Millisecond,
+		Client:      &http.Client{Transport: outage},
+		Store:       store1,
+		Compute:     counting,
 	}
-	if err := w1.Run(context.Background()); err != nil {
-		t.Fatalf("degraded worker returned %v, want clean exit", err)
+	if err := w1.Run(context.Background()); err == nil || !strings.Contains(err.Error(), "delivering") {
+		t.Fatalf("stranded worker returned %v, want its delivery error", err)
 	}
-	if w1.Parked() != 1 {
-		t.Fatalf("parked %d completions, want 1", w1.Parked())
+	store1.Close()
+	if h, m := hits.Load(), misses.Load(); h != 0 || m != 1 {
+		t.Fatalf("stranded worker: store hit/miss %d/%d, want 0/1", h, m)
 	}
 
-	// The outage heals; a new worker process with the same degraded
-	// journal replays the parked completion before polling.
-	w2 := &Worker{
-		Coordinator:  srv.URL,
-		ID:           "recovered",
-		DegradedPath: parkPath,
-		Compute: func(id string, o experiments.Options, key string) (json.RawMessage, error) {
-			return nil, fmt.Errorf("nothing should need computing")
-		},
-	}
+	// The outage heals and the stranded lease expires. A worker
+	// restarted on the same store takes the re-issued lease.
+	clock.Advance(2 * time.Minute)
+	store2 := openStore()
+	w2 := &Worker{Coordinator: srv.URL, ID: "restarted", Store: store2, Compute: counting}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	w2done := make(chan error, 1)
 	go func() { w2done <- w2.Run(ctx) }()
-
 	res := <-done
 	if res.err != nil {
 		t.Fatal(res.err)
 	}
-	if string(res.raws[0]) != `"computed in the dark"` {
-		t.Errorf("result = %s, want the parked value", res.raws[0])
+	if !bytes.Equal(res.raws[0], want) {
+		t.Errorf("result = %s, want the stranded worker's %s", res.raws[0], want)
 	}
 	s.Drain()
 	if err := <-w2done; err != nil {
-		t.Errorf("replaying worker returned %v", err)
+		t.Errorf("restarted worker returned %v", err)
+	}
+	store2.Close()
+	if h, m := hits.Load(), misses.Load(); h != 1 || m != 1 {
+		t.Errorf("restarted worker: store hit/miss %d/%d total, want 1/1 (it must not compute)", h, m)
 	}
 
-	// Replay is idempotent: a third run with the same journal finds the
-	// completion already delivered and nothing breaks.
-	w3 := &Worker{Coordinator: srv.URL, ID: "again", DegradedPath: parkPath}
-	if err := w3.Run(context.Background()); err != nil {
-		t.Errorf("idempotent replay returned %v", err)
+	// A third run on the same store, the whole fig7 grid over four
+	// concurrent loops: the stored cell is answered again, the rest are
+	// computed into the store, and the report equals a local run's.
+	refRes, err := experiments.Run(exp, ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s3 := NewServer(ServerConfig{})
+	srv3 := httptest.NewServer(s3.Handler())
+	defer srv3.Close()
+	store3 := openStore()
+	defer store3.Close()
+	w3 := &Worker{Coordinator: srv3.URL, ID: "again", Concurrency: 4, Store: store3, Compute: counting}
+	w3done := make(chan error, 1)
+	go func() { w3done <- w3.Run(ctx) }()
+	o.Exec = NewExec(s3, exp, nil, nil)
+	res3, err := experiments.Run(exp, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s3.Drain()
+	if err := <-w3done; err != nil {
+		t.Errorf("third worker returned %v", err)
+	}
+	if res3.Render() != refRes.Render() {
+		t.Error("third run renders differently from a local run")
+	}
+	n := len(experiments.Fig7Subwarps)
+	if h, m, stored := hits.Load(), misses.Load(), store3.Len(); h != 2 || m != int64(n) || stored != n {
+		t.Errorf("after the third run: store hit/miss %d/%d, %d stored cells; want 2/%d, %d", h, m, stored, n, n)
 	}
 }
 

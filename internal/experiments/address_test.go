@@ -42,6 +42,8 @@ type cellRef struct{ exp, key string }
 // cannot silently disappear.
 func TestCellAddressSoundness(t *testing.T) {
 	o := addressOptions()
+	// No store: every row's cell is computed, not answered by the first.
+	o.Cache = nil
 	byID := map[string][]cellRef{}
 	rowsOf := map[string]int{}
 	idsOf := map[string]map[string]bool{}

@@ -19,14 +19,18 @@ import (
 // execution), so the overhead over a hand-rolled per-experiment
 // dispatch is negligible — and no experiment needs per-cell plumbing
 // of its own.
+//
+// The captured cell runs through RunBatch with o.Cache as its results
+// store, like every other executor: a cell the store holds is answered
+// by its ID without computing, and a computed cell is stored under it.
+// Store hits and misses are reported to o.Telemetry. A nil o.Cache
+// computes the cell and records nothing.
 func ComputeCell(id string, o Options, key string) (json.RawMessage, error) {
 	cap := &captureExec{key: key}
 	o.Exec = cap
-	// A single-cell computation owns no sweep-level machinery.
+	// A single-cell computation owns no run journal or progress.
 	o.Journal = nil
-	o.Cache = nil
 	o.Progress = nil
-	o.Telemetry = nil
 	_, runErr := Run(id, o)
 	if cap.found {
 		if cap.err != nil {
@@ -47,10 +51,10 @@ func ComputeCell(id string, o Options, key string) (json.RawMessage, error) {
 // produces.
 var errCellCaptured = errors.New("experiments: cell captured; driver abandoned")
 
-// captureExec runs the one cell matching key and aborts the driver.
-// Relies on the CellExec contract that a driver enumerates its full
-// grid in one batch: a key absent from the batch is absent from the
-// experiment.
+// captureExec runs the one cell matching key through RunBatch and
+// aborts the driver. Relies on the CellExec contract that a driver
+// enumerates its full grid in one batch: a key absent from the batch
+// is absent from the experiment.
 type captureExec struct {
 	key   string
 	found bool
@@ -58,13 +62,26 @@ type captureExec struct {
 	err   error
 }
 
-func (c *captureExec) ExecCells(_ Options, cells []GridCell) ([]json.RawMessage, error) {
+func (c *captureExec) ExecCells(o Options, cells []GridCell) ([]json.RawMessage, error) {
 	for _, cell := range cells {
-		if cell.Key == c.key {
-			c.found = true
-			c.raw, c.err = cell.Run()
-			break
+		if cell.Key != c.key {
+			continue
 		}
+		c.found = true
+		raws, err := RunBatch(o, nil, o.Cache, []GridCell{cell}, func(b Batch, done func(int, json.RawMessage) error) error {
+			if len(b.Todo) == 0 {
+				return nil // answered by the store
+			}
+			raw, err := cell.Run()
+			if err != nil {
+				return err
+			}
+			return done(0, raw)
+		})
+		if c.err = err; err == nil {
+			c.raw = raws[0]
+		}
+		break
 	}
 	return nil, errCellCaptured
 }

@@ -2,11 +2,13 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"rcoal/internal/checkpoint"
 	"rcoal/internal/kernels"
 	"rcoal/internal/runner"
 )
@@ -20,6 +22,9 @@ func TestComputeCellMatchesJournaledBytes(t *testing.T) {
 	o := testOptions()
 	o.Samples = 6
 	o.Lines = 8
+	// The journaled run must not share its store with ComputeCell,
+	// which would answer every key from it.
+	o.Cache = nil
 
 	jo := o
 	path := filepath.Join(t.TempDir(), "fig7.journal")
@@ -45,6 +50,55 @@ func TestComputeCellMatchesJournaledBytes(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("ComputeCell(%q) = %s, journal has %s", key, got, want)
 		}
+	}
+}
+
+// TestComputeCellUsesStore: with a store, ComputeCell records the cell
+// it computes under the cell's ID and answers a second call from it;
+// without one it computes every call and records nothing.
+func TestComputeCellUsesStore(t *testing.T) {
+	o := testOptions()
+	o.Samples = 6
+	o.Lines = 8
+	const key = "fss/4"
+	o.Cache = nil
+	want, err := ComputeCell("fig7", o, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	store := checkpoint.NewMemory()
+	o.Cache = store
+	for call, wantHits := range []int{0, 1} {
+		tel := runner.NewTelemetry()
+		o.Telemetry = tel
+		got, err := ComputeCell("fig7", o, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("call %d = %s, want %s", call, got, want)
+		}
+		if s := tel.Stats(); s.CacheHits != wantHits || s.CacheMisses != 1-wantHits {
+			t.Errorf("call %d: store hit/miss %d/%d, want %d/%d",
+				call, s.CacheHits, s.CacheMisses, wantHits, 1-wantHits)
+		}
+	}
+	id := Fingerprint("fig7", o) + "/" + key
+	if raw, ok := store.Lookup(id); !ok || !bytes.Equal(raw, want) || store.Len() != 1 {
+		t.Errorf("store holds %d cells, %s = %s (%v); want only the computed cell",
+			store.Len(), id, raw, ok)
+	}
+
+	// A stored value is what a hit returns: the call computes nothing.
+	seeded := checkpoint.NewMemory()
+	if _, err := seeded.RecordOnce(id, json.RawMessage(`"from the store"`)); err != nil {
+		t.Fatal(err)
+	}
+	o.Cache = seeded
+	o.Telemetry = nil
+	if got, err := ComputeCell("fig7", o, key); err != nil || string(got) != `"from the store"` {
+		t.Errorf("seeded store: got %s, %v; want the stored value", got, err)
 	}
 }
 

@@ -25,7 +25,7 @@ type Fig18Cell struct {
 	AvgCorrectCorr float64
 	// FullKeyCorr is ρ between the attack's total estimate under the
 	// full correct key and the observed accesses: exactly 1 for
-	// deterministic coalescing, degraded by randomization.
+	// deterministic coalescing, lowered by randomization.
 	FullKeyCorr float64
 	// NormCycles is mean execution time normalized to num-subwarp = 1.
 	NormCycles float64

@@ -62,15 +62,53 @@ func RandomPlaintext(r *rng.Source, n int) []Line {
 // L%32), per the baseline implementation; a trailing partial warp runs
 // with inactive threads.
 func Build(c *aes.Cipher, lines []Line) (*gpusim.Kernel, []Line, error) {
+	return build(lines, c.Rounds(), c.TraceEncrypt, PlainBase, CipherBase, "", "plaintext")
+}
+
+// BuildDecrypt constructs the kernel for *decrypting* the given
+// ciphertext lines: the mirror of Build using the equivalent inverse
+// cipher's Td-table dataflow (one line per thread, 16 lookups per
+// inverse round). The decryption tables occupy the same address
+// layout as the encryption tables (a decryption kernel binds Td0..Td4
+// at TableBase), so the coalescing geometry — 16 entries per 64-byte
+// block, R = 16 blocks per table — is identical.
+//
+// It returns the recovered plaintext lines alongside the kernel.
+func BuildDecrypt(c *aes.Cipher, lines []Line) (*gpusim.Kernel, []Line, error) {
+	return build(lines, c.Rounds(), c.TraceDecrypt, CipherBase, PlainBase, "dec-", "ciphertext")
+}
+
+// build is Build and BuildDecrypt: each thread loads its input line
+// from loadBase, performs the rounds' table lookups that trace records,
+// and stores its output line at storeBase. label tags the kernel name
+// and what names the input lines in the empty-input error.
+func build(lines []Line, rounds int, trace func([]byte) (Line, aes.Trace),
+	loadBase, storeBase uint64, label, what string) (*gpusim.Kernel, []Line, error) {
 	if len(lines) == 0 {
-		return nil, nil, fmt.Errorf("kernels: no plaintext lines")
+		return nil, nil, fmt.Errorf("kernels: no %s lines", what)
 	}
 	const warpSize = 32
-	rounds := c.Rounds()
-	cts := make([]Line, len(lines))
+	outs := make([]Line, len(lines))
 
 	numWarps := (len(lines) + warpSize - 1) / warpSize
-	kernel := &gpusim.Kernel{Label: fmt.Sprintf("aes%d-%dlines", 128+(rounds-10)*32, len(lines))}
+	kernel := &gpusim.Kernel{Label: fmt.Sprintf("aes%d-%s%dlines", 128+(rounds-10)*32, label, len(lines))}
+
+	// lineWords emits one 4-byte access per thread for each word of its
+	// line at base; padded threads carry a dummy address (their warp's
+	// first line).
+	lineWords := func(wp *gpusim.WarpProgram, kind gpusim.InstrKind, base uint64, lo int, active []bool) {
+		for word := 0; word < 4; word++ {
+			addrs := make([]uint64, warpSize)
+			for t := 0; t < warpSize; t++ {
+				line := lo + t
+				if line >= len(lines) {
+					line = lo
+				}
+				addrs[t] = base + uint64(line)*LineBytes + uint64(word)*4
+			}
+			wp.Instrs = append(wp.Instrs, gpusim.Instr{Kind: kind, Addrs: addrs, Active: active})
+		}
+	}
 
 	for w := 0; w < numWarps; w++ {
 		lo := w * warpSize
@@ -83,9 +121,7 @@ func Build(c *aes.Cipher, lines []Line) (*gpusim.Kernel, []Line, error) {
 		// Per-thread lookup traces from the real AES dataflow.
 		traces := make([]aes.Trace, nActive)
 		for t := 0; t < nActive; t++ {
-			ct, tr := c.TraceEncrypt(lines[lo+t][:])
-			cts[lo+t] = ct
-			traces[t] = tr
+			outs[lo+t], traces[t] = trace(lines[lo+t][:])
 		}
 
 		var active []bool
@@ -98,19 +134,9 @@ func Build(c *aes.Cipher, lines []Line) (*gpusim.Kernel, []Line, error) {
 
 		wp := &gpusim.WarpProgram{ID: w}
 
-		// Plaintext loads: each thread reads its 16-byte line as four
+		// Input loads: each thread reads its 16-byte line as four
 		// 4-byte words.
-		for word := 0; word < 4; word++ {
-			addrs := make([]uint64, warpSize)
-			for t := 0; t < warpSize; t++ {
-				line := lo + t
-				if line >= len(lines) {
-					line = lo // padded threads carry a dummy address
-				}
-				addrs[t] = PlainBase + uint64(line)*LineBytes + uint64(word)*4
-			}
-			wp.Instrs = append(wp.Instrs, gpusim.Instr{Kind: gpusim.Load, Addrs: addrs, Active: active})
-		}
+		lineWords(wp, gpusim.Load, loadBase, lo, active)
 		// Initial AddRoundKey.
 		wp.Instrs = append(wp.Instrs, gpusim.Instr{Kind: gpusim.ALU})
 
@@ -140,20 +166,10 @@ func Build(c *aes.Cipher, lines []Line) (*gpusim.Kernel, []Line, error) {
 		}
 		wp.Instrs = append(wp.Instrs, gpusim.Instr{Kind: gpusim.RoundMark, Round: 0})
 
-		// Ciphertext stores.
-		for word := 0; word < 4; word++ {
-			addrs := make([]uint64, warpSize)
-			for t := 0; t < warpSize; t++ {
-				line := lo + t
-				if line >= len(lines) {
-					line = lo
-				}
-				addrs[t] = CipherBase + uint64(line)*LineBytes + uint64(word)*4
-			}
-			wp.Instrs = append(wp.Instrs, gpusim.Instr{Kind: gpusim.Store, Addrs: addrs, Active: active})
-		}
+		// Output stores.
+		lineWords(wp, gpusim.Store, storeBase, lo, active)
 
 		kernel.Warps = append(kernel.Warps, wp)
 	}
-	return kernel, cts, nil
+	return kernel, outs, nil
 }

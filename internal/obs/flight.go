@@ -20,10 +20,10 @@ type FlightEvent struct {
 // FlightRecorder keeps a bounded ring of recent structured events —
 // the last N things the process saw before something went wrong. It
 // fills passively (the Logger tees every record into it) and is
-// dumped atomically to disk on watchdog trips, panics, and
-// degraded-mode entry, so a post-mortem has the lead-up even when
-// stderr scrolled away or the process died. A nil recorder ignores
-// all calls.
+// dumped atomically to disk on watchdog trips, panics, worker
+// failures and shutdown signals, so a post-mortem has the lead-up
+// even when stderr scrolled away or the process died. A nil recorder
+// ignores all calls.
 type FlightRecorder struct {
 	mu   sync.Mutex
 	buf  []FlightEvent
@@ -107,7 +107,7 @@ type FlightDump struct {
 }
 
 // Dump writes the ring atomically to path as indented JSON, tagged
-// with the reason (e.g. "watchdog", "panic", "degraded") and the
+// with the reason (e.g. "watchdog", "panic", "worker failure") and the
 // sweep's trace id. On a nil recorder it is a no-op returning nil, so
 // error paths can dump unconditionally.
 func (r *FlightRecorder) Dump(path, reason, traceID string) error {

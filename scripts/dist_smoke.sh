@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Distributed sweep smoke test, mirrored by the CI "Distributed smoke"
-# step. On loopback, it checks the three properties the coordinator/
-# worker architecture promises:
+# step. On loopback, it checks the properties the coordinator/worker
+# architecture promises:
 #
 #   1. Byte-identity: a coordinator with two workers (one killed
 #      mid-grid) writes a CSV byte-identical to the single-process
@@ -10,10 +10,16 @@
 #      the sweep still finishes.
 #   3. Warm cache: re-running the sweep against the populated results
 #      cache completes >= 10x faster, with zero cells recomputed.
-#   4. Shared cells: without -cache, a coordinator running fig15 and
+#   4. Shared cells: without its own -cache, a coordinator running fig15 and
 #      fig17 leases each distinct cell once (17: fig15's M = 1 rows
 #      repeat the baseline cell, and fig17 reads fig15's), as a local
 #      run computes it once, and both CSVs equal the local ones.
+#   5. Worker store: that sweep's worker ran with -cache and recorded
+#      the 17 cells it computed there. Rerun with a fresh coordinator
+#      journal and no coordinator -cache, a worker on the same -cache
+#      answers every lease from it (its store file does not change, so
+#      it computed nothing), the CSVs stay byte-identical, and the
+#      sweep finishes >= 10x faster than cold.
 #
 # Run from the repo root: bash scripts/dist_smoke.sh
 set -euo pipefail
@@ -86,16 +92,20 @@ SHARED=fig15,fig17
 mkdir -p "$TMP/shared-golden" "$TMP/shared-csv" "$TMP/journal3"
 "$RCOAL_BIN/rcoal-experiments" -run "$SHARED" -samples "$SAMPLES" -lines "$LINES" \
   -csv "$TMP/shared-golden" >/dev/null 2>&1
+t4=$(now_ms)
 "$RCOAL_BIN/rcoal-experiments" -serve "$ADDR" -run "$SHARED" \
   -samples "$SAMPLES" -lines "$LINES" -log-json \
   -journal "$TMP/journal3" -csv "$TMP/shared-csv" \
   -drain-wait 500ms >/dev/null 2>"$TMP/shared-coord.log" &
 COORD=$!
 rcoal_wait_ready "$ADDR"
-"$RCOAL_BIN/rcoal-experiments" -worker "$URL" -worker-id sharer -workers 2 2>/dev/null &
+"$RCOAL_BIN/rcoal-experiments" -worker "$URL" -worker-id sharer -workers 2 \
+  -cache "$TMP/wcache" 2>/dev/null &
 W3=$!
 wait "$COORD"
+t5=$(now_ms)
 wait "$W3" 2>/dev/null || true
+shared_cold_ms=$((t5 - t4))
 for f in fig15 fig17; do
   diff -u "$TMP/shared-golden/$f.csv" "$TMP/shared-csv/$f.csv"
 done
@@ -104,5 +114,42 @@ if [ "$leases" -ne 17 ]; then
   echo "FAIL: serve mode leased $leases cells for fig15,fig17, want 17"
   exit 1
 fi
-echo "OK: serve mode leased each of the 17 distinct cells once; CSVs byte-identical"
+echo "OK: serve mode leased each of the 17 distinct cells once; CSVs byte-identical (${shared_cold_ms}ms)"
+
+echo "== worker store: $SHARED again, fresh coordinator journal, no coordinator -cache =="
+mkdir -p "$TMP/wstore-csv" "$TMP/journal4"
+stored=$(grep -c '"k":' "$TMP/wcache/cells.cache" || true)
+if [ "$stored" -ne 17 ]; then
+  echo "FAIL: the sharer's -cache holds $stored cells, want the 17 it computed"
+  exit 1
+fi
+store_before=$(cksum <"$TMP/wcache/cells.cache")
+t6=$(now_ms)
+"$RCOAL_BIN/rcoal-experiments" -serve "$ADDR" -run "$SHARED" \
+  -samples "$SAMPLES" -lines "$LINES" \
+  -journal "$TMP/journal4" -csv "$TMP/wstore-csv" \
+  -drain-wait 0s >/dev/null 2>&1 &
+COORD=$!
+rcoal_wait_ready "$ADDR"
+"$RCOAL_BIN/rcoal-experiments" -worker "$URL" -worker-id rerun -workers 2 \
+  -cache "$TMP/wcache" 2>/dev/null &
+W4=$!
+wait "$COORD"
+t7=$(now_ms)
+# The coordinator is gone; a drained worker closes its store and exits.
+kill "$W4" 2>/dev/null || true
+wait "$W4" 2>/dev/null || true
+warm_store_ms=$((t7 - t6))
+for f in fig15 fig17; do
+  diff -u "$TMP/shared-golden/$f.csv" "$TMP/wstore-csv/$f.csv"
+done
+if [ "$(cksum <"$TMP/wcache/cells.cache")" != "$store_before" ]; then
+  echo "FAIL: the worker's store changed: it computed cells its -cache already held"
+  exit 1
+fi
+if [ $((warm_store_ms * 10)) -gt "$shared_cold_ms" ]; then
+  echo "FAIL: worker-store sweep (${warm_store_ms}ms) not >= 10x faster than cold (${shared_cold_ms}ms)"
+  exit 1
+fi
+echo "OK: worker store served every lease, CSVs byte-identical, ${warm_store_ms}ms vs cold ${shared_cold_ms}ms (>= 10x faster)"
 echo "dist smoke passed"

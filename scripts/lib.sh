@@ -66,7 +66,7 @@ rcoal_wait_ready() {
     if ! rcoal_port_free "$host" "$port"; then
       return 0
     fi
-    sleep 0.05
+    sleep 0.01
   done
   echo "lib.sh: $1 not ready within ${2:-10}s" >&2
   return 1
