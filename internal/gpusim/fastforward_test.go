@@ -1,8 +1,16 @@
 package gpusim
 
 import (
+	"bufio"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
 	"fmt"
+	"os"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"rcoal/internal/mechanism"
@@ -162,6 +170,75 @@ func ffMechanisms() []mechanism.Mechanism {
 	}
 }
 
+var updateDigests = flag.Bool("update", false, "rewrite "+digestFile)
+
+// digestFile pins the memory model: one line per subtest and seed of
+// TestFastForwardByteIdenticalResults, "<subtest> <seed> <Result
+// digest> [<Metrics digest>]", so a change to the model shows even
+// when fast-forward on and off change alike. Regenerate with
+// go test ./internal/gpusim -run 'TestFastForwardByteIdenticalResults$' -update
+// only for a deliberate model change.
+const digestFile = "testdata/fastforward_digests.txt"
+
+// digest returns the first 16 hex digits of the SHA-256 of v's JSON
+// encoding (map keys sorted, so equal values digest equally).
+func digest(t *testing.T, v any) string {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:8])
+}
+
+// loadDigests reads digestFile into a map keyed "<subtest> <seed>".
+// A missing file reads as empty, so -update can create it.
+func loadDigests(t *testing.T) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	f, err := os.Open(digestFile)
+	if os.IsNotExist(err) && *updateDigests {
+		return out
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		fields := strings.Fields(sc.Text())
+		if len(fields) < 3 {
+			t.Fatalf("%s: malformed line %q", digestFile, sc.Text())
+		}
+		out[fields[0]+" "+fields[1]] = strings.Join(fields[2:], " ")
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// writeDigests rewrites digestFile from the map, sorted by key.
+func writeDigests(t *testing.T, digests map[string]string) {
+	t.Helper()
+	keys := make([]string, 0, len(digests))
+	for k := range digests {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var b strings.Builder
+	for _, k := range keys {
+		fmt.Fprintf(&b, "%s %s\n", k, digests[k])
+	}
+	if err := os.MkdirAll("testdata", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(digestFile, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestFastForwardByteIdenticalResults runs the same (kernel, seed)
 // with fast-forward forced off and on across every mechanism, ablation
 // variant, and several seeds, requiring deeply equal Results. The
@@ -179,8 +256,14 @@ func ffMechanisms() []mechanism.Mechanism {
 // put SM and partition wake horizons beyond the calendar's wheel. On
 // the multi-warp kernels a metrics-on run (which steps every SM and
 // partition every cycle) must also match the metrics-off Result apart
-// from the Metrics snapshot itself.
+// from the Metrics snapshot itself. Both modes run one memory model,
+// so each subtest and seed also matches digestFile: the fast-forward-off
+// Result and, on multi-warp kernels, the Metrics snapshot.
 func TestFastForwardByteIdenticalResults(t *testing.T) {
+	pinned := loadDigests(t)
+	if *updateDigests {
+		defer func() { writeDigests(t, pinned) }()
+	}
 	nocoal := []mechanism.Mechanism{mechanism.NoCoal()}
 	cases := []struct {
 		kern    *Kernel
@@ -242,7 +325,10 @@ func TestFastForwardByteIdenticalResults(t *testing.T) {
 						if gFast.SkippedCycles == 0 && want.Cycles > 100 {
 							t.Errorf("seed %d: fast-forward never skipped a cycle on a %d-cycle run", seed, want.Cycles)
 						}
+						key := fmt.Sprintf("%s %d", name, seed)
+						sum := digest(t, want)
 						if gMetrics == nil {
+							pin(t, pinned, key, sum)
 							continue
 						}
 						observed, err := gMetrics.Run(kern, seed)
@@ -258,10 +344,26 @@ func TestFastForwardByteIdenticalResults(t *testing.T) {
 							t.Fatalf("seed %d: metrics-on result differs from metrics-off\nmetrics-off: cycles=%d totalTx=%d\nmetrics-on:  cycles=%d totalTx=%d",
 								seed, want.Cycles, want.TotalTx, stripped.Cycles, stripped.TotalTx)
 						}
+						pin(t, pinned, key, sum+" "+digest(t, observed.Metrics))
 					}
 				})
 			}
 		}
+	}
+}
+
+// pin checks one subtest-and-seed's digests against the pinned ones,
+// or records them under -update.
+func pin(t *testing.T, pinned map[string]string, key, got string) {
+	t.Helper()
+	if *updateDigests {
+		pinned[key] = got
+		return
+	}
+	if want, ok := pinned[key]; !ok {
+		t.Fatalf("%s: no pinned digest in %s", key, digestFile)
+	} else if got != want {
+		t.Fatalf("%s: digests %s, pinned %s: the memory model changed", key, got, want)
 	}
 }
 
