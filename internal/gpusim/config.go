@@ -2,7 +2,9 @@
 // architecture of the RCoal paper (Table I): SIMT cores with dual warp
 // schedulers, a load/store unit containing the (modified, Figure 11)
 // memory coalescing unit, a crossbar interconnect per direction, and
-// six GDDR5 memory partitions with FR-FCFS scheduling.
+// six GDDR5 memory partitions, each scheduling a request on arrival
+// (what FR-FCFS reduces to when a partition receives at most one
+// request per cycle).
 //
 // It plays the role GPGPU-Sim plays in the paper: executing the AES
 // workload as per-warp instruction traces and reporting total cycles,
@@ -57,9 +59,6 @@ type Config struct {
 	AddressMap mem.AddressMap
 	// DRAMTiming is the GDDR5 timing in memory-clock cycles.
 	DRAMTiming dram.Timing
-	// DRAMQueueCap bounds each controller's request queue (0 =
-	// unbounded).
-	DRAMQueueCap int
 	// Defense is the installed timing-channel defense: an RCoal subwarp
 	// coalescing policy (mechanism.Baseline/FSS/RSS... or any
 	// mechanism.Subwarp wrapping a core.Config), an obfuscation defense
@@ -197,7 +196,6 @@ func DefaultConfig() Config {
 		MemClockMHz:     924,
 		AddressMap:      mem.DefaultAddressMap(),
 		DRAMTiming:      dram.HynixGDDR5(),
-		DRAMQueueCap:    64,
 		Defense:         mechanism.Baseline(),
 		MCURate:         1,
 		SharedBanks:     32,

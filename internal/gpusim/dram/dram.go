@@ -1,12 +1,17 @@
 // Package dram models a GDDR5 memory partition of the simulated GPU:
-// a memory controller running first-ready, first-come-first-served
-// (FR-FCFS) scheduling over banked DRAM with the Hynix GDDR5 timing
-// parameters of Table I.
+// a memory controller scheduling requests first come, first served over
+// banked DRAM with the Hynix GDDR5 timing parameters of Table I.
 //
-// The model is command-level but compact: when the scheduler selects a
-// request it computes the request's data-return time from the bank's
-// row state and the shared data-bus occupancy, then advances the bank
-// timing state (tRC/tRAS/tRP/tRCD for activations, tCCD for column
+// The scheduling is FCFS by structure, not by a policy choice: the
+// request crossbar delivers at most one request per partition per
+// cycle, and each request is scheduled the cycle it arrives, so a
+// first-ready (FR-FCFS) scheduler would only ever see one candidate.
+// The simulator therefore schedules a request the moment its arrival
+// cycle is known (Schedule), when it leaves its SM.
+//
+// The model is command-level but compact: scheduling a request
+// computes its data-return time from the bank's row state and the
+// shared data-bus occupancy, then advances the bank timing state (tRC/tRAS/tRP/tRCD for activations, tCCD for column
 // commands, tRRD across banks). That preserves the two properties the
 // RCoal evaluation depends on — service time grows with the number of
 // coalesced transactions, and row hits are cheaper than row conflicts —
@@ -70,14 +75,6 @@ func (t Timing) Validate() error {
 	return nil
 }
 
-// queued pairs a request with its pre-decoded bank and row, all the
-// FR-FCFS scan reads, so it does not re-decode every queued address
-// every cycle.
-type queued struct {
-	req       *mem.Request
-	bank, row int32
-}
-
 type bankState struct {
 	openRow  int32 // currently open row, -1 if closed
 	nextCol  int64 // earliest cycle for the next column command
@@ -89,39 +86,34 @@ type bankState struct {
 	accesses uint64
 }
 
-// Controller is one memory partition's FR-FCFS controller.
+// Controller is one memory partition's controller.
 type Controller struct {
-	timing  Timing
-	addrMap mem.AddressMap
-	banks   []bankState
-	queue   []queued // arrival order preserved (FCFS component)
-	// next holds a directly accepted request (next.req is nil when
-	// none): one that arrived at an empty, unstalled controller, where
-	// it is the only scheduling candidate, so it skips the queue. A
-	// later arrival before Tick demotes it to the queue head, keeping
-	// FCFS age order.
-	next queued
+	timing Timing
+	banks  []bankState
 	// inflight holds scheduled requests waiting for data return, in
 	// schedule order — which is also strictly increasing Done order
-	// (see schedule), so completions pop from the head.
+	// (see Schedule), so completions pop from the head.
 	inflight ringbuf.Ring[*mem.Request]
-	busFree  int64 // shared data bus availability
-	lastAct  int64 // most recent activate, for tRRD
-	queueCap int
-	doneBuf  []*mem.Request // reused by Tick; valid until the next Tick
+	// parked holds the arrivals of a stalled controller (InjectStall),
+	// which never schedule.
+	parked  []*mem.Request
+	busFree int64          // shared data bus availability
+	lastAct int64          // most recent activate, for tRRD
+	doneBuf []*mem.Request // reused by Collect; valid until the next Collect
 
 	// stallArmed/stallAfter are the fault-injection seam (see
-	// InjectStall): when armed, the scheduler freezes once Stats.Accesses
-	// reaches stallAfter.
+	// InjectStall): when armed, the controller parks every arrival once
+	// Stats.Accesses reaches stallAfter.
 	stallArmed bool
 	stallAfter uint64
 
 	// Stats counts controller-level events.
 	Stats Stats
 
-	// DepthHist, when non-nil, observes the FR-FCFS queue depth at
-	// every enqueue (the depth including the new arrival). Installed by
-	// the simulator's metrics layer; the hot path pays one nil check.
+	// DepthHist, when non-nil, observes the waiting-request count at
+	// every arrival (the depth including the new arrival: 1, or the
+	// parked count of a stalled controller). Installed by the
+	// simulator's metrics layer; the hot path pays one nil check.
 	DepthHist *metrics.Histogram
 }
 
@@ -134,7 +126,10 @@ type Stats struct {
 	RowHits      uint64
 	RowMisses    uint64
 	RowConflicts uint64
-	MaxQueue     int
+	// MaxQueue is the most requests ever waiting at once: 1 once any
+	// request arrived, since each schedules on arrival, unless a stall
+	// parks more.
+	MaxQueue int
 }
 
 // BankStats is one bank's per-launch activity, exported for the
@@ -159,9 +154,8 @@ func (c *Controller) BankStats() []BankStats {
 	return out
 }
 
-// NewController builds a controller for one partition. queueCap <= 0
-// means unbounded.
-func NewController(t Timing, m mem.AddressMap, queueCap int) (*Controller, error) {
+// NewController builds a controller for one partition.
+func NewController(t Timing, m mem.AddressMap) (*Controller, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
@@ -173,125 +167,74 @@ func NewController(t Timing, m mem.AddressMap, queueCap int) (*Controller, error
 		banks[i].openRow = -1
 	}
 	// lastAct starts far in the past so the first activate pays no tRRD.
-	return &Controller{timing: t, addrMap: m, banks: banks, queueCap: queueCap,
-		lastAct: -int64(t.RRD) - 1}, nil
-}
-
-// CanAccept reports whether the request queue has room.
-func (c *Controller) CanAccept() bool {
-	return c.queueCap <= 0 || c.QueueLen() < c.queueCap
-}
-
-// Push enqueues a request, or accepts it directly when it is the only
-// candidate (see Controller.next). It panics if the queue is full;
-// callers gate on CanAccept (back-pressure propagates into the
-// interconnect).
-func (c *Controller) Push(r *mem.Request) {
-	if !c.CanAccept() {
-		panic("dram: push into full queue")
-	}
-	// Requests arrive pre-decoded (Loc is set at creation); fall back
-	// to decoding here for callers that push raw requests in tests.
-	loc := r.Loc
-	if loc == (mem.Location{}) && r.Addr != 0 {
-		loc = c.addrMap.Decode(r.Addr)
-	}
-	q := queued{req: r, bank: int32(loc.Bank), row: int32(loc.Row)}
-	if c.next.req != nil {
-		c.queue = append(c.queue, c.next)
-		c.next = queued{}
-	}
-	if len(c.queue) == 0 && !(c.stallArmed && c.Stats.Accesses >= c.stallAfter) {
-		c.next = q
-	} else {
-		c.queue = append(c.queue, q)
-	}
-	n := c.QueueLen()
-	if n > c.Stats.MaxQueue {
-		c.Stats.MaxQueue = n
-	}
-	if c.DepthHist != nil {
-		c.DepthHist.Observe(int64(n))
-	}
-}
-
-// QueueLen returns the number of waiting (unscheduled) requests,
-// counting a directly accepted one.
-func (c *Controller) QueueLen() int {
-	if c.next.req != nil {
-		return len(c.queue) + 1
-	}
-	return len(c.queue)
+	return &Controller{timing: t, banks: banks, lastAct: -int64(t.RRD) - 1}, nil
 }
 
 // InFlight returns the number of scheduled requests whose data has not
 // returned yet.
 func (c *Controller) InFlight() int { return c.inflight.Len() }
 
-// Tick advances the controller to cycle now: it schedules at most one
-// request (FR-FCFS: the oldest row-hit if any, otherwise the oldest
-// request) and returns every request whose data is ready by now. The
-// returned slice is reused by the next Tick call; callers consume it
-// immediately.
-func (c *Controller) Tick(now int64) []*mem.Request {
-	c.schedule(now)
-	return c.collect(now)
+// Census counts the controller's requests as of cycle now: the
+// scheduled ones that have arrived and whose data has not returned,
+// those still on their way, and the parked ones of a stalled
+// controller, which never move and count from the cycle they are
+// settled. Diagnostics only: it allocates.
+func (c *Controller) Census(now int64) (inFlight, arriving, parked int) {
+	for _, r := range c.inflight.Snapshot(nil) {
+		if r.Arrived > now {
+			arriving++
+		} else {
+			inFlight++
+		}
+	}
+	return inFlight, arriving, len(c.parked)
 }
 
 // InjectStall arms the controller's test-only fault seam
 // (internal/faultinject): once the controller has scheduled `after`
-// requests it stops scheduling entirely, so queued requests wait
-// forever. Stats reset per launch (Reset), so the threshold counts the
-// current launch's accesses; the armed state itself survives Reset.
+// requests it parks every later arrival, which then waits forever.
+// Stats reset per launch (Reset), so the threshold counts the current
+// launch's accesses; the armed state itself survives Reset.
 func (c *Controller) InjectStall(after uint64) {
 	c.stallArmed = true
 	c.stallAfter = after
 }
 
-func (c *Controller) schedule(now int64) {
-	if c.QueueLen() == 0 || (c.stallArmed && c.Stats.Accesses >= c.stallAfter) {
-		return
+// Schedule books request r, arriving at cycle at, on its bank (r.Loc)
+// and the shared data bus: it sets r.Arrived and r.Done, appends r to
+// the in-flight FIFO and returns Done. Requests are served first come,
+// first served: callers schedule them in arrival order (at never
+// decreases), and each is the controller's only waiting request when
+// it arrives, so first-ready reordering has nothing to choose from. A
+// stalled controller (InjectStall) parks r instead and returns
+// math.MaxInt64.
+func (c *Controller) Schedule(r *mem.Request, at int64) int64 {
+	r.Arrived = at
+	if c.stallArmed && c.Stats.Accesses >= c.stallAfter {
+		c.parked = append(c.parked, r)
+		c.observeDepth(len(c.parked))
+		return math.MaxInt64
 	}
-	q := c.next
-	if q.req != nil {
-		c.next = queued{}
-	} else {
-		// First-ready: the oldest request whose bank has the needed row
-		// open and can take a column command now; while the data bus is
-		// busy none is, so the scan is skipped. FCFS fallback: the
-		// oldest request, whenever its bank allows.
-		pick := 0
-		if c.busFree <= now {
-			for i := range c.queue {
-				e := &c.queue[i]
-				if b := &c.banks[e.bank]; b.openRow == e.row && b.nextCol <= now {
-					pick = i
-					break
-				}
-			}
-		}
-		q = c.queue[pick]
-		c.queue = append(c.queue[:pick], c.queue[pick+1:]...)
-	}
-	r := q.req
-	b := &c.banks[q.bank]
+	c.observeDepth(1)
+	b := &c.banks[r.Loc.Bank]
+	row := int32(r.Loc.Row)
 
 	var colCmd int64
-	if b.openRow == q.row {
+	if b.openRow == row {
 		// Row hit: column command when the bank and bus allow.
-		colCmd = max(now, b.nextCol, c.busFree)
+		colCmd = max(at, b.nextCol, c.busFree)
 		b.rowHits++
 		c.Stats.RowHits++
 	} else {
 		// Row miss/conflict: precharge (respecting tRAS) + activate
 		// (respecting tRC and tRRD) + tRCD before the column command.
-		act := max(now, b.nextAct, c.lastAct+int64(c.timing.RRD))
+		act := max(at, b.nextAct, c.lastAct+int64(c.timing.RRD))
 		if b.openRow >= 0 {
 			act = max(act, b.nextPre+int64(c.timing.RP))
 			b.rowConfl++
 			c.Stats.RowConflicts++
 		}
-		b.openRow = q.row
+		b.openRow = row
 		b.nextAct = act + int64(c.timing.RC)
 		b.nextPre = act + int64(c.timing.RAS)
 		c.lastAct = act
@@ -308,12 +251,24 @@ func (c *Controller) schedule(now int64) {
 	b.accesses++
 	c.Stats.Accesses++
 	c.inflight.Push(r)
+	return r.Done
 }
 
-// collect pops every in-flight request whose data is ready by now.
-func (c *Controller) collect(now int64) []*mem.Request {
+// observeDepth records an arrival that finds depth requests waiting,
+// itself included.
+func (c *Controller) observeDepth(depth int) {
+	c.Stats.MaxQueue = max(c.Stats.MaxQueue, depth)
+	if c.DepthHist != nil {
+		c.DepthHist.Observe(int64(depth))
+	}
+}
+
+// Collect pops every in-flight request whose data is ready by cycle
+// now, in Done order. The returned slice is reused by the next Collect
+// call; callers consume it immediately.
+func (c *Controller) Collect(now int64) []*mem.Request {
 	if c.inflight.Len() == 0 || c.inflight.Peek().Done > now {
-		return nil // most ticks: nothing completes
+		return nil // most calls: nothing completes
 	}
 	done := c.doneBuf[:0]
 	for c.inflight.Len() > 0 && c.inflight.Peek().Done <= now {
@@ -323,19 +278,14 @@ func (c *Controller) collect(now int64) []*mem.Request {
 	return done
 }
 
-// Idle reports whether the controller has no queued or in-flight work.
-func (c *Controller) Idle() bool { return c.QueueLen() == 0 && c.inflight.Len() == 0 }
+// Idle reports whether the controller has no in-flight or parked
+// requests.
+func (c *Controller) Idle() bool { return c.inflight.Len() == 0 && len(c.parked) == 0 }
 
-// NextEvent returns the earliest cycle strictly after now at which the
-// controller can make progress, or math.MaxInt64 when idle. While
-// requests await scheduling the controller schedules one per cycle, so
-// its horizon is now+1; with only in-flight requests the next event is
-// the earliest data return. Fast-forwarding to the returned cycle is
-// safe: Tick is a no-op at every cycle in between.
-func (c *Controller) NextEvent(now int64) int64 {
-	if c.QueueLen() > 0 {
-		return now + 1
-	}
+// NextEvent returns the cycle of the controller's next data return,
+// or math.MaxInt64 when nothing is in flight (parked requests never
+// return). Collect returns nothing at any cycle before it.
+func (c *Controller) NextEvent() int64 {
 	if c.inflight.Len() == 0 {
 		return math.MaxInt64
 	}
@@ -346,19 +296,14 @@ func (c *Controller) NextEvent(now int64) int64 {
 // copy-on-write prefix forking. Requests are recorded as indices into
 // the caller's interned request table (not as pointers), so a snapshot
 // stays valid — and shareable across any number of forks — after the
-// live request arena is reused.
+// live request arena is reused. A stalled controller's parked
+// arrivals are not captured: forking rejects fault injection.
 type Snapshot struct {
 	banks    []bankState
-	queue    []snapQueued
 	inflight []int // schedule (= completion) order
 	busFree  int64
 	lastAct  int64
 	stats    Stats
-}
-
-type snapQueued struct {
-	req       int
-	bank, row int32
 }
 
 // Snapshot captures the controller's state. intern maps each live
@@ -372,22 +317,14 @@ func (c *Controller) Snapshot(intern func(*mem.Request) int) *Snapshot {
 		lastAct: c.lastAct,
 		stats:   c.Stats,
 	}
-	// A directly accepted request is the oldest waiting one: it is
-	// captured as the queue head, which schedules identically.
-	if c.next.req != nil {
-		s.queue = append(s.queue, snapQueued{req: intern(c.next.req), bank: c.next.bank, row: c.next.row})
-	}
-	for _, q := range c.queue {
-		s.queue = append(s.queue, snapQueued{req: intern(q.req), bank: q.bank, row: q.row})
-	}
 	for _, r := range c.inflight.Snapshot(nil) {
 		s.inflight = append(s.inflight, intern(r))
 	}
 	return s
 }
 
-// Restore rewinds the controller to the snapshot, materializing queued
-// and in-flight requests through req (interned index → fresh live
+// Restore rewinds the controller to the snapshot, materializing
+// in-flight requests through req (interned index → fresh live
 // request). The controller must have the snapshot's bank count (same
 // address map), which fork-compatibility checks guarantee upstream.
 func (c *Controller) Restore(s *Snapshot, req func(int) *mem.Request) {
@@ -395,11 +332,7 @@ func (c *Controller) Restore(s *Snapshot, req func(int) *mem.Request) {
 		panic(fmt.Sprintf("dram: restore across bank counts (%d != %d)", len(c.banks), len(s.banks)))
 	}
 	copy(c.banks, s.banks)
-	c.next = queued{}
-	c.queue = c.queue[:0]
-	for _, q := range s.queue {
-		c.queue = append(c.queue, queued{req: req(q.req), bank: q.bank, row: q.row})
-	}
+	c.parked = c.parked[:0]
 	c.inflight.Reset()
 	for _, i := range s.inflight {
 		c.inflight.Push(req(i))
@@ -409,15 +342,14 @@ func (c *Controller) Restore(s *Snapshot, req func(int) *mem.Request) {
 	c.Stats = s.stats
 }
 
-// Reset clears all bank, queue, and statistics state, keeping the
+// Reset clears all bank, in-flight, and statistics state, keeping the
 // backing buffers, so one controller can serve many launches without
 // reallocating.
 func (c *Controller) Reset() {
 	for i := range c.banks {
 		c.banks[i] = bankState{openRow: -1}
 	}
-	c.next = queued{}
-	c.queue = c.queue[:0]
+	c.parked = c.parked[:0]
 	c.inflight.Reset()
 	c.busFree = 0
 	c.lastAct = -int64(c.timing.RRD) - 1

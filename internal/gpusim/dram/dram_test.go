@@ -1,29 +1,36 @@
 package dram
 
 import (
+	"math"
 	"testing"
 
 	"rcoal/internal/gpusim/mem"
 	"rcoal/internal/metrics"
 )
 
-func newTestController(t *testing.T, queueCap int) *Controller {
+func newTestController(t *testing.T) *Controller {
 	t.Helper()
-	c, err := NewController(HynixGDDR5(), mem.DefaultAddressMap(), queueCap)
+	c, err := NewController(HynixGDDR5(), mem.DefaultAddressMap())
 	if err != nil {
 		t.Fatal(err)
 	}
 	return c
 }
 
-func drain(c *Controller, start int64, maxCycles int64) (done []*mem.Request, end int64) {
-	for now := start; now < start+maxCycles; now++ {
-		done = append(done, c.Tick(now)...)
-		if c.Idle() {
-			return done, now
-		}
+// req builds a request for addr, decoded under the default address
+// map as the simulator does when it creates one.
+func req(id, addr uint64) *mem.Request {
+	return &mem.Request{ID: id, Addr: addr, Loc: mem.DefaultAddressMap().Decode(addr)}
+}
+
+// scheduleEach schedules the requests one per cycle from cycle 0, the
+// pace of one partition's request port, and returns the cycle the
+// controller falls idle: the last data return.
+func scheduleEach(c *Controller, reqs ...*mem.Request) (end int64) {
+	for i, r := range reqs {
+		end = c.Schedule(r, int64(i))
 	}
-	return done, start + maxCycles
+	return end
 }
 
 func TestTimingValidate(t *testing.T) {
@@ -53,18 +60,14 @@ func TestTimingScale(t *testing.T) {
 }
 
 func TestSingleRequestLatency(t *testing.T) {
-	c := newTestController(t, 0)
-	r := &mem.Request{ID: 1, Addr: 0}
-	c.Push(r)
-	done, _ := drain(c, 0, 1000)
-	if len(done) != 1 {
-		t.Fatalf("serviced %d requests, want 1", len(done))
-	}
+	c := newTestController(t)
+	r := req(1, 0)
+	done := c.Schedule(r, 0)
 	tm := HynixGDDR5()
 	// Cold row: RCD + CL + Burst (no precharge needed on a closed bank).
 	want := int64(tm.RCD + tm.CL + tm.Burst)
-	if done[0].Done != want {
-		t.Errorf("first access done at %d, want %d", done[0].Done, want)
+	if done != want || r.Done != want || r.Arrived != 0 {
+		t.Errorf("first access done at %d (request says %d, arrived %d), want %d", done, r.Done, r.Arrived, want)
 	}
 	if c.Stats.RowMisses != 1 || c.Stats.RowHits != 0 {
 		t.Errorf("stats: %+v", c.Stats)
@@ -72,28 +75,23 @@ func TestSingleRequestLatency(t *testing.T) {
 }
 
 func TestRowHitFasterThanConflict(t *testing.T) {
-	tm := HynixGDDR5()
 	m := mem.DefaultAddressMap()
 
 	// Two accesses to the same row: second is a row hit.
-	c1, _ := NewController(tm, m, 0)
-	c1.Push(&mem.Request{ID: 1, Addr: 0})
-	c1.Push(&mem.Request{ID: 2, Addr: 64})
-	done1, end1 := drain(c1, 0, 10000)
-	if len(done1) != 2 || c1.Stats.RowHits != 1 {
-		t.Fatalf("same-row: %d done, stats %+v", len(done1), c1.Stats)
+	c1 := newTestController(t)
+	end1 := scheduleEach(c1, req(1, 0), req(2, 64))
+	if c1.Stats.RowHits != 1 {
+		t.Fatalf("same-row: stats %+v", c1.Stats)
 	}
 
 	// Two accesses to different rows of the same bank: row conflict.
 	// Same bank repeats every Partitions*Banks chunks; same bank next
 	// row is offset by Partitions*Banks*ChunkBytes*(RowBytes/ChunkBytes).
 	rowStride := uint64(m.Partitions * m.Banks * m.RowBytes)
-	c2, _ := NewController(tm, m, 0)
-	c2.Push(&mem.Request{ID: 1, Addr: 0})
-	c2.Push(&mem.Request{ID: 2, Addr: rowStride})
-	done2, end2 := drain(c2, 0, 10000)
-	if len(done2) != 2 || c2.Stats.RowMisses != 2 {
-		t.Fatalf("conflict: %d done, stats %+v", len(done2), c2.Stats)
+	c2 := newTestController(t)
+	end2 := scheduleEach(c2, req(1, 0), req(2, rowStride))
+	if c2.Stats.RowMisses != 2 || c2.Stats.RowConflicts != 1 {
+		t.Fatalf("conflict: stats %+v", c2.Stats)
 	}
 
 	if end1 >= end2 {
@@ -102,25 +100,19 @@ func TestRowHitFasterThanConflict(t *testing.T) {
 }
 
 func TestBankParallelismBeatsSerialBank(t *testing.T) {
-	tm := HynixGDDR5()
 	m := mem.DefaultAddressMap()
 	rowStride := uint64(m.Partitions * m.Banks * m.RowBytes)
 	bankStride := uint64(m.Partitions * m.ChunkBytes) // next bank, same partition
 
 	// Four row-conflicting accesses on one bank...
-	serial, _ := NewController(tm, m, 0)
+	var serial, par []*mem.Request
 	for i := uint64(0); i < 4; i++ {
-		serial.Push(&mem.Request{ID: i, Addr: i * rowStride})
+		serial = append(serial, req(i, i*rowStride))
+		// ...versus four accesses across four different banks.
+		par = append(par, req(i, i*bankStride))
 	}
-	_, serialEnd := drain(serial, 0, 100000)
-
-	// ...versus four accesses across four different banks.
-	par, _ := NewController(tm, m, 0)
-	for i := uint64(0); i < 4; i++ {
-		par.Push(&mem.Request{ID: i, Addr: i * bankStride})
-	}
-	_, parEnd := drain(par, 0, 100000)
-
+	serialEnd := scheduleEach(newTestController(t), serial...)
+	parEnd := scheduleEach(newTestController(t), par...)
 	if parEnd >= serialEnd {
 		t.Errorf("bank-parallel end %d not faster than serial-bank end %d", parEnd, serialEnd)
 	}
@@ -131,12 +123,11 @@ func TestServiceTimeGrowsWithTransactions(t *testing.T) {
 	// transactions take longer to service.
 	var ends []int64
 	for _, n := range []int{4, 8, 16, 32} {
-		c := newTestController(t, 0)
+		var reqs []*mem.Request
 		for i := 0; i < n; i++ {
-			c.Push(&mem.Request{ID: uint64(i), Addr: uint64(i) * 64})
+			reqs = append(reqs, req(uint64(i), uint64(i)*64))
 		}
-		_, end := drain(c, 0, 100000)
-		ends = append(ends, end)
+		ends = append(ends, scheduleEach(newTestController(t), reqs...))
 	}
 	for i := 1; i < len(ends); i++ {
 		if ends[i] <= ends[i-1] {
@@ -145,145 +136,84 @@ func TestServiceTimeGrowsWithTransactions(t *testing.T) {
 	}
 }
 
-func TestFRFCFSPrefersRowHit(t *testing.T) {
-	tm := HynixGDDR5()
-	m := mem.DefaultAddressMap()
-	c, _ := NewController(tm, m, 0)
-	rowStride := uint64(m.Partitions * m.Banks * m.RowBytes)
-
-	// Open row 0 with a first access, let it complete.
-	c.Push(&mem.Request{ID: 0, Addr: 0})
-	var now int64
-	for ; !c.Idle(); now++ {
-		c.Tick(now)
-	}
-
-	// Now queue a conflicting access (older) and a row hit (younger).
-	conflict := &mem.Request{ID: 1, Addr: rowStride}
-	hit := &mem.Request{ID: 2, Addr: 64}
-	c.Push(conflict)
-	c.Push(hit)
-	for ; !c.Idle(); now++ {
-		c.Tick(now)
-	}
-	if hit.Done >= conflict.Done {
-		t.Errorf("row hit done at %d, conflict at %d: FR-FCFS should service the hit first", hit.Done, conflict.Done)
-	}
-	if c.Stats.RowHits == 0 {
-		t.Error("no row hits recorded")
-	}
-}
-
-func TestQueueCapacity(t *testing.T) {
-	c := newTestController(t, 2)
-	c.Push(&mem.Request{ID: 0, Addr: 0})
-	c.Push(&mem.Request{ID: 1, Addr: 64})
-	if c.CanAccept() {
-		t.Error("queue of cap 2 with 2 entries accepts more")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("push into full queue did not panic")
-		}
-	}()
-	c.Push(&mem.Request{ID: 2, Addr: 128})
-}
-
 func TestStatsAndIdle(t *testing.T) {
-	c := newTestController(t, 0)
-	if !c.Idle() {
+	c := newTestController(t)
+	c.DepthHist = metrics.NewHistogram(metrics.LinearBounds(1, 4))
+	if !c.Idle() || c.NextEvent() != math.MaxInt64 {
 		t.Error("new controller not idle")
 	}
-	c.Push(&mem.Request{ID: 0, Addr: 0})
-	if c.Idle() || c.QueueLen() != 1 || c.InFlight() != 0 {
-		t.Error("queue accounting wrong after push")
+	r := req(0, 0)
+	done := c.Schedule(r, 5)
+	if c.Idle() || c.InFlight() != 1 || c.NextEvent() != done {
+		t.Errorf("after schedule: idle=%v in-flight=%d next=%d, want busy, 1, %d",
+			c.Idle(), c.InFlight(), c.NextEvent(), done)
 	}
-	c.Tick(0)
-	if c.QueueLen() != 0 || c.InFlight() != 1 {
-		t.Error("queue accounting wrong after schedule")
+	// Until it arrives at cycle 5 the request is on its way.
+	if f, a, p := c.Census(4); f != 0 || a != 1 || p != 0 {
+		t.Errorf("Census(4) = %d/%d/%d, want one request arriving", f, a, p)
 	}
-	done, _ := drain(c, 1, 1000)
-	if len(done) != 1 || !c.Idle() || c.Stats.Accesses != 1 {
-		t.Errorf("drain: %d done, stats %+v", len(done), c.Stats)
+	if f, a, p := c.Census(5); f != 1 || a != 0 || p != 0 {
+		t.Errorf("Census(5) = %d/%d/%d, want one request in flight", f, a, p)
 	}
-}
-
-// TestDirectAccept: a request reaching an empty controller skips the
-// FR-FCFS queue yet counts as waiting everywhere the queue does, and a
-// second arrival before Tick demotes it to the queue head, so the older
-// of two row misses still schedules first. A snapshot taken with a
-// directly accepted request restores it as the queue head.
-func TestDirectAccept(t *testing.T) {
-	c := newTestController(t, 0)
-	c.DepthHist = metrics.NewHistogram(metrics.LinearBounds(1, 4))
-	older := &mem.Request{ID: 1, Addr: 0}       // bank 0
-	newer := &mem.Request{ID: 2, Addr: 6 * 256} // bank 1
-	c.Push(older)
-	if c.Idle() || c.QueueLen() != 1 || c.NextEvent(0) != 1 || c.DepthHist.Max() != 1 {
-		t.Fatalf("direct accept: idle=%v queue=%d next=%d depth=%d, want a waiting request of depth 1",
-			c.Idle(), c.QueueLen(), c.NextEvent(0), c.DepthHist.Max())
+	if got := c.Collect(done - 1); len(got) != 0 {
+		t.Errorf("collected %d requests before their data returned", len(got))
 	}
-	snap := c.Snapshot(func(r *mem.Request) int { return int(r.ID) })
-	c.Push(newer)
-	if c.QueueLen() != 2 || c.Stats.MaxQueue != 2 || c.DepthHist.Max() != 2 {
-		t.Fatalf("after a second arrival: queue=%d max=%d depth=%d, want 2/2/2",
-			c.QueueLen(), c.Stats.MaxQueue, c.DepthHist.Max())
+	if got := c.Collect(done); len(got) != 1 || got[0] != r {
+		t.Errorf("collect at Done returned %v, want the request", got)
 	}
-	done, _ := drain(c, 0, 1000)
-	if len(done) != 2 || done[0] != older || done[1] != newer {
-		t.Fatalf("completion order %v, want the older request first", done)
-	}
-
-	fresh := newTestController(t, 0)
-	fresh.Restore(snap, func(i int) *mem.Request { return &mem.Request{ID: uint64(i)} })
-	if fresh.QueueLen() != 1 || fresh.Idle() {
-		t.Fatalf("restored controller: queue=%d idle=%v, want the request waiting", fresh.QueueLen(), fresh.Idle())
-	}
-	if got, _ := drain(fresh, 0, 1000); len(got) != 1 || got[0].ID != 1 || got[0].Done != older.Done {
-		t.Fatalf("restored controller serviced %v, want request 1 done at %d", got, older.Done)
+	if !c.Idle() || c.Stats.Accesses != 1 || c.Stats.MaxQueue != 1 || c.DepthHist.Max() != 1 {
+		t.Errorf("drained: idle=%v stats %+v depth %d", c.Idle(), c.Stats, c.DepthHist.Max())
 	}
 }
 
 func TestNewControllerRejectsBadConfig(t *testing.T) {
 	bad := HynixGDDR5()
 	bad.RCD = -1
-	if _, err := NewController(bad, mem.DefaultAddressMap(), 0); err == nil {
+	if _, err := NewController(bad, mem.DefaultAddressMap()); err == nil {
 		t.Error("bad timing accepted")
 	}
 	badMap := mem.DefaultAddressMap()
 	badMap.Banks = 0
-	if _, err := NewController(HynixGDDR5(), badMap, 0); err == nil {
+	if _, err := NewController(HynixGDDR5(), badMap); err == nil {
 		t.Error("bad address map accepted")
 	}
 }
 
-// TestInjectStall: the fault seam freezes scheduling after the
-// threshold while keeping the queue (and NextEvent) alive, so the
-// upstream watchdog — not a hang — must resolve it.
+// TestInjectStall: the fault seam parks every arrival after the
+// threshold, so nothing in flight returns them and the upstream
+// watchdog — not a hang — must resolve it.
 func TestInjectStall(t *testing.T) {
-	c := newTestController(t, 0)
+	c := newTestController(t)
 	c.InjectStall(1) // service exactly one request, then freeze
-	c.Push(&mem.Request{ID: 1, Addr: 0})
-	c.Push(&mem.Request{ID: 2, Addr: 1 << 20})
-	done, _ := drain(c, 0, 500)
-	if len(done) != 1 || done[0].ID != 1 {
-		t.Fatalf("serviced %d requests, want only the first", len(done))
+	first, second := req(1, 0), req(2, 1<<20)
+	done := c.Schedule(first, 0)
+	if got := c.Schedule(second, 1); got != math.MaxInt64 {
+		t.Fatalf("stalled controller scheduled request 2 for cycle %d", got)
 	}
-	if c.Idle() || c.QueueLen() != 1 {
-		t.Fatalf("stalled controller: idle=%v queue=%d, want live queue of 1", c.Idle(), c.QueueLen())
+	if got := c.Collect(done); len(got) != 1 || got[0] != first {
+		t.Fatalf("serviced %v, want only the first request", got)
 	}
-	// A stalled-but-queued controller still claims next-cycle activity:
-	// the simulator keeps stepping and its watchdog sees no progress.
-	if got := c.NextEvent(1000); got != 1001 {
-		t.Errorf("NextEvent = %d, want 1001", got)
+	if _, _, parked := c.Census(1); c.Idle() || parked != 1 || c.Stats.MaxQueue != 1 {
+		t.Fatalf("stalled controller: idle=%v parked=%d max=%d, want one parked request",
+			c.Idle(), parked, c.Stats.MaxQueue)
+	}
+	// Parked requests never return: the controller has no next event,
+	// and they count as parked even before their arrival cycle.
+	if got := c.NextEvent(); got != math.MaxInt64 {
+		t.Errorf("NextEvent = %d, want none", got)
+	}
+	if f, a, p := c.Census(0); f != 0 || a != 0 || p != 1 {
+		t.Errorf("Census(0) = %d/%d/%d, want one request parked", f, a, p)
 	}
 
 	// Reset clears the launch's access count but keeps the armament:
 	// an immediately-stalled controller (threshold 0) never schedules.
 	c.Reset()
 	c.InjectStall(0)
-	c.Push(&mem.Request{ID: 3, Addr: 0})
-	if done, _ := drain(c, 0, 200); len(done) != 0 {
-		t.Fatalf("fully stalled controller serviced %d requests", len(done))
+	c.Schedule(req(3, 0), 0)
+	c.Schedule(req(4, 64), 1)
+	if _, _, parked := c.Census(1); c.InFlight() != 0 || parked != 2 || c.Stats.MaxQueue != 2 {
+		t.Fatalf("fully stalled controller: in-flight %d parked %d max %d, want 0/2/2",
+			c.InFlight(), parked, c.Stats.MaxQueue)
 	}
 }

@@ -8,8 +8,7 @@ import (
 	"rcoal/internal/rng"
 )
 
-// arrival is one request of a randomized stream: it becomes eligible
-// for Push at cycle at, and is pushed as soon as the queue has room.
+// arrival is one request of a randomized stream, scheduled at cycle at.
 type arrival struct {
 	at  int64
 	id  uint64
@@ -34,43 +33,32 @@ func randomStream(r *rng.Source, n, banks int) []arrival {
 
 // streamRun drives a controller over a stream one cycle at a time,
 // checking the in-flight invariants on the way: each newly scheduled
-// request's Done exceeds every earlier one, and Tick returns each
+// request's Done exceeds every earlier one, and Collect returns each
 // request exactly once, at cycle Done, in Done order. out records the
 // completion sequence as (id, cycle) pairs.
 type streamRun struct {
 	t        *testing.T
 	c        *Controller
 	stream   []arrival
-	next     int            // index of the next arrival to push
-	waiting  []*mem.Request // pushed, not yet scheduled
-	lastDone int64          // Done of the most recently scheduled request
+	next     int   // index of the next arrival to schedule
+	lastDone int64 // Done of the most recently scheduled request
 	seen     map[uint64]bool
 	out      []serviced
 }
 
 func (s *streamRun) step(now int64) {
 	t := s.t
-	for s.next < len(s.stream) && s.stream[s.next].at <= now && s.c.CanAccept() {
+	for s.next < len(s.stream) && s.stream[s.next].at <= now {
 		a := s.stream[s.next]
 		q := &mem.Request{ID: a.id, Addr: uint64(a.id) * mem.BlockBytes, Loc: a.loc}
-		s.c.Push(q)
-		s.waiting = append(s.waiting, q)
-		s.next++
-	}
-	done := s.c.Tick(now)
-	kept := s.waiting[:0]
-	for _, q := range s.waiting {
-		if q.Done == 0 {
-			kept = append(kept, q)
-			continue
-		}
-		if q.Done <= s.lastDone {
-			t.Fatalf("cycle %d: request %d scheduled with Done %d, not after the previous %d", now, q.ID, q.Done, s.lastDone)
+		if done := s.c.Schedule(q, a.at); done <= s.lastDone || done != q.Done {
+			t.Fatalf("cycle %d: request %d scheduled with Done %d (returned %d), not after the previous %d",
+				now, q.ID, q.Done, done, s.lastDone)
 		}
 		s.lastDone = q.Done
+		s.next++
 	}
-	s.waiting = kept
-	for _, q := range done {
+	for _, q := range s.c.Collect(now) {
 		if q.Done != now {
 			t.Fatalf("cycle %d: request %d returned with Done %d", now, q.ID, q.Done)
 		}
@@ -99,31 +87,26 @@ func (s *streamRun) finish(start int64) {
 
 // TestInFlightCompletionOrder is the property test behind the in-flight
 // FIFO: over randomized streams (random bank and row, random arrival
-// gaps, queue cap on and off), scheduled Done times strictly increase,
-// Tick hands back every request exactly once at cycle Done in Done
-// order, and a mid-flight Snapshot/Restore — into the same controller
-// and a fresh one — reproduces the completion sequence.
+// gaps, bursts of arrivals in one cycle included), scheduled Done times
+// strictly increase, Collect hands back every request exactly once at
+// cycle Done in Done order, and a mid-flight Snapshot/Restore — into
+// the same controller and a fresh one — reproduces the completion
+// sequence.
 func TestInFlightCompletionOrder(t *testing.T) {
 	r := rng.New(0x1F1F0)
 	banks := mem.DefaultAddressMap().Banks
 	for trial := 0; trial < 60; trial++ {
-		queueCap := 0
-		if trial%2 == 1 {
-			queueCap = 1 + r.Intn(6)
-		}
 		stream := randomStream(r, 20+r.Intn(60), banks)
 		cut := stream[len(stream)/2].at + int64(r.Intn(20))
 
-		ref := &streamRun{t: t, c: newTestController(t, queueCap), stream: stream, seen: map[uint64]bool{}}
+		ref := &streamRun{t: t, c: newTestController(t), stream: stream, seen: map[uint64]bool{}}
 		for now := int64(0); now < cut; now++ {
 			ref.step(now)
 		}
 		// The stream runner's state at the cut resumes with the
-		// controller: the arrival cursor, the unscheduled requests and
-		// the completions so far.
+		// controller: the arrival cursor and the completions so far.
 		head := len(ref.out)
 		next, lastDone := ref.next, ref.lastDone
-		waiting := append([]*mem.Request(nil), ref.waiting...)
 
 		var table []mem.Request
 		idx := map[*mem.Request]int{}
@@ -147,9 +130,6 @@ func TestInFlightCompletionOrder(t *testing.T) {
 			})
 			s := &streamRun{t: t, c: c, stream: stream, next: next, lastDone: lastDone,
 				seen: map[uint64]bool{}, out: append([]serviced(nil), ref.out[:head]...)}
-			for _, q := range waiting {
-				s.waiting = append(s.waiting, fresh[idx[q]])
-			}
 			for _, sv := range s.out {
 				s.seen[sv.id] = true
 			}
@@ -162,11 +142,11 @@ func TestInFlightCompletionOrder(t *testing.T) {
 			t.Fatalf("trial %d: %d requests left in flight", trial, ref.c.InFlight())
 		}
 
-		for _, c := range []*Controller{ref.c, newTestController(t, queueCap)} {
+		for _, c := range []*Controller{ref.c, newTestController(t)} {
 			s := resume(c)
 			s.finish(cut)
 			if !reflect.DeepEqual(s.out, want) {
-				t.Fatalf("trial %d (cap %d): restored completion sequence differs\n got %v\nwant %v", trial, queueCap, s.out, want)
+				t.Fatalf("trial %d: restored completion sequence differs\n got %v\nwant %v", trial, s.out, want)
 			}
 		}
 	}

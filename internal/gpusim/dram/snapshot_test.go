@@ -14,16 +14,25 @@ type serviced struct {
 	cycle int64
 }
 
-// tickUntilIdle drains the controller from cycle start, recording the
-// (id, cycle) service sequence.
-func tickUntilIdle(t *testing.T, c *Controller, start int64) []serviced {
+// stepRange steps the controller over cycles [start, stop): request i
+// of reqs arrives at cycle i (a fresh copy is scheduled, so runs share
+// no request), and every completion is recorded as (id, cycle). A
+// negative stop runs until every request is scheduled and returned.
+func stepRange(t *testing.T, c *Controller, reqs []mem.Request, start, stop int64) []serviced {
 	t.Helper()
 	var out []serviced
 	for now := start; now < start+100000; now++ {
-		for _, r := range c.Tick(now) {
+		if stop >= 0 && now >= stop {
+			return out
+		}
+		if now < int64(len(reqs)) {
+			q := reqs[now]
+			c.Schedule(&q, now)
+		}
+		for _, r := range c.Collect(now) {
 			out = append(out, serviced{id: r.ID, cycle: now})
 		}
-		if c.Idle() {
+		if stop < 0 && now >= int64(len(reqs)) && c.Idle() {
 			return out
 		}
 	}
@@ -32,38 +41,25 @@ func tickUntilIdle(t *testing.T, c *Controller, start int64) []serviced {
 }
 
 // TestSnapshotRestoreEquivalence is the snapshot/restore property
-// test: capture a controller mid-flight (queued and in-flight requests,
-// open rows, bus state), keep running it to completion (the mutation),
-// then Restore — into the same controller and into a fresh one — and
-// verify the continued run reproduces the reference service sequence
-// and statistics exactly.
+// test: capture a controller mid-stream (in-flight requests, open
+// rows, bus state, requests still to arrive), keep running it to
+// completion (the mutation), then Restore — into the same controller
+// and into a fresh one — and verify the continued run reproduces the
+// reference service sequence and statistics exactly.
 func TestSnapshotRestoreEquivalence(t *testing.T) {
 	r := rng.New(99)
+	m := mem.DefaultAddressMap()
 	for trial := 0; trial < 20; trial++ {
-		load := func() (*Controller, []*mem.Request) {
-			c := newTestController(t, 0)
-			n := 8 + r.Intn(24)
-			reqs := make([]*mem.Request, n)
-			for i := range reqs {
-				reqs[i] = &mem.Request{
-					ID:   uint64(i + 1),
-					Addr: uint64(r.Intn(1<<14)) * mem.BlockBytes,
-				}
-			}
-			return c, reqs
+		reqs := make([]mem.Request, 8+r.Intn(24))
+		for i := range reqs {
+			addr := uint64(r.Intn(1<<14)) * mem.BlockBytes
+			reqs[i] = mem.Request{ID: uint64(i + 1), Addr: addr, Loc: m.Decode(addr)}
 		}
-		c, reqs := load()
-		for _, q := range reqs {
-			c.Push(q)
-		}
-		// Advance mid-flight: some requests scheduled, some queued.
+		c := newTestController(t)
+		// Advance mid-stream: some requests returned, some in flight,
+		// some yet to arrive.
 		cut := int64(10 + r.Intn(60))
-		var head []serviced
-		for now := int64(0); now < cut; now++ {
-			for _, q := range c.Tick(now) {
-				head = append(head, serviced{id: q.ID, cycle: now})
-			}
-		}
+		stepRange(t, c, reqs, 0, cut)
 
 		var table []mem.Request
 		idx := map[*mem.Request]int{}
@@ -78,13 +74,12 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 		snap := c.Snapshot(intern)
 		wantStats := c.Stats
 		// The in-flight FIFO carries the event horizon: its head's Done
-		// is NextEvent once the queue is empty, so a restore must
-		// reproduce both.
-		wantInFlight, wantNext := c.InFlight(), c.NextEvent(cut)
+		// is NextEvent, so a restore must reproduce both.
+		wantInFlight, wantNext := c.InFlight(), c.NextEvent()
 
 		// Mutate: run the original to completion; this is both the
 		// reference tail and the post-snapshot mutation.
-		wantTail := tickUntilIdle(t, c, cut)
+		wantTail := stepRange(t, c, reqs, cut, -1)
 		wantFinal := c.Stats
 
 		materialize := func() func(int) *mem.Request {
@@ -104,11 +99,11 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 		if c.Stats != wantStats {
 			t.Fatalf("trial %d: restored stats %+v != snapshot stats %+v", trial, c.Stats, wantStats)
 		}
-		if c.InFlight() != wantInFlight || c.NextEvent(cut) != wantNext {
+		if c.InFlight() != wantInFlight || c.NextEvent() != wantNext {
 			t.Fatalf("trial %d: restored in-flight %d / next event %d, want %d / %d",
-				trial, c.InFlight(), c.NextEvent(cut), wantInFlight, wantNext)
+				trial, c.InFlight(), c.NextEvent(), wantInFlight, wantNext)
 		}
-		if got := tickUntilIdle(t, c, cut); !reflect.DeepEqual(got, wantTail) {
+		if got := stepRange(t, c, reqs, cut, -1); !reflect.DeepEqual(got, wantTail) {
 			t.Fatalf("trial %d: same-controller restore tail differs\n got %v\nwant %v", trial, got, wantTail)
 		}
 		if c.Stats != wantFinal {
@@ -116,9 +111,9 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 		}
 
 		// Restore into a fresh controller.
-		fresh := newTestController(t, 0)
+		fresh := newTestController(t)
 		fresh.Restore(snap, materialize())
-		if got := tickUntilIdle(t, fresh, cut); !reflect.DeepEqual(got, wantTail) {
+		if got := stepRange(t, fresh, reqs, cut, -1); !reflect.DeepEqual(got, wantTail) {
 			t.Fatalf("trial %d: fresh-controller restore tail differs", trial)
 		}
 		if fresh.Stats != wantFinal {
@@ -130,12 +125,12 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 // TestSnapshotRestoreBankCountGuard pins the defensive panic on
 // structural mismatch.
 func TestSnapshotRestoreBankCountGuard(t *testing.T) {
-	c := newTestController(t, 0)
+	c := newTestController(t)
 	snap := c.Snapshot(func(*mem.Request) int { return 0 })
 	m := mem.DefaultAddressMap()
 	m.Banks = 8
 	m.BankGroups = 4
-	other, err := NewController(HynixGDDR5(), m, 0)
+	other, err := NewController(HynixGDDR5(), m)
 	if err != nil {
 		t.Fatal(err)
 	}

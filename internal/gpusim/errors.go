@@ -73,8 +73,10 @@ type Snapshot struct {
 	RemainingWarps int
 	// SMs holds one entry per SM with resident warps.
 	SMs []SMSnapshot
-	// ToMemPending / ToSMPending are the packet totals queued in the
-	// SM→partition and partition→SM crossbars.
+	// ToMemPending / ToSMPending are the packet totals in transit in
+	// the SM→partition and partition→SM crossbars: requests that left
+	// their SM but have not reached their partition, and replies not
+	// yet delivered.
 	ToMemPending, ToSMPending int
 	// Partitions holds one entry per memory partition.
 	Partitions []PartitionSnapshot
@@ -102,8 +104,9 @@ type SMSnapshot struct {
 type PartitionSnapshot struct {
 	// Partition is the partition id.
 	Partition int
-	// Queued is the controller's unscheduled request count; InFlight
-	// counts scheduled requests whose data has not returned.
+	// Queued counts the requests a stalled controller parked
+	// unscheduled; InFlight counts arrived requests whose data has not
+	// returned.
 	Queued, InFlight int
 	// L2Replies counts maturing L2-hit replies.
 	L2Replies int
@@ -135,8 +138,15 @@ func (s *Snapshot) String() string {
 	return strings.TrimRight(b.String(), "\n")
 }
 
-// snapshot captures the launch state for a diagnostic error.
-func (g *GPU) snapshot(st *runState, now int64) *Snapshot {
+// snapshot captures the launch state for a diagnostic error, taken at
+// cycle now after its step, or before it when stepped is false.
+func (g *GPU) snapshot(st *runState, now int64, stepped bool) *Snapshot {
+	// A request has reached its partition once the step of its arrival
+	// cycle ran.
+	reached := now
+	if !stepped {
+		reached--
+	}
 	s := &Snapshot{Cycle: now, RemainingWarps: st.remaining}
 	for smID, sm := range st.sms {
 		if len(sm.warps) == 0 {
@@ -159,10 +169,18 @@ func (g *GPU) snapshot(st *runState, now int64) *Snapshot {
 		s.ToSMPending += st.toSM.Pending(smID)
 	}
 	for pid, p := range st.parts {
-		s.Partitions = append(s.Partitions, PartitionSnapshot{
-			Partition: pid, Queued: p.ctrl.QueueLen(),
-			InFlight: p.ctrl.InFlight(), L2Replies: len(p.replies)})
-		s.ToMemPending += st.toMem.Pending(pid)
+		ps := PartitionSnapshot{Partition: pid}
+		var arriving int
+		ps.InFlight, arriving, ps.Queued = p.ctrl.Census(reached)
+		for _, r := range p.replies {
+			if r.Arrived > reached {
+				arriving++
+			} else {
+				ps.L2Replies++
+			}
+		}
+		s.Partitions = append(s.Partitions, ps)
+		s.ToMemPending += arriving
 	}
 	return s
 }

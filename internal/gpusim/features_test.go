@@ -346,35 +346,6 @@ func (failingWriter) Write([]byte) (int, error) { return 0, errWriteFailed }
 
 var errWriteFailed = errors.New("write failed")
 
-func TestDRAMBackpressureTinyQueue(t *testing.T) {
-	// A queue capacity of 1 forces back-pressure through the
-	// interconnect; the kernel must still complete with identical
-	// transaction counts, just more slowly.
-	cfg := DefaultConfig()
-	cfg.DRAMQueueCap = 1
-	g := mustGPU(t, cfg)
-	res, err := g.Run(aesLikeKernel(4, 10), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := mustGPU(t, DefaultConfig())
-	bres, err := base.Run(aesLikeKernel(4, 10), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TotalTx != bres.TotalTx {
-		t.Errorf("backpressure changed tx count: %d vs %d", res.TotalTx, bres.TotalTx)
-	}
-	if res.Cycles < bres.Cycles {
-		t.Errorf("tiny queue (%d cycles) faster than default (%d)", res.Cycles, bres.Cycles)
-	}
-	for i := range res.Warps {
-		if res.Warps[i].Finish <= 0 {
-			t.Errorf("warp %d starved under backpressure", i)
-		}
-	}
-}
-
 func TestRunRejectsInvalidKernel(t *testing.T) {
 	g := mustGPU(t, DefaultConfig())
 	bad := &Kernel{Label: "bad", Warps: []*WarpProgram{{ID: 0, Instrs: []Instr{

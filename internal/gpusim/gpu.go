@@ -53,12 +53,12 @@ type GPU struct {
 	// blocks (the T-tables), and Decode divides by run-time sizes.
 	locs [locSlots]locEntry
 
-	// skipIdle enables the per-SM, per-scheduler and per-partition wake
-	// horizons (stepSMs, issueOne, stepMemory) and request-slot
-	// recycling. It is off under FastForwardDisabled, which keeps the
-	// step-everything path as the differential oracle, and under
-	// Metrics, whose per-slot stall counters need every scheduler
-	// visited every cycle.
+	// skipIdle enables the per-SM and per-scheduler wake horizons
+	// (stepSMs, issueOne) and request-slot recycling. It is off under
+	// FastForwardDisabled, which keeps stepping every SM every cycle as
+	// the differential oracle, and under Metrics, whose per-slot stall
+	// counters need every scheduler visited every cycle. Partitions
+	// wake only to return data (stepMemory) in every mode.
 	skipIdle bool
 
 	// SkippedCycles counts the cycles elided by event-driven
@@ -230,8 +230,8 @@ type runState struct {
 	res       *Result
 	reqID     uint64
 	remaining int
-	// progress counts observable state transitions (issues, queue
-	// movements, DRAM scheduling, replies, retirements). The forward-
+	// progress counts observable state transitions (issues, request
+	// injections, data returns, replies, retirements). The forward-
 	// progress watchdog trips when it stops advancing while warps
 	// remain unfinished; it never influences simulation behavior.
 	progress uint64
@@ -301,7 +301,7 @@ func (g *GPU) loop(st *runState, k *Kernel, start int64, pauseAtVulnerable bool)
 	st.cal.reset(start, st.members, !g.skipIdle)
 	for now := start; ; now++ {
 		if now > maxCycles {
-			return 0, false, &MaxCyclesError{Kernel: k.Label, MaxCycles: maxCycles, Snapshot: g.snapshot(st, now)}
+			return 0, false, &MaxCyclesError{Kernel: k.Label, MaxCycles: maxCycles, Snapshot: g.snapshot(st, now, false)}
 		}
 		if pauseAtVulnerable && st.atVulnerableBoundary(now) {
 			return now, true, nil
@@ -309,7 +309,7 @@ func (g *GPU) loop(st *runState, k *Kernel, start int64, pauseAtVulnerable bool)
 		due := st.cal.take(now)
 		smBusy := g.stepSMs(st, now, due)
 		g.stepMemory(st, now, due)
-		if st.remaining == 0 && st.toMem.Idle() && st.toSM.Idle() && st.idleMemory() && st.idleSMs() {
+		if st.remaining == 0 && st.toSM.Idle() && st.idleMemory() && st.idleSMs() {
 			st.res.Cycles = now
 			return 0, false, nil
 		}
@@ -317,7 +317,7 @@ func (g *GPU) loop(st *runState, k *Kernel, start int64, pauseAtVulnerable bool)
 			lastProgress = st.progress
 			stalled = 0
 		} else if stalled++; stalled >= window {
-			return 0, false, &NoProgressError{Kernel: k.Label, Cycle: now, Window: window, Snapshot: g.snapshot(st, now)}
+			return 0, false, &NoProgressError{Kernel: k.Label, Cycle: now, Window: window, Snapshot: g.snapshot(st, now, true)}
 		}
 		if fastForward && !smBusy {
 			// Event-driven fast-forward: when no subsystem can make
@@ -332,7 +332,7 @@ func (g *GPU) loop(st *runState, k *Kernel, start int64, pauseAtVulnerable bool)
 				// Warps remain unfinished yet nothing is in flight
 				// anywhere: no future step can change state. Report the
 				// wedge immediately instead of aging the watchdog.
-				return 0, false, &NoProgressError{Kernel: k.Label, Cycle: now, Snapshot: g.snapshot(st, now)}
+				return 0, false, &NoProgressError{Kernel: k.Label, Cycle: now, Snapshot: g.snapshot(st, now, true)}
 			}
 			if next > now+1 {
 				if next > maxCycles {
@@ -439,6 +439,13 @@ func (g *GPU) nextEvent(st *runState, now int64) int64 {
 			if w.readyAt < next {
 				next = w.readyAt
 			}
+		}
+	}
+	if g.cfg.Metrics != nil {
+		// The per-slot stall counters count the cycles stepped, and
+		// those include every request's arrival at its partition.
+		for pid := range st.parts {
+			next = min(next, st.toMem.NextReserved(pid, now))
 		}
 	}
 	return max(now+1, next)
@@ -573,7 +580,7 @@ func (g *GPU) build(nWarps int) (*runState, error) {
 	st.parts = make([]*partState, g.cfg.AddressMap.Partitions)
 	for i := range st.parts {
 		p := &partState{}
-		p.ctrl, err = dram.NewController(g.timing, g.cfg.AddressMap, g.cfg.DRAMQueueCap)
+		p.ctrl, err = dram.NewController(g.timing, g.cfg.AddressMap)
 		if err != nil {
 			return nil, err
 		}
@@ -708,8 +715,7 @@ func (g *GPU) stepSMs(st *runState, now int64, due []uint64) (busy bool) {
 			for n := 0; n < g.cfg.MCURate && sm.injectQ.Len() > 0; n++ {
 				req := sm.injectQ.Pop()
 				req.Issued = now
-				st.toMem.Push(req.Loc.Partition, req, now)
-				st.wakePart(req.Loc.Partition)
+				g.arrive(st, req, st.toMem.Reserve(req.Loc.Partition, now))
 				st.progress++
 			}
 
@@ -799,13 +805,34 @@ func (g *GPU) retire(st *runState, w *warpRun, now int64) {
 	}
 }
 
+// arrive settles request r's memory side the moment it leaves its SM,
+// given its arrival cycle at at its partition. Each port delivers in
+// injection order and a partition takes every arrival the cycle it
+// comes, so the partition's L2 and controller see requests in the
+// order they are settled here: an L2 hit replies HitLatency after
+// arrival; a miss is scheduled on its DRAM bank. The partition then
+// wakes no later than the reply's cycle.
+func (g *GPU) arrive(st *runState, r *mem.Request, at int64) {
+	pid := r.Loc.Partition
+	p := st.parts[pid]
+	if p.l2 != nil && r.Kind == mem.Load {
+		if hit, _, _ := p.l2.Access(mem.BlockOf(r.Addr)); hit {
+			r.Arrived = at
+			r.Done = at + int64(p.l2.HitLatency())
+			p.replies = append(p.replies, r)
+			st.cal.lower(len(st.sms)+pid, r.Done)
+			return
+		}
+	}
+	st.cal.lower(len(st.sms)+pid, p.ctrl.Schedule(r, at))
+}
+
 // stepMemory advances every partition due this cycle (the partition
 // bits of due, the calendar's take; partition pid is unit
-// len(st.sms)+pid): accept a request from the interconnect (through
-// the L2 when enabled), tick the DRAM controller, and send replies
-// back. Under skipIdle a partition whose wake horizon lies in the
-// future is skipped; every visited one gets a fresh horizon
-// (partHorizon), which nextEvent reads.
+// len(st.sms)+pid): send the L2-hit replies and DRAM completions whose
+// Done is now back toward their SMs. A partition whose wake horizon
+// lies in the future is skipped; every visited one gets a fresh
+// horizon (partHorizon), which nextEvent reads.
 func (g *GPU) stepMemory(st *runState, now int64, due []uint64) {
 	nSM := len(st.sms)
 	for w := nSM >> 6; w < len(due); w++ {
@@ -816,14 +843,8 @@ func (g *GPU) stepMemory(st *runState, now int64, due []uint64) {
 		for ; word != 0; word &= word - 1 {
 			id := w<<6 | bits.TrailingZeros64(word)
 			pid, p := id-nSM, st.parts[id-nSM]
-			if t := st.cal.wake[id]; g.skipIdle && now < t {
+			if t := st.cal.wake[id]; now < t {
 				st.cal.insert(id, t) // not due yet: keep a bit for its wake
-				continue
-			}
-			// A partition with no queued, in-flight, or deliverable work is
-			// a strict no-op this cycle; skip its whole body.
-			if len(p.replies) == 0 && p.ctrl.Idle() && st.toMem.Pending(pid) == 0 {
-				st.cal.set(id, math.MaxInt64, now)
 				continue
 			}
 			// L2-hit replies maturing this cycle.
@@ -840,67 +861,33 @@ func (g *GPU) stepMemory(st *runState, now int64, due []uint64) {
 				}
 				p.replies = kept
 			}
-
-			if p.ctrl.CanAccept() {
-				if r := st.toMem.Pop(pid, now); r != nil {
-					st.progress++
-					if p.l2 != nil && r.Kind == mem.Load {
-						if hit, _, _ := p.l2.Access(mem.BlockOf(r.Addr)); hit {
-							r.Done = now + int64(p.l2.HitLatency())
-							p.replies = append(p.replies, r)
-							goto tick
-						}
-					}
-					r.Arrived = now
-					p.ctrl.Push(r)
+			for _, done := range p.ctrl.Collect(now) {
+				if g.cfg.Trace != nil {
+					g.cfg.Trace.Emit(Event{Cycle: now, Kind: EvDRAMService, SM: done.SM,
+						Warp: done.Warp, Addr: done.Addr, Round: done.Round,
+						Part: pid, N: now - done.Arrived})
 				}
+				st.toSM.Push(done.SM, done, now)
+				st.wakeSM(done.SM)
+				st.progress++
 			}
-		tick:
-			{
-				// Scheduling moves a request queue→in-flight without
-				// completing anything; detect it by the access count so a
-				// frozen controller (fault injection, modeling bugs) reads
-				// as no progress rather than spinning forever.
-				scheduled := p.ctrl.Stats.Accesses
-				for _, done := range p.ctrl.Tick(now) {
-					done.Done = now
-					if g.cfg.Trace != nil {
-						g.cfg.Trace.Emit(Event{Cycle: now, Kind: EvDRAMService, SM: done.SM,
-							Warp: done.Warp, Addr: done.Addr, Round: done.Round,
-							Part: pid, N: now - done.Arrived})
-					}
-					st.toSM.Push(done.SM, done, now)
-					st.wakeSM(done.SM)
-					st.progress++
-				}
-				if p.ctrl.Stats.Accesses != scheduled {
-					st.progress++
-				}
-			}
-			st.cal.set(id, st.partHorizon(p, pid, now), now)
+			st.cal.set(id, st.partHorizon(p), now)
 		}
 	}
 }
 
-// partHorizon returns the partition's wake horizon after its step at
-// cycle now: the earliest of its controller's next event, its next
-// request-port delivery and its pending L2-hit replies. An idle
-// partition's horizon is math.MaxInt64, never a past cycle, which would
-// pin nextEvent to now+1. Requests pushed toward the partition later
-// lower it again (wakePart); nothing else outside the partition's own
-// step changes its state.
-func (st *runState) partHorizon(p *partState, pid int, now int64) int64 {
-	h := min(p.ctrl.NextEvent(now), st.toMem.NextDeliverable(pid))
+// partHorizon returns the partition's wake horizon after its step: the
+// earliest of its controller's next data return and its pending L2-hit
+// replies. An idle partition's horizon is math.MaxInt64, never a past
+// cycle, which would pin nextEvent to now+1. Requests settled toward
+// the partition later lower it again (arrive); nothing else outside
+// the partition's own step changes its state.
+func (st *runState) partHorizon(p *partState) int64 {
+	h := p.ctrl.NextEvent()
 	for _, r := range p.replies {
 		h = min(h, r.Done)
 	}
 	return h
-}
-
-// wakePart lowers a partition's horizon to its request port's next
-// delivery, after an SM pushed a request toward it.
-func (st *runState) wakePart(pid int) {
-	st.cal.lower(len(st.sms)+pid, st.toMem.NextDeliverable(pid))
 }
 
 func (st *runState) idleMemory() bool {

@@ -4,6 +4,13 @@
 // port per cycle of delivery bandwidth, approximating the iSLIP-
 // allocated crossbar of the baseline architecture with round-robin
 // fairness per output port.
+//
+// A port's deliveries are arithmetic: a packet injected at cycle t is
+// delivered at max(t + latency, the port's next free slot). Reserve
+// books that cycle at injection, for a direction whose receiver acts
+// on the delivery cycle alone (the request side); Push and Pop carry
+// packets for one whose receiver must see them in order (the reply
+// side, where six partitions' replies merge).
 package icnt
 
 import (
@@ -44,14 +51,16 @@ type Crossbar struct {
 	dropNth  uint64
 	dropSeen uint64
 
-	// Stats
+	// Delivered counts the packets Pop handed out.
 	Delivered uint64
-	MaxQueue  int
 
 	// DepthHist, when non-nil, observes a port's queued-packet count at
-	// every injection (the depth including the new packet). Installed by
-	// the simulator's metrics layer; the hot path pays one nil check.
+	// every injection (the depth including the new packet): for Reserve,
+	// the slots booked and not yet delivered, which reserved tracks only
+	// while DepthHist is installed. Installed by the simulator's metrics
+	// layer; the hot path pays one nil check.
 	DepthHist *metrics.Histogram
+	reserved  []ringbuf.Ring[int64]
 }
 
 // NewCrossbar builds a crossbar with the given number of output ports
@@ -74,6 +83,7 @@ func NewCrossbar(ports int, latency, occupancy int) (*Crossbar, error) {
 		ports:     make([]ringbuf.Ring[packet], ports),
 		nextSlot:  make([]int64, ports),
 		due:       make([]int64, ports),
+		reserved:  make([]ringbuf.Ring[int64], ports),
 	}
 	x.Reset()
 	return x, nil
@@ -106,12 +116,43 @@ func (x *Crossbar) Push(dst int, r *mem.Request, now int64) {
 	if x.ports[dst].Len() == 1 {
 		x.due[dst] = max(now+x.latency, x.nextSlot[dst])
 	}
-	if n := x.ports[dst].Len(); n > x.MaxQueue {
-		x.MaxQueue = n
-	}
 	if x.DepthHist != nil {
 		x.DepthHist.Observe(int64(x.ports[dst].Len()))
 	}
+}
+
+// Reserve books port dst's next delivery slot for a packet injected at
+// cycle now and returns its delivery cycle: exactly the cycle a Pop
+// polled every cycle would deliver it, had it been pushed instead.
+// Nothing is queued, so reserved packets never appear in Pending.
+func (x *Crossbar) Reserve(dst int, now int64) int64 {
+	at := max(now+x.latency, x.nextSlot[dst])
+	x.nextSlot[dst] = at + x.occupancy
+	if x.DepthHist != nil {
+		// Slots delivered before this cycle have left the port; one
+		// delivered at now is still queued while injections run.
+		q := &x.reserved[dst]
+		for q.Len() > 0 && q.Peek() < now {
+			q.Pop()
+		}
+		q.Push(at)
+		x.DepthHist.Observe(int64(q.Len()))
+	}
+	return at
+}
+
+// NextReserved returns the first cycle after now at which port dst
+// delivers a reserved slot, or math.MaxInt64 when none is booked. It
+// sees only the slots booked while DepthHist was installed.
+func (x *Crossbar) NextReserved(dst int, now int64) int64 {
+	q := &x.reserved[dst]
+	for q.Len() > 0 && q.Peek() <= now {
+		q.Pop()
+	}
+	if q.Len() == 0 {
+		return math.MaxInt64
+	}
+	return q.Peek()
 }
 
 // Pop returns at most one request deliverable at port dst on cycle
@@ -174,7 +215,6 @@ type Snapshot struct {
 	ports     [][]snapPacket
 	nextSlot  []int64
 	delivered uint64
-	maxQueue  int
 	dropSeen  uint64
 }
 
@@ -190,7 +230,6 @@ func (x *Crossbar) Snapshot(intern func(*mem.Request) int) *Snapshot {
 		ports:     make([][]snapPacket, len(x.ports)),
 		nextSlot:  append([]int64(nil), x.nextSlot...),
 		delivered: x.Delivered,
-		maxQueue:  x.MaxQueue,
 		dropSeen:  x.dropSeen,
 	}
 	var scratch []packet
@@ -213,6 +252,7 @@ func (x *Crossbar) Restore(s *Snapshot, req func(int) *mem.Request) {
 	}
 	for i := range x.ports {
 		x.ports[i].Reset()
+		x.reserved[i].Reset()
 		for _, p := range s.ports[i] {
 			x.ports[i].Push(packet{req: req(p.req), readyAt: p.readyAt})
 		}
@@ -222,7 +262,6 @@ func (x *Crossbar) Restore(s *Snapshot, req func(int) *mem.Request) {
 		x.setDue(i)
 	}
 	x.Delivered = s.delivered
-	x.MaxQueue = s.maxQueue
 	x.dropSeen = s.dropSeen
 }
 
@@ -232,10 +271,10 @@ func (x *Crossbar) Restore(s *Snapshot, req func(int) *mem.Request) {
 func (x *Crossbar) Reset() {
 	for i := range x.ports {
 		x.ports[i].Reset()
+		x.reserved[i].Reset()
 		x.nextSlot[i] = 0
 		x.due[i] = math.MaxInt64
 	}
 	x.Delivered = 0
-	x.MaxQueue = 0
 	x.dropSeen = 0
 }

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"rcoal/internal/gpusim/mem"
+	"rcoal/internal/metrics"
+	"rcoal/internal/rng"
 )
 
 func TestNewCrossbarValidation(t *testing.T) {
@@ -123,5 +125,57 @@ func TestInjectDrop(t *testing.T) {
 	x.Push(0, &mem.Request{ID: 12}, 0)
 	if n := x.Pending(0); n != 1 {
 		t.Fatalf("after reset, pending = %d, want 1 (re-armed drop)", n)
+	}
+}
+
+// TestReserveMatchesPushPop is the premise of the arithmetic request
+// side: over randomized injection streams (several packets per cycle,
+// idle gaps, two ports, occupancy 1 and 2, latency 1 and 8), Reserve
+// returns exactly the cycle a Push/Pop crossbar polled every cycle
+// delivers each packet, the depth Reserve observes is the Push
+// crossbar's queue depth at the same injection, and after each cycle's
+// deliveries NextReserved is the Push crossbar's next delivery.
+func TestReserveMatchesPushPop(t *testing.T) {
+	r := rng.New(0x5E7E)
+	for _, latency := range []int{1, 8} {
+		for _, occupancy := range []int{1, 2} {
+			for trial := 0; trial < 20; trial++ {
+				queued, _ := NewCrossbar(2, latency, occupancy)
+				booked, _ := NewCrossbar(2, latency, occupancy)
+				queued.DepthHist = metrics.NewHistogram(metrics.LinearBounds(1, 64))
+				booked.DepthHist = metrics.NewHistogram(metrics.LinearBounds(1, 64))
+				reserved := map[uint64]int64{}
+				var id uint64
+				delivered := 0
+				for now := int64(0); now < 400 || delivered < int(id); now++ {
+					if now < 400 && r.Intn(3) == 0 {
+						for n := 1 + r.Intn(3); n > 0; n-- {
+							id++
+							dst := r.Intn(2)
+							qSum, bSum := queued.DepthHist.Sum(), booked.DepthHist.Sum()
+							queued.Push(dst, &mem.Request{ID: id}, now)
+							reserved[id] = booked.Reserve(dst, now)
+							if q, b := queued.DepthHist.Sum()-qSum, booked.DepthHist.Sum()-bSum; q != b {
+								t.Fatalf("latency %d occupancy %d: packet %d observed depth %d, queued depth %d",
+									latency, occupancy, id, b, q)
+							}
+						}
+					}
+					for dst := 0; dst < 2; dst++ {
+						if q := queued.Pop(dst, now); q != nil {
+							delivered++
+							if reserved[q.ID] != now {
+								t.Fatalf("latency %d occupancy %d: packet %d delivered at %d, reserved %d",
+									latency, occupancy, q.ID, now, reserved[q.ID])
+							}
+						}
+						if got, want := booked.NextReserved(dst, now), queued.NextDeliverable(dst); got != want {
+							t.Fatalf("latency %d occupancy %d: NextReserved(%d, %d) = %d, next delivery %d",
+								latency, occupancy, dst, now, got, want)
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -2,13 +2,13 @@ package gpusim_test
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"rcoal/internal/aes"
 	"rcoal/internal/faultinject"
 	"rcoal/internal/gpusim"
 	"rcoal/internal/kernels"
-	"rcoal/internal/mechanism"
 	"rcoal/internal/rng"
 )
 
@@ -68,34 +68,11 @@ func TestRequestSlotsBoundedByPeakInFlight(t *testing.T) {
 	}
 }
 
-// TestTableIControllersNeverQueue pins the measured FR-FCFS invariant:
-// at Table I rates a partition accepts at most one request per cycle
-// and schedules it the same cycle, so no controller ever holds two
-// waiting requests. A stalled controller still queues behind its
-// frozen scheduler.
+// TestTableIControllersNeverQueue: a controller schedules each request
+// on arrival, so only a stalled one holds waiting requests — it parks
+// every arrival behind its frozen scheduler, and the watchdog's
+// snapshot reports them as queued.
 func TestTableIControllersNeverQueue(t *testing.T) {
-	for _, lines := range []int{32, 1024} {
-		k := aesKernel(t, lines)
-		for _, m := range []mechanism.Mechanism{mechanism.Baseline(), mechanism.RSSRTS(8), mechanism.NoCoal()} {
-			cfg := gpusim.DefaultConfig()
-			cfg.Defense = m
-			g, err := gpusim.New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := g.Run(k, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for pid, s := range res.DRAM {
-				if s.MaxQueue != 1 {
-					t.Errorf("%d lines, %s: partition %d peaked at %d queued requests, want 1",
-						lines, m.Name(), pid, s.MaxQueue)
-				}
-			}
-		}
-	}
-
 	cfg := gpusim.DefaultConfig()
 	cfg.WatchdogWindow = 4096
 	cfg.Faults = &faultinject.Plan{DRAMStall: &faultinject.DRAMStall{Partition: -1, AfterAccesses: 4}}
@@ -114,5 +91,47 @@ func TestTableIControllersNeverQueue(t *testing.T) {
 	}
 	if maxQueued < 2 {
 		t.Errorf("stalled controllers queue at most %d requests, want >= 2:\n%s", maxQueued, npe.Snapshot)
+	}
+}
+
+// TestSnapshotSplitsRequestsInTransit pins the diagnostic snapshot's
+// request census on a 32-line launch cut short by its cycle budget: a
+// request settled at its partition but not yet arrived counts on the
+// request crossbar (ToMemPending), not in the controller. The counts
+// are those a crossbar that held requests until their arrival cycle
+// reported, with fast-forward on and off.
+func TestSnapshotSplitsRequestsInTransit(t *testing.T) {
+	k := aesKernel(t, 32)
+	for _, c := range []struct {
+		budget   int64
+		toMem    int
+		inFlight []int // per partition
+	}{
+		{200, 6, []int{0, 0, 2, 0, 0, 0}},
+		{1500, 2, []int{0, 0, 3, 4, 3, 2}},
+	} {
+		for _, ffDisabled := range []bool{false, true} {
+			cfg := gpusim.DefaultConfig()
+			cfg.FastForwardDisabled = ffDisabled
+			cfg.MaxCycles = c.budget
+			g, err := gpusim.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = g.Run(k, 5)
+			var mce *gpusim.MaxCyclesError
+			if !errors.As(err, &mce) {
+				t.Fatalf("budget %d: err = %v, want *MaxCyclesError", c.budget, err)
+			}
+			s := mce.Snapshot
+			var inFlight []int
+			for _, p := range s.Partitions {
+				inFlight = append(inFlight, p.InFlight)
+			}
+			if s.ToMemPending != c.toMem || !reflect.DeepEqual(inFlight, c.inFlight) {
+				t.Errorf("budget %d, fast-forward off %v: to-mem %d, in flight %v; want %d, %v\n%s",
+					c.budget, ffDisabled, s.ToMemPending, inFlight, c.toMem, c.inFlight, s)
+			}
+		}
 	}
 }

@@ -9,7 +9,8 @@
 //     modified coalescing unit executes;
 //   - a cycle-level GPU timing simulator configured like the paper's
 //     Table I (SIMT cores, crossbar interconnect, GDDR5 partitions
-//     with FR-FCFS scheduling) that runs AES-128 encryption kernels;
+//     scheduling each request on arrival, which is what FR-FCFS does
+//     at Table I's rates) that runs AES-128 encryption kernels;
 //   - the correlation timing attack of Jiang et al. and the paper's
 //     "corresponding attacks" against each defense;
 //   - the Section V analytical security model that regenerates
