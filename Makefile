@@ -96,14 +96,20 @@ bench-json:
 	@rm -f bench_raw.txt
 	@echo wrote BENCH_gpusim.json
 
-# CPU profile of the 1024-line case study (fig18), the reproduction's
-# dominant cost: writes .bench_build/fig18.prof (with the test binary
-# pprof needs beside it) and prints the top functions. Not a CI step.
+# CPU and memory profiles of the 1024-line case study (fig18), the
+# reproduction's dominant cost: writes .bench_build/fig18.prof and
+# fig18.mem.prof (with the test binary pprof needs beside them) and
+# prints the top functions, then the top allocators by bytes allocated.
+# The CPU top spreads garbage-collection cost over runtime.* frames;
+# the allocation top names what feeds the collector. Not a CI step.
 profile:
 	mkdir -p .bench_build
-	$(GO) test -run '^$$' -bench 'Fig18CaseStudy1024$$' -benchtime 2x \
-		-cpuprofile .bench_build/fig18.prof -o .bench_build/rcoal.test .
+	$(GO) test -run '^$$' -bench 'Fig18CaseStudy1024$$' -benchtime 2x -benchmem \
+		-cpuprofile .bench_build/fig18.prof -memprofile .bench_build/fig18.mem.prof \
+		-o .bench_build/rcoal.test .
 	$(GO) tool pprof -top -nodecount 40 .bench_build/rcoal.test .bench_build/fig18.prof
+	$(GO) tool pprof -top -nodecount 15 -sample_index=alloc_space \
+		.bench_build/rcoal.test .bench_build/fig18.mem.prof
 
 # Reproduce every paper figure/table (plus extensions) at the paper's
 # sample count, writing CSV data files under data/.

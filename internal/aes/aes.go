@@ -19,6 +19,7 @@ func (k KeySizeError) Error() string {
 type Cipher struct {
 	rounds int      // 10, 12, or 14
 	enc    []uint32 // 4*(rounds+1) round-key words
+	dec    []uint32 // the equivalent inverse cipher's (decKeySchedule)
 }
 
 // rcon are the round constants of the key schedule.
@@ -60,7 +61,9 @@ func NewCipher(key []byte) (*Cipher, error) {
 		}
 		w[i] = w[i-nk] ^ t
 	}
-	return &Cipher{rounds: rounds, enc: w}, nil
+	c := &Cipher{rounds: rounds, enc: w}
+	c.dec = c.decKeySchedule()
+	return c, nil
 }
 
 // Rounds returns the number of rounds (10 for AES-128).

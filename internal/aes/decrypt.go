@@ -74,8 +74,8 @@ func (c *Cipher) decKeySchedule() []uint32 {
 // Td-table equivalent inverse cipher — the dataflow a GPU decryption
 // kernel executes.
 func (c *Cipher) DecryptFast(dst, src []byte) {
-	ct, _ := c.decryptTrace(src, false)
-	copy(dst[:BlockSize], ct[:])
+	pt := c.TraceDecryptInto(src, nil)
+	copy(dst[:BlockSize], pt[:])
 }
 
 // TraceDecrypt decrypts one block while recording every Td-table
@@ -84,15 +84,16 @@ func (c *Cipher) DecryptFast(dst, src []byte) {
 // the final round's slot j is the Td4 lookup whose index is
 // InvSBox-free: index = SBox(p_j ⊕ dk_j)… see LastRoundDecIndex.
 func (c *Cipher) TraceDecrypt(src []byte) (pt [BlockSize]byte, trace Trace) {
-	return c.decryptTrace(src, true)
+	trace = make(Trace, c.rounds)
+	return c.TraceDecryptInto(src, trace), trace
 }
 
-func (c *Cipher) decryptTrace(src []byte, wantTrace bool) (pt [BlockSize]byte, trace Trace) {
+// TraceDecryptInto is TraceDecrypt recording into trace, which must
+// hold Rounds() rounds; a nil trace records nothing.
+func (c *Cipher) TraceDecryptInto(src []byte, trace Trace) (pt [BlockSize]byte) {
 	_ = src[BlockSize-1]
-	dk := c.decKeySchedule()
-	if wantTrace {
-		trace = make(Trace, c.rounds)
-	}
+	dk := c.dec
+	wantTrace := trace != nil
 
 	var s [4]uint32
 	for i := range s {
@@ -134,7 +135,7 @@ func (c *Cipher) decryptTrace(src []byte, wantTrace bool) (pt [BlockSize]byte, t
 	for i := range out {
 		binary.BigEndian.PutUint32(pt[4*i:], out[i])
 	}
-	return pt, trace
+	return pt
 }
 
 // LastRoundDecIndex is the decryption analogue of Equation 3: the

@@ -27,8 +27,15 @@ func byteOf(w uint32, b int) byte { return byte(w >> (24 - 8*b)) }
 // T-table lookup. The ciphertext matches Encrypt bit for bit (tested),
 // so traces can be paired with real ciphertexts.
 func (c *Cipher) TraceEncrypt(src []byte) (ct [BlockSize]byte, trace Trace) {
-	_ = src[BlockSize-1]
 	trace = make(Trace, c.rounds)
+	return c.TraceEncryptInto(src, trace), trace
+}
+
+// TraceEncryptInto is TraceEncrypt recording into trace, which must
+// hold Rounds() rounds, so a caller tracing many blocks reuses one.
+func (c *Cipher) TraceEncryptInto(src []byte, trace Trace) (ct [BlockSize]byte) {
+	_ = src[BlockSize-1]
+	_ = trace[c.rounds-1]
 
 	var s [4]uint32
 	for i := range s {
@@ -64,7 +71,7 @@ func (c *Cipher) TraceEncrypt(src []byte) (ct [BlockSize]byte, trace Trace) {
 	for i := range out {
 		binary.BigEndian.PutUint32(ct[4*i:], out[i])
 	}
-	return ct, trace
+	return ct
 }
 
 // LastRoundIndex implements Equation 3 of the paper: given ciphertext

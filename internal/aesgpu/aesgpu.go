@@ -8,6 +8,7 @@ package aesgpu
 
 import (
 	"fmt"
+	"sync"
 
 	"rcoal/internal/aes"
 	"rcoal/internal/core"
@@ -96,24 +97,37 @@ type Sample struct {
 	Energy float64
 }
 
+// builders holds the kernel builders of servers built without a trace
+// cache. A kernel lives only through its launch, so one builder serves
+// every sample of a collect and, returned here, the collects after it,
+// whatever their sizes.
+var builders = sync.Pool{New: func() any { return new(kernels.Builder) }}
+
 // Encrypt runs one encryption request. The seed determines the
 // launch's hardware randomness; callers give every sample a distinct
 // seed.
 func (s *Server) Encrypt(lines []kernels.Line, seed uint64) (*Sample, error) {
-	kernel, cts, err := s.buildEncrypt(lines)
+	b := builders.Get().(*kernels.Builder)
+	defer builders.Put(b)
+	return s.encrypt(b, lines, seed)
+}
+
+// encrypt is Encrypt building through b.
+func (s *Server) encrypt(b *kernels.Builder, lines []kernels.Line, seed uint64) (*Sample, error) {
+	kernel, cts, err := s.buildEncrypt(b, lines)
 	if err != nil {
 		return nil, err
 	}
 	return s.run(kernel, cts, seed)
 }
 
-// buildEncrypt constructs (or fetches from the trace cache) the
-// encryption kernel for lines.
-func (s *Server) buildEncrypt(lines []kernels.Line) (*gpusim.Kernel, []kernels.Line, error) {
+// buildEncrypt fetches the encryption kernel for lines from the trace
+// cache, or builds it through b when none is installed.
+func (s *Server) buildEncrypt(b *kernels.Builder, lines []kernels.Line) (*gpusim.Kernel, []kernels.Line, error) {
 	if s.cache != nil {
 		return s.cache.Build(s.cipher, lines)
 	}
-	return kernels.Build(s.cipher, lines)
+	return b.Build(s.cipher, lines)
 }
 
 // Dataset is a collection of timing samples for a fixed server: the
@@ -132,11 +146,13 @@ func (s *Server) Collect(nSamples, linesPer int, seed uint64) (*Dataset, error) 
 	if nSamples <= 0 || linesPer <= 0 {
 		return nil, fmt.Errorf("aesgpu: need positive samples (%d) and lines (%d)", nSamples, linesPer)
 	}
+	b := builders.Get().(*kernels.Builder)
+	defer builders.Put(b)
 	ptRNG := rng.New(seed).Split(1)
 	ds := &Dataset{}
 	for n := 0; n < nSamples; n++ {
 		lines := kernels.RandomPlaintext(ptRNG, linesPer)
-		sample, err := s.Encrypt(lines, seed^uint64(n+1)*0x9e3779b97f4a7c15)
+		sample, err := s.encrypt(b, lines, seed^uint64(n+1)*0x9e3779b97f4a7c15)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,8 @@
 package aesgpu
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
 	"rcoal/internal/gpusim"
@@ -185,5 +187,67 @@ func TestAES256ServerFourteenRounds(t *testing.T) {
 	}
 	if smp.TotalTx <= smp128.TotalTx {
 		t.Errorf("AES-256 tx %d not above AES-128 %d", smp.TotalTx, smp128.TotalTx)
+	}
+}
+
+// TestCollectAfterOtherSizeMatchesFreshBuilds: the pooled builder
+// carries one collect's storage into the next, so a Collect after one
+// of a different size (larger, then a partial warp) must return the
+// dataset a server building every kernel afresh returns (a trace
+// cache's kernels each come from their own kernels.Build).
+func TestCollectAfterOtherSizeMatchesFreshBuilds(t *testing.T) {
+	cfg := gpusim.DefaultConfig()
+	cfg.Defense = mechanism.RSSRTS(8)
+	reused := newTestServer(t, cfg)
+	if _, err := reused.Collect(2, 96, 5); err != nil {
+		t.Fatal(err)
+	}
+	got, err := reused.Collect(3, 40, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := newTestServer(t, cfg)
+	fresh.SetTraceCache(kernels.NewTraceCache())
+	want, err := fresh.Collect(3, 40, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("Collect after a collect of another size differs from fresh builds")
+	}
+}
+
+// TestConcurrentCollectsShareBuilderPool runs collects of different
+// sizes from several goroutines at once, as a grid's workers do: each
+// holds its own pooled builder, so every dataset equals a serial one.
+func TestConcurrentCollectsShareBuilderPool(t *testing.T) {
+	cfg := gpusim.DefaultConfig()
+	sizes := []int{40, 96, 33, 64}
+	want := make([]*Dataset, len(sizes))
+	for i, lines := range sizes {
+		var err error
+		if want[i], err = newTestServer(t, cfg).Collect(2, lines, uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make([]*Dataset, len(sizes))
+	errs := make([]error, len(sizes))
+	var wg sync.WaitGroup
+	for i, lines := range sizes {
+		srv := newTestServer(t, cfg)
+		wg.Add(1)
+		go func(i, lines int) {
+			defer wg.Done()
+			got[i], errs[i] = srv.Collect(2, lines, uint64(i))
+		}(i, lines)
+	}
+	wg.Wait()
+	for i := range sizes {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("concurrent Collect of %d lines differs from a serial one", sizes[i])
+		}
 	}
 }

@@ -53,11 +53,11 @@ func ForkedCollect(cfg gpusim.Config, key []byte, mechs []mechanism.Mechanism, n
 		}
 	}
 
-	build := func(lines []kernels.Line) (*gpusim.Kernel, []kernels.Line, error) {
-		if tc != nil {
-			return tc.Build(cipher, lines)
-		}
-		return kernels.Build(cipher, lines)
+	b := builders.Get().(*kernels.Builder)
+	defer builders.Put(b)
+	build := b.Build
+	if tc != nil {
+		build = tc.Build
 	}
 
 	// Mirror Collect exactly: same plaintext stream, same per-sample
@@ -70,7 +70,7 @@ func ForkedCollect(cfg gpusim.Config, key []byte, mechs []mechanism.Mechanism, n
 	}
 	for n := 0; n < nSamples; n++ {
 		lines := kernels.RandomPlaintext(ptRNG, linesPer)
-		kernel, cts, err := build(lines)
+		kernel, cts, err := build(cipher, lines)
 		if err != nil {
 			return nil, err
 		}

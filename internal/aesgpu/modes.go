@@ -29,7 +29,9 @@ func (s *Server) Decrypt(lines []kernels.Line, seed uint64) (*Sample, error) {
 	if s.cache != nil {
 		kernel, pts, err = s.cache.BuildDecrypt(s.cipher, lines)
 	} else {
-		kernel, pts, err = kernels.BuildDecrypt(s.cipher, lines)
+		b := builders.Get().(*kernels.Builder)
+		defer builders.Put(b)
+		kernel, pts, err = b.BuildDecrypt(s.cipher, lines)
 	}
 	if err != nil {
 		return nil, err
@@ -56,7 +58,9 @@ func (s *Server) EncryptCTR(nonce uint64, lines []kernels.Line, seed uint64) (*C
 		binary.BigEndian.PutUint64(counters[i][:8], nonce)
 		binary.BigEndian.PutUint64(counters[i][8:], uint64(i))
 	}
-	kernel, keystream, err := s.buildEncrypt(counters)
+	b := builders.Get().(*kernels.Builder)
+	defer builders.Put(b)
+	kernel, keystream, err := s.buildEncrypt(b, counters)
 	if err != nil {
 		return nil, err
 	}

@@ -45,7 +45,7 @@ type PrefixSnapshot struct {
 	warps []warpSnap
 	sms   []smSnap
 	parts []partSnap
-	toMem *icnt.Snapshot
+	toMem []int64 // the request ports' next free slots (icnt.Slots)
 	toSM  *icnt.Snapshot
 
 	res       Result // deep copy; Plan zeroed (mechanism-dependent)
@@ -226,7 +226,7 @@ func (g *GPU) snapshotPrefix(st *runState, k *Kernel, seed uint64) *PrefixSnapsh
 		}
 	}
 
-	snap.toMem = st.toMem.Snapshot(intern)
+	snap.toMem = st.toMem.Snapshot()
 	snap.toSM = st.toSM.Snapshot(intern)
 	return snap
 }
@@ -306,6 +306,7 @@ func (g *GPU) RunFork(snap *PrefixSnapshot) (*Result, error) {
 		ss := &snap.sms[i]
 		for _, ri := range ss.injectQ {
 			sm.injectQ.Push(ptrs[ri])
+			st.markDraining(i)
 		}
 		sm.replies = append(sm.replies[:0], ss.replies...)
 		if sm.mshr != nil {
@@ -323,7 +324,7 @@ func (g *GPU) RunFork(snap *PrefixSnapshot) (*Result, error) {
 			p.replies = append(p.replies, ptrs[ri])
 		}
 	}
-	st.toMem.Restore(snap.toMem, req)
+	st.toMem.Restore(snap.toMem)
 	st.toSM.Restore(snap.toSM, req)
 
 	if _, _, err := g.loop(st, k, snap.cycle, false); err != nil {

@@ -240,3 +240,67 @@ func TestForkGates(t *testing.T) {
 		t.Fatal("RunFork accepted a snapshot with different VulnerableRounds")
 	}
 }
+
+// TestForkRestoresQueuedTransactions forks a launch whose prefix
+// pauses while an SM's inject queue still holds transactions: the
+// restore must hand them to the drain pass, or they never reach memory
+// and the fork differs from (or never finishes like) a full Run. Warps
+// 0 and 15 share SM 0 of the default 15; warp 15 opens with an
+// uncoalesced load whose 32 transactions drain one per cycle, while
+// warp 0 reaches the vulnerable round after one ALU operation.
+func TestForkRestoresQueuedTransactions(t *testing.T) {
+	kern := &Kernel{Label: "fork-queued"}
+	for wid := 0; wid < 16; wid++ {
+		scattered := make([]uint64, 32)
+		for i := range scattered {
+			scattered[i] = uint64(wid*32+i) * 4096
+		}
+		first := Instr{Kind: ALU, Round: 1}
+		if wid == 15 {
+			first = Instr{Kind: Load, Addrs: scattered, Round: 1}
+		}
+		kern.Warps = append(kern.Warps, &WarpProgram{ID: wid, Instrs: []Instr{
+			{Kind: RoundMark, Round: 1}, first,
+			{Kind: RoundMark, Round: 4}, {Kind: Load, Addrs: scattered, Round: 4},
+			{Kind: RoundMark, Round: 0},
+		}})
+	}
+	vulnerable := []int{4}
+	prefixGPU, err := New(forkConfig(mechanism.Baseline(), vulnerable, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := prefixGPU.RunPrefix(kern, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued := 0
+	for _, ss := range snap.sms {
+		queued += len(ss.injectQ)
+	}
+	if queued == 0 {
+		t.Fatal("the prefix paused with every inject queue empty; the test needs a queued transaction")
+	}
+	for _, mech := range []mechanism.Mechanism{mechanism.Baseline(), mechanism.RSSRTS(8)} {
+		cfg := forkConfig(mech, vulnerable, nil)
+		vanilla, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := vanilla.Run(kern, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		forked, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := forked.RunFork(snap)
+		if err != nil {
+			t.Fatalf("%s: RunFork: %v", mech.Name(), err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("%s: forked result differs from vanilla Run (%d queued transactions at the pause)", mech.Name(), queued)
+		}
+	}
+}

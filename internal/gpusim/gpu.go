@@ -92,13 +92,16 @@ type locEntry struct {
 	loc mem.Location
 }
 
-// decode returns the physical location of block b's address.
-func (g *GPU) decode(b uint64) mem.Location {
+// decode returns the memo's physical location of block b's address,
+// which callers copy out (*g.decode(b)): a Location returned by value
+// is stored as 8-byte words and reloaded with one 16-byte load, which
+// stalls store forwarding.
+func (g *GPU) decode(b uint64) *mem.Location {
 	e := &g.locs[b&(locSlots-1)]
 	if e.tag != b+1 {
 		*e = locEntry{tag: b + 1, loc: g.cfg.AddressMap.Decode(b * mem.BlockBytes)}
 	}
-	return e.loc
+	return &e.loc
 }
 
 // reqChunk is the request-arena chunk size.
@@ -223,9 +226,12 @@ type runState struct {
 	// cycle before its wake is a no-op, so the cycle loop visits only
 	// the units the calendar says are due. members lists the units the
 	// loop steps at all: warpSMs, then every partition.
-	cal       *calendar
-	members   []int
-	toMem     *icnt.Crossbar
+	cal     *calendar
+	members []int
+	// draining marks the SMs whose inject queue holds transactions,
+	// one bit per SM id; drain empties them ahead of the SMs' steps.
+	draining  []uint64
+	toMem     *icnt.Slots
 	toSM      *icnt.Crossbar
 	res       *Result
 	reqID     uint64
@@ -307,7 +313,8 @@ func (g *GPU) loop(st *runState, k *Kernel, start int64, pauseAtVulnerable bool)
 			return now, true, nil
 		}
 		due := st.cal.take(now)
-		smBusy := g.stepSMs(st, now, due)
+		g.drain(st, now)
+		g.stepSMs(st, now, due)
 		g.stepMemory(st, now, due)
 		if st.remaining == 0 && st.toSM.Idle() && st.idleMemory() && st.idleSMs() {
 			st.res.Cycles = now
@@ -319,14 +326,13 @@ func (g *GPU) loop(st *runState, k *Kernel, start int64, pauseAtVulnerable bool)
 		} else if stalled++; stalled >= window {
 			return 0, false, &NoProgressError{Kernel: k.Label, Cycle: now, Window: window, Snapshot: g.snapshot(st, now, true)}
 		}
-		if fastForward && !smBusy {
+		if fastForward && !st.anyDraining() {
 			// Event-driven fast-forward: when no subsystem can make
 			// progress before some future cycle, jump straight to it.
-			// Every skipped cycle is one where stepSMs and stepMemory
-			// would have been no-ops, so results are byte-identical to
-			// pure cycle-stepping. The busy flag is a fast path: a
-			// non-empty inject queue pins the horizon to now+1, so the
-			// full scan below would find nothing to skip.
+			// Every skipped cycle is one where drain, stepSMs and
+			// stepMemory would have been no-ops, so results are
+			// byte-identical to pure cycle-stepping. A non-empty inject
+			// queue drains next cycle, so there is nothing to skip.
 			next := g.nextEvent(st, now)
 			if next == math.MaxInt64 {
 				// Warps remain unfinished yet nothing is in flight
@@ -393,7 +399,8 @@ func (st *runState) atVulnerableBoundary(now int64) bool {
 // subsystem can act, or math.MaxInt64 when nothing is in flight. The
 // horizon of each subsystem is conservative: it may be earlier than
 // the subsystem's next true state change (in which case the simulator
-// simply steps a few idle cycles), but it is never later.
+// simply steps a few idle cycles), but it is never later. The loop
+// asks only while every inject queue is empty.
 func (g *GPU) nextEvent(st *runState, now int64) int64 {
 	// The partitions' wake horizons bound their controllers, request
 	// ports and L2 replies; under skipIdle the SMs' bound every source
@@ -415,10 +422,6 @@ func (g *GPU) nextEvent(st *runState, now int64) int64 {
 			continue
 		}
 		sm := st.sms[smID]
-		// A queued transaction drains next cycle.
-		if sm.injectQ.Len() > 0 {
-			return now + 1
-		}
 		for i := range sm.replies {
 			if t := sm.replies[i].at; t < next {
 				next = t
@@ -569,7 +572,8 @@ func (g *GPU) build(nWarps int) (*runState, error) {
 	}
 
 	var err error
-	st.toMem, err = icnt.NewCrossbar(g.cfg.AddressMap.Partitions, g.cfg.ICNTLatency, 1)
+	st.draining = make([]uint64, (len(st.sms)+63)/64)
+	st.toMem, err = icnt.NewSlots(g.cfg.AddressMap.Partitions, g.cfg.ICNTLatency, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -655,22 +659,58 @@ func (g *GPU) resetRuntime(st *runState, cacheRNG *rng.Source) {
 			p.l2.Reset(cacheRNG.Uint64())
 		}
 	}
+	clear(st.draining)
 	st.toMem.Reset()
 	st.toSM.Reset()
 }
 
+// drain moves up to MCURate transactions from each SM's LD/ST
+// injection queue into the interconnect, in SM-id order, settling each
+// one's memory side (arrive); only the SMs marked in st.draining are
+// visited. It runs ahead of the SMs' steps, which is exact: a drain
+// touches only memory-side state, which no SM's reply pop or issue
+// reads, and a transaction queued at cycle t still drains from t+1.
+func (g *GPU) drain(st *runState, now int64) {
+	for w, word := range st.draining {
+		for ; word != 0; word &= word - 1 {
+			smID := w<<6 | bits.TrailingZeros64(word)
+			q := &st.sms[smID].injectQ
+			for n := 0; n < g.cfg.MCURate && q.Len() > 0; n++ {
+				req := q.Pop()
+				req.Issued = now
+				g.arrive(st, req, st.toMem.Reserve(req.Loc.Partition, now))
+				st.progress++
+			}
+			if q.Len() == 0 {
+				st.draining[w] &^= 1 << (smID & 63)
+			}
+		}
+	}
+}
+
+// anyDraining reports whether some SM's inject queue holds transactions.
+func (st *runState) anyDraining() bool {
+	for _, word := range st.draining {
+		if word != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// markDraining records that SM smID's inject queue holds transactions.
+func (st *runState) markDraining(smID int) { st.draining[smID>>6] |= 1 << (smID & 63) }
+
 // stepSMs advances every SM due this cycle (the SM bits of due, the
-// calendar's take) by one cycle: deliver replies, drain the LD/ST
-// injection queues, and let the schedulers issue. An SM whose wake
-// horizon lies in the future is skipped. The returned flag reports
-// whether some SM still holds queued transactions, which pins the
-// event horizon to now+1 (see nextEvent).
-func (g *GPU) stepSMs(st *runState, now int64, due []uint64) (busy bool) {
+// calendar's take) by one cycle: deliver replies and let the
+// schedulers issue. An SM whose wake horizon lies in the future is
+// skipped.
+func (g *GPU) stepSMs(st *runState, now int64, due []uint64) {
 	for w, word := range due {
 		for ; word != 0; word &= word - 1 {
 			smID := w<<6 | bits.TrailingZeros64(word)
 			if smID >= len(st.sms) {
-				return busy // the partitions' bits follow
+				return // the partitions' bits follow
 			}
 			sm := st.sms[smID]
 			if t := st.cal.wake[smID]; now < t {
@@ -711,15 +751,7 @@ func (g *GPU) stepSMs(st *runState, now int64, due []uint64) (busy bool) {
 				}
 			}
 
-			// 2. Drain the LD/ST injection queue into the interconnect.
-			for n := 0; n < g.cfg.MCURate && sm.injectQ.Len() > 0; n++ {
-				req := sm.injectQ.Pop()
-				req.Issued = now
-				g.arrive(st, req, st.toMem.Reserve(req.Loc.Partition, now))
-				st.progress++
-			}
-
-			// 3. Warp schedulers issue. One whose wake lies in the future
+			// 2. Warp schedulers issue. One whose wake lies in the future
 			// is skipped; one with no warps never wakes.
 			for s, wake := range sm.schedWake {
 				if now >= wake {
@@ -727,27 +759,19 @@ func (g *GPU) stepSMs(st *runState, now int64, due []uint64) (busy bool) {
 				}
 			}
 
-			if sm.injectQ.Len() > 0 {
-				busy = true
-			}
 			if g.skipIdle {
-				st.cal.set(smID, st.smHorizon(sm, smID, now), now)
+				st.cal.set(smID, st.smHorizon(sm, smID), now)
 			}
 		}
 	}
-	return busy
 }
 
-// smHorizon returns the SM's wake horizon after its step at cycle now:
-// the earliest of its schedulers' wakes, its pending L1 replies and its
-// next reply-port delivery, or now+1 while its inject queue holds
-// transactions. Replies pushed toward the SM later lower the horizon
-// again (wakeSM); nothing else outside the SM's own step changes its
-// state.
-func (st *runState) smHorizon(sm *smState, smID int, now int64) int64 {
-	if sm.injectQ.Len() > 0 {
-		return now + 1
-	}
+// smHorizon returns the SM's wake horizon after its step: the earliest
+// of its schedulers' wakes, its pending L1 replies and its next
+// reply-port delivery. Its inject queue drains without it (drain).
+// Replies pushed toward the SM later lower the horizon again (wakeSM);
+// nothing else outside the SM's own step changes its state.
+func (st *runState) smHorizon(sm *smState, smID int) int64 {
 	h := st.toSM.NextDeliverable(smID)
 	for _, t := range sm.schedWake {
 		if t < h {
@@ -1239,8 +1263,9 @@ func (g *GPU) issueMemory(st *runState, sm *smState, smID int, w *warpRun, ins *
 		req.ID, req.Addr, req.Kind = st.reqID, b*mem.BlockBytes, kindOf(ins.Kind)
 		req.SM, req.Warp, req.Round = smID, w.prog.ID, round
 		req.Issued, req.Arrived, req.Done = 0, 0, 0
-		req.Loc = g.decode(b)
+		req.Loc = *g.decode(b)
 		sm.injectQ.Push(req)
+		st.markDraining(smID)
 		if m := g.cfg.Metrics; m != nil {
 			m.injectDepth.Observe(int64(sm.injectQ.Len()))
 		}

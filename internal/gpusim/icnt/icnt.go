@@ -6,11 +6,11 @@
 // fairness per output port.
 //
 // A port's deliveries are arithmetic: a packet injected at cycle t is
-// delivered at max(t + latency, the port's next free slot). Reserve
-// books that cycle at injection, for a direction whose receiver acts
-// on the delivery cycle alone (the request side); Push and Pop carry
-// packets for one whose receiver must see them in order (the reply
-// side, where six partitions' replies merge).
+// delivered at max(t + latency, the port's next free slot). Slots books
+// that cycle at injection, for a direction whose receiver acts on the
+// delivery cycle alone (the request side); a Crossbar's Push and Pop
+// carry packets for one whose receiver must see them in order (the
+// reply side, where six partitions' replies merge).
 package icnt
 
 import (
@@ -55,12 +55,9 @@ type Crossbar struct {
 	Delivered uint64
 
 	// DepthHist, when non-nil, observes a port's queued-packet count at
-	// every injection (the depth including the new packet): for Reserve,
-	// the slots booked and not yet delivered, which reserved tracks only
-	// while DepthHist is installed. Installed by the simulator's metrics
-	// layer; the hot path pays one nil check.
+	// every injection (the depth including the new packet). Installed by
+	// the simulator's metrics layer; the hot path pays one nil check.
 	DepthHist *metrics.Histogram
-	reserved  []ringbuf.Ring[int64]
 }
 
 // NewCrossbar builds a crossbar with the given number of output ports
@@ -68,14 +65,8 @@ type Crossbar struct {
 // port for occupancy cycles (its flit count: a 64-byte data reply is
 // two 32-byte flits, a request header one).
 func NewCrossbar(ports int, latency, occupancy int) (*Crossbar, error) {
-	if ports <= 0 {
-		return nil, fmt.Errorf("icnt: ports %d must be positive", ports)
-	}
-	if latency < 1 {
-		return nil, fmt.Errorf("icnt: latency %d must be >= 1", latency)
-	}
-	if occupancy < 1 {
-		return nil, fmt.Errorf("icnt: occupancy %d must be >= 1", occupancy)
+	if err := validate(ports, latency, occupancy); err != nil {
+		return nil, err
 	}
 	x := &Crossbar{
 		latency:   int64(latency),
@@ -83,10 +74,21 @@ func NewCrossbar(ports int, latency, occupancy int) (*Crossbar, error) {
 		ports:     make([]ringbuf.Ring[packet], ports),
 		nextSlot:  make([]int64, ports),
 		due:       make([]int64, ports),
-		reserved:  make([]ringbuf.Ring[int64], ports),
 	}
 	x.Reset()
 	return x, nil
+}
+
+func validate(ports, latency, occupancy int) error {
+	switch {
+	case ports <= 0:
+		return fmt.Errorf("icnt: ports %d must be positive", ports)
+	case latency < 1:
+		return fmt.Errorf("icnt: latency %d must be >= 1", latency)
+	case occupancy < 1:
+		return fmt.Errorf("icnt: occupancy %d must be >= 1", occupancy)
+	}
+	return nil
 }
 
 // InjectDrop arms the crossbar's test-only fault seam
@@ -119,40 +121,6 @@ func (x *Crossbar) Push(dst int, r *mem.Request, now int64) {
 	if x.DepthHist != nil {
 		x.DepthHist.Observe(int64(x.ports[dst].Len()))
 	}
-}
-
-// Reserve books port dst's next delivery slot for a packet injected at
-// cycle now and returns its delivery cycle: exactly the cycle a Pop
-// polled every cycle would deliver it, had it been pushed instead.
-// Nothing is queued, so reserved packets never appear in Pending.
-func (x *Crossbar) Reserve(dst int, now int64) int64 {
-	at := max(now+x.latency, x.nextSlot[dst])
-	x.nextSlot[dst] = at + x.occupancy
-	if x.DepthHist != nil {
-		// Slots delivered before this cycle have left the port; one
-		// delivered at now is still queued while injections run.
-		q := &x.reserved[dst]
-		for q.Len() > 0 && q.Peek() < now {
-			q.Pop()
-		}
-		q.Push(at)
-		x.DepthHist.Observe(int64(q.Len()))
-	}
-	return at
-}
-
-// NextReserved returns the first cycle after now at which port dst
-// delivers a reserved slot, or math.MaxInt64 when none is booked. It
-// sees only the slots booked while DepthHist was installed.
-func (x *Crossbar) NextReserved(dst int, now int64) int64 {
-	q := &x.reserved[dst]
-	for q.Len() > 0 && q.Peek() <= now {
-		q.Pop()
-	}
-	if q.Len() == 0 {
-		return math.MaxInt64
-	}
-	return q.Peek()
 }
 
 // Pop returns at most one request deliverable at port dst on cycle
@@ -252,7 +220,6 @@ func (x *Crossbar) Restore(s *Snapshot, req func(int) *mem.Request) {
 	}
 	for i := range x.ports {
 		x.ports[i].Reset()
-		x.reserved[i].Reset()
 		for _, p := range s.ports[i] {
 			x.ports[i].Push(packet{req: req(p.req), readyAt: p.readyAt})
 		}
@@ -271,10 +238,97 @@ func (x *Crossbar) Restore(s *Snapshot, req func(int) *mem.Request) {
 func (x *Crossbar) Reset() {
 	for i := range x.ports {
 		x.ports[i].Reset()
-		x.reserved[i].Reset()
 		x.nextSlot[i] = 0
 		x.due[i] = math.MaxInt64
 	}
 	x.Delivered = 0
 	x.dropSeen = 0
+}
+
+// Slots is one direction of the interconnect whose receiver acts on
+// each packet's delivery cycle alone: it books every packet's slot at
+// injection and queues nothing. Its deliveries are exactly a
+// Crossbar's, polled every cycle, for the same injections.
+type Slots struct {
+	latency   int64
+	occupancy int64
+	// nextSlot[p] is the next cycle at which port p may deliver.
+	nextSlot []int64
+	// DepthHist, when non-nil, observes a port's booked and not yet
+	// delivered slots at every injection (the depth including the new
+	// one), which reserved tracks only while DepthHist is installed.
+	// Installed by the simulator's metrics layer.
+	DepthHist *metrics.Histogram
+	reserved  []ringbuf.Ring[int64]
+}
+
+// NewSlots builds a request direction with the given number of output
+// ports, latency and per-packet occupancy, as NewCrossbar.
+func NewSlots(ports int, latency, occupancy int) (*Slots, error) {
+	if err := validate(ports, latency, occupancy); err != nil {
+		return nil, err
+	}
+	return &Slots{
+		latency:   int64(latency),
+		occupancy: int64(occupancy),
+		nextSlot:  make([]int64, ports),
+		reserved:  make([]ringbuf.Ring[int64], ports),
+	}, nil
+}
+
+// Reserve books port dst's next delivery slot for a packet injected at
+// cycle now and returns its delivery cycle: exactly the cycle a
+// Crossbar's Pop polled every cycle would deliver it, had it been
+// pushed instead.
+func (x *Slots) Reserve(dst int, now int64) int64 {
+	at := max(now+x.latency, x.nextSlot[dst])
+	x.nextSlot[dst] = at + x.occupancy
+	if x.DepthHist != nil {
+		// Slots delivered before this cycle have left the port; one
+		// delivered at now is still queued while injections run.
+		q := &x.reserved[dst]
+		for q.Len() > 0 && q.Peek() < now {
+			q.Pop()
+		}
+		q.Push(at)
+		x.DepthHist.Observe(int64(q.Len()))
+	}
+	return at
+}
+
+// NextReserved returns the first cycle after now at which port dst
+// delivers a booked slot, or math.MaxInt64 when none is booked. It
+// sees only the slots booked while DepthHist was installed.
+func (x *Slots) NextReserved(dst int, now int64) int64 {
+	q := &x.reserved[dst]
+	for q.Len() > 0 && q.Peek() <= now {
+		q.Pop()
+	}
+	if q.Len() == 0 {
+		return math.MaxInt64
+	}
+	return q.Peek()
+}
+
+// Snapshot returns the ports' next free slots: with nothing queued,
+// they are the direction's whole mid-launch state, apart from the
+// DepthHist bookkeeping.
+func (x *Slots) Snapshot() []int64 { return append([]int64(nil), x.nextSlot...) }
+
+// Restore rewinds the ports to a Snapshot of a direction with as many
+// ports.
+func (x *Slots) Restore(nextSlot []int64) {
+	if len(x.nextSlot) != len(nextSlot) {
+		panic(fmt.Sprintf("icnt: restore across port counts (%d != %d)", len(x.nextSlot), len(nextSlot)))
+	}
+	x.Reset()
+	copy(x.nextSlot, nextSlot)
+}
+
+// Reset frees every port, keeping the buffers for reuse.
+func (x *Slots) Reset() {
+	clear(x.nextSlot)
+	for i := range x.reserved {
+		x.reserved[i].Reset()
+	}
 }

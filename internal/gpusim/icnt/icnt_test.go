@@ -15,6 +15,9 @@ func TestNewCrossbarValidation(t *testing.T) {
 	if _, err := NewCrossbar(6, 0, 1); err == nil {
 		t.Error("0 latency accepted")
 	}
+	if _, err := NewSlots(6, 8, 0); err == nil {
+		t.Error("0 occupancy accepted")
+	}
 	x, err := NewCrossbar(6, 8, 1)
 	if err != nil || x.Ports() != 6 {
 		t.Fatalf("NewCrossbar: %v, ports %d", err, x.Ports())
@@ -130,9 +133,9 @@ func TestInjectDrop(t *testing.T) {
 
 // TestReserveMatchesPushPop is the premise of the arithmetic request
 // side: over randomized injection streams (several packets per cycle,
-// idle gaps, two ports, occupancy 1 and 2, latency 1 and 8), Reserve
-// returns exactly the cycle a Push/Pop crossbar polled every cycle
-// delivers each packet, the depth Reserve observes is the Push
+// idle gaps, two ports, occupancy 1 and 2, latency 1 and 8), Slots'
+// Reserve returns exactly the cycle a Push/Pop crossbar polled every
+// cycle delivers each packet, the depth Reserve observes is the Push
 // crossbar's queue depth at the same injection, and after each cycle's
 // deliveries NextReserved is the Push crossbar's next delivery.
 func TestReserveMatchesPushPop(t *testing.T) {
@@ -141,7 +144,7 @@ func TestReserveMatchesPushPop(t *testing.T) {
 		for _, occupancy := range []int{1, 2} {
 			for trial := 0; trial < 20; trial++ {
 				queued, _ := NewCrossbar(2, latency, occupancy)
-				booked, _ := NewCrossbar(2, latency, occupancy)
+				booked, _ := NewSlots(2, latency, occupancy)
 				queued.DepthHist = metrics.NewHistogram(metrics.LinearBounds(1, 64))
 				booked.DepthHist = metrics.NewHistogram(metrics.LinearBounds(1, 64))
 				reserved := map[uint64]int64{}

@@ -13,6 +13,7 @@ package kernels
 
 import (
 	"fmt"
+	"strconv"
 
 	"rcoal/internal/aes"
 	"rcoal/internal/gpusim"
@@ -57,12 +58,12 @@ func RandomPlaintext(r *rng.Source, n int) []Line {
 }
 
 // Build constructs the kernel for encrypting the given plaintext lines
-// under the cipher, along with the resulting ciphertext lines. Lines
-// are assigned to threads sequentially (line L -> warp L/32, thread
-// L%32), per the baseline implementation; a trailing partial warp runs
-// with inactive threads.
+// under the cipher, along with the resulting ciphertext lines, into
+// fresh storage the kernel owns. Lines are assigned to threads
+// sequentially (line L -> warp L/32, thread L%32), per the baseline
+// implementation; a trailing partial warp runs with inactive threads.
 func Build(c *aes.Cipher, lines []Line) (*gpusim.Kernel, []Line, error) {
-	return build(lines, c.Rounds(), c.TraceEncrypt, PlainBase, CipherBase, "", "plaintext")
+	return new(Builder).Build(c, lines)
 }
 
 // BuildDecrypt constructs the kernel for *decrypting* the given
@@ -75,30 +76,66 @@ func Build(c *aes.Cipher, lines []Line) (*gpusim.Kernel, []Line, error) {
 //
 // It returns the recovered plaintext lines alongside the kernel.
 func BuildDecrypt(c *aes.Cipher, lines []Line) (*gpusim.Kernel, []Line, error) {
-	return build(lines, c.Rounds(), c.TraceDecrypt, CipherBase, PlainBase, "dec-", "ciphertext")
+	return new(Builder).BuildDecrypt(c, lines)
+}
+
+// warpSize is the thread count of the kernels' warps.
+const warpSize = 32
+
+// Builder builds kernels into storage it keeps across builds: the
+// kernel, its warp programs and instruction slices, one address slab
+// all the memory instructions' addresses are carved from, and the
+// per-thread lookup traces. A warmed builder allocates only each
+// build's output lines and kernel label, which the caller keeps. A
+// kernel a Builder returns is valid until its next build. The zero
+// Builder is ready to use; it is not safe for concurrent use.
+type Builder struct {
+	kernel gpusim.Kernel
+	progs  []*gpusim.WarpProgram
+	slab   []uint64
+	traces []aes.Trace
+	active []bool // the partial warp's predication mask
+}
+
+// Build is the package-level Build into the builder's storage.
+func (b *Builder) Build(c *aes.Cipher, lines []Line) (*gpusim.Kernel, []Line, error) {
+	return b.build(lines, c.Rounds(), c.TraceEncryptInto, PlainBase, CipherBase, "", "plaintext")
+}
+
+// BuildDecrypt is the package-level BuildDecrypt into the builder's
+// storage.
+func (b *Builder) BuildDecrypt(c *aes.Cipher, lines []Line) (*gpusim.Kernel, []Line, error) {
+	return b.build(lines, c.Rounds(), c.TraceDecryptInto, CipherBase, PlainBase, "dec-", "ciphertext")
 }
 
 // build is Build and BuildDecrypt: each thread loads its input line
 // from loadBase, performs the rounds' table lookups that trace records,
 // and stores its output line at storeBase. label tags the kernel name
 // and what names the input lines in the empty-input error.
-func build(lines []Line, rounds int, trace func([]byte) (Line, aes.Trace),
+func (b *Builder) build(lines []Line, rounds int, trace func([]byte, aes.Trace) Line,
 	loadBase, storeBase uint64, label, what string) (*gpusim.Kernel, []Line, error) {
 	if len(lines) == 0 {
 		return nil, nil, fmt.Errorf("kernels: no %s lines", what)
 	}
-	const warpSize = 32
 	outs := make([]Line, len(lines))
-
 	numWarps := (len(lines) + warpSize - 1) / warpSize
-	kernel := &gpusim.Kernel{Label: fmt.Sprintf("aes%d-%s%dlines", 128+(rounds-10)*32, label, len(lines))}
+	b.reserve(numWarps, rounds)
+	slab := b.slab
+
+	// nextAddrs carves the next instruction's per-thread addresses from
+	// the slab; capped, so no append can run into its neighbour.
+	nextAddrs := func() []uint64 {
+		addrs := slab[:warpSize:warpSize]
+		slab = slab[warpSize:]
+		return addrs
+	}
 
 	// lineWords emits one 4-byte access per thread for each word of its
 	// line at base; padded threads carry a dummy address (their warp's
 	// first line).
 	lineWords := func(wp *gpusim.WarpProgram, kind gpusim.InstrKind, base uint64, lo int, active []bool) {
 		for word := 0; word < 4; word++ {
-			addrs := make([]uint64, warpSize)
+			addrs := nextAddrs()
 			for t := 0; t < warpSize; t++ {
 				line := lo + t
 				if line >= len(lines) {
@@ -112,27 +149,25 @@ func build(lines []Line, rounds int, trace func([]byte) (Line, aes.Trace),
 
 	for w := 0; w < numWarps; w++ {
 		lo := w * warpSize
-		hi := lo + warpSize
-		if hi > len(lines) {
-			hi = len(lines)
-		}
+		hi := min(lo+warpSize, len(lines))
 		nActive := hi - lo
 
 		// Per-thread lookup traces from the real AES dataflow.
-		traces := make([]aes.Trace, nActive)
-		for t := 0; t < nActive; t++ {
-			outs[lo+t], traces[t] = trace(lines[lo+t][:])
+		traces := b.traces[:nActive]
+		for t := range traces {
+			outs[lo+t] = trace(lines[lo+t][:], traces[t])
 		}
 
 		var active []bool
 		if nActive < warpSize {
-			active = make([]bool, warpSize)
-			for t := 0; t < nActive; t++ {
-				active[t] = true
+			active = b.active
+			for t := range active {
+				active[t] = t < nActive
 			}
 		}
 
-		wp := &gpusim.WarpProgram{ID: w}
+		wp := b.progs[w]
+		wp.ID, wp.Instrs = w, wp.Instrs[:0]
 
 		// Input loads: each thread reads its 16-byte line as four
 		// 4-byte words.
@@ -146,7 +181,7 @@ func build(lines []Line, rounds int, trace func([]byte) (Line, aes.Trace),
 		for r := 1; r <= rounds; r++ {
 			wp.Instrs = append(wp.Instrs, gpusim.Instr{Kind: gpusim.RoundMark, Round: r})
 			for j := 0; j < 16; j++ {
-				addrs := make([]uint64, warpSize)
+				addrs := nextAddrs()
 				for t := 0; t < warpSize; t++ {
 					if t < nActive {
 						lk := traces[t][r-1][j]
@@ -168,8 +203,50 @@ func build(lines []Line, rounds int, trace func([]byte) (Line, aes.Trace),
 
 		// Output stores.
 		lineWords(wp, gpusim.Store, storeBase, lo, active)
-
-		kernel.Warps = append(kernel.Warps, wp)
 	}
-	return kernel, outs, nil
+	b.kernel = gpusim.Kernel{Warps: b.progs[:numWarps], Label: kernelLabel(rounds, label, len(lines))}
+	return &b.kernel, outs, nil
+}
+
+// kernelLabel names an AES kernel, e.g. "aes128-dec-32lines", in one
+// allocation (fmt would box its arguments).
+func kernelLabel(rounds int, label string, lines int) string {
+	var buf [32]byte
+	s := strconv.AppendInt(append(buf[:0], "aes"...), int64(128+(rounds-10)*32), 10)
+	s = append(append(s, '-'), label...)
+	s = strconv.AppendInt(s, int64(lines), 10)
+	return string(append(s, "lines"...))
+}
+
+// reserve sizes the builder's storage for numWarps warps of an AES
+// kernel with the given round count. A warp issues 8 line accesses and
+// 16 lookups per round, each of warpSize addresses, plus an ALU
+// operation after every 4 lookups, a mark per round and two more
+// instructions around the rounds.
+func (b *Builder) reserve(numWarps, rounds int) {
+	if n := numWarps * (8 + 16*rounds) * warpSize; cap(b.slab) < n {
+		b.slab = make([]uint64, n)
+	} else {
+		b.slab = b.slab[:n]
+	}
+	if n := numWarps - len(b.progs); n > 0 {
+		more := make([]gpusim.WarpProgram, n)
+		for i := range more {
+			b.progs = append(b.progs, &more[i])
+		}
+	}
+	for _, wp := range b.progs[:numWarps] {
+		if n := 10 + 21*rounds; cap(wp.Instrs) < n {
+			wp.Instrs = make([]gpusim.Instr, 0, n)
+		}
+	}
+	if len(b.traces) == 0 || len(b.traces[0]) != rounds {
+		b.traces = make([]aes.Trace, warpSize)
+		for t := range b.traces {
+			b.traces[t] = make(aes.Trace, rounds)
+		}
+	}
+	if b.active == nil {
+		b.active = make([]bool, warpSize)
+	}
 }

@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"reflect"
 	"testing"
 
 	"rcoal/internal/aes"
@@ -142,6 +143,67 @@ func TestBuildPartialWarpMasksPadding(t *testing.T) {
 			if ins.Active[t8] {
 				t.Fatal("padded thread active")
 			}
+		}
+	}
+}
+
+// TestBuilderReuseMatchesFreshBuild: one Builder reused across
+// encryptions of different sizes (shrinking, a partial warp, then
+// growing past it), an AES-256 cipher and a decryption returns kernels
+// and output lines equal to a fresh package-level build's.
+func TestBuilderReuseMatchesFreshBuild(t *testing.T) {
+	c := testCipher(t)
+	c256, err := aes.NewCipher([]byte("0123456789abcdef0123456789abcdef"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b Builder
+	for i, step := range []struct {
+		c       *aes.Cipher
+		lines   int
+		decrypt bool
+	}{{c, 1024, false}, {c, 32, false}, {c, 33, false}, {c256, 40, false}, {c, 70, true}, {c, 64, false}} {
+		lines := RandomPlaintext(rng.New(uint64(100+i)), step.lines)
+		build, fresh := b.Build, Build
+		if step.decrypt {
+			build, fresh = b.BuildDecrypt, BuildDecrypt
+		}
+		want, wantOut, err := fresh(step.c, lines)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, gotOut, err := build(step.c, lines)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotOut, wantOut) {
+			t.Fatalf("step %d (%d lines, decrypt %v): reused builder differs from a fresh build",
+				i, step.lines, step.decrypt)
+		}
+	}
+}
+
+// TestBuilderSteadyStateAllocations guards the reuse: a warmed builder
+// allocates a 1024-line kernel's output lines and label, not its
+// traces, instructions or addresses, in either direction.
+func TestBuilderSteadyStateAllocations(t *testing.T) {
+	c := testCipher(t)
+	lines := RandomPlaintext(rng.New(6), 1024)
+	var b Builder
+	for _, dir := range []struct {
+		name  string
+		build func(*aes.Cipher, []Line) (*gpusim.Kernel, []Line, error)
+	}{{"Build", b.Build}, {"BuildDecrypt", b.BuildDecrypt}} {
+		if _, _, err := dir.build(c, lines); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, _, err := dir.build(c, lines); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 2 {
+			t.Fatalf("warmed %s of 1024 lines allocates %v times, want 2", dir.name, allocs)
 		}
 	}
 }
