@@ -18,8 +18,8 @@ import (
 
 // Plan names the hardware faults a simulator launch should suffer.
 // It is carried by gpusim.Config.Faults and wired into the subsystem
-// seams (dram.Controller.InjectStall, icnt.Crossbar.InjectDrop) when
-// the runtime is built. The zero value (and a nil *Plan) injects
+// seams (dram.Controller.InjectStall, the simulator's per-SM reply
+// queues) when the runtime is built. The zero value (and a nil *Plan) injects
 // nothing.
 type Plan struct {
 	// DRAMStall, when non-nil, freezes a DRAM controller's scheduler:
@@ -27,7 +27,7 @@ type Plan struct {
 	// surface as a no-progress error, not a hang.
 	DRAMStall *DRAMStall
 	// DropReply, when non-nil, silently swallows one memory reply on
-	// the partition→SM crossbar. The requesting warp then waits
+	// its way from a partition to its SM. The requesting warp then waits
 	// forever; upstream this must surface as a no-progress error.
 	DropReply *DropReply
 }
@@ -42,12 +42,13 @@ type DRAMStall struct {
 	AfterAccesses uint64
 }
 
-// DropReply swallows the Nth packet pushed toward output port Port of
-// the reply (partition→SM) crossbar.
+// DropReply swallows the Nth reply toward SM Port, in the order the
+// SM's reply port delivers them; the port books no slot for it.
 type DropReply struct {
 	// Port is the destination SM id.
 	Port int
-	// Nth counts pushes to that port, 1-based: the Nth push vanishes.
+	// Nth counts the launch's replies to that SM, 1-based: the Nth
+	// vanishes.
 	Nth uint64
 }
 

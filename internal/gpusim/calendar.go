@@ -8,7 +8,7 @@ import "math"
 const calSlots = 64
 
 // calendar is a timing wheel over the units the cycle loop steps (the
-// SMs and the memory partitions): it records each unit's wake horizon,
+// SMs): it records each unit's wake horizon,
 // and slot t mod calSlots holds a bitset of the units whose wake falls
 // on a cycle congruent to t, so the loop visits only those instead of
 // testing every unit's horizon. Any unit count works; a slot is as many words as it needs.
@@ -60,8 +60,8 @@ func (c *calendar) set(id int, wake, now int64) {
 	c.insert(id, max(wake, now+1))
 }
 
-// lower moves a unit's wake earlier when an event for it (a packet
-// pushed toward its port) arrives first; wake must lie after the
+// lower moves a unit's wake earlier when an event for it (a reply
+// queued toward its port) comes first; wake must lie after the
 // current cycle.
 func (c *calendar) lower(id int, wake int64) {
 	if wake < c.wake[id] {

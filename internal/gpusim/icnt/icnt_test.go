@@ -1,180 +1,162 @@
 package icnt
 
 import (
+	"math"
 	"testing"
 
-	"rcoal/internal/gpusim/mem"
 	"rcoal/internal/metrics"
 	"rcoal/internal/rng"
 )
 
-func TestNewCrossbarValidation(t *testing.T) {
-	if _, err := NewCrossbar(0, 8, 1); err == nil {
+func TestNewSlotsValidation(t *testing.T) {
+	if _, err := NewSlots(0, 8, 1); err == nil {
 		t.Error("0 ports accepted")
 	}
-	if _, err := NewCrossbar(6, 0, 1); err == nil {
+	if _, err := NewSlots(6, 0, 1); err == nil {
 		t.Error("0 latency accepted")
 	}
 	if _, err := NewSlots(6, 8, 0); err == nil {
 		t.Error("0 occupancy accepted")
 	}
-	x, err := NewCrossbar(6, 8, 1)
-	if err != nil || x.Ports() != 6 {
-		t.Fatalf("NewCrossbar: %v, ports %d", err, x.Ports())
+	if x, err := NewSlots(6, 8, 1); err != nil || len(x.Snapshot()) != 6 {
+		t.Fatalf("NewSlots: %v", err)
 	}
 }
 
 func TestLatency(t *testing.T) {
-	x, _ := NewCrossbar(2, 8, 1)
-	r := &mem.Request{ID: 1}
-	x.Push(1, r, 100)
-	for now := int64(100); now < 108; now++ {
-		if got := x.Pop(1, now); got != nil {
-			t.Fatalf("delivered at %d, before latency elapsed", now)
-		}
+	x, _ := NewSlots(2, 8, 1)
+	if got := x.Due(1, 100); got != 108 {
+		t.Fatalf("Due = %d, want 108", got)
 	}
-	if got := x.Pop(1, 108); got != r {
-		t.Fatal("not delivered at latency boundary")
+	if got := x.Reserve(1, 100); got != 108 {
+		t.Fatalf("delivered at %d, want the latency boundary 108", got)
 	}
 }
 
 func TestPortBandwidthOnePerCycle(t *testing.T) {
-	x, _ := NewCrossbar(1, 1, 1)
-	for i := 0; i < 4; i++ {
-		x.Push(0, &mem.Request{ID: uint64(i)}, 0)
-	}
-	var got []uint64
-	for now := int64(1); now <= 10; now++ {
-		if r := x.Pop(0, now); r != nil {
-			got = append(got, r.ID)
-			// A second pop in the same cycle must fail.
-			if x.Pop(0, now) != nil {
-				t.Fatal("two deliveries in one cycle on one port")
-			}
+	x, _ := NewSlots(1, 1, 1)
+	for i := int64(0); i < 4; i++ {
+		if got := x.Reserve(0, 0); got != 1+i {
+			t.Fatalf("packet %d delivered at %d, want %d: one delivery per cycle", i, got, 1+i)
 		}
 	}
-	if len(got) != 4 {
-		t.Fatalf("delivered %d, want 4", len(got))
-	}
-	for i, id := range got {
-		if id != uint64(i) {
-			t.Fatalf("out-of-order delivery: %v", got)
-		}
+	y, _ := NewSlots(1, 1, 2)
+	y.Reserve(0, 0)
+	if got := y.Reserve(0, 0); got != 3 {
+		t.Fatalf("two-flit packets delivered 1 and %d, want 1 and 3", got)
 	}
 }
 
 func TestPortsIndependent(t *testing.T) {
-	x, _ := NewCrossbar(2, 1, 1)
-	x.Push(0, &mem.Request{ID: 0}, 0)
-	x.Push(1, &mem.Request{ID: 1}, 0)
-	a := x.Pop(0, 1)
-	b := x.Pop(1, 1)
-	if a == nil || b == nil {
-		t.Fatal("ports not independent in the same cycle")
+	x, _ := NewSlots(2, 1, 1)
+	if a, b := x.Reserve(0, 0), x.Reserve(1, 0); a != 1 || b != 1 {
+		t.Fatalf("ports delivered at %d and %d, want both at 1", a, b)
 	}
 }
 
-func TestIdleAndPending(t *testing.T) {
-	x, _ := NewCrossbar(3, 2, 1)
-	if !x.Idle() {
-		t.Error("new crossbar not idle")
-	}
-	x.Push(2, &mem.Request{}, 0)
-	if x.Idle() || x.Pending(2) != 1 || x.Pending(0) != 0 {
-		t.Error("pending accounting wrong")
-	}
-	x.Pop(2, 5)
-	if !x.Idle() || x.Delivered != 1 {
-		t.Error("idle/delivered accounting wrong after drain")
-	}
-}
-
-func TestPushBadPortPanics(t *testing.T) {
-	x, _ := NewCrossbar(2, 1, 1)
+func TestReserveBadPortPanics(t *testing.T) {
+	x, _ := NewSlots(2, 1, 1)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("push to invalid port did not panic")
+			t.Fatal("reserve on an invalid port did not panic")
 		}
 	}()
-	x.Push(5, &mem.Request{}, 0)
+	x.Reserve(5, 0)
 }
 
-// TestInjectDrop: the fault seam swallows exactly the nth push to the
-// armed port; other packets and ports are untouched, and Reset re-arms
-// the per-launch counter.
-func TestInjectDrop(t *testing.T) {
-	x, _ := NewCrossbar(2, 1, 1)
-	x.InjectDrop(0, 2)
-	for i := 0; i < 3; i++ {
-		x.Push(0, &mem.Request{ID: uint64(i + 1)}, 0)
-	}
-	x.Push(1, &mem.Request{ID: 9}, 0) // other port: never dropped
-	var got []uint64
-	for now := int64(1); now < 10; now++ {
-		if r := x.Pop(0, now); r != nil {
-			got = append(got, r.ID)
-		}
-	}
-	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Fatalf("port 0 delivered %v, want [1 3] (2 swallowed)", got)
-	}
-	if r := x.Pop(1, 5); r == nil || r.ID != 9 {
-		t.Fatal("unarmed port lost its packet")
-	}
-
-	// Reset starts a fresh launch: the second push vanishes again.
-	x.Reset()
-	x.Push(0, &mem.Request{ID: 11}, 0)
-	x.Push(0, &mem.Request{ID: 12}, 0)
-	if n := x.Pending(0); n != 1 {
-		t.Fatalf("after reset, pending = %d, want 1 (re-armed drop)", n)
-	}
+// refPort is the reference a port's arithmetic stands for: a FIFO of
+// injected packets, polled every cycle, delivering its head once the
+// head's latency has elapsed and the port is free.
+type refPort struct {
+	latency, occupancy int64
+	ready              []int64 // queued packets' earliest delivery, in order
+	ids                []uint64
+	nextSlot           int64
 }
 
-// TestReserveMatchesPushPop is the premise of the arithmetic request
-// side: over randomized injection streams (several packets per cycle,
-// idle gaps, two ports, occupancy 1 and 2, latency 1 and 8), Slots'
-// Reserve returns exactly the cycle a Push/Pop crossbar polled every
-// cycle delivers each packet, the depth Reserve observes is the Push
-// crossbar's queue depth at the same injection, and after each cycle's
-// deliveries NextReserved is the Push crossbar's next delivery.
+func (p *refPort) push(id uint64, now int64) {
+	p.ready = append(p.ready, now+p.latency)
+	p.ids = append(p.ids, id)
+}
+
+func (p *refPort) pop(now int64) (uint64, bool) {
+	if len(p.ready) == 0 || now < max(p.ready[0], p.nextSlot) {
+		return 0, false
+	}
+	id := p.ids[0]
+	p.ready, p.ids = p.ready[1:], p.ids[1:]
+	p.nextSlot = now + p.occupancy
+	return id, true
+}
+
+// next is the cycle the reference delivers its head, or math.MaxInt64.
+func (p *refPort) next() int64 {
+	if len(p.ready) == 0 {
+		return math.MaxInt64
+	}
+	return max(p.ready[0], p.nextSlot)
+}
+
+// TestReserveMatchesPushPop is the premise of the arithmetic
+// interconnect: over randomized injection streams (several packets per
+// cycle, idle gaps, two ports, occupancy 1 and 2, latency 1 and 8),
+// Reserve returns exactly the cycle a queued port polled every cycle
+// delivers each packet; the depth Reserve observes is the queued
+// port's depth at the same injection, with the cycle's deliveries
+// taken after the injections, or before them under ReceiverFirst; and
+// NextReserved is the queued port's next delivery.
 func TestReserveMatchesPushPop(t *testing.T) {
 	r := rng.New(0x5E7E)
 	for _, latency := range []int{1, 8} {
 		for _, occupancy := range []int{1, 2} {
-			for trial := 0; trial < 20; trial++ {
-				queued, _ := NewCrossbar(2, latency, occupancy)
-				booked, _ := NewSlots(2, latency, occupancy)
-				queued.DepthHist = metrics.NewHistogram(metrics.LinearBounds(1, 64))
-				booked.DepthHist = metrics.NewHistogram(metrics.LinearBounds(1, 64))
-				reserved := map[uint64]int64{}
-				var id uint64
-				delivered := 0
-				for now := int64(0); now < 400 || delivered < int(id); now++ {
-					if now < 400 && r.Intn(3) == 0 {
-						for n := 1 + r.Intn(3); n > 0; n-- {
-							id++
-							dst := r.Intn(2)
-							qSum, bSum := queued.DepthHist.Sum(), booked.DepthHist.Sum()
-							queued.Push(dst, &mem.Request{ID: id}, now)
-							reserved[id] = booked.Reserve(dst, now)
-							if q, b := queued.DepthHist.Sum()-qSum, booked.DepthHist.Sum()-bSum; q != b {
-								t.Fatalf("latency %d occupancy %d: packet %d observed depth %d, queued depth %d",
-									latency, occupancy, id, b, q)
+			for _, receiverFirst := range []bool{false, true} {
+				for trial := 0; trial < 20; trial++ {
+					ref := [2]*refPort{}
+					for i := range ref {
+						ref[i] = &refPort{latency: int64(latency), occupancy: int64(occupancy)}
+					}
+					booked, _ := NewSlots(2, latency, occupancy)
+					booked.ReceiverFirst = receiverFirst
+					booked.DepthHist = metrics.NewHistogram(metrics.LinearBounds(1, 64))
+					reserved := map[uint64]int64{}
+					var id uint64
+					delivered := 0
+					deliver := func(now int64) {
+						for dst, p := range ref {
+							if q, ok := p.pop(now); ok {
+								delivered++
+								if reserved[q] != now {
+									t.Fatalf("latency %d occupancy %d: packet %d delivered at %d, reserved %d",
+										latency, occupancy, q, now, reserved[q])
+								}
+							}
+							if !receiverFirst {
+								if got, want := booked.NextReserved(dst, now), p.next(); got != want {
+									t.Fatalf("latency %d occupancy %d: NextReserved(%d, %d) = %d, next delivery %d",
+										latency, occupancy, dst, now, got, want)
+								}
 							}
 						}
 					}
-					for dst := 0; dst < 2; dst++ {
-						if q := queued.Pop(dst, now); q != nil {
-							delivered++
-							if reserved[q.ID] != now {
-								t.Fatalf("latency %d occupancy %d: packet %d delivered at %d, reserved %d",
-									latency, occupancy, q.ID, now, reserved[q.ID])
+					for now := int64(0); now < 400 || delivered < int(id); now++ {
+						if receiverFirst {
+							deliver(now)
+						}
+						if now < 400 && r.Intn(3) == 0 {
+							for n := 1 + r.Intn(3); n > 0; n-- {
+								id++
+								dst := r.Intn(2)
+								sum := booked.DepthHist.Sum()
+								ref[dst].push(id, now)
+								reserved[id] = booked.Reserve(dst, now)
+								if got, want := booked.DepthHist.Sum()-sum, int64(len(ref[dst].ready)); got != want {
+									t.Fatalf("latency %d occupancy %d receiver-first %v: packet %d observed depth %d, queued depth %d",
+										latency, occupancy, receiverFirst, id, got, want)
+								}
 							}
 						}
-						if got, want := booked.NextReserved(dst, now), queued.NextDeliverable(dst); got != want {
-							t.Fatalf("latency %d occupancy %d: NextReserved(%d, %d) = %d, next delivery %d",
-								latency, occupancy, dst, now, got, want)
+						if !receiverFirst {
+							deliver(now)
 						}
 					}
 				}

@@ -4,110 +4,56 @@ import (
 	"reflect"
 	"testing"
 
-	"rcoal/internal/gpusim/mem"
 	"rcoal/internal/rng"
 )
 
-type delivery struct {
-	port  int
-	id    uint64
-	cycle int64
-}
-
-// drainAll pops every port each cycle from start until the crossbar is
-// idle, recording the delivery sequence.
-func drainAll(t *testing.T, x *Crossbar, start int64) []delivery {
-	t.Helper()
-	var out []delivery
-	for now := start; now < start+10000; now++ {
-		for p := 0; p < x.Ports(); p++ {
-			if r := x.Pop(p, now); r != nil {
-				out = append(out, delivery{port: p, id: r.ID, cycle: now})
-			}
-		}
-		if x.Idle() {
-			return out
-		}
-	}
-	t.Fatal("crossbar did not drain")
-	return nil
-}
-
-// TestSnapshotRestoreEquivalence is the crossbar's snapshot/restore
-// property test: inject random traffic, pop part of it, snapshot,
-// drain the original to completion (the mutation and the reference),
-// then Restore into the same and a fresh crossbar and require the
-// identical delivery tail.
+// TestSnapshotRestoreEquivalence is the snapshot/restore property
+// test: book random traffic, snapshot mid-stream, keep booking on the
+// original (the mutation and the reference), then Restore into the same
+// and a fresh direction and require the identical delivery tail.
 func TestSnapshotRestoreEquivalence(t *testing.T) {
 	r := rng.New(4242)
 	for trial := 0; trial < 20; trial++ {
 		ports := 2 + r.Intn(4)
-		x, err := NewCrossbar(ports, 1+r.Intn(4), 1+r.Intn(2))
+		latency, occupancy := 1+r.Intn(4), 1+r.Intn(2)
+		x, err := NewSlots(ports, latency, occupancy)
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := 5 + r.Intn(30)
-		for i := 0; i < n; i++ {
-			req := &mem.Request{ID: uint64(i + 1)}
-			x.Push(r.Intn(ports), req, int64(r.Intn(10)))
+		type inject struct {
+			dst int
+			at  int64
 		}
-		cut := int64(3 + r.Intn(10))
-		for now := int64(0); now < cut; now++ {
-			for p := 0; p < ports; p++ {
-				x.Pop(p, now)
+		var stream []inject
+		for i, at := 0, int64(0); i < 5+r.Intn(30); i++ {
+			at += int64(r.Intn(3))
+			stream = append(stream, inject{r.Intn(ports), at})
+		}
+		cut := len(stream) / 2
+		for _, in := range stream[:cut] {
+			x.Reserve(in.dst, in.at)
+		}
+		snap := x.Snapshot()
+		tail := func(x *Slots) []int64 {
+			var out []int64
+			for _, in := range stream[cut:] {
+				out = append(out, x.Reserve(in.dst, in.at))
 			}
+			return out
 		}
+		want := tail(x)
 
-		var table []mem.Request
-		idx := map[*mem.Request]int{}
-		intern := func(q *mem.Request) int {
-			if i, ok := idx[q]; ok {
-				return i
-			}
-			table = append(table, *q)
-			idx[q] = len(table) - 1
-			return len(table) - 1
+		x.Restore(snap)
+		if got := tail(x); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: same-direction restore tail differs\n got %v\nwant %v", trial, got, want)
 		}
-		snap := x.Snapshot(intern)
-		wantDelivered := x.Delivered
-
-		wantTail := drainAll(t, x, cut)
-		wantFinal := x.Delivered
-
-		materialize := func() func(int) *mem.Request {
-			fresh := make([]*mem.Request, len(table))
-			return func(i int) *mem.Request {
-				if fresh[i] == nil {
-					p := new(mem.Request)
-					*p = table[i]
-					fresh[i] = p
-				}
-				return fresh[i]
-			}
-		}
-
-		x.Restore(snap, materialize())
-		if x.Delivered != wantDelivered {
-			t.Fatalf("trial %d: restored Delivered = %d, want %d", trial, x.Delivered, wantDelivered)
-		}
-		if got := drainAll(t, x, cut); !reflect.DeepEqual(got, wantTail) {
-			t.Fatalf("trial %d: same-crossbar restore tail differs\n got %v\nwant %v", trial, got, wantTail)
-		}
-		if x.Delivered != wantFinal {
-			t.Fatalf("trial %d: same-crossbar final Delivered differs", trial)
-		}
-
-		fresh, err := NewCrossbar(ports, 1, 1)
+		fresh, err := NewSlots(ports, latency, occupancy)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Latency/occupancy live in config, not the snapshot; build the
-		// fresh crossbar with matching parameters for the equivalence
-		// check to hold.
-		fresh.latency, fresh.occupancy = x.latency, x.occupancy
-		fresh.Restore(snap, materialize())
-		if got := drainAll(t, fresh, cut); !reflect.DeepEqual(got, wantTail) {
-			t.Fatalf("trial %d: fresh-crossbar restore tail differs", trial)
+		fresh.Restore(snap)
+		if got := tail(fresh); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: fresh-direction restore tail differs", trial)
 		}
 	}
 }
@@ -115,12 +61,12 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 // TestSnapshotRestorePortCountGuard pins the structural-mismatch
 // panic.
 func TestSnapshotRestorePortCountGuard(t *testing.T) {
-	x, err := NewCrossbar(4, 1, 1)
+	x, err := NewSlots(4, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := x.Snapshot(func(*mem.Request) int { return 0 })
-	other, err := NewCrossbar(3, 1, 1)
+	snap := x.Snapshot()
+	other, err := NewSlots(3, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,5 +75,5 @@ func TestSnapshotRestorePortCountGuard(t *testing.T) {
 			t.Fatal("restore across port counts did not panic")
 		}
 	}()
-	other.Restore(snap, func(int) *mem.Request { return nil })
+	other.Restore(snap)
 }

@@ -123,12 +123,11 @@ type Request struct {
 	Round int
 	// Issued is the core cycle the request entered the interconnect.
 	Issued int64
-	// Arrived is the core cycle the request reached its memory
-	// partition's controller (set on acceptance; L2 hits never arrive).
-	Arrived int64
-	// Done is the core cycle the reply reached the SM (set on
-	// completion).
-	Done int64
+	// Arrived is the core cycle the request reaches its memory
+	// partition, and Done the cycle its data is ready there (an L2
+	// hit's, or the DRAM's): both are set when the request leaves its
+	// SM.
+	Arrived, Done int64
 	// Loc is the pre-decoded physical location of Addr, computed once
 	// when the LD/ST unit creates the request so neither the
 	// interconnect router nor the DRAM controller re-derives it.

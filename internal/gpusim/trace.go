@@ -26,9 +26,10 @@ const (
 	// EvCoalesce: the MCU ran Algorithm 1 on one warp-wide memory
 	// instruction, splitting it into N subwarp-coalesced transactions.
 	EvCoalesce
-	// EvDRAMService: a memory partition finished servicing one
-	// transaction; N carries the cycles between the request arriving at
-	// the controller and its data returning.
+	// EvDRAMService: a memory partition's DRAM serviced one
+	// transaction. It is emitted when the request is scheduled, as it
+	// leaves its SM; Cycle is the cycle its data returns, and N the
+	// cycles between the request arriving at the controller and then.
 	EvDRAMService
 )
 

@@ -1,11 +1,15 @@
 package gpusim
 
 import (
+	"cmp"
 	"errors"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"rcoal/internal/faultinject"
+	"rcoal/internal/gpusim/mem"
 )
 
 func TestConfigValidateRobustnessFields(t *testing.T) {
@@ -186,6 +190,88 @@ func TestSnapshotString(t *testing.T) {
 	for _, want := range []string{"cycle 9", "sm 2", "prt 4", "partition 1", "queued 5"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("snapshot missing %q:\n%s", want, got)
+		}
+	}
+}
+
+// eventLog keeps every event it is given.
+type eventLog struct{ events []Event }
+
+func (l *eventLog) Emit(e Event) { l.events = append(l.events, e) }
+
+// TestDropReplyInQueueOrder pins the DropReply seam: it swallows the
+// Nth reply in the order the SM's port delivers them — by the cycle
+// their data is ready — and books no port slot for it, so every later
+// reply is delivered as if the swallowed one had never existed. Six
+// warps on one SM load one block each from one partition, and 8-byte
+// flits make every delivery wait for the port.
+func TestDropReplyInQueueOrder(t *testing.T) {
+	k := &Kernel{Label: "drop"}
+	for w := 0; w < 6; w++ {
+		addr := uint64(w) * 64 // chunk 0: partition 0, bank 0, one row
+		if w >= 4 {
+			addr = 6*256 + uint64(w-4)*64 // chunk 6: partition 0, bank 1
+		}
+		addrs := make([]uint64, 32)
+		for t := range addrs {
+			addrs[t] = addr
+		}
+		k.Warps = append(k.Warps, &WarpProgram{ID: w, Instrs: []Instr{{Kind: Load, Addrs: addrs}}})
+	}
+	run := func(drop *faultinject.DropReply) (done map[int]int64, replies []Event) {
+		cfg := DefaultConfig()
+		cfg.NumSMs = 1
+		cfg.FlitBytes = 8
+		cfg.WatchdogWindow = 4096
+		sink := &eventLog{}
+		cfg.Trace = sink
+		if drop != nil {
+			cfg.Faults = &faultinject.Plan{DropReply: drop}
+		}
+		_, err := mustGPU(t, cfg).Run(k, 1)
+		if (err != nil) != (drop != nil) {
+			t.Fatalf("drop %v: err = %v", drop, err)
+		}
+		done = map[int]int64{}
+		for _, e := range sink.events {
+			switch e.Kind {
+			case EvDRAMService:
+				done[e.Warp] = e.Cycle
+			case EvReply:
+				replies = append(replies, e)
+			}
+		}
+		return done, replies
+	}
+	done, all := run(nil)
+	order := make([]int, 0, len(done))
+	for w := range done {
+		order = append(order, w)
+	}
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(done[a], done[b]) })
+	// deliveries is the port's arithmetic over the given warps' replies.
+	cfg := DefaultConfig()
+	deliveries := func(warps []int) []Event {
+		var out []Event
+		var next int64
+		for _, w := range warps {
+			at := max(done[w]+int64(cfg.ICNTLatency), next)
+			next = at + mem.BlockBytes/8
+			out = append(out, Event{Cycle: at, Kind: EvReply, Warp: w})
+		}
+		return out
+	}
+	if want := deliveries(order); !reflect.DeepEqual(all, want) {
+		t.Fatalf("unfaulted replies %v, want %v", all, want)
+	}
+	for nth := 1; nth <= len(order); nth++ {
+		gotDone, got := run(&faultinject.DropReply{Port: 0, Nth: uint64(nth)})
+		if !reflect.DeepEqual(gotDone, done) {
+			t.Fatalf("drop %d changed DRAM service: %v, want %v", nth, gotDone, done)
+		}
+		kept := slices.Delete(slices.Clone(order), nth-1, nth)
+		if want := deliveries(kept); !reflect.DeepEqual(got, want) {
+			t.Errorf("drop %d: replies %v, want %v (warp %d swallowed)", nth, got, want, order[nth-1])
 		}
 	}
 }
