@@ -6,7 +6,9 @@ GO ?= go
 
 all: build test
 
-# Mirror of .github/workflows/ci.yml: everything the gate runs.
+# Mirror of .github/workflows/ci.yml: everything the pull-request gate
+# runs, with the benchmark report and the smoke artifacts written under
+# .bench_build/ instead of over the committed BENCH_gpusim.json.
 ci: build test
 	$(GO) vet ./...
 	test -z "$$(gofmt -l .)"
@@ -16,7 +18,14 @@ ci: build test
 	$(GO) test -run 'TestRunSteadyStateAllocations|TestRecoverByteSteadyStateAllocations' -count=1 ./internal/gpusim ./internal/attack
 	$(GO) test -run TestHotPathAllocsPerRun -count=1 ./internal/metrics
 	$(MAKE) equiv EQUIV_SHORT=1
-	$(GO) test -run '^$$' -bench . -benchtime=1x -benchmem .
+	mkdir -p .bench_build
+	$(GO) test -run '^$$' -bench . -benchtime=1x -benchmem -count=1 . > .bench_build/bench_raw.txt
+	$(GO) run ./cmd/rcoal-benchjson -gpu-metrics -join-variant Vanilla -min-speedup '$(MIN_SPEEDUPS)' \
+		-out .bench_build/BENCH_gpusim.json .bench_build/bench_raw.txt
+	$(GO) run ./cmd/rcoal encrypt -mechanism rss:8 -lines 32 \
+		-trace-out .bench_build/encrypt_trace.json -metrics-out .bench_build/encrypt_metrics.json
+	$(GO) run ./cmd/rcoal-experiments -run fig6 -samples 10 -trace-out .bench_build/fig6_trace.json -heartbeat 5s
+	cd .bench_build && python3 -c "import json; [json.load(open(f)) for f in ('encrypt_trace.json','encrypt_metrics.json','fig6_trace.json','BENCH_gpusim.json')]"
 	$(MAKE) dist-smoke
 	$(MAKE) chaos
 	$(MAKE) frontier
