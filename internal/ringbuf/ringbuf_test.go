@@ -30,12 +30,17 @@ func TestFIFOOrder(t *testing.T) {
 func TestWrapAround(t *testing.T) {
 	var r Ring[int]
 	// Interleave pushes and pops so head walks around the buffer many
-	// times; order must survive every wrap.
+	// times; order must survive every wrap, for Pop and for At.
 	next, expect := 0, 0
 	for round := 0; round < 1000; round++ {
 		for i := 0; i < 3; i++ {
 			r.Push(next)
 			next++
+		}
+		for i := 0; i < r.Len(); i++ {
+			if got := r.At(i); got != expect+i {
+				t.Fatalf("round %d: At(%d) = %d, want %d", round, i, got, expect+i)
+			}
 		}
 		for i := 0; i < 3; i++ {
 			if got := r.Pop(); got != expect {
