@@ -80,21 +80,20 @@ func BenchmarkExtEnergyModel(b *testing.B)       { runExperimentBench(b, "ext-en
 func BenchmarkExtNoiseStudy(b *testing.B)        { runExperimentBench(b, "ext-noise", 20) }
 func BenchmarkExtSharedMemory(b *testing.B)      { runExperimentBench(b, "ext-sharedmem", 30) }
 
-// --- Accelerator benchmarks ---------------------------------------------------
+// --- Accelerator benchmark ---------------------------------------------------
 
-// The X / XVanilla pairs below measure the same workload with the
-// exact accelerators on and off; rcoal-benchjson -join-variant Vanilla
-// turns each pair into a before/after entry with a speedup, and CI
-// gates on it with -min-speedup (see Makefile `bench-json`). Workers
-// is pinned to 1 so the join measures the accelerators, not the pool.
+// The X / XVanilla pair below measures the same workload with prefix
+// forking on and off; rcoal-benchjson -join-variant Vanilla turns the
+// pair into a before/after entry with a speedup, and CI gates on it
+// with -min-speedup (see Makefile `bench-gate`).
 
 // benchSelectiveSweep collects the ext-selective-sweep grid once per
 // iteration: the undefended reference plus every mechanism at
 // num-subwarp 2, 4, 8 and 32, 17 policies replaying one plaintext
 // stream. The forked variant simulates each sample's
-// mechanism-independent prefix once (ForkedCollect, no trace cache);
-// the vanilla variant collects every policy from scratch, as
-// SelectiveSweep does under a trace sink.
+// mechanism-independent prefix once (ForkedCollect); the vanilla
+// variant collects every policy from scratch, as SelectiveSweep does
+// under a trace sink.
 func benchSelectiveSweep(b *testing.B, forked bool) {
 	b.Helper()
 	o := DefaultExperimentOptions()
@@ -113,7 +112,7 @@ func benchSelectiveSweep(b *testing.B, forked bool) {
 	cfg.VulnerableRounds = []int{experiments.SelectiveSweepVulnerableRound}
 	for i := 0; i < b.N; i++ {
 		if forked {
-			if _, err := ForkedCollect(cfg, o.Key, policies, samples, o.Lines, o.Seed, nil); err != nil {
+			if _, err := ForkedCollect(cfg, o.Key, policies, samples, o.Lines, o.Seed); err != nil {
 				b.Fatal(err)
 			}
 			continue
@@ -134,42 +133,6 @@ func benchSelectiveSweep(b *testing.B, forked bool) {
 
 func BenchmarkSelectiveMechanismSweep(b *testing.B)        { benchSelectiveSweep(b, true) }
 func BenchmarkSelectiveMechanismSweepVanilla(b *testing.B) { benchSelectiveSweep(b, false) }
-
-// benchTraceCachedCollect measures the cache's real workload: two
-// grid cells (servers under different mechanisms) replaying the same
-// plaintext stream, so the second cell's builds all hit. The vanilla
-// variant rebuilds every trace; CI gates the pair at >= 0.85x, up to
-// 15% slower (the first cell's misses pay the keying overhead).
-func benchTraceCachedCollect(b *testing.B, cached bool) {
-	b.Helper()
-	servers := make([]*Server, 2)
-	for i, policy := range []Mechanism{FSS(4), RSSRTS(4)} {
-		cfg := DefaultGPUConfig()
-		cfg.Defense = policy
-		srv, err := NewServer(cfg, []byte("RCoal eval key 1"))
-		if err != nil {
-			b.Fatal(err)
-		}
-		servers[i] = srv
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if cached {
-			tc := NewTraceCache()
-			for _, srv := range servers {
-				srv.SetTraceCache(tc)
-			}
-		}
-		for _, srv := range servers {
-			if _, err := srv.Collect(4, 32, uint64(i+1)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-func BenchmarkTraceCachedCollect(b *testing.B)        { benchTraceCachedCollect(b, true) }
-func BenchmarkTraceCachedCollectVanilla(b *testing.B) { benchTraceCachedCollect(b, false) }
 
 // --- Micro-benchmarks: building blocks ---------------------------------------
 

@@ -17,7 +17,6 @@
 //	rcoal-experiments -run all -samples 100 -seed 7
 //	rcoal-experiments -run all -journal ckpt          # checkpoint finished cells
 //	rcoal-experiments -run all -journal ckpt -resume  # skip journaled cells
-//	rcoal-experiments -run all -accel                 # shared AES trace cache (byte-identical)
 //	rcoal-experiments -run all -cache cachedir        # reuse cells from any prior identical sweep
 //	rcoal-experiments -serve :8077 -run all -journal ckpt  # lease cells to a fleet
 //	rcoal-experiments -worker http://host:8077        # compute cells for a -serve coordinator
@@ -57,7 +56,6 @@ import (
 	"rcoal/internal/experiments"
 	"rcoal/internal/gpusim"
 	"rcoal/internal/gpusim/tracevis"
-	"rcoal/internal/kernels"
 	"rcoal/internal/mechanism"
 	"rcoal/internal/obs"
 	"rcoal/internal/runner"
@@ -79,7 +77,6 @@ var (
 	traceOut = flag.String("trace-out", "", "write a Chrome/Perfetto trace of every simulated launch to this file (large; best with a single small experiment); in serve mode, the merged fleet trace of coordinator lease spans and per-cell worker spans")
 	hb       = flag.Duration("heartbeat", 0, "period of the live telemetry line on stderr (cells done, rate, eta, worker utilization; in serve mode also cache hit/miss and workers); 0 = off")
 	maddr    = flag.String("metrics-addr", "", "serve live run telemetry as Prometheus text at http://<addr>/metrics (local and worker modes; -serve exposes /metrics on its own address)")
-	accel    = flag.Bool("accel", false, "share one AES trace cache across every cell of the run (results are byte-identical; uses more memory)")
 	cdir     = flag.String("cache", "", "directory for the content-addressed results store: cells computed by any prior run of any experiment under identical result-determining options are restored instead of re-run; in worker mode, the worker's own store, which answers a re-leased cell it already computed")
 	mechs    = flag.String("mechanisms", "", "comma-separated defense specs restricting mechanism-enumerating experiments (ext-defense-frontier), e.g. \"baseline,rss+rts:8,delay:64\"; empty = full registry")
 	serve    = flag.String("serve", "", "coordinate a distributed sweep: serve the lease protocol and control plane (/status, /metrics) at this address and lease every grid cell to -worker processes instead of computing it here; requires -journal")
@@ -175,13 +172,6 @@ func run() int {
 		}
 		defer cache.Close()
 		opts.Cache = cache
-	}
-	if *accel {
-		// One cache for the whole invocation: experiments share the key
-		// and plaintext streams, so cross-experiment hits are real. A
-		// coordinator never simulates grid cells; the cache is how
-		// Options tells dist.WireFrom that workers should accelerate.
-		opts.TraceCache = kernels.NewTraceCache()
 	}
 	// Every selected experiment's journal opens before the first one
 	// computes or the server listens, so a bad -journal directory or a
@@ -366,7 +356,11 @@ func checkModeFlags() error {
 			if !working {
 				err = fmt.Errorf("-%s is only for -worker", f.Name)
 			}
-		case "run", "csv", "journal", "resume", "trace-out":
+		case "list", "run", "csv", "journal", "resume", "trace-out",
+			"samples", "lines", "seed", "key", "parallel", "heartbeat", "mechanisms":
+			// A lease carries the run options (samples through
+			// mechanisms); the rest select, write or pace local and
+			// serve runs.
 			if working {
 				err = fmt.Errorf("-%s does not apply to -worker", f.Name)
 			}

@@ -303,6 +303,14 @@ func TestModeFlagsFailFast(t *testing.T) {
 		{"journal worker", worker, []string{"-journal", dir}, "-journal does not apply to -worker"},
 		{"resume worker", worker, []string{"-resume"}, "-resume does not apply to -worker"},
 		{"trace out worker", worker, []string{"-trace-out", filepath.Join(dir, "t.json")}, "-trace-out does not apply to -worker"},
+		{"list worker", worker, []string{"-list"}, "-list does not apply to -worker"},
+		{"samples worker", worker, []string{"-samples", "5"}, "-samples does not apply to -worker"},
+		{"lines worker", worker, []string{"-lines", "8"}, "-lines does not apply to -worker"},
+		{"seed worker", worker, []string{"-seed", "7"}, "-seed does not apply to -worker"},
+		{"key worker", worker, []string{"-key", "RCoal eval key 2"}, "-key does not apply to -worker"},
+		{"parallel worker", worker, []string{"-parallel", "2"}, "-parallel does not apply to -worker"},
+		{"heartbeat worker", worker, []string{"-heartbeat", "1s"}, "-heartbeat does not apply to -worker"},
+		{"mechanisms worker", worker, []string{"-mechanisms", "baseline"}, "-mechanisms does not apply to -worker"},
 		{"worker cache is a file", worker, []string{"-cache", file}, "-cache"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -24,16 +24,7 @@ import (
 type Server struct {
 	gpu    *gpusim.GPU
 	cipher *aes.Cipher
-	// cache, when installed, memoizes kernel construction so repeated
-	// (plaintext, key) samples — e.g. grid cells differing only in
-	// mechanism — share one trace build. Purely an accelerator: cached
-	// and uncached serving are byte-identical.
-	cache *kernels.TraceCache
 }
-
-// SetTraceCache installs (or, with nil, removes) a trace cache. The
-// cache may be shared across servers and goroutines.
-func (s *Server) SetTraceCache(tc *kernels.TraceCache) { s.cache = tc }
 
 // NewServer builds a server simulating the given GPU configuration
 // with the given AES key (16, 24, or 32 bytes).
@@ -97,10 +88,9 @@ type Sample struct {
 	Energy float64
 }
 
-// builders holds the kernel builders of servers built without a trace
-// cache. A kernel lives only through its launch, so one builder serves
-// every sample of a collect and, returned here, the collects after it,
-// whatever their sizes.
+// builders holds the servers' kernel builders. A kernel lives only
+// through its launch, so one builder serves every sample of a collect
+// and, returned here, the collects after it, whatever their sizes.
 var builders = sync.Pool{New: func() any { return new(kernels.Builder) }}
 
 // Encrypt runs one encryption request. The seed determines the
@@ -114,20 +104,11 @@ func (s *Server) Encrypt(lines []kernels.Line, seed uint64) (*Sample, error) {
 
 // encrypt is Encrypt building through b.
 func (s *Server) encrypt(b *kernels.Builder, lines []kernels.Line, seed uint64) (*Sample, error) {
-	kernel, cts, err := s.buildEncrypt(b, lines)
+	kernel, cts, err := b.Build(s.cipher, lines)
 	if err != nil {
 		return nil, err
 	}
 	return s.run(kernel, cts, seed)
-}
-
-// buildEncrypt fetches the encryption kernel for lines from the trace
-// cache, or builds it through b when none is installed.
-func (s *Server) buildEncrypt(b *kernels.Builder, lines []kernels.Line) (*gpusim.Kernel, []kernels.Line, error) {
-	if s.cache != nil {
-		return s.cache.Build(s.cipher, lines)
-	}
-	return b.Build(s.cipher, lines)
 }
 
 // Dataset is a collection of timing samples for a fixed server: the
@@ -143,11 +124,16 @@ type Dataset struct {
 // with plaintexts drawn from the given seed and per-sample hardware
 // seeds derived from it.
 func (s *Server) Collect(nSamples, linesPer int, seed uint64) (*Dataset, error) {
+	b := builders.Get().(*kernels.Builder)
+	defer builders.Put(b)
+	return s.collect(b, nSamples, linesPer, seed)
+}
+
+// collect is Collect building through b.
+func (s *Server) collect(b *kernels.Builder, nSamples, linesPer int, seed uint64) (*Dataset, error) {
 	if nSamples <= 0 || linesPer <= 0 {
 		return nil, fmt.Errorf("aesgpu: need positive samples (%d) and lines (%d)", nSamples, linesPer)
 	}
-	b := builders.Get().(*kernels.Builder)
-	defer builders.Put(b)
 	ptRNG := rng.New(seed).Split(1)
 	ds := &Dataset{}
 	for n := 0; n < nSamples; n++ {

@@ -193,8 +193,7 @@ func TestAES256ServerFourteenRounds(t *testing.T) {
 // TestCollectAfterOtherSizeMatchesFreshBuilds: the pooled builder
 // carries one collect's storage into the next, so a Collect after one
 // of a different size (larger, then a partial warp) must return the
-// dataset a server building every kernel afresh returns (a trace
-// cache's kernels each come from their own kernels.Build).
+// dataset a fresh builder returns.
 func TestCollectAfterOtherSizeMatchesFreshBuilds(t *testing.T) {
 	cfg := gpusim.DefaultConfig()
 	cfg.Defense = mechanism.RSSRTS(8)
@@ -206,9 +205,7 @@ func TestCollectAfterOtherSizeMatchesFreshBuilds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh := newTestServer(t, cfg)
-	fresh.SetTraceCache(kernels.NewTraceCache())
-	want, err := fresh.Collect(3, 40, 9)
+	want, err := newTestServer(t, cfg).collect(new(kernels.Builder), 3, 40, 9)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,9 +24,8 @@ import (
 // The returned datasets are ordered like mechs, and each is
 // byte-identical to what a per-mechanism Server.Collect with the same
 // (nSamples, linesPer, seed) would produce — the contract
-// fork_test.go here and internal/equiv enforce. tc, when non-nil,
-// additionally memoizes trace construction.
-func ForkedCollect(cfg gpusim.Config, key []byte, mechs []mechanism.Mechanism, nSamples, linesPer int, seed uint64, tc *kernels.TraceCache) ([]*Dataset, error) {
+// fork_test.go here and internal/equiv enforce.
+func ForkedCollect(cfg gpusim.Config, key []byte, mechs []mechanism.Mechanism, nSamples, linesPer int, seed uint64) ([]*Dataset, error) {
 	if nSamples <= 0 || linesPer <= 0 {
 		return nil, fmt.Errorf("aesgpu: need positive samples (%d) and lines (%d)", nSamples, linesPer)
 	}
@@ -55,10 +54,6 @@ func ForkedCollect(cfg gpusim.Config, key []byte, mechs []mechanism.Mechanism, n
 
 	b := builders.Get().(*kernels.Builder)
 	defer builders.Put(b)
-	build := b.Build
-	if tc != nil {
-		build = tc.Build
-	}
 
 	// Mirror Collect exactly: same plaintext stream, same per-sample
 	// hardware seed derivation.
@@ -70,7 +65,7 @@ func ForkedCollect(cfg gpusim.Config, key []byte, mechs []mechanism.Mechanism, n
 	}
 	for n := 0; n < nSamples; n++ {
 		lines := kernels.RandomPlaintext(ptRNG, linesPer)
-		kernel, cts, err := build(cipher, lines)
+		kernel, cts, err := b.Build(cipher, lines)
 		if err != nil {
 			return nil, err
 		}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"rcoal/internal/gpusim"
-	"rcoal/internal/kernels"
 	"rcoal/internal/mechanism"
 )
 
@@ -42,83 +41,16 @@ func TestForkedCollectMatchesVanillaCollect(t *testing.T) {
 		}
 	}
 
-	for _, tc := range []*kernels.TraceCache{nil, kernels.NewTraceCache()} {
-		got, err := ForkedCollect(cfg, key, policies, nSamples, linesPer, seed, tc)
-		if err != nil {
-			t.Fatalf("ForkedCollect (cache=%v): %v", tc != nil, err)
+	got, err := ForkedCollect(cfg, key, policies, nSamples, linesPer, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("got %d datasets, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("dataset %d (%s) differs from vanilla Collect", i, policies[i].Name())
 		}
-		if len(got) != len(want) {
-			t.Fatalf("got %d datasets, want %d", len(got), len(want))
-		}
-		for i := range want {
-			if !reflect.DeepEqual(got[i], want[i]) {
-				t.Fatalf("cache=%v: dataset %d (%s) differs from vanilla Collect",
-					tc != nil, i, policies[i].Name())
-			}
-		}
-		if tc != nil {
-			// One trace build per sample, shared across all policies'
-			// prefix+forks; the cache proves it saw repeat traffic.
-			if st := tc.Stats(); st.Misses != nSamples {
-				t.Errorf("trace cache misses = %d, want %d", st.Misses, nSamples)
-			}
-		}
-	}
-}
-
-// TestCachedServerMatchesUncached checks the trace-cache hook on the
-// serving path: a server with a cache installed returns byte-identical
-// datasets, encrypting and decrypting.
-func TestCachedServerMatchesUncached(t *testing.T) {
-	key := []byte("cache-test-key16")
-	cfg := gpusim.DefaultConfig()
-	cfg.Defense = mechanism.RSSRTS(8)
-
-	plain, err := NewServer(cfg, key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cached, err := NewServer(cfg, key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tc := kernels.NewTraceCache()
-	cached.SetTraceCache(tc)
-
-	want, err := plain.Collect(4, 32, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := cached.Collect(4, 32, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatal("cached Collect differs from uncached")
-	}
-	// Same stream again: all hits, same bytes.
-	again, err := cached.Collect(4, 32, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, again) {
-		t.Fatal("repeat cached Collect differs")
-	}
-	if st := tc.Stats(); st.Hits != 4 || st.Misses != 4 {
-		t.Fatalf("cache stats = %+v, want 4 hits / 4 misses", st)
-	}
-
-	// Decrypt path.
-	lines := want.Samples[0].Ciphertexts
-	wantDec, err := plain.Decrypt(lines, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotDec, err := cached.Decrypt(lines, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(wantDec, gotDec) {
-		t.Fatal("cached Decrypt differs from uncached")
 	}
 }

@@ -23,16 +23,9 @@ import (
 // Decrypt runs one GPU decryption request: Sample.Ciphertexts holds
 // the *recovered plaintext* lines (the kernel's output).
 func (s *Server) Decrypt(lines []kernels.Line, seed uint64) (*Sample, error) {
-	var kernel *gpusim.Kernel
-	var pts []kernels.Line
-	var err error
-	if s.cache != nil {
-		kernel, pts, err = s.cache.BuildDecrypt(s.cipher, lines)
-	} else {
-		b := builders.Get().(*kernels.Builder)
-		defer builders.Put(b)
-		kernel, pts, err = b.BuildDecrypt(s.cipher, lines)
-	}
+	b := builders.Get().(*kernels.Builder)
+	defer builders.Put(b)
+	kernel, pts, err := b.BuildDecrypt(s.cipher, lines)
 	if err != nil {
 		return nil, err
 	}
@@ -60,7 +53,7 @@ func (s *Server) EncryptCTR(nonce uint64, lines []kernels.Line, seed uint64) (*C
 	}
 	b := builders.Get().(*kernels.Builder)
 	defer builders.Put(b)
-	kernel, keystream, err := s.buildEncrypt(b, counters)
+	kernel, keystream, err := b.Build(s.cipher, counters)
 	if err != nil {
 		return nil, err
 	}

@@ -66,11 +66,6 @@ type WireOptions struct {
 	Lines   int    `json:"lines"`
 	Seed    uint64 `json:"seed"`
 	KeyHex  string `json:"key_hex"`
-	// Accel installs a trace cache on the worker. Byte-identical by
-	// the internal/equiv contract, so it is NOT part of the
-	// fingerprint — an accelerated distributed sweep must match a
-	// vanilla single-process one.
-	Accel bool `json:"accel,omitempty"`
 	// Mechanisms is the defense-spec filter of mechanism-enumerating
 	// experiments (ext-defense-frontier). It must travel with the
 	// lease: a filter may name specs outside the default registry
@@ -86,15 +81,13 @@ func WireFrom(o experiments.Options) WireOptions {
 		Lines:      o.Lines,
 		Seed:       o.Seed,
 		KeyHex:     hex.EncodeToString(o.Key),
-		Accel:      o.TraceCache != nil,
 		Mechanisms: o.Mechanisms,
 	}
 }
 
 // Options reconstructs the experiment configuration a worker computes
-// leased cells under. The caller supplies the accelerator state (one
-// shared trace cache per worker process); width and worker counts are
-// irrelevant to cell bytes and set to render-neutral values.
+// leased cells under. Width and worker counts are irrelevant to cell
+// bytes and set to render-neutral values.
 func (w WireOptions) Options() (experiments.Options, error) {
 	key, err := hex.DecodeString(w.KeyHex)
 	if err != nil {

@@ -13,7 +13,6 @@ import (
 	"rcoal/internal/checkpoint"
 	"rcoal/internal/experiments"
 	"rcoal/internal/gpusim"
-	"rcoal/internal/kernels"
 )
 
 // e2eOptions keeps the end-to-end grids small enough for CI while
@@ -339,32 +338,6 @@ func TestCoordinatorSharesMemoryStore(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestDistributedAccelMatchesVanilla is the satellite #6 equivalence:
-// an accelerated distributed sweep (trace cache on every worker, Accel
-// in the lease payload) must produce the same bytes as a vanilla
-// single-process sweep.
-func TestDistributedAccelMatchesVanilla(t *testing.T) {
-	dir := t.TempDir()
-	o := e2eOptions()
-	o.Samples = 4
-	o.Lines = 4
-
-	refRes, refJ := runLocal(t, "fig7", o, filepath.Join(dir, "vanilla.journal"))
-	defer refJ.Close()
-
-	accel := o
-	accel.TraceCache = kernels.NewTraceCache() // coordinator-side flag; workers build their own
-	if !WireFrom(accel).Accel {
-		t.Fatal("accel option did not reach the wire")
-	}
-	res, j, _ := runDistributed(t, "fig7", accel, 2, filepath.Join(dir, "accel.journal"), false, nil, nil)
-	defer j.Close()
-	if res.Render() != refRes.Render() {
-		t.Error("accelerated distributed render differs from vanilla single-process render")
-	}
-	sameCells(t, refJ, j, fig7Keys(), "accel")
 }
 
 // TestWorkerGivesUpOnDeadCoordinator bounds the failure mode of a

@@ -15,16 +15,13 @@ import (
 
 	"rcoal/internal/checkpoint"
 	"rcoal/internal/experiments"
-	"rcoal/internal/kernels"
 	"rcoal/internal/obs"
 	"rcoal/internal/rng"
 )
 
 // Worker pulls leases from a coordinator, recomputes each leased cell
 // with experiments.ComputeCell, and reports the bytes back. One Worker
-// value drives Concurrency goroutines sharing a single trace cache, so
-// accelerated leases amortize kernel construction across cells exactly
-// as a local accelerated sweep does.
+// value drives Concurrency goroutines.
 //
 // The transport is hardened for hostile networks (see internal/chaos
 // for the fault layer that soaks it): every request carries a timeout,
@@ -75,11 +72,6 @@ type Worker struct {
 	// experiments.ComputeCell with panic recovery. Either way the
 	// options carry Store as their Cache.
 	Compute func(id string, o experiments.Options, key string) (json.RawMessage, error)
-
-	// traceCache is shared by all goroutines of this worker; built
-	// lazily on the first accelerated lease.
-	cacheOnce  sync.Once
-	traceCache *kernels.TraceCache
 
 	// draining, once set, stops the loops from taking new leases;
 	// in-flight cells finish and report first.
@@ -546,10 +538,6 @@ func (w *Worker) compute(g *LeaseGrant) (raw json.RawMessage, err error) {
 	}
 	// Never the throwaway memory store the wire options come with.
 	o.Cache = w.Store
-	if g.Options.Accel {
-		w.cacheOnce.Do(func() { w.traceCache = kernels.NewTraceCache() })
-		o.TraceCache = w.traceCache
-	}
 	if w.Compute != nil {
 		return w.Compute(g.Experiment, o, g.Key)
 	}

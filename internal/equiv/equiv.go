@@ -1,17 +1,13 @@
 // Package equiv is the differential-equivalence harness for the
-// simulation accelerators. Both must be invisible:
+// simulation's one accelerator, copy-on-write prefix forking
+// (aesgpu.ForkedCollect). It must be invisible: forked collection
+// across a policy set equals a fresh per-policy vanilla collection,
+// bit for bit.
 //
-//  1. Trace caching (kernels.TraceCache) must be invisible: a server
-//     with the cache installed returns datasets byte-identical to an
-//     uncached one, for every mechanism and seed.
-//  2. Copy-on-write prefix forking (aesgpu.ForkedCollect) must be
-//     invisible: forked collection across a policy set equals a fresh
-//     per-policy vanilla collection, bit for bit.
-//
-// The harness functions return nil/zero on agreement and a
-// first-mismatch error otherwise; equiv_test.go wires them into the
-// regular test suite (reduced grid under -short, full grid otherwise),
-// which is what CI's `make equiv` runs.
+// ForkExact returns nil on agreement and a first-mismatch error
+// otherwise; equiv_test.go wires it into the regular test suite
+// (reduced grid under -short, full grid otherwise), which is what CI's
+// `make equiv` runs.
 package equiv
 
 import (
@@ -20,7 +16,6 @@ import (
 
 	"rcoal/internal/aesgpu"
 	"rcoal/internal/gpusim"
-	"rcoal/internal/kernels"
 	"rcoal/internal/mechanism"
 )
 
@@ -83,49 +78,9 @@ func (g Grid) config() gpusim.Config {
 	return cfg
 }
 
-// TraceCacheExact checks contract 1: for every (policy, seed), a
-// Collect through one shared TraceCache equals an uncached Collect.
-// The single cache instance is reused across the whole grid, so key
-// collisions between policies or seeds would surface as mismatches.
-func TraceCacheExact(g Grid, key []byte) error {
-	tc := kernels.NewTraceCache()
-	for _, p := range g.Policies {
-		cfg := g.config()
-		cfg.Defense = p
-		for _, seed := range g.Seeds {
-			plain, err := aesgpu.NewServer(cfg, key)
-			if err != nil {
-				return err
-			}
-			cached, err := aesgpu.NewServer(cfg, key)
-			if err != nil {
-				return err
-			}
-			cached.SetTraceCache(tc)
-			want, err := plain.Collect(g.Samples, g.Lines, seed)
-			if err != nil {
-				return err
-			}
-			got, err := cached.Collect(g.Samples, g.Lines, seed)
-			if err != nil {
-				return err
-			}
-			if !reflect.DeepEqual(got, want) {
-				return fmt.Errorf("equiv: cached Collect diverged (policy %s, seed %#x)", p.Name(), seed)
-			}
-		}
-	}
-	if st := tc.Stats(); st.Hits == 0 {
-		return fmt.Errorf("equiv: trace cache never hit (stats %+v) — grid exercises nothing", st)
-	}
-	return nil
-}
-
-// ForkExact checks contract 2: for every seed, one ForkedCollect
-// across the full policy set equals a fresh vanilla Collect per
-// policy. Run once with tc == nil (forking alone) and once with a
-// cache (both accelerators stacked).
-func ForkExact(g Grid, key []byte, tc *kernels.TraceCache) error {
+// ForkExact checks that for every seed, one ForkedCollect across the
+// full policy set equals a fresh vanilla Collect per policy.
+func ForkExact(g Grid, key []byte) error {
 	cfg := g.config()
 	for _, seed := range g.Seeds {
 		want := make([]*aesgpu.Dataset, len(g.Policies))
@@ -140,14 +95,14 @@ func ForkExact(g Grid, key []byte, tc *kernels.TraceCache) error {
 				return err
 			}
 		}
-		got, err := aesgpu.ForkedCollect(cfg, key, g.Policies, g.Samples, g.Lines, seed, tc)
+		got, err := aesgpu.ForkedCollect(cfg, key, g.Policies, g.Samples, g.Lines, seed)
 		if err != nil {
 			return err
 		}
 		for i := range want {
 			if !reflect.DeepEqual(got[i], want[i]) {
-				return fmt.Errorf("equiv: forked dataset diverged (policy %s, seed %#x, cache=%v)",
-					g.Policies[i].Name(), seed, tc != nil)
+				return fmt.Errorf("equiv: forked dataset diverged (policy %s, seed %#x)",
+					g.Policies[i].Name(), seed)
 			}
 		}
 	}

@@ -1,10 +1,6 @@
 package equiv
 
-import (
-	"testing"
-
-	"rcoal/internal/kernels"
-)
+import "testing"
 
 // The CI `make equiv` target runs exactly this file: with -short (the
 // PR gate) the reduced grid, without (main) the full 6-mechanism ×
@@ -19,20 +15,8 @@ func testGrid() Grid {
 
 var equivKey = []byte("equiv-harness-ky")
 
-func TestTraceCacheExact(t *testing.T) {
-	if err := TraceCacheExact(testGrid(), equivKey); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestForkExact(t *testing.T) {
-	if err := ForkExact(testGrid(), equivKey, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestForkExactWithTraceCache(t *testing.T) {
-	if err := ForkExact(testGrid(), equivKey, kernels.NewTraceCache()); err != nil {
+	if err := ForkExact(testGrid(), equivKey); err != nil {
 		t.Fatal(err)
 	}
 }

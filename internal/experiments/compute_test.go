@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"rcoal/internal/checkpoint"
-	"rcoal/internal/kernels"
 	"rcoal/internal/runner"
 )
 
@@ -219,12 +218,11 @@ func TestFingerprintSensitivity(t *testing.T) {
 	if Fingerprint("fig18", o) == base {
 		t.Error("fingerprint insensitive to experiment id")
 	}
-	// Workers/accelerators must NOT change the fingerprint: they are
-	// byte-identical by contract, so their results are shareable.
-	accel := o
-	accel.Workers = 7
-	accel.TraceCache = kernels.NewTraceCache()
-	if Fingerprint("fig7", accel) != base {
+	// Workers must NOT change the fingerprint: results are
+	// byte-identical at any worker count, so they are shareable.
+	parallel := o
+	parallel.Workers = 7
+	if Fingerprint("fig7", parallel) != base {
 		t.Error("fingerprint varies with non-result-determining options")
 	}
 }

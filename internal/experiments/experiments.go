@@ -85,12 +85,6 @@ type Options struct {
 	// Telemetry, when non-nil, aggregates live per-cell runtime stats
 	// (timing, failures, throughput) from the experiment's worker pools.
 	Telemetry *runner.Telemetry
-	// TraceCache, when non-nil, memoizes per-plaintext AES trace
-	// construction across cells (kernels.TraceCache). Cells of a grid
-	// differing only in mechanism/subwarp count replay identical
-	// plaintext streams, so the cache collapses their kernel builds to
-	// one. Purely an accelerator: results stay byte-identical.
-	TraceCache *kernels.TraceCache
 	// Mechanisms, when non-empty, restricts mechanism-enumerating
 	// experiments (currently ext-defense-frontier) to the given defense
 	// specs (mechanism.Parse grammar, e.g. "rss+rts:8", "delay:64").
@@ -156,7 +150,6 @@ func collectCfg(o Options, cfg gpusim.Config) (*aesgpu.Server, *aesgpu.Dataset, 
 	if err != nil {
 		return nil, nil, err
 	}
-	srv.SetTraceCache(o.TraceCache)
 	ds, err := srv.Collect(o.Samples, o.Lines, o.Seed)
 	if err != nil {
 		return nil, nil, err

@@ -87,8 +87,7 @@ func SelectiveSweep(o Options, ms []int) (*SelectiveSweepResult, error) {
 	var dss []*aesgpu.Dataset
 	if o.Trace == nil {
 		var err error
-		dss, err = aesgpu.ForkedCollect(cfg, o.Key, policies,
-			o.Samples, o.Lines, o.Seed, o.TraceCache)
+		dss, err = aesgpu.ForkedCollect(cfg, o.Key, policies, o.Samples, o.Lines, o.Seed)
 		if err != nil {
 			return nil, err
 		}

@@ -22,10 +22,9 @@ import (
 // incompatible configurations, so checkpoint.Resume rejects the
 // mismatch.
 //
-// The accelerators (trace cache, prefix forking) are deliberately NOT
-// part of the fingerprint: they are byte-identical by the
-// internal/equiv contract, so accelerated and vanilla runs may share
-// journals and stored cells.
+// Prefix forking is deliberately NOT part of the fingerprint: it is
+// byte-identical by the internal/equiv contract, so forked and
+// per-policy runs may share journals and stored cells.
 type journalMeta struct {
 	// Format versions the cell encoding, so journals and stored cells
 	// of an older encoding never decode into the current one.

@@ -15,7 +15,7 @@ func TestBuildDecryptRecoversPlaintext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, back, err := BuildDecrypt(c, cts)
+	_, back, err := new(Builder).BuildDecrypt(c, cts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestBuildDecryptRecoversPlaintext(t *testing.T) {
 func TestBuildDecryptStructure(t *testing.T) {
 	c := testCipher(t)
 	cts := RandomPlaintext(rng.New(73), 64)
-	k, _, err := BuildDecrypt(c, cts)
+	k, _, err := new(Builder).BuildDecrypt(c, cts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestBuildDecryptStructure(t *testing.T) {
 func TestBuildDecryptPartialWarp(t *testing.T) {
 	c := testCipher(t)
 	cts := RandomPlaintext(rng.New(79), 40)
-	k, pts, err := BuildDecrypt(c, cts)
+	k, pts, err := new(Builder).BuildDecrypt(c, cts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestBuildDecryptPartialWarp(t *testing.T) {
 }
 
 func TestBuildDecryptEmptyErrors(t *testing.T) {
-	if _, _, err := BuildDecrypt(testCipher(t), nil); err == nil {
+	if _, _, err := new(Builder).BuildDecrypt(testCipher(t), nil); err == nil {
 		t.Fatal("empty ciphertext accepted")
 	}
 }
@@ -87,7 +87,7 @@ func TestBuildDecryptEmptyErrors(t *testing.T) {
 func TestBuildDecryptRunsOnSimulator(t *testing.T) {
 	c := testCipher(t)
 	cts := RandomPlaintext(rng.New(83), 32)
-	k, _, err := BuildDecrypt(c, cts)
+	k, _, err := new(Builder).BuildDecrypt(c, cts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,19 +66,6 @@ func Build(c *aes.Cipher, lines []Line) (*gpusim.Kernel, []Line, error) {
 	return new(Builder).Build(c, lines)
 }
 
-// BuildDecrypt constructs the kernel for *decrypting* the given
-// ciphertext lines: the mirror of Build using the equivalent inverse
-// cipher's Td-table dataflow (one line per thread, 16 lookups per
-// inverse round). The decryption tables occupy the same address
-// layout as the encryption tables (a decryption kernel binds Td0..Td4
-// at TableBase), so the coalescing geometry — 16 entries per 64-byte
-// block, R = 16 blocks per table — is identical.
-//
-// It returns the recovered plaintext lines alongside the kernel.
-func BuildDecrypt(c *aes.Cipher, lines []Line) (*gpusim.Kernel, []Line, error) {
-	return new(Builder).BuildDecrypt(c, lines)
-}
-
 // warpSize is the thread count of the kernels' warps.
 const warpSize = 32
 
@@ -102,8 +89,15 @@ func (b *Builder) Build(c *aes.Cipher, lines []Line) (*gpusim.Kernel, []Line, er
 	return b.build(lines, c.Rounds(), c.TraceEncryptInto, PlainBase, CipherBase, "", "plaintext")
 }
 
-// BuildDecrypt is the package-level BuildDecrypt into the builder's
-// storage.
+// BuildDecrypt constructs, into the builder's storage, the kernel for
+// *decrypting* the given ciphertext lines: the mirror of Build using
+// the equivalent inverse cipher's Td-table dataflow (one line per
+// thread, 16 lookups per inverse round). The decryption tables occupy
+// the same address layout as the encryption tables (a decryption
+// kernel binds Td0..Td4 at TableBase), so the coalescing geometry — 16
+// entries per 64-byte block, R = 16 blocks per table — is identical.
+//
+// It returns the recovered plaintext lines alongside the kernel.
 func (b *Builder) BuildDecrypt(c *aes.Cipher, lines []Line) (*gpusim.Kernel, []Line, error) {
 	return b.build(lines, c.Rounds(), c.TraceDecryptInto, CipherBase, PlainBase, "dec-", "ciphertext")
 }

@@ -150,7 +150,7 @@ func TestBuildPartialWarpMasksPadding(t *testing.T) {
 // TestBuilderReuseMatchesFreshBuild: one Builder reused across
 // encryptions of different sizes (shrinking, a partial warp, then
 // growing past it), an AES-256 cipher and a decryption returns kernels
-// and output lines equal to a fresh package-level build's.
+// and output lines equal to a fresh builder's.
 func TestBuilderReuseMatchesFreshBuild(t *testing.T) {
 	c := testCipher(t)
 	c256, err := aes.NewCipher([]byte("0123456789abcdef0123456789abcdef"))
@@ -166,7 +166,7 @@ func TestBuilderReuseMatchesFreshBuild(t *testing.T) {
 		lines := RandomPlaintext(rng.New(uint64(100+i)), step.lines)
 		build, fresh := b.Build, Build
 		if step.decrypt {
-			build, fresh = b.BuildDecrypt, BuildDecrypt
+			build, fresh = b.BuildDecrypt, new(Builder).BuildDecrypt
 		}
 		want, wantOut, err := fresh(step.c, lines)
 		if err != nil {

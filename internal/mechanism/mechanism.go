@@ -182,7 +182,8 @@ func (s subwarp) NewLaunch(warpSize int, r *rng.Source) (Launch, error) {
 	}
 	// core.Config.Plan draws exactly the stream positions the
 	// pre-Mechanism simulator consumed, so refactored results stay
-	// byte-identical (pinned by internal/equiv and the accel goldens).
+	// byte-identical (pinned by internal/equiv and the experiment
+	// goldens).
 	p, err := c.Plan(r)
 	if err != nil {
 		return Launch{}, err

@@ -128,23 +128,14 @@ func NewServer(cfg GPUConfig, key []byte) (*Server, error) {
 	return aesgpu.NewServer(cfg, key)
 }
 
-// TraceCache memoizes per-plaintext AES trace construction keyed by
-// (key schedule, plaintext, direction). Install with
-// Server.SetTraceCache or ExperimentOptions.TraceCache; results stay
-// byte-identical (see internal/equiv).
-type TraceCache = kernels.TraceCache
-
-// NewTraceCache returns an empty trace cache, safe for concurrent use.
-func NewTraceCache() *TraceCache { return kernels.NewTraceCache() }
-
 // ForkedCollect gathers nSamples timing samples under EACH mechanism,
 // simulating the mechanism-independent prefix of every sample once and
 // forking it per mechanism (copy-on-write prefix forking). Requires
 // selective RCoal (cfg.VulnerableRounds non-empty) and plan-only
 // mechanisms (no per-request hooks); the datasets are byte-identical
-// to per-mechanism Server.Collect runs. tc may be nil.
-func ForkedCollect(cfg GPUConfig, key []byte, mechs []Mechanism, nSamples, linesPer int, seed uint64, tc *TraceCache) ([]*Dataset, error) {
-	return aesgpu.ForkedCollect(cfg, key, mechs, nSamples, linesPer, seed, tc)
+// to per-mechanism Server.Collect runs.
+func ForkedCollect(cfg GPUConfig, key []byte, mechs []Mechanism, nSamples, linesPer int, seed uint64) ([]*Dataset, error) {
+	return aesgpu.ForkedCollect(cfg, key, mechs, nSamples, linesPer, seed)
 }
 
 // RandomPlaintext draws n random plaintext lines from the seed.
