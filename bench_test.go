@@ -206,38 +206,32 @@ func BenchmarkAESTraceEncrypt(b *testing.B) {
 	}
 }
 
-func BenchmarkSimulatorEncrypt32Lines(b *testing.B) {
-	srv, err := NewServer(DefaultGPUConfig(), []byte("benchmark key!!!"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	lines := RandomPlaintext(1, 32)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := srv.Encrypt(lines, uint64(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkSimulatorEncrypt32Lines(b *testing.B) { benchEncrypt(b, 32, false) }
 
-func BenchmarkSimulatorEncrypt1024Lines(b *testing.B) { benchEncrypt1024(b, false) }
+// BenchmarkSimulatorEncrypt32LinesVanilla runs the 32-line launch
+// with fast-forward off; the joined pair gates draining ahead and
+// batched replies, which the one-warp launches of Figs. 15-17 lean on
+// (Makefile `bench-gate`).
+func BenchmarkSimulatorEncrypt32LinesVanilla(b *testing.B) { benchEncrypt(b, 32, true) }
+
+func BenchmarkSimulatorEncrypt1024Lines(b *testing.B) { benchEncrypt(b, 1024, false) }
 
 // BenchmarkSimulatorEncrypt1024LinesVanilla runs the same launch with
 // fast-forward off, the simulator's differential oracle; the joined
-// pair gates the fast-forward core (Makefile `bench-json`).
-func BenchmarkSimulatorEncrypt1024LinesVanilla(b *testing.B) { benchEncrypt1024(b, true) }
+// pair gates the fast-forward core (Makefile `bench-gate`).
+func BenchmarkSimulatorEncrypt1024LinesVanilla(b *testing.B) { benchEncrypt(b, 1024, true) }
 
-func benchEncrypt1024(b *testing.B, ffDisabled bool) {
+func benchEncrypt(b *testing.B, lines int, ffDisabled bool) {
 	cfg := DefaultGPUConfig()
 	cfg.FastForwardDisabled = ffDisabled
 	srv, err := NewServer(cfg, []byte("benchmark key!!!"))
 	if err != nil {
 		b.Fatal(err)
 	}
-	lines := RandomPlaintext(1, 1024)
+	pt := RandomPlaintext(1, lines)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := srv.Encrypt(lines, uint64(i)); err != nil {
+		if _, err := srv.Encrypt(pt, uint64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}

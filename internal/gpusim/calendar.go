@@ -1,6 +1,9 @@
 package gpusim
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // calSlots is the calendar's wheel size in cycles (a power of two).
 // Every finite wake horizon of a 1024-line launch lies within it; a
@@ -90,4 +93,21 @@ func (c *calendar) take(now int64) []uint64 {
 		c.due[w], c.slots[i] = c.slots[i], 0
 	}
 	return c.due
+}
+
+// dueBy reports whether a unit with a bit in cycle t's slot has its
+// wake at or before t. Every unit's bit lies in the slot of its wake,
+// or of the cycle after its step when that wake has passed, until a
+// cycle of that slot is taken, which steps the unit or inserts it
+// again. So when the loop has stepped the cycle before t or found no
+// unit due since, dueBy(t) is exact: some unit is due at t.
+func (c *calendar) dueBy(t int64) bool {
+	for w, i := 0, int(t&(calSlots-1)); w < len(c.due); w, i = w+1, i+calSlots {
+		for word := c.slots[i]; word != 0; word &= word - 1 {
+			if c.wake[w<<6|bits.TrailingZeros64(word)] <= t {
+				return true
+			}
+		}
+	}
+	return false
 }

@@ -143,12 +143,15 @@ func (s *Snapshot) String() string {
 // queued reply counts where its request is as of the last cycle
 // stepped: on its way to its partition, there until its data is ready
 // (an L2 hit, or in flight at the controller), then on the reply
-// crossbar until its SM takes it.
+// crossbar until its SM takes it. Replies delivered by then that an SM
+// has not taken yet (non-final ones wait for its next visit) are taken
+// first, so the snapshot reads as stepping every cycle gives it.
 func (g *GPU) snapshot(st *runState, now int64, stepped bool) *Snapshot {
 	reached := now
 	if !stepped {
 		reached--
 	}
+	g.catchUp(st, reached)
 	s := &Snapshot{Cycle: now, RemainingWarps: st.remaining}
 	for pid, p := range st.parts {
 		s.Partitions = append(s.Partitions, PartitionSnapshot{Partition: pid, Queued: p.ctrl.Parked()})

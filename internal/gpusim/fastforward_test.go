@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -132,6 +133,48 @@ func slowALUKernel(seed uint64, warps int) *Kernel {
 	return k
 }
 
+// overtakeKernel builds a kernel for a two-SM machine whose even warps
+// (SM 0) queue long trains of transactions over partitions 2-5, warp 0
+// first holding bank 0 of partition 0. Warp 1 (SM 1) repeatedly loads
+// one block from that bank and one from partition 1, so its second
+// reply overtakes its first, final one while SM 0's train still drains;
+// the other odd warps idle. Draining ahead must stop at the earlier
+// wake that overtaking reply gives SM 1.
+func overtakeKernel() *Kernel {
+	k := &Kernel{Label: "ff-overtake"}
+	for wid := 0; wid < 16; wid++ {
+		wp := &WarpProgram{ID: wid}
+		switch {
+		case wid%2 == 0:
+			for i := 0; i < 2; i++ {
+				addrs := make([]uint64, 32)
+				for t := range addrs {
+					addrs[t] = uint64(6*((wid*4+i)*8+t/4)+2+t%4) * 256
+				}
+				if wid == 0 && i == 0 {
+					addrs[0] = 768 * 100 * 256 // partition 0, bank 0, row 100
+				}
+				wp.Instrs = append(wp.Instrs, Instr{Kind: Load, Addrs: addrs})
+			}
+		case wid == 1:
+			for i := 0; i < 6; i++ {
+				addrs := make([]uint64, 32)
+				for t := range addrs {
+					addrs[t] = uint64(768*i) * 256 // partition 0, bank 0, row i
+					if t >= 16 {
+						addrs[t] = uint64(6*i+1) * 256 // partition 1
+					}
+				}
+				wp.Instrs = append(wp.Instrs, Instr{Kind: ALU, Latency: 10}, Instr{Kind: Load, Addrs: addrs})
+			}
+		default:
+			wp.Instrs = append(wp.Instrs, Instr{Kind: ALU, Latency: 900})
+		}
+		k.Warps = append(k.Warps, wp)
+	}
+	return k
+}
+
 // ffVariant is one configuration point of the differential grid.
 type ffVariant struct {
 	name string
@@ -253,10 +296,12 @@ func writeDigests(t *testing.T, digests map[string]string) {
 // arrivals, and recycles request slots under full load; it runs once
 // more on an 80-SM machine, whose visit calendar spans two bitset
 // words. The 12-warp kernel's ALU latencies and a 100-cycle crossbar
-// put SM and partition wake horizons beyond the calendar's wheel. On
-// the multi-warp kernels a metrics-on run (which steps every SM and
-// partition every cycle) must also match the metrics-off Result apart
-// from the Metrics snapshot itself. Both modes run one memory model,
+// put SM and partition wake horizons beyond the calendar's wheel. The
+// two-SM overtake kernel lowers one SM's wake while the other's
+// transactions still drain ahead. On the multi-warp kernels a
+// metrics-on run (which steps every SM and partition every cycle) must
+// also match the metrics-off Result apart from the Metrics snapshot
+// itself. Both modes run one memory model,
 // so each subtest and seed also matches digestFile: the fast-forward-off
 // Result and, on multi-warp kernels, the Metrics snapshot.
 func TestFastForwardByteIdenticalResults(t *testing.T) {
@@ -277,6 +322,7 @@ func TestFastForwardByteIdenticalResults(t *testing.T) {
 		{saturatedKernel(13, 96), nocoal, "", nil},
 		{saturatedKernel(13, 96), nocoal, "80sms", func(c *Config) { c.NumSMs = 80 }},
 		{slowALUKernel(15, 12), ffMechanisms(), "slow", func(c *Config) { c.ICNTLatency = 100 }},
+		{overtakeKernel(), ffMechanisms(), "2sms", func(c *Config) { c.NumSMs = 2 }},
 	}
 	seeds := []uint64{1, 42, 0xdecaf}
 	for _, c := range cases {
@@ -429,5 +475,86 @@ func TestFastForwardSkipsMostCycles(t *testing.T) {
 	if g.SkippedCycles*2 < res.Cycles {
 		t.Fatalf("skipped only %d of %d cycles; expected > half on a latency-bound kernel",
 			g.SkippedCycles, res.Cycles)
+	}
+}
+
+// wideLoadKernel builds a one-warp kernel whose every load coalesces
+// to 32 transactions, one block per 256-byte chunk, so they spread
+// over all six partitions and return as a long train of replies.
+func wideLoadKernel() *Kernel {
+	wp := &WarpProgram{ID: 0}
+	for i := 0; i < 12; i++ {
+		addrs := make([]uint64, 32)
+		for t := range addrs {
+			addrs[t] = uint64(i*32+t) * 256
+		}
+		wp.Instrs = append(wp.Instrs, Instr{Kind: Load, Addrs: addrs}, Instr{Kind: ALU})
+	}
+	return &Kernel{Label: "wide-loads", Warps: []*WarpProgram{wp}}
+}
+
+// TestFastForwardStepsFewCyclesOnWideLoads pins draining ahead and
+// batched replies: the wide-load kernel keeps its SM blocked on long
+// trains of transactions and replies. Stepping a cycle per drained
+// transaction or per non-final reply visits over half the launch's
+// cycles; visiting only where the warp can change state must stay
+// under a tenth.
+func TestFastForwardStepsFewCyclesOnWideLoads(t *testing.T) {
+	g := mustGPU(t, DefaultConfig())
+	res, err := g.Run(wideLoadKernel(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TotalTx != 12*32 {
+		t.Fatalf("%d transactions, want %d", res.TotalTx, 12*32)
+	}
+	if stepped := res.Cycles + 1 - g.SkippedCycles; stepped*10 > res.Cycles {
+		t.Fatalf("stepped %d of %d cycles; want at most a tenth", stepped, res.Cycles)
+	}
+}
+
+// TestFastForwardSnapshotsMatchStepping requires the state an error
+// or a fork reports mid-launch to be the one stepping every cycle
+// gives, although fast-forward takes non-final replies late: the
+// MaxCycles snapshot at budgets all through the wide-load launch, and
+// the prefix snapshot a fork resumes from.
+func TestFastForwardSnapshotsMatchStepping(t *testing.T) {
+	slow := DefaultConfig()
+	slow.FastForwardDisabled = true
+	full, err := mustGPU(t, slow).Run(wideLoadKernel(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for budget := int64(1); budget < full.Cycles; budget += 7 {
+		var snaps [2]*Snapshot
+		for i, ffDisabled := range []bool{false, true} {
+			cfg := DefaultConfig()
+			cfg.FastForwardDisabled = ffDisabled
+			cfg.MaxCycles = budget
+			_, err := mustGPU(t, cfg).Run(wideLoadKernel(), 3)
+			var mce *MaxCyclesError
+			if !errors.As(err, &mce) {
+				t.Fatalf("budget %d: err = %v, want *MaxCyclesError", budget, err)
+			}
+			snaps[i] = mce.Snapshot
+		}
+		if !reflect.DeepEqual(snaps[0], snaps[1]) {
+			t.Fatalf("budget %d: fast-forward snapshot\n%s\nstepped snapshot\n%s", budget, snaps[0], snaps[1])
+		}
+	}
+
+	kern := randomKernel(11, 4, 4)
+	var prefixes [2]*PrefixSnapshot
+	for i, ffDisabled := range []bool{false, true} {
+		cfg := forkConfig(mechanism.Baseline(), []int{4}, func(c *Config) { c.FastForwardDisabled = ffDisabled })
+		snap, err := mustGPU(t, cfg).RunPrefix(kern, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap.cfg = Config{}
+		prefixes[i] = snap
+	}
+	if !reflect.DeepEqual(prefixes[0], prefixes[1]) {
+		t.Fatalf("prefix snapshots differ: paused at %d and %d", prefixes[0].cycle, prefixes[1].cycle)
 	}
 }

@@ -243,7 +243,7 @@ func TestForkGates(t *testing.T) {
 
 // TestForkRestoresQueuedTransactions forks a launch whose prefix
 // pauses while an SM's inject queue still holds transactions: the
-// restore must hand them to the drain pass, or they never reach memory
+// restore must hand them to the drain, or they never reach memory
 // and the fork differs from (or never finishes like) a full Run. Warps
 // 0 and 15 share SM 0 of the default 15; warp 15 opens with an
 // uncoalesced load whose 32 transactions drain one per cycle, while

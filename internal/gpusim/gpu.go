@@ -55,17 +55,25 @@ type GPU struct {
 	locs [locSlots]locEntry
 
 	// skipIdle enables the per-SM and per-scheduler wake horizons
-	// (stepSMs, issueOne) and request-slot recycling. It is off under
-	// FastForwardDisabled, which keeps stepping every SM every cycle as
-	// the differential oracle, and under Metrics, whose per-slot stall
-	// counters need every scheduler visited every cycle. The memory
-	// side is never stepped: each request's path back to its SM is
-	// settled when it leaves the SM (arrive), in every mode.
+	// (stepSMs, issueOne), draining ahead to the next SM event
+	// (drainAhead), batched non-final replies (replyLead) and
+	// request-slot recycling. It is off under FastForwardDisabled,
+	// which keeps stepping every SM every cycle as the differential
+	// oracle, and under Metrics, whose per-slot stall counters need
+	// every scheduler visited every cycle. The memory side is never
+	// stepped: each request's path back to its SM is settled when it
+	// leaves the SM (arrive), in every mode.
 	skipIdle bool
+	// leadOcc is the reply port's occupancy when an SM may take its
+	// non-final replies in batches (replyLead): under skipIdle with no
+	// L1 and no MSHR, where each delivery settles one pending reply of
+	// one warp. It is 0 otherwise, and the SM is visited at every
+	// delivery.
+	leadOcc int64
 
-	// SkippedCycles counts the cycles elided by event-driven
-	// fast-forward over the GPU's lifetime (diagnostic; it never
-	// influences results).
+	// SkippedCycles counts the cycles event-driven fast-forward did
+	// not step, drained ahead or jumped over, over the GPU's lifetime
+	// (diagnostic; it never influences results).
 	SkippedCycles int64
 }
 
@@ -77,8 +85,12 @@ func New(cfg Config) (*GPU, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &GPU{cfg: cfg, timing: cfg.DRAMTiming.Scale(cfg.clockRatio()),
-		skipIdle: !cfg.FastForwardDisabled && cfg.Metrics == nil}, nil
+	g := &GPU{cfg: cfg, timing: cfg.DRAMTiming.Scale(cfg.clockRatio()),
+		skipIdle: !cfg.FastForwardDisabled && cfg.Metrics == nil}
+	if g.skipIdle && !cfg.L1Enabled && !cfg.MSHREnabled {
+		g.leadOcc = int64(mem.BlockBytes / cfg.FlitBytes)
+	}
+	return g, nil
 }
 
 // Config returns the configuration the GPU was built with.
@@ -205,6 +217,14 @@ type smState struct {
 	// them, lives in runState.cal. Unless GPU.skipIdle, both keep
 	// their reset values, which skip nothing.
 	schedWake []int64
+	// lead is the SM's reply lead as of its last step (replyLead): no
+	// warp of it completes before its next reply delivery plus lead.
+	lead int64
+	// fewest is the fewest pending replies among the SM's warps with
+	// any (math.MaxInt for none), kept by issueMemory and settle; a
+	// warp's last reply may raise it, which sets refresh.
+	fewest  int
+	refresh bool
 }
 
 // partState is one memory partition: the optional L2 slice in front of
@@ -228,7 +248,8 @@ type runState struct {
 	// the calendar says are due, among warpSMs.
 	cal *calendar
 	// draining marks the SMs whose inject queue holds transactions,
-	// one bit per SM id; drain empties them ahead of the SMs' steps.
+	// one bit per SM id; drain empties them ahead of the SMs' steps,
+	// up to the next SM event under skipIdle (drainAhead).
 	draining []uint64
 	toMem    *icnt.Slots
 	toSM     *icnt.Slots
@@ -314,6 +335,7 @@ func (g *GPU) loop(st *runState, k *Kernel, start int64, pauseAtVulnerable bool)
 			return 0, false, &MaxCyclesError{Kernel: k.Label, MaxCycles: maxCycles, Snapshot: g.snapshot(st, now, false)}
 		}
 		if pauseAtVulnerable && st.atVulnerableBoundary(now) {
+			g.catchUp(st, now-1) // the snapshot reads as stepping would
 			return now, true, nil
 		}
 		due := st.cal.take(now)
@@ -329,19 +351,27 @@ func (g *GPU) loop(st *runState, k *Kernel, start int64, pauseAtVulnerable bool)
 		} else if stalled++; stalled >= window {
 			return 0, false, &NoProgressError{Kernel: k.Label, Cycle: now, Window: window, Snapshot: g.snapshot(st, now, true)}
 		}
-		if fastForward && !st.anyDraining() {
-			// Event-driven fast-forward: when no subsystem can make
-			// progress before some future cycle, jump straight to it.
-			// Every skipped cycle is one where drain and stepSMs would
-			// have been no-ops, so results are byte-identical to pure
-			// cycle-stepping. A non-empty inject queue drains next
-			// cycle, so there is nothing to skip.
-			next := g.nextEvent(st, now)
+		if fastForward && (g.skipIdle || !st.anyDraining()) {
+			// Event-driven fast-forward: when no SM can act before some
+			// future cycle, jump straight to it. Under skipIdle the
+			// cycles before it are drained first (drainAhead); otherwise
+			// a non-empty inject queue drains next cycle, so there is
+			// nothing to skip. Every skipped cycle is one where stepSMs
+			// would have been a no-op, so results are byte-identical to
+			// pure cycle-stepping.
+			last := now
+			if g.skipIdle {
+				last = g.drainAhead(st, now, maxCycles)
+			}
+			next := last + 1 // an SM is due, or the budget is spent
+			if !st.anyDraining() {
+				next = g.nextEvent(st, last)
+			}
 			if next == math.MaxInt64 {
 				// Warps remain unfinished yet nothing is in flight
 				// anywhere: no future step can change state. Report the
 				// wedge immediately instead of aging the watchdog.
-				return 0, false, &NoProgressError{Kernel: k.Label, Cycle: now, Snapshot: g.snapshot(st, now, true)}
+				return 0, false, &NoProgressError{Kernel: k.Label, Cycle: last, Snapshot: g.snapshot(st, last, true)}
 			}
 			if next > now+1 {
 				if next > maxCycles {
@@ -646,6 +676,7 @@ func (g *GPU) resetRuntime(st *runState, cacheRNG *rng.Source) {
 				sm.schedWake[i] = math.MaxInt64 // no warps: never issues
 			}
 		}
+		sm.lead, sm.refresh = 0, true
 		if sm.l1 != nil {
 			sm.l1.Reset(cacheRNG.Uint64())
 		}
@@ -692,6 +723,22 @@ func (g *GPU) drain(st *runState, now int64) {
 	}
 }
 
+// drainAhead drains the cycles after now, in order, while some inject
+// queue holds transactions, up to but not including the next SM event:
+// the first cycle the calendar has an SM due, a wake arrive lowers
+// meanwhile included. It never drains past maxCycles. Only SM steps
+// fill the inject queues and no SM steps before that event, so each
+// drain is the one stepping that cycle would run, and the state at the
+// top of the event's cycle is what stepping gives. It returns the last
+// cycle drained (now when none).
+func (g *GPU) drainAhead(st *runState, now, maxCycles int64) int64 {
+	for now < maxCycles && st.anyDraining() && !st.cal.dueBy(now+1) {
+		now++
+		g.drain(st, now)
+	}
+	return now
+}
+
 // anyDraining reports whether some SM's inject queue holds transactions.
 func (st *runState) anyDraining() bool {
 	for _, word := range st.draining {
@@ -731,26 +778,8 @@ func (g *GPU) stepSMs(st *runState, now int64, due []uint64) {
 				sm.replies = kept
 			}
 
-			// 1b. Memory replies from the interconnect (one per cycle:
-			// return-port bandwidth).
-			if r := g.takeReply(st, sm, smID, now); r != nil {
-				if sm.l1 != nil && r.Kind == mem.Load {
-					sm.l1.Access(mem.BlockOf(r.Addr)) // fill
-				}
-				g.settle(st, sm, smID, st.runs[r.Warp], now)
-				if sm.mshr != nil {
-					block := mem.BlockOf(r.Addr)
-					if waiters, ok := sm.mshr[block]; ok {
-						for _, waiter := range waiters {
-							g.settle(st, sm, smID, st.runs[waiter], now)
-						}
-						delete(sm.mshr, block)
-					}
-				}
-				if g.skipIdle {
-					g.arena.put(r) // the reply is consumed; nothing holds r
-				}
-			}
+			// 1b. Memory replies from the interconnect.
+			g.deliver(st, sm, smID, now)
 
 			// 2. Warp schedulers issue. One whose wake lies in the future
 			// is skipped; one with no warps never wakes.
@@ -761,21 +790,89 @@ func (g *GPU) stepSMs(st *runState, now int64, due []uint64) {
 			}
 
 			if g.skipIdle {
+				sm.lead = g.replyLead(sm)
 				st.cal.set(smID, st.smHorizon(sm, smID), now)
 			}
 		}
 	}
 }
 
+// deliver takes every reply the SM's port has delivered by cycle now,
+// in delivery order, and settles each at its own delivery cycle. The
+// port delivers one reply per occupancy, and between the SM's visits
+// it delivers only non-final ones (replyLead), which change nothing
+// but pending counts, port bookings and the DropReply count; nothing
+// reads those before the final delivery, whose cycle is a visit. With
+// an L1 or MSHRs the SM is visited at every delivery, so it takes at
+// most one.
+func (g *GPU) deliver(st *runState, sm *smState, smID int, now int64) {
+	for {
+		r, at := g.takeReply(st, sm, smID, now)
+		if r == nil {
+			return
+		}
+		if sm.l1 != nil && r.Kind == mem.Load {
+			sm.l1.Access(mem.BlockOf(r.Addr)) // fill
+		}
+		g.settle(st, sm, smID, st.runs[r.Warp], at)
+		if sm.mshr != nil {
+			block := mem.BlockOf(r.Addr)
+			if waiters, ok := sm.mshr[block]; ok {
+				for _, waiter := range waiters {
+					g.settle(st, sm, smID, st.runs[waiter], at)
+				}
+				delete(sm.mshr, block)
+			}
+		}
+		if g.skipIdle {
+			g.arena.put(r) // the reply is consumed; nothing holds r
+		}
+	}
+}
+
+// catchUp takes, on every SM, the replies its port has delivered by
+// cycle through, so the launch state reads as stepping every cycle
+// gives it. Every SM's wake lies after through, so they are all
+// non-final.
+func (g *GPU) catchUp(st *runState, through int64) {
+	for _, smID := range st.warpSMs {
+		g.deliver(st, st.sms[smID], smID, through)
+	}
+}
+
+// replyLead returns how far past the SM's next reply delivery its
+// first warp completion lies at the least: with k the fewest pending
+// replies among its warps, no warp completes before k more
+// deliveries, one per leadOcc cycles, so k-1 occupancies. It is 0 when
+// no warp is pending or leadOcc is 0.
+func (g *GPU) replyLead(sm *smState) int64 {
+	if g.leadOcc == 0 {
+		return 0
+	}
+	if sm.refresh {
+		sm.fewest, sm.refresh = math.MaxInt, false
+		for _, w := range sm.warps {
+			if w.pending > 0 {
+				sm.fewest = min(sm.fewest, w.pending)
+			}
+		}
+	}
+	if sm.fewest == math.MaxInt {
+		return 0
+	}
+	return int64(sm.fewest-1) * g.leadOcc
+}
+
 // smHorizon returns the SM's wake horizon after its step: the earliest
 // of its schedulers' wakes, its pending L1 replies and its next
-// reply-port delivery. Its inject queue drains without it (drain).
-// Replies queued toward the SM later lower the horizon again (arrive);
-// nothing else outside the SM's own step changes its state.
+// reply-port delivery plus its reply lead. Its inject queue drains
+// without it (drain). Replies queued toward the SM later lower the
+// horizon again (arrive); nothing else outside the SM's own step
+// changes its state.
 func (st *runState) smHorizon(sm *smState, smID int) int64 {
 	h := int64(math.MaxInt64)
 	if !sm.replyQ.empty() {
-		h = st.toSM.Due(smID, sm.replyQ.next())
+		h = st.toSM.Due(smID, sm.replyQ.next()) + sm.lead
 	}
 	for _, t := range sm.schedWake {
 		if t < h {
@@ -799,13 +896,13 @@ func (g *GPU) replySources() int {
 	return g.cfg.AddressMap.Partitions
 }
 
-// takeReply returns the reply the SM's port delivers at cycle now, or
-// nil: the queue's head, once its data has crossed the interconnect
-// and the port is free. The head is final by then: a reply queued
-// later is ready later (drain). Taking it books the port. A reply the
-// DropReply seam swallows books nothing, and the next one may come in
-// its cycle.
-func (g *GPU) takeReply(st *runState, sm *smState, smID int, now int64) *mem.Request {
+// takeReply returns the next reply the SM's port has delivered by
+// cycle now, with its delivery cycle, or nil: the queue's head, once
+// its data has crossed the interconnect and the port is free. The head
+// is final by then: a reply queued later is ready later (drain).
+// Taking it books the port. A reply the DropReply seam swallows books
+// nothing, and the next one may come in its cycle.
+func (g *GPU) takeReply(st *runState, sm *smState, smID int, now int64) (*mem.Request, int64) {
 	for !sm.replyQ.empty() && now >= st.toSM.Due(smID, sm.replyQ.next()) {
 		r := sm.replyQ.pop()
 		if st.dropNth > 0 && smID == st.dropSM {
@@ -813,10 +910,9 @@ func (g *GPU) takeReply(st *runState, sm *smState, smID int, now int64) *mem.Req
 				continue // fault injected: the reply vanishes
 			}
 		}
-		st.toSM.Reserve(smID, r.Done)
-		return r
+		return r, st.toSM.Reserve(smID, r.Done)
 	}
-	return nil
+	return nil, 0
 }
 
 // settle delivers one memory reply to a warp, retiring the warp if it
@@ -833,6 +929,11 @@ func (g *GPU) settle(st *runState, sm *smState, smID int, w *warpRun, now int64)
 	w.pending--
 	if w.pending < 0 {
 		panic(fmt.Sprintf("gpusim: warp %d reply underflow", w.prog.ID))
+	}
+	if w.pending > 0 {
+		sm.fewest = min(sm.fewest, w.pending)
+	} else {
+		sm.refresh = true
 	}
 	if w.pending == 0 && w.blocked {
 		w.blocked = false
@@ -890,7 +991,7 @@ func (g *GPU) arrive(st *runState, r *mem.Request, at int64) {
 	}
 	sm := st.sms[r.SM]
 	sm.replyQ.push(src, r)
-	st.cal.lower(r.SM, st.toSM.Due(r.SM, sm.replyQ.next()))
+	st.cal.lower(r.SM, st.toSM.Due(r.SM, sm.replyQ.next())+sm.lead)
 }
 
 func (st *runState) idleSMs() bool {
@@ -1244,6 +1345,7 @@ func (g *GPU) issueMemory(st *runState, sm *smState, smID int, w *warpRun, ins *
 	}
 	g.txScratch = txBlocks[:0]
 	if issued > 0 {
+		sm.fewest = min(sm.fewest, w.pending)
 		if m := g.cfg.Metrics; m != nil {
 			sm.prt += issued
 			m.prtOccupancy.Observe(int64(sm.prt))
