@@ -301,9 +301,9 @@ func writeDigests(t *testing.T, digests map[string]string) {
 // transactions still drain ahead. On the multi-warp kernels a
 // metrics-on run (which steps every SM and partition every cycle) must
 // also match the metrics-off Result apart from the Metrics snapshot
-// itself. Both modes run one memory model,
-// so each subtest and seed also matches digestFile: the fast-forward-off
-// Result and, on multi-warp kernels, the Metrics snapshot.
+// itself. Both modes run one memory model, so each subtest and seed
+// also matches digestFile: the fast-forward-off Result and, on
+// multi-warp kernels, the Metrics snapshot.
 func TestFastForwardByteIdenticalResults(t *testing.T) {
 	pinned := loadDigests(t)
 	if *updateDigests {
