@@ -68,8 +68,6 @@ func BenchmarkTable2Theory(b *testing.B)            { runExperimentBench(b, "tab
 func BenchmarkExtSelectiveRCoal(b *testing.B)    { runExperimentBench(b, "ext-selective", 10) }
 func BenchmarkExtMemoryHierarchy(b *testing.B)   { runExperimentBench(b, "ext-hierarchy", 10) }
 func BenchmarkExtInferSubwarps(b *testing.B)     { runExperimentBench(b, "ext-inferm", 8) }
-func BenchmarkExtSchedulerAblation(b *testing.B) { runExperimentBench(b, "ext-scheduler", 6) }
-func BenchmarkExtPlanGranularity(b *testing.B)   { runExperimentBench(b, "ext-planperwarp", 10) }
 func BenchmarkExtRSSDistribution(b *testing.B)   { runExperimentBench(b, "ext-rssdist", 10) }
 func BenchmarkExtOtherModes(b *testing.B)        { runExperimentBench(b, "ext-modes", 10) }
 func BenchmarkExtWorkloadPatterns(b *testing.B)  { runExperimentBench(b, "ext-workloads", 30) }
@@ -78,7 +76,6 @@ func BenchmarkExtRealisticAttacker(b *testing.B) { runExperimentBench(b, "ext-re
 func BenchmarkExtSensitivity(b *testing.B)       { runExperimentBench(b, "ext-sensitivity", 5) }
 func BenchmarkExtEnergyModel(b *testing.B)       { runExperimentBench(b, "ext-energy", 30) }
 func BenchmarkExtNoiseStudy(b *testing.B)        { runExperimentBench(b, "ext-noise", 20) }
-func BenchmarkExtSharedMemory(b *testing.B)      { runExperimentBench(b, "ext-sharedmem", 30) }
 
 // --- Accelerator benchmark ---------------------------------------------------
 

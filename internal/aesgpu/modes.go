@@ -70,19 +70,6 @@ func (s *Server) EncryptCTR(nonce uint64, lines []kernels.Line, seed uint64) (*C
 	return &CTRSample{Sample: sample, Keystream: keystream}, nil
 }
 
-// EncryptShared runs one encryption on the shared-memory AES kernel
-// (T-tables in scratchpad): the coalescing channel disappears from the
-// rounds, but bank conflicts serialize the lookups instead. The
-// sample's LastRoundTx is 0 by construction; LastRoundCycles carries
-// the bank-conflict timing.
-func (s *Server) EncryptShared(lines []kernels.Line, seed uint64) (*Sample, error) {
-	kernel, cts, err := kernels.BuildSharedMem(s.cipher, lines)
-	if err != nil {
-		return nil, err
-	}
-	return s.run(kernel, cts, seed)
-}
-
 // run executes a prepared kernel and assembles the sample with the
 // given output lines.
 func (s *Server) run(kernel *gpusim.Kernel, outputs []kernels.Line, seed uint64) (*Sample, error) {

@@ -185,37 +185,3 @@ func TestCTRMatchesCryptoCipher(t *testing.T) {
 		}
 	}
 }
-
-func TestEncryptSharedNoGlobalRoundTraffic(t *testing.T) {
-	s := newTestServer(t, gpusim.DefaultConfig())
-	pts := kernels.RandomPlaintext(rng.New(35), 32)
-	smp, err := s.EncryptShared(pts, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Ciphertexts correct.
-	c, _ := aes.NewCipher(testKey)
-	want := make([]byte, 16)
-	c.Encrypt(want, pts[0][:])
-	for b := 0; b < 16; b++ {
-		if smp.Ciphertexts[0][b] != want[b] {
-			t.Fatal("shared-memory kernel produced wrong ciphertext")
-		}
-	}
-	// The rounds issue no global transactions; timing still exists.
-	if smp.LastRoundTx != 0 {
-		t.Errorf("last-round tx %d, want 0 (tables in scratchpad)", smp.LastRoundTx)
-	}
-	if smp.LastRoundCycles <= 0 {
-		t.Error("no last-round timing")
-	}
-	// Staging + IO traffic exists but is far below the global-memory
-	// kernel's table traffic.
-	full, err := s.Encrypt(pts, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if smp.TotalTx >= full.TotalTx/2 {
-		t.Errorf("shared kernel tx %d not well below global kernel %d", smp.TotalTx, full.TotalTx)
-	}
-}

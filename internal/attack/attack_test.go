@@ -334,77 +334,3 @@ func TestNewWithIndexValidation(t *testing.T) {
 		t.Error("nil index function accepted")
 	}
 }
-
-func TestEstimateSharedSampleDegrees(t *testing.T) {
-	// All lines share byte 0: every thread computes the same index ->
-	// broadcast -> degree 1 per warp.
-	var lines []kernels.Line
-	for i := 0; i < 32; i++ {
-		var l kernels.Line
-		l[0] = 0x3c
-		lines = append(lines, l)
-	}
-	if got := EstimateSharedSample(lines, 0, 0x11); got != 1 {
-		t.Errorf("broadcast degree = %d, want 1", got)
-	}
-	// Two warps double the sum.
-	double := append(append([]kernels.Line{}, lines...), lines...)
-	if got := EstimateSharedSample(double, 0, 0x11); got != 2 {
-		t.Errorf("two-warp degree = %d, want 2", got)
-	}
-	// Degree is bounded by ceil(32 threads / 32 banks distinct words):
-	// at most 8 (256 entries / 32 banks words per bank).
-	r := rng.New(97)
-	for trial := 0; trial < 50; trial++ {
-		rl := kernels.RandomPlaintext(r, 32)
-		d := EstimateSharedSample(rl, trial%16, byte(trial))
-		if d < 1 || d > 8 {
-			t.Fatalf("degree %d outside [1,8]", d)
-		}
-	}
-}
-
-func TestBankConflictAttackerOnSyntheticChannel(t *testing.T) {
-	// Noise-free bank-conflict channel: measurement = true summed
-	// degree over all byte positions; byte 0 must be recoverable.
-	key := []byte("bank conflict ky")
-	c, err := aes.NewCipher(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lrk := c.LastRoundKey()
-	src := rng.New(101)
-	var cts [][]kernels.Line
-	var times []float64
-	for n := 0; n < 500; n++ {
-		pts := kernels.RandomPlaintext(src, 32)
-		lines := make([]kernels.Line, 32)
-		for i, pt := range pts {
-			ct, _ := c.TraceEncrypt(pt[:])
-			lines[i] = ct
-		}
-		cts = append(cts, lines)
-		total := 0
-		for j := 0; j < 16; j++ {
-			total += EstimateSharedSample(lines, j, lrk[j])
-		}
-		times = append(times, float64(total))
-	}
-	// The bank-conflict channel is weaker per byte than the coalescing
-	// channel (the degree is a small-range max statistic), so judge on
-	// the full key: most bytes should rank near the top.
-	var a BankConflictAttacker
-	kr, err := a.RecoverKey(cts, times)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ge := kr.GuessingEntropy(lrk); ge > 20 {
-		t.Errorf("bank-conflict attack guessing entropy %v, want near-zero", ge)
-	}
-	if kr.CorrectCount(lrk) < 8 {
-		t.Errorf("bank-conflict attack recovered only %d/16 bytes", kr.CorrectCount(lrk))
-	}
-	if _, err := a.RecoverByte(cts, times[:3], 0); err == nil {
-		t.Error("length mismatch accepted")
-	}
-}

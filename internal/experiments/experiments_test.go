@@ -104,10 +104,10 @@ func TestRegistryComplete(t *testing.T) {
 	want := []string{"fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
 		"fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "fig18",
 		"nocoal", "table1", "table2",
-		"ext-selective", "ext-hierarchy", "ext-inferm", "ext-scheduler",
-		"ext-planperwarp", "ext-rssdist", "ext-modes", "ext-workloads",
-		"ext-eq4", "ext-realistic", "ext-sensitivity", "ext-energy", "ext-noise",
-		"ext-sharedmem", "ext-selective-sweep", "ext-defense-frontier"}
+		"ext-selective", "ext-hierarchy", "ext-inferm", "ext-rssdist",
+		"ext-modes", "ext-workloads", "ext-eq4", "ext-realistic",
+		"ext-sensitivity", "ext-energy", "ext-noise", "ext-selective-sweep",
+		"ext-defense-frontier"}
 	for _, id := range want {
 		if _, ok := Registry[id]; !ok {
 			t.Errorf("experiment %q not registered", id)

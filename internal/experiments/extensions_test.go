@@ -69,55 +69,6 @@ func TestExtInferMPerfect(t *testing.T) {
 	}
 }
 
-func TestExtSchedulerRuns(t *testing.T) {
-	o := testOptions()
-	o.Samples = 10
-	r, err := ExtScheduler(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) != 4 {
-		t.Fatalf("%d rows", len(r.Rows))
-	}
-	// RSS+RTS(8) costs more than baseline under both schedulers.
-	for i := 0; i < 4; i += 2 {
-		if r.Rows[i+1].MeanCycles <= r.Rows[i].MeanCycles {
-			t.Errorf("%s: defended (%v) not slower than baseline (%v)",
-				r.Rows[i].Scheduler, r.Rows[i+1].MeanCycles, r.Rows[i].MeanCycles)
-		}
-	}
-}
-
-func TestExtPlanPerWarpFinding(t *testing.T) {
-	o := testOptions()
-	r, err := ExtPlanPerWarp(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) != 4 {
-		t.Fatalf("%d rows", len(r.Rows))
-	}
-	// The counter-intuitive but real finding: on multi-warp sums,
-	// per-warp randomness averages out and the correlation rises
-	// relative to a shared per-launch plan.
-	for _, m := range []int{4, 8} {
-		var perLaunch, perWarp float64
-		for _, row := range r.Rows {
-			if row.M != m {
-				continue
-			}
-			if row.PerWarp {
-				perWarp = row.FullKeyCorr
-			} else {
-				perLaunch = row.FullKeyCorr
-			}
-		}
-		if perWarp <= perLaunch {
-			t.Errorf("M=%d: per-warp corr %v not above per-launch %v (averaging effect)", m, perWarp, perLaunch)
-		}
-	}
-}
-
 func TestExtRSSDistPaperClaim(t *testing.T) {
 	o := testOptions()
 	r, err := ExtRSSDist(o)
@@ -134,15 +85,6 @@ func TestExtRSSDistPaperClaim(t *testing.T) {
 	}
 	if skewed.MeanTx >= fss.MeanTx {
 		t.Errorf("skewed tx %v not below FSS %v", skewed.MeanTx, fss.MeanTx)
-	}
-}
-
-func TestExtensionsRegistered(t *testing.T) {
-	for _, id := range []string{"ext-selective", "ext-hierarchy", "ext-inferm",
-		"ext-scheduler", "ext-planperwarp", "ext-rssdist"} {
-		if _, ok := Registry[id]; !ok {
-			t.Errorf("%s not registered", id)
-		}
 	}
 }
 
@@ -290,41 +232,5 @@ func TestExtNoiseDegradesChannel(t *testing.T) {
 	heavy := r.Rows[len(r.Rows)-1]
 	if heavy.ChannelCorr > clean.ChannelCorr/2 {
 		t.Errorf("heavy load channel corr %v did not collapse from %v", heavy.ChannelCorr, clean.ChannelCorr)
-	}
-}
-
-func TestExtSharedMemBoundary(t *testing.T) {
-	o := testOptions()
-	o.Samples = 100
-	r, err := ExtSharedMem(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) != 4 {
-		t.Fatalf("%d rows", len(r.Rows))
-	}
-	for _, row := range r.Rows {
-		switch row.Channel {
-		case "coalescing attack":
-			// The channel does not exist on the shared-memory kernel.
-			if row.Recovered > 1 || row.AvgCorr > 0.1 {
-				t.Errorf("%s/%s: coalescing attack should find nothing (corr %v, %d/16)",
-					row.Defense, row.Channel, row.AvgCorr, row.Recovered)
-			}
-		case "bank-conflict attack":
-			// The channel leaks regardless of the RCoal defense.
-			if row.AvgCorr < 0.15 {
-				t.Errorf("%s/%s: bank-conflict corr %v too low", row.Defense, row.Channel, row.AvgCorr)
-			}
-			if row.Recovered == 0 {
-				t.Errorf("%s/%s: no bytes recovered", row.Defense, row.Channel)
-			}
-		}
-	}
-	// RCoal changes nothing for the bank-conflict channel: identical
-	// correlations under both defenses (deterministic channel).
-	if r.Rows[1].AvgCorr != r.Rows[3].AvgCorr {
-		t.Errorf("bank-conflict corr differs across defenses: %v vs %v (RCoal should be irrelevant)",
-			r.Rows[1].AvgCorr, r.Rows[3].AvgCorr)
 	}
 }

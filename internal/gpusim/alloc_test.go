@@ -1,10 +1,6 @@
 package gpusim
 
-import (
-	"testing"
-
-	"rcoal/internal/rng"
-)
+import "testing"
 
 // Steady-state allocation guards: after a warm-up launch has built the
 // runtime (SMs, interconnect ports, controllers, request arena), repeat launches
@@ -19,43 +15,22 @@ import (
 // + the hardware/cache/launch RNG sources.
 const steadyStateRunAllocs = 12
 
-// sharedKernel builds a kernel of shared-memory loads with bank
-// conflicts, broadcasts and predicated-off lanes between global loads.
-func sharedKernel(seed uint64, warps int) *Kernel {
-	k := randomKernel(seed, warps, 2)
-	r := rng.New(seed)
-	for _, wp := range k.Warps {
-		for i := 0; i < 4; i++ {
-			addrs := make([]uint64, 32)
-			active := make([]bool, 32)
-			for t := range addrs {
-				addrs[t] = uint64(r.Intn(256)) * 4
-				active[t] = r.Intn(8) != 0
-			}
-			wp.Instrs = append(wp.Instrs, Instr{Kind: SharedLoad, Addrs: addrs, Active: active, Round: 1})
-		}
-	}
-	return k
-}
-
 func TestRunSteadyStateAllocations(t *testing.T) {
-	for _, k := range []*Kernel{randomKernel(5, 2, 3), sharedKernel(5, 2)} {
-		g, err := New(DefaultConfig())
-		if err != nil {
+	g, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := randomKernel(5, 2, 3)
+	if _, err := g.Run(k, 1); err != nil {
+		t.Fatal(err)
+	}
+	avg := testing.AllocsPerRun(20, func() {
+		if _, err := g.Run(k, 2); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := g.Run(k, 1); err != nil {
-			t.Fatal(err)
-		}
-		avg := testing.AllocsPerRun(20, func() {
-			if _, err := g.Run(k, 2); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if avg > steadyStateRunAllocs {
-			t.Errorf("%s: steady-state Run allocates %.1f times per launch, pinned at %d",
-				k.Label, avg, steadyStateRunAllocs)
-		}
+	})
+	if avg > steadyStateRunAllocs {
+		t.Errorf("steady-state Run allocates %.1f times per launch, pinned at %d", avg, steadyStateRunAllocs)
 	}
 }
 

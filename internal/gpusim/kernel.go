@@ -21,12 +21,6 @@ const (
 	// RoundMark is a zero-cost annotation delimiting AES rounds; the
 	// simulator records per-round cycle windows at marks.
 	RoundMark
-	// SharedLoad is a warp-wide load from per-SM shared (scratchpad)
-	// memory: no global traffic, but requests serialize over the 32
-	// shared-memory banks — the bank-conflict timing channel of Jiang
-	// et al. (GLSVLSI'17), which RCoal's coalescing randomization does
-	// not cover. Addrs are byte offsets within shared memory.
-	SharedLoad
 )
 
 func (k InstrKind) String() string {
@@ -39,8 +33,6 @@ func (k InstrKind) String() string {
 		return "store"
 	case RoundMark:
 		return "roundmark"
-	case SharedLoad:
-		return "sharedload"
 	}
 	return "unknown"
 }
@@ -86,7 +78,7 @@ func (k *Kernel) Validate(warpSize int) error {
 		}
 		for i, ins := range w.Instrs {
 			switch ins.Kind {
-			case Load, Store, SharedLoad:
+			case Load, Store:
 				if len(ins.Addrs) != warpSize {
 					return fmt.Errorf("gpusim: warp %d instr %d: %d addresses, warp size %d",
 						w.ID, i, len(ins.Addrs), warpSize)

@@ -24,9 +24,6 @@ type WarpStats struct {
 	// round r; index 0 collects out-of-round traffic (plaintext loads,
 	// ciphertext stores).
 	RoundTx [MaxRounds + 1]int
-	// SharedPasses[r] sums the bank-conflict serialization passes of
-	// the round's shared-memory accesses.
-	SharedPasses [MaxRounds + 1]int
 	// TotalTx is the warp's total transaction count.
 	TotalTx int
 	// Finish is the cycle the warp completed (last reply received).
@@ -67,10 +64,6 @@ type Result struct {
 	// ALUOps counts warp-wide arithmetic instructions issued (for the
 	// energy model).
 	ALUOps uint64
-	// SharedPasses aggregates per-round shared-memory bank-conflict
-	// passes over all warps — the observable of the bank-conflict
-	// timing channel.
-	SharedPasses [MaxRounds + 1]uint64
 	// Metrics is the launch's detached metrics snapshot when
 	// Config.Metrics is installed; nil otherwise (the default), so
 	// Results from metrics-free runs stay byte-comparable.

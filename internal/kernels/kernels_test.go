@@ -311,72 +311,3 @@ func TestPatternString(t *testing.T) {
 		t.Error("pattern names wrong")
 	}
 }
-
-func TestBuildSharedMemStructure(t *testing.T) {
-	c := testCipher(t)
-	lines := RandomPlaintext(rng.New(91), 32)
-	k, cts, err := BuildSharedMem(c, lines)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := k.Validate(32); err != nil {
-		t.Fatal(err)
-	}
-	// Ciphertexts still correct.
-	for i, pt := range lines {
-		want := make([]byte, 16)
-		c.Encrypt(want, pt[:])
-		for b := 0; b < 16; b++ {
-			if cts[i][b] != want[b] {
-				t.Fatalf("line %d ciphertext mismatch", i)
-			}
-		}
-	}
-	// Rounds use SharedLoad only; global traffic is staging + IO.
-	shared, globalInRounds := 0, 0
-	for _, ins := range k.Warps[0].Instrs {
-		if ins.Kind == gpusim.SharedLoad {
-			shared++
-			if ins.Round < 1 || ins.Round > 10 {
-				t.Fatal("shared load outside rounds")
-			}
-		}
-		if (ins.Kind == gpusim.Load || ins.Kind == gpusim.Store) && ins.Round != 0 {
-			globalInRounds++
-		}
-	}
-	if shared != 160 {
-		t.Errorf("%d shared loads, want 160", shared)
-	}
-	if globalInRounds != 0 {
-		t.Errorf("%d global accesses inside rounds, want 0", globalInRounds)
-	}
-	if _, _, err := BuildSharedMem(c, nil); err == nil {
-		t.Error("empty plaintext accepted")
-	}
-}
-
-func TestBuildSharedMemRunsOnSimulator(t *testing.T) {
-	c := testCipher(t)
-	k, _, err := BuildSharedMem(c, RandomPlaintext(rng.New(93), 32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := gpusim.New(gpusim.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := g.Run(k, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.LastRoundTx(10) != 0 {
-		t.Errorf("last round issued %d global transactions, want 0", res.LastRoundTx(10))
-	}
-	if res.SharedPasses[10] == 0 {
-		t.Error("no bank-conflict passes recorded in the last round")
-	}
-	if res.RoundWindow(10) <= 0 {
-		t.Error("last-round window empty")
-	}
-}

@@ -190,11 +190,6 @@ func NewDecryptAttacker(defense Mechanism, seed uint64) (*Attacker, error) {
 // keystream blocks the attacker can reconstruct from known plaintext).
 type CTRSample = aesgpu.CTRSample
 
-// BankConflictAttacker mounts the shared-memory bank-conflict attack
-// (the channel RCoal does not cover; see the ext-sharedmem
-// experiment).
-type BankConflictAttacker = attack.BankConflictAttacker
-
 // --- Analytical model and metrics ---------------------------------------------
 
 // SecurityModel is the Section V analytical model.
