@@ -8,10 +8,14 @@ import "math/bits"
 // per subwarp — threads in different subwarps never merge, which is
 // the entire lever the defense turns.
 //
-// The same functions serve the simulated hardware (via Transaction,
-// which carries full block keys and member threads) and the attacker's
-// estimators (via CountSmallBlocks, a bitset fast path for table
-// lookups where blocks are 0..R-1 with R <= 64).
+// The simulated hardware coalesces through CoalesceBlocks and
+// CoalesceBlocksSizes (block keys, and group sizes for metrics);
+// Coalesce, whose Transactions carry their member threads, is their
+// reference and serves warps wider than 64 threads. CountSmallBlocks,
+// a bitset fast path for table lookups where blocks are 0..R-1 with
+// R <= 64, serves only the package's tests, theory's empirical check
+// and the CoalesceSmallBlocksRSSRTS benchmark: the attacker's
+// estimators score through nibble tables.
 
 // Transaction is one coalesced memory access: the distinct memory
 // block touched by one subwarp, with the threads whose requests were
@@ -190,7 +194,7 @@ func (p Plan) CountCoalesced(blocks []uint64, active []bool) int {
 	return len(out)
 }
 
-// CountSmallBlocks is the attacker-side hot path: per-thread block ids
+// CountSmallBlocks counts transactions when the per-thread block ids
 // are small (0..r-1, r <= 64, e.g. the R = 16 lines of a lookup
 // table), so each subwarp's distinct-block set is a 64-bit mask and
 // the count is a popcount. blocks[tid] < 0 marks an inactive thread.

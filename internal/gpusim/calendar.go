@@ -6,8 +6,9 @@ import (
 )
 
 // calSlots is the calendar's wheel size in cycles (a power of two).
-// Every finite wake horizon of a 1024-line launch lies within it; a
-// farther one is visited early once per turn of the wheel.
+// Most finite wake horizons of a 1024-line launch lie within it; a
+// farther one (about one in five, set by a completion floor) is
+// visited early once per turn of the wheel.
 const calSlots = 64
 
 // calendar is a timing wheel over the units the cycle loop steps (the

@@ -18,8 +18,8 @@ func newTestController(t *testing.T) *Controller {
 
 // req builds a request for addr, decoded under the default address
 // map as the simulator does when it creates one.
-func req(id, addr uint64) *mem.Request {
-	return &mem.Request{ID: id, Addr: addr, Loc: mem.DefaultAddressMap().Decode(addr)}
+func req(addr uint64) *mem.Request {
+	return &mem.Request{Addr: addr, Loc: mem.DefaultAddressMap().Decode(addr)}
 }
 
 // scheduleEach schedules the requests one per cycle from cycle 0, the
@@ -60,7 +60,7 @@ func TestTimingScale(t *testing.T) {
 
 func TestSingleRequestLatency(t *testing.T) {
 	c := newTestController(t)
-	r := req(1, 0)
+	r := req(0)
 	done := c.Schedule(r, 0)
 	tm := HynixGDDR5()
 	// Cold row: RCD + CL + Burst (no precharge needed on a closed bank).
@@ -78,7 +78,7 @@ func TestRowHitFasterThanConflict(t *testing.T) {
 
 	// Two accesses to the same row: second is a row hit.
 	c1 := newTestController(t)
-	end1 := scheduleEach(c1, req(1, 0), req(2, 64))
+	end1 := scheduleEach(c1, req(0), req(64))
 	if c1.Stats.RowHits != 1 {
 		t.Fatalf("same-row: stats %+v", c1.Stats)
 	}
@@ -88,7 +88,7 @@ func TestRowHitFasterThanConflict(t *testing.T) {
 	// row is offset by Partitions*Banks*ChunkBytes*(RowBytes/ChunkBytes).
 	rowStride := uint64(m.Partitions * m.Banks * m.RowBytes)
 	c2 := newTestController(t)
-	end2 := scheduleEach(c2, req(1, 0), req(2, rowStride))
+	end2 := scheduleEach(c2, req(0), req(rowStride))
 	if c2.Stats.RowMisses != 2 || c2.Stats.RowConflicts != 1 {
 		t.Fatalf("conflict: stats %+v", c2.Stats)
 	}
@@ -106,9 +106,9 @@ func TestBankParallelismBeatsSerialBank(t *testing.T) {
 	// Four row-conflicting accesses on one bank...
 	var serial, par []*mem.Request
 	for i := uint64(0); i < 4; i++ {
-		serial = append(serial, req(i, i*rowStride))
+		serial = append(serial, req(i*rowStride))
 		// ...versus four accesses across four different banks.
-		par = append(par, req(i, i*bankStride))
+		par = append(par, req(i*bankStride))
 	}
 	serialEnd := scheduleEach(newTestController(t), serial...)
 	parEnd := scheduleEach(newTestController(t), par...)
@@ -124,7 +124,7 @@ func TestServiceTimeGrowsWithTransactions(t *testing.T) {
 	for _, n := range []int{4, 8, 16, 32} {
 		var reqs []*mem.Request
 		for i := 0; i < n; i++ {
-			reqs = append(reqs, req(uint64(i), uint64(i)*64))
+			reqs = append(reqs, req(uint64(i)*64))
 		}
 		ends = append(ends, scheduleEach(newTestController(t), reqs...))
 	}
@@ -139,7 +139,7 @@ func TestServiceTimeGrowsWithTransactions(t *testing.T) {
 // nothing waits in it — and counts in Stats.
 func TestStatsAndIdle(t *testing.T) {
 	c := newTestController(t)
-	r := req(0, 0)
+	r := req(0)
 	if done := c.Schedule(r, 5); done != r.Done || r.Arrived != 5 || done <= 5 {
 		t.Errorf("scheduled at 5: returned %d, request arrived %d done %d", done, r.Arrived, r.Done)
 	}
@@ -167,7 +167,7 @@ func TestNewControllerRejectsBadConfig(t *testing.T) {
 func TestInjectStall(t *testing.T) {
 	c := newTestController(t)
 	c.InjectStall(1) // service exactly one request, then freeze
-	first, second := req(1, 0), req(2, 1<<20)
+	first, second := req(0), req(1<<20)
 	if done := c.Schedule(first, 0); done == math.MaxInt64 {
 		t.Fatal("controller stalled before its threshold")
 	}
@@ -183,8 +183,8 @@ func TestInjectStall(t *testing.T) {
 	// an immediately-stalled controller (threshold 0) never schedules.
 	c.Reset()
 	c.InjectStall(0)
-	c.Schedule(req(3, 0), 0)
-	c.Schedule(req(4, 64), 1)
+	c.Schedule(req(0), 0)
+	c.Schedule(req(64), 1)
 	if c.Parked() != 2 || c.Stats.Accesses != 0 {
 		t.Fatalf("fully stalled controller: parked %d accesses %d, want 2/0",
 			c.Parked(), c.Stats.Accesses)

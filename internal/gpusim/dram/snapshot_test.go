@@ -32,7 +32,7 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 		reqs := make([]mem.Request, 8+r.Intn(24))
 		for i := range reqs {
 			addr := uint64(r.Intn(1<<14)) * mem.BlockBytes
-			reqs[i] = mem.Request{ID: uint64(i + 1), Addr: addr, Loc: m.Decode(addr)}
+			reqs[i] = mem.Request{Addr: addr, Loc: m.Decode(addr)}
 		}
 		c := newTestController(t)
 		cut := r.Intn(len(reqs))

@@ -518,29 +518,7 @@ func TestFastForwardStepsFewCyclesOnWideLoads(t *testing.T) {
 // MaxCycles snapshot at budgets all through the wide-load launch, and
 // the prefix snapshot a fork resumes from.
 func TestFastForwardSnapshotsMatchStepping(t *testing.T) {
-	slow := DefaultConfig()
-	slow.FastForwardDisabled = true
-	full, err := mustGPU(t, slow).Run(wideLoadKernel(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for budget := int64(1); budget < full.Cycles; budget += 7 {
-		var snaps [2]*Snapshot
-		for i, ffDisabled := range []bool{false, true} {
-			cfg := DefaultConfig()
-			cfg.FastForwardDisabled = ffDisabled
-			cfg.MaxCycles = budget
-			_, err := mustGPU(t, cfg).Run(wideLoadKernel(), 3)
-			var mce *MaxCyclesError
-			if !errors.As(err, &mce) {
-				t.Fatalf("budget %d: err = %v, want *MaxCyclesError", budget, err)
-			}
-			snaps[i] = mce.Snapshot
-		}
-		if !reflect.DeepEqual(snaps[0], snaps[1]) {
-			t.Fatalf("budget %d: fast-forward snapshot\n%s\nstepped snapshot\n%s", budget, snaps[0], snaps[1])
-		}
-	}
+	snapshotsMatchStepping(t, wideLoadKernel(), 3, nil)
 
 	kern := randomKernel(11, 4, 4)
 	var prefixes [2]*PrefixSnapshot
@@ -556,4 +534,108 @@ func TestFastForwardSnapshotsMatchStepping(t *testing.T) {
 	if !reflect.DeepEqual(prefixes[0], prefixes[1]) {
 		t.Fatalf("prefix snapshots differ: paused at %d and %d", prefixes[0].cycle, prefixes[1].cycle)
 	}
+}
+
+// snapshotsMatchStepping requires the MaxCycles snapshots of the
+// kernel's launch at budgets all through it to be equal with
+// fast-forward on and off, under the default configuration changed by
+// mut.
+func snapshotsMatchStepping(t *testing.T, kern *Kernel, seed uint64, mut func(*Config)) {
+	t.Helper()
+	config := func(ffDisabled bool, budget int64) Config {
+		cfg := DefaultConfig()
+		if mut != nil {
+			mut(&cfg)
+		}
+		cfg.FastForwardDisabled = ffDisabled
+		cfg.MaxCycles = budget
+		return cfg
+	}
+	full, err := mustGPU(t, config(true, 0)).Run(kern, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for budget := int64(1); budget < full.Cycles; budget += 7 {
+		var snaps [2]*Snapshot
+		for i, ffDisabled := range []bool{false, true} {
+			_, err := mustGPU(t, config(ffDisabled, budget)).Run(kern, seed)
+			var mce *MaxCyclesError
+			if !errors.As(err, &mce) {
+				t.Fatalf("budget %d: err = %v, want *MaxCyclesError", budget, err)
+			}
+			snaps[i] = mce.Snapshot
+		}
+		if !reflect.DeepEqual(snaps[0], snaps[1]) {
+			t.Fatalf("budget %d: fast-forward snapshot\n%s\nstepped snapshot\n%s", budget, snaps[0], snaps[1])
+		}
+	}
+}
+
+// sharedSMKernel builds a kernel for a two-SM machine with five warps
+// on each SM, whose replies interleave on the SM's port. Warps 0 and 1
+// load from one bank of partition 0 on changing rows, so their last
+// replies come late; warps 2-5 load a few blocks of the other
+// partitions after an ALU instruction of random latency, so they
+// often issue after warps 0 and 1 and complete before them; warps 6-9
+// run random-latency ALU work, waking their SMs between replies.
+func sharedSMKernel(seed uint64) *Kernel {
+	r := rng.New(seed)
+	k := &Kernel{Label: fmt.Sprintf("ff-shared-sm-%d", seed)}
+	for wid := 0; wid < 10; wid++ {
+		wp := &WarpProgram{ID: wid}
+		for i := 0; i < 6; i++ {
+			addrs := make([]uint64, 32)
+			switch {
+			case wid < 2:
+				for t := range addrs {
+					addrs[t] = uint64(768*(r.Intn(3)+3*wid)+6*16*(t%4)) * 256 // partition 0, bank 0
+				}
+				wp.Instrs = append(wp.Instrs, Instr{Kind: Load, Addrs: addrs})
+			case wid < 6:
+				for t := range addrs {
+					addrs[t] = uint64(6*r.Intn(64)+1+r.Intn(5))*256 + uint64(t%2)*64
+				}
+				wp.Instrs = append(wp.Instrs, Instr{Kind: ALU, Latency: 1 + r.Intn(60)},
+					Instr{Kind: Load, Addrs: addrs})
+			default:
+				wp.Instrs = append(wp.Instrs, Instr{Kind: ALU, Latency: 5 + r.Intn(120)})
+			}
+		}
+		k.Warps = append(k.Warps, wp)
+	}
+	return k
+}
+
+// TestFastForwardMatchesSteppingOnSharedSMs runs the shared-SM kernel
+// with fast-forward on and off, requiring deeply equal Results, and
+// its MaxCycles snapshots through one launch equal. With several
+// warps per SM the completion floor, not the count of pending
+// replies, sets how long an SM sleeps, and a warp whose last
+// transaction leaves the SM after the SM's step must still wake it
+// at its last reply.
+func TestFastForwardMatchesSteppingOnSharedSMs(t *testing.T) {
+	twoSMs := func(c *Config) { c.NumSMs = 2 }
+	for _, mech := range []mechanism.Mechanism{mechanism.Baseline(), mechanism.RSSRTS(8)} {
+		for seed := uint64(1); seed <= 4; seed++ {
+			cfg := DefaultConfig()
+			cfg.Defense = mech
+			twoSMs(&cfg)
+			slow := cfg
+			slow.FastForwardDisabled = true
+			kern := sharedSMKernel(seed)
+			want, err := mustGPU(t, slow).Run(kern, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := mustGPU(t, cfg).Run(kern, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("%s seed %d: fast-forward result differs\ncycle-stepped: cycles=%d totalTx=%d\nfast-forward:  cycles=%d totalTx=%d",
+					mech.Name(), seed, want.Cycles, want.TotalTx, got.Cycles, got.TotalTx)
+			}
+		}
+	}
+	snapshotsMatchStepping(t, sharedSMKernel(1), 1, twoSMs)
 }

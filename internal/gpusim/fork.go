@@ -48,7 +48,6 @@ type PrefixSnapshot struct {
 	toMem, toSM []int64
 
 	res       Result // deep copy; Plan zeroed (mechanism-dependent)
-	reqID     uint64
 	remaining int
 	progress  uint64
 	basePlan  core.Plan
@@ -165,7 +164,6 @@ func (g *GPU) snapshotPrefix(st *runState, k *Kernel, seed uint64) *PrefixSnapsh
 		cfg:       g.cfg,
 		kernel:    k,
 		seed:      seed,
-		reqID:     st.reqID,
 		remaining: st.remaining,
 		progress:  st.progress,
 	}
@@ -279,7 +277,6 @@ func (g *GPU) RunFork(snap *PrefixSnapshot) (*Result, error) {
 	res.Warps = append([]WarpStats(nil), snap.res.Warps...)
 	res.Plan = launch.Plan
 	st.res = &res
-	st.reqID = snap.reqID
 	st.remaining = snap.remaining
 	st.progress = snap.progress
 	st.launch = launch
@@ -300,14 +297,21 @@ func (g *GPU) RunFork(snap *PrefixSnapshot) (*Result, error) {
 			plan: launch.Plan, delayedPC: -1, stats: ws.stats, sched: w.sched,
 		}
 	}
+	// Each warp's undrained count and lastDone are rebuilt from the
+	// queues: a queued reply is one not yet delivered, and it is ready
+	// no earlier than any the SM has taken.
 	for i, sm := range st.sms {
 		ss := &snap.sms[i]
 		for _, ri := range ss.injectQ {
 			sm.injectQ.Push(ptrs[ri])
+			st.runs[ptrs[ri].Warp].undrained++
 			st.markDraining(i)
 		}
 		for _, rs := range ss.replyQ {
-			sm.replyQ.push(rs.src, ptrs[rs.req])
+			r := ptrs[rs.req]
+			sm.replyQ.push(rs.src, r)
+			w := st.runs[r.Warp]
+			w.lastDone = max(w.lastDone, r.Done)
 		}
 		sm.replies = append(sm.replies[:0], ss.replies...)
 		if sm.mshr != nil {

@@ -66,8 +66,8 @@ type GPU struct {
 	// leadOcc is the reply port's occupancy when an SM may take its
 	// non-final replies in batches (replyLead): under skipIdle with no
 	// L1 and no MSHR, where each delivery settles one pending reply of
-	// one warp. It is 0 otherwise, and the SM is visited at every
-	// delivery.
+	// one warp, so a warp completes only at its last reply's delivery.
+	// It is 0 otherwise, and the SM is visited at every delivery.
 	leadOcc int64
 
 	// SkippedCycles counts the cycles event-driven fast-forward did
@@ -175,6 +175,12 @@ type warpRun struct {
 	// sched is the warp's scheduler within its SM; structural, set by
 	// build and kept across launches.
 	sched int
+	// undrained counts the warp's transactions still in its SM's inject
+	// queue, and lastDone is the latest Done among those that left it
+	// (arrive): the warp's last reply is not delivered before lastDone
+	// plus ICNTLatency once undrained is 0 (replyLead).
+	undrained int
+	lastDone  int64
 }
 
 // reset prepares the warp state for a new launch.
@@ -219,9 +225,13 @@ type smState struct {
 	// lead is the SM's reply lead as of its last step (replyLead): no
 	// warp of it completes before its next reply delivery plus lead.
 	lead int64
+	// floor is the SM's completion floor: no warp of it completes
+	// before floor (replyLead). arrive lowers it when a warp's last
+	// transaction leaves the inject queue.
+	floor int64
 	// fewest is the fewest pending replies among the SM's warps with
 	// any (math.MaxInt for none), kept by issueMemory and settle; a
-	// warp's last reply may raise it, which sets refresh.
+	// warp's last reply may raise it and the floor, which sets refresh.
 	fewest  int
 	refresh bool
 }
@@ -258,7 +268,6 @@ type runState struct {
 	dropSM            int
 	dropNth, dropSeen uint64
 	res               *Result
-	reqID             uint64
 	remaining         int
 	// progress counts observable state transitions (issues, request
 	// injections, replies, retirements). The forward-progress watchdog
@@ -523,7 +532,6 @@ func (g *GPU) setup(k *Kernel, seed uint64) (*runState, error) {
 	}
 
 	st.res = &Result{Plan: launch.Plan, Warps: make([]WarpStats, len(k.Warps))}
-	st.reqID = 0
 	st.remaining = len(st.runs)
 	st.launch = launch
 	st.defRNG = nil
@@ -675,7 +683,7 @@ func (g *GPU) resetRuntime(st *runState, cacheRNG *rng.Source) {
 				sm.schedWake[i] = math.MaxInt64 // no warps: never issues
 			}
 		}
-		sm.lead, sm.refresh = 0, true
+		sm.lead, sm.floor, sm.refresh = 0, 0, true
 		if sm.l1 != nil {
 			sm.l1.Reset(cacheRNG.Uint64())
 		}
@@ -711,7 +719,6 @@ func (g *GPU) drain(st *runState, now int64) {
 			q := &st.sms[smID].injectQ
 			for n := 0; n < g.cfg.MCURate && q.Len() > 0; n++ {
 				req := q.Pop()
-				req.Issued = now
 				g.arrive(st, req, st.toMem.Reserve(req.Loc.Partition, now))
 				st.progress++
 			}
@@ -843,16 +850,24 @@ func (g *GPU) catchUp(st *runState, through int64) {
 // first warp completion lies at the least: with k the fewest pending
 // replies among its warps, no warp completes before k more
 // deliveries, one per leadOcc cycles, so k-1 occupancies. It is 0 when
-// no warp is pending or leadOcc is 0.
+// no warp is pending or leadOcc is 0. After a warp's last reply it
+// also recomputes the SM's completion floor: the least lastDone plus
+// ICNTLatency over the pending warps with nothing undrained, since a
+// reply is never delivered before its Done plus ICNTLatency
+// (icnt.Slots.Due). A warp with transactions undrained joins the
+// floor when its last one leaves (arrive).
 func (g *GPU) replyLead(sm *smState) int64 {
 	if g.leadOcc == 0 {
 		return 0
 	}
 	if sm.refresh {
-		sm.fewest, sm.refresh = math.MaxInt, false
+		sm.fewest, sm.floor, sm.refresh = math.MaxInt, math.MaxInt64, false
 		for _, w := range sm.warps {
 			if w.pending > 0 {
 				sm.fewest = min(sm.fewest, w.pending)
+				if w.undrained == 0 {
+					sm.floor = min(sm.floor, w.lastDone+int64(g.cfg.ICNTLatency))
+				}
 			}
 		}
 	}
@@ -863,15 +878,14 @@ func (g *GPU) replyLead(sm *smState) int64 {
 }
 
 // smHorizon returns the SM's wake horizon after its step: the earliest
-// of its schedulers' wakes, its pending L1 replies and its next
-// reply-port delivery plus its reply lead. Its inject queue drains
-// without it (drain). Replies queued toward the SM later lower the
-// horizon again (arrive); nothing else outside the SM's own step
-// changes its state.
+// of its schedulers' wakes, its pending L1 replies and its reply
+// horizon. Its inject queue drains without it (drain). Replies queued
+// toward the SM later lower the horizon again (arrive); nothing else
+// outside the SM's own step changes its state.
 func (st *runState) smHorizon(sm *smState, smID int) int64 {
 	h := int64(math.MaxInt64)
 	if !sm.replyQ.empty() {
-		h = st.toSM.Due(smID, sm.replyQ.next()) + sm.lead
+		h = st.replyHorizon(sm, smID)
 	}
 	for _, t := range sm.schedWake {
 		if t < h {
@@ -884,6 +898,13 @@ func (st *runState) smHorizon(sm *smState, smID int) int64 {
 		}
 	}
 	return h
+}
+
+// replyHorizon returns the first cycle an SM with replies queued may
+// see a warp complete: its next reply-port delivery plus its reply
+// lead, and no earlier than its completion floor.
+func (st *runState) replyHorizon(sm *smState, smID int) int64 {
+	return max(st.toSM.Due(smID, sm.replyQ.next())+sm.lead, sm.floor)
 }
 
 // replySources returns the number of reply sources per SM: each
@@ -964,6 +985,8 @@ func (g *GPU) retire(st *runState, w *warpRun, now int64) {
 // hit's data is ready HitLatency after arrival; a miss is scheduled on
 // its DRAM bank. A request a stalled controller parks never returns.
 func (g *GPU) arrive(st *runState, r *mem.Request, at int64) {
+	w := st.runs[r.Warp]
+	w.undrained--
 	pid := r.Loc.Partition
 	p := st.parts[pid]
 	src, hit := pid, false // the reply's source (replyQueue)
@@ -990,7 +1013,11 @@ func (g *GPU) arrive(st *runState, r *mem.Request, at int64) {
 	}
 	sm := st.sms[r.SM]
 	sm.replyQ.push(src, r)
-	st.cal.lower(r.SM, st.toSM.Due(r.SM, sm.replyQ.next())+sm.lead)
+	w.lastDone = max(w.lastDone, r.Done)
+	if w.undrained == 0 {
+		sm.floor = min(sm.floor, w.lastDone+int64(g.cfg.ICNTLatency))
+	}
+	st.cal.lower(r.SM, st.replyHorizon(sm, r.SM))
 }
 
 func (st *runState) idleSMs() bool {
@@ -1256,15 +1283,15 @@ func (g *GPU) issueMemory(st *runState, sm *smState, smID int, w *warpRun, ins *
 		if g.cfg.Trace != nil {
 			g.cfg.Trace.Emit(Event{Cycle: now, Kind: EvMemTx, SM: smID, Warp: w.prog.ID, Addr: b * mem.BlockBytes, Round: round})
 		}
-		st.reqID++
 		// Field by field: a composite literal is built aside and
 		// copied, which costs as much again on this path.
 		req := g.arena.get()
-		req.ID, req.Addr, req.Kind = st.reqID, b*mem.BlockBytes, kindOf(ins.Kind)
+		req.Addr, req.Kind = b*mem.BlockBytes, kindOf(ins.Kind)
 		req.SM, req.Warp, req.Round = smID, w.prog.ID, round
-		req.Issued, req.Arrived, req.Done = 0, 0, 0
+		req.Arrived, req.Done = 0, 0
 		req.Loc = *g.decode(b)
 		sm.injectQ.Push(req)
+		w.undrained++
 		st.markDraining(smID)
 		if m := g.cfg.Metrics; m != nil {
 			m.injectDepth.Observe(int64(sm.injectQ.Len()))

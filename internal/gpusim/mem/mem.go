@@ -110,8 +110,6 @@ func (k AccessKind) String() string {
 // block access produced by the coalescing unit, tagged with enough
 // provenance for statistics and for routing the reply.
 type Request struct {
-	// ID is unique per simulation, for tracing.
-	ID uint64
 	// Addr is the block-aligned byte address.
 	Addr uint64
 	// Kind is Load or Store.
@@ -121,8 +119,6 @@ type Request struct {
 	// Round tags the AES round (1-based; 0 for non-round traffic such
 	// as plaintext loads), used to attribute per-round access counts.
 	Round int
-	// Issued is the core cycle the request entered the interconnect.
-	Issued int64
 	// Arrived is the core cycle the request reaches its memory
 	// partition, and Done the cycle its data is ready there (an L2
 	// hit's, or the DRAM's): both are set when the request leaves its

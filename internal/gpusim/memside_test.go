@@ -68,6 +68,28 @@ func TestRequestSlotsBoundedByPeakInFlight(t *testing.T) {
 	}
 }
 
+// TestFastForwardStepsFewCyclesOnSharedSMs pins the completion floor:
+// a 1024-line AES launch puts two or three warps on each SM, and the
+// warp with the fewest pending replies keeps the count-based reply
+// lead short, so waking at every possible completion by count alone
+// steps over half the launch's cycles. Waking only once some warp's
+// last reply can have crossed the crossbar must stay under two fifths.
+func TestFastForwardStepsFewCyclesOnSharedSMs(t *testing.T) {
+	g, err := gpusim.New(gpusim.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := g.Run(aesKernel(t, 1024), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stepped := res.Cycles + 1 - g.SkippedCycles
+	t.Logf("stepped %d of %d cycles", stepped, res.Cycles)
+	if stepped*5 > res.Cycles*2 {
+		t.Fatalf("stepped %d of %d cycles; want at most two fifths", stepped, res.Cycles)
+	}
+}
+
 // TestTableIControllersNeverQueue: a controller schedules each request
 // on arrival, so only a stalled one holds waiting requests — it parks
 // every arrival behind its frozen scheduler, and the watchdog's

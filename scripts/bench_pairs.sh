@@ -9,10 +9,13 @@
 # first when i is even). Each run lasts the benchmark's run length,
 # run_seconds in this repo's BENCHMARK.json. Prints every pair, then
 # for each end-to-end metric each side's median and quartiles, the
-# pairs the change won (lower is better; ties count for neither) and
-# the verdict: a gain holds when the change wins at least nine tenths
-# of the pairs and the medians differ by more than the parent's
-# interquartile range.
+# median paired ratio (change/parent), the pairs the change won (lower
+# is better; ties count for neither) and the verdict: a gain holds
+# when the change wins at least nine tenths of the pairs and its
+# median is below the parent's by more than the parent's interquartile
+# range; a regression mirrors it, with the parent winning at least
+# nine tenths of the pairs and the change's median above the parent's
+# by more than that range.
 #
 # Not a CI step: a measurement tool. Both checkouts build their own
 # benchmark under their own .bench_build/. Raw reports stay in a
@@ -70,24 +73,28 @@ stats() {
     END { printf "%.4g %.4g %.4g\n", q(0.5), q(0.25), q(0.75) }'
 }
 
-printf '%-12s %-28s %-28s %s\n' metric "parent median [q1, q3]" "change median [q1, q3]" "wins verdict"
+printf '%-12s %-28s %-28s %-7s %s\n' metric "parent median [q1, q3]" "change median [q1, q3]" ratio "wins verdict"
 for m in "${metrics[@]}"; do
-  wins=0
-  : >"$out/$m.parent" && : >"$out/$m.change"
+  wins=0 losses=0
+  : >"$out/$m.parent" && : >"$out/$m.change" && : >"$out/$m.ratio"
   for ((i = 0; i < n; i++)); do
     seed=$((seed0 + i))
     p=$(value "$out/parent.$seed.txt" "$m")
     c=$(value "$out/change.$seed.txt" "$m")
     echo "$p" >>"$out/$m.parent"
     echo "$c" >>"$out/$m.change"
+    awk -v p="$p" -v c="$c" 'BEGIN { print c / p }' >>"$out/$m.ratio"
     if awk -v p="$p" -v c="$c" 'BEGIN { exit !(c < p) }'; then
       wins=$((wins + 1))
+    elif awk -v p="$p" -v c="$c" 'BEGIN { exit !(p < c) }'; then
+      losses=$((losses + 1))
     fi
   done
   read -r pm pq1 pq3 < <(stats <"$out/$m.parent")
   read -r cm cq1 cq3 < <(stats <"$out/$m.change")
-  verdict=$(awk -v w="$wins" -v n="$n" -v pm="$pm" -v cm="$cm" -v q1="$pq1" -v q3="$pq3" \
-    'BEGIN { print (w >= 0.9 * n && pm - cm > q3 - q1) ? "gain" : "no claim" }')
-  printf '%-12s %-28s %-28s %s/%s %s\n' "$m" "$pm [$pq1, $pq3]" "$cm [$cq1, $cq3]" "$wins" "$n" "$verdict"
+  read -r ratio _ < <(stats <"$out/$m.ratio")
+  verdict=$(awk -v w="$wins" -v l="$losses" -v n="$n" -v pm="$pm" -v cm="$cm" -v q1="$pq1" -v q3="$pq3" \
+    'BEGIN { print (w >= 0.9 * n && pm - cm > q3 - q1) ? "gain" : (l >= 0.9 * n && cm - pm > q3 - q1) ? "regression" : "no claim" }')
+  printf '%-12s %-28s %-28s %-7s %s/%s %s\n' "$m" "$pm [$pq1, $pq3]" "$cm [$cq1, $cq3]" "$ratio" "$wins" "$n" "$verdict"
 done
 echo "reports: $out"
