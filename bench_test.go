@@ -206,9 +206,10 @@ func BenchmarkAESTraceEncrypt(b *testing.B) {
 func BenchmarkSimulatorEncrypt32Lines(b *testing.B) { benchEncrypt(b, 32, false) }
 
 // BenchmarkSimulatorEncrypt32LinesVanilla runs the 32-line launch
-// with fast-forward off; the joined pair gates draining ahead and
-// batched replies, which the one-warp launches of Figs. 15-17 lean on
-// (Makefile `bench-gate`).
+// with fast-forward off; the joined pair gates what the one-warp
+// launches of Figs. 15-17 lean on: a lone SM settling its
+// transactions at issue, where the vanilla run queues and drains them
+// one per cycle, and batched replies (Makefile `bench-gate`).
 func BenchmarkSimulatorEncrypt32LinesVanilla(b *testing.B) { benchEncrypt(b, 32, true) }
 
 func BenchmarkSimulatorEncrypt1024Lines(b *testing.B) { benchEncrypt(b, 1024, false) }

@@ -64,11 +64,6 @@ type Config struct {
 	// (mechanism.Delay, mechanism.Shuffle), or the no-coalescing
 	// strawman (mechanism.NoCoal). nil means the undefended baseline.
 	Defense mechanism.Mechanism
-	// MCURate is the number of coalesced transactions the LD/ST unit
-	// injects into the interconnect per cycle (Table I: one subwarp
-	// per coalescing unit per cycle; we inject one transaction per
-	// cycle).
-	MCURate int
 	// MaxCycles bounds a launch's simulated cycles; Run returns a
 	// *MaxCyclesError (wrapping ErrMaxCycles) with a diagnostic
 	// snapshot when a kernel exhausts it. 0 means DefaultMaxCycles,
@@ -169,7 +164,6 @@ func DefaultConfig() Config {
 		AddressMap:      mem.DefaultAddressMap(),
 		DRAMTiming:      dram.HynixGDDR5(),
 		Defense:         mechanism.Baseline(),
-		MCURate:         1,
 	}
 }
 
@@ -192,8 +186,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("gpusim: FlitBytes %d must divide block size %d", c.FlitBytes, mem.BlockBytes)
 	case c.CoreClockMHz <= 0 || c.MemClockMHz <= 0:
 		return fmt.Errorf("gpusim: clocks must be positive (%d, %d)", c.CoreClockMHz, c.MemClockMHz)
-	case c.MCURate < 1:
-		return fmt.Errorf("gpusim: MCURate %d must be >= 1", c.MCURate)
 	case c.MaxCycles < 0:
 		return fmt.Errorf("gpusim: MaxCycles %d must be >= 0 (0 = default %d)", c.MaxCycles, DefaultMaxCycles)
 	case c.WatchdogWindow < 0:

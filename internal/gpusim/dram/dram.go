@@ -159,6 +159,18 @@ func NewController(t Timing, m mem.AddressMap) (*Controller, error) {
 // they are handed to Schedule.
 func (c *Controller) Parked() int { return len(c.parked) }
 
+// ParkedAfter returns how many of the parked requests arrive after
+// cycle t.
+func (c *Controller) ParkedAfter(t int64) int {
+	n := 0
+	for _, r := range c.parked {
+		if r.Arrived > t {
+			n++
+		}
+	}
+	return n
+}
+
 // InjectStall arms the controller's test-only fault seam
 // (internal/faultinject): once the controller has scheduled `after`
 // requests it parks every later arrival, which then waits forever.

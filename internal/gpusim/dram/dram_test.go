@@ -189,4 +189,9 @@ func TestInjectStall(t *testing.T) {
 		t.Fatalf("fully stalled controller: parked %d accesses %d, want 2/0",
 			c.Parked(), c.Stats.Accesses)
 	}
+	for at, want := range []int{2, 1, 0} {
+		if got := c.ParkedAfter(int64(at) - 1); got != want {
+			t.Errorf("ParkedAfter(%d) = %d, want %d", at-1, got, want)
+		}
+	}
 }

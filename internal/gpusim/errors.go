@@ -3,6 +3,7 @@ package gpusim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -145,16 +146,25 @@ func (s *Snapshot) String() string {
 // (an L2 hit, or in flight at the controller), then on the reply
 // crossbar until its SM takes it. Replies delivered by then that an SM
 // has not taken yet (non-final ones wait for its next visit) are taken
-// first, so the snapshot reads as stepping every cycle gives it.
+// first, so the snapshot reads as stepping every cycle gives it. A
+// transaction a lone SM settled at issue (runState.settle) that leaves
+// it after the last cycle stepped counts in its inject queue: its
+// arrival is ICNTLatency after it leaves, since no other SM books its
+// partition's port.
 func (g *GPU) snapshot(st *runState, now int64, stepped bool) *Snapshot {
 	reached := now
 	if !stepped {
 		reached--
 	}
 	g.catchUp(st, reached)
+	queuedAfter := int64(math.MaxInt64) // an arrival after it is still queued at its SM
+	if st.settle {
+		queuedAfter = reached + int64(g.cfg.ICNTLatency)
+	}
 	s := &Snapshot{Cycle: now, RemainingWarps: st.remaining}
 	for pid, p := range st.parts {
-		s.Partitions = append(s.Partitions, PartitionSnapshot{Partition: pid, Queued: p.ctrl.Parked()})
+		s.Partitions = append(s.Partitions, PartitionSnapshot{Partition: pid,
+			Queued: p.ctrl.Parked() - p.ctrl.ParkedAfter(queuedAfter)})
 	}
 	for smID, sm := range st.sms {
 		if len(sm.warps) == 0 {
@@ -162,6 +172,10 @@ func (g *GPU) snapshot(st *runState, now int64, stepped bool) *Snapshot {
 		}
 		snap := SMSnapshot{SM: smID, Warps: len(sm.warps),
 			InjectQueue: sm.injectQ.Len(), LocalReplies: len(sm.replies)}
+		if st.settle && sm.drained > reached {
+			// One leaves every cycle through drained.
+			snap.InjectQueue += int(sm.drained - reached)
+		}
 		for _, w := range sm.warps {
 			switch {
 			case w.done:
@@ -179,6 +193,8 @@ func (g *GPU) snapshot(st *runState, now int64, stepped bool) *Snapshot {
 			l2 := g.cfg.L2Enabled && src%2 == 0
 			for i := 0; i < f.Len(); i++ {
 				switch r := f.At(i); {
+				case r.Arrived > queuedAfter:
+					// counted in the inject queue
 				case r.Arrived > reached:
 					s.ToMemPending++
 				case r.Done <= reached:

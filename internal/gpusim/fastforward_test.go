@@ -512,27 +512,76 @@ func TestFastForwardStepsFewCyclesOnWideLoads(t *testing.T) {
 	}
 }
 
+// TestFastForwardSettlesAtIssueOnALoneSM pins which launches settle
+// their transactions at issue: under fast-forward, the one-warp
+// wide-load launch never queues one at its SM, while with fast-forward
+// off, with metrics on, and on two SMs the inject queue is used. A
+// fresh GPU's queues hold no storage until a transaction is queued.
+func TestFastForwardSettlesAtIssueOnALoneSM(t *testing.T) {
+	stepped := DefaultConfig()
+	stepped.FastForwardDisabled = true
+	observed := DefaultConfig()
+	observed.Metrics = NewMetrics()
+	twoSMs := DefaultConfig()
+	twoSMs.NumSMs = 2
+	for _, c := range []struct {
+		name   string
+		cfg    Config
+		kern   *Kernel
+		queues bool
+	}{
+		{"lone-sm", DefaultConfig(), wideLoadKernel(), false},
+		{"lone-sm-stepped", stepped, wideLoadKernel(), true},
+		{"lone-sm-metrics", observed, wideLoadKernel(), true},
+		{"two-sms", twoSMs, sharedSMKernel(1), true},
+	} {
+		g := mustGPU(t, c.cfg)
+		if _, err := g.Run(c.kern, 3); err != nil {
+			t.Fatal(err)
+		}
+		queued := false
+		for _, sm := range g.rt.sms {
+			queued = queued || sm.injectQ.Cap() > 0
+		}
+		if queued != c.queues {
+			t.Errorf("%s: a transaction was queued: %v, want %v", c.name, queued, c.queues)
+		}
+	}
+}
+
 // TestFastForwardSnapshotsMatchStepping requires the state an error
 // or a fork reports mid-launch to be the one stepping every cycle
-// gives, although fast-forward takes non-final replies late: the
-// MaxCycles snapshot at budgets all through the wide-load launch, and
-// the prefix snapshot a fork resumes from.
+// gives, although fast-forward takes non-final replies late and a
+// lone SM settles its transactions at issue: the MaxCycles snapshot at
+// budgets all through the wide-load launch, and the prefix snapshot a
+// fork resumes from, also on one SM with transactions queued.
 func TestFastForwardSnapshotsMatchStepping(t *testing.T) {
 	snapshotsMatchStepping(t, wideLoadKernel(), 3, nil)
 
-	kern := randomKernel(11, 4, 4)
-	var prefixes [2]*PrefixSnapshot
-	for i, ffDisabled := range []bool{false, true} {
-		cfg := forkConfig(mechanism.Baseline(), []int{4}, func(c *Config) { c.FastForwardDisabled = ffDisabled })
-		snap, err := mustGPU(t, cfg).RunPrefix(kern, 42)
-		if err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		kern *Kernel
+		seed uint64
+		mut  func(*Config)
+	}{
+		{randomKernel(11, 4, 4), 42, func(*Config) {}},
+		{forkQueuedKernel(2), 7, oneSM},
+	} {
+		var prefixes [2]*PrefixSnapshot
+		for i, ffDisabled := range []bool{false, true} {
+			cfg := forkConfig(mechanism.Baseline(), []int{4}, func(cfg *Config) {
+				c.mut(cfg)
+				cfg.FastForwardDisabled = ffDisabled
+			})
+			snap, err := mustGPU(t, cfg).RunPrefix(c.kern, c.seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap.cfg = Config{}
+			prefixes[i] = snap
 		}
-		snap.cfg = Config{}
-		prefixes[i] = snap
-	}
-	if !reflect.DeepEqual(prefixes[0], prefixes[1]) {
-		t.Fatalf("prefix snapshots differ: paused at %d and %d", prefixes[0].cycle, prefixes[1].cycle)
+		if !reflect.DeepEqual(prefixes[0], prefixes[1]) {
+			t.Fatalf("%s: prefix snapshots differ: paused at %d and %d", c.kern.Label, prefixes[0].cycle, prefixes[1].cycle)
+		}
 	}
 }
 

@@ -240,22 +240,21 @@ func TestForkGates(t *testing.T) {
 	}
 }
 
-// TestForkRestoresQueuedTransactions forks a launch whose prefix
-// pauses while an SM's inject queue still holds transactions: the
-// restore must hand them to the drain, or they never reach memory
-// and the fork differs from (or never finishes like) a full Run. Warps
-// 0 and 15 share SM 0 of the default 15; warp 15 opens with an
-// uncoalesced load whose 32 transactions drain one per cycle, while
-// warp 0 reaches the vulnerable round after one ALU operation.
-func TestForkRestoresQueuedTransactions(t *testing.T) {
+// forkQueuedKernel builds a kernel of n warps whose prefix pauses
+// while the last warp's transactions are queued at its SM: warp n-1
+// opens with an uncoalesced load whose 32 transactions drain one per
+// cycle, while warp 0 reaches the vulnerable round 4 after one ALU
+// operation. On the default 15 SMs, 16 warps put warps 0 and 15 on
+// SM 0; on one SM, 2 warps take one scheduler each and issue at once.
+func forkQueuedKernel(n int) *Kernel {
 	kern := &Kernel{Label: "fork-queued"}
-	for wid := 0; wid < 16; wid++ {
+	for wid := 0; wid < n; wid++ {
 		scattered := make([]uint64, 32)
 		for i := range scattered {
 			scattered[i] = uint64(wid*32+i) * 4096
 		}
 		first := Instr{Kind: ALU, Round: 1}
-		if wid == 15 {
+		if wid == n-1 {
 			first = Instr{Kind: Load, Addrs: scattered, Round: 1}
 		}
 		kern.Warps = append(kern.Warps, &WarpProgram{ID: wid, Instrs: []Instr{
@@ -264,42 +263,66 @@ func TestForkRestoresQueuedTransactions(t *testing.T) {
 			{Kind: RoundMark, Round: 0},
 		}})
 	}
+	return kern
+}
+
+// oneSM configures a machine of one SM.
+func oneSM(c *Config) { c.NumSMs = 1 }
+
+// TestForkRestoresQueuedTransactions forks a launch whose prefix
+// pauses while an SM's inject queue still holds transactions: the
+// restore must hand them to the drain, or they never reach memory
+// and the fork differs from (or never finishes like) a full Run. On
+// one SM the fork settles its transactions at issue, so the restored
+// queue must leave before any the fork issues.
+func TestForkRestoresQueuedTransactions(t *testing.T) {
 	vulnerable := []int{4}
-	prefixGPU, err := New(forkConfig(mechanism.Baseline(), vulnerable, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, err := prefixGPU.RunPrefix(kern, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	queued := 0
-	for _, ss := range snap.sms {
-		queued += len(ss.injectQ)
-	}
-	if queued == 0 {
-		t.Fatal("the prefix paused with every inject queue empty; the test needs a queued transaction")
-	}
-	for _, mech := range []mechanism.Mechanism{mechanism.Baseline(), mechanism.RSSRTS(8)} {
-		cfg := forkConfig(mech, vulnerable, nil)
-		vanilla, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := vanilla.Run(kern, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		forked, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := forked.RunFork(snap)
-		if err != nil {
-			t.Fatalf("%s: RunFork: %v", mech.Name(), err)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("%s: forked result differs from vanilla Run (%d queued transactions at the pause)", mech.Name(), queued)
-		}
+	for _, c := range []struct {
+		name string
+		kern *Kernel
+		mut  func(*Config)
+	}{
+		{"15sms", forkQueuedKernel(16), nil},
+		{"1sm", forkQueuedKernel(2), oneSM},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			prefixGPU, err := New(forkConfig(mechanism.Baseline(), vulnerable, c.mut))
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap, err := prefixGPU.RunPrefix(c.kern, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			queued := 0
+			for _, ss := range snap.sms {
+				queued += len(ss.injectQ)
+			}
+			if queued == 0 {
+				t.Fatal("the prefix paused with every inject queue empty; the test needs a queued transaction")
+			}
+			for _, mech := range []mechanism.Mechanism{mechanism.Baseline(), mechanism.RSSRTS(8)} {
+				cfg := forkConfig(mech, vulnerable, c.mut)
+				vanilla, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := vanilla.Run(c.kern, 7)
+				if err != nil {
+					t.Fatal(err)
+				}
+				forked, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := forked.RunFork(snap)
+				if err != nil {
+					t.Fatalf("%s: RunFork: %v", mech.Name(), err)
+				}
+				if !reflect.DeepEqual(want, got) {
+					t.Fatalf("%s: forked result differs from vanilla Run (%d queued transactions at the pause)", mech.Name(), queued)
+				}
+			}
+		})
 	}
 }

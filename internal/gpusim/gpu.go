@@ -55,13 +55,15 @@ type GPU struct {
 
 	// skipIdle enables the per-SM and per-scheduler wake horizons
 	// (stepSMs, issueOne), draining ahead to the next SM event
-	// (drainAhead), batched non-final replies (replyLead) and
-	// request-slot recycling. It is off under FastForwardDisabled,
-	// which keeps stepping every SM every cycle as the differential
-	// oracle, and under Metrics, whose per-slot stall counters need
-	// every scheduler visited every cycle. The memory side is never
-	// stepped: each request's path back to its SM is settled when it
-	// leaves the SM (arrive), in every mode.
+	// (drainAhead), batched non-final replies (replyLead), request-slot
+	// recycling and, when one SM holds all of a launch's warps,
+	// settling each transaction at issue (runState.settle). It is off
+	// under FastForwardDisabled, which keeps stepping every SM every
+	// cycle as the differential oracle, and under Metrics, whose
+	// per-slot stall counters need every scheduler visited every cycle
+	// and whose inject-queue depths need the queue. The memory side is
+	// never stepped: each request's path back to its SM is settled when
+	// it leaves the SM (arrive), in every mode.
 	skipIdle bool
 	// leadOcc is the reply port's occupancy when an SM may take its
 	// non-final replies in batches (replyLead): under skipIdle with no
@@ -177,7 +179,7 @@ type warpRun struct {
 	sched int
 	// undrained counts the warp's transactions still in its SM's inject
 	// queue, and lastDone is the latest Done among those that left it
-	// (arrive): the warp's last reply is not delivered before lastDone
+	// (book): the warp's last reply is not delivered before lastDone
 	// plus ICNTLatency once undrained is 0 (replyLead).
 	undrained int
 	lastDone  int64
@@ -234,6 +236,9 @@ type smState struct {
 	// warp's last reply may raise it and the floor, which sets refresh.
 	fewest  int
 	refresh bool
+	// drained is the cycle the SM's latest transaction leaves its LD/ST
+	// unit, when it settles them at issue (runState.settle).
+	drained int64
 }
 
 // partState is one memory partition: the optional L2 slice in front of
@@ -260,8 +265,16 @@ type runState struct {
 	// one bit per SM id; drain empties them ahead of the SMs' steps,
 	// up to the next SM event under skipIdle (drainAhead).
 	draining []uint64
-	toMem    *icnt.Slots
-	toSM     *icnt.Slots
+	// settle is set when the launch's one SM with warps settles each
+	// transaction at issue instead of queueing it (issueMemory): with
+	// no other SM to book a partition port or a DRAM bank between two
+	// of its transactions, the cycle drain would pop one is known when
+	// it is queued, and the memory side sees them in the same order.
+	// The loop sets it under skipIdle, except in a prefix (RunPrefix),
+	// whose snapshot keeps the inject queue stepping gives.
+	settle bool
+	toMem  *icnt.Slots
+	toSM   *icnt.Slots
 	// dropSM, dropNth and dropSeen are the DropReply fault seam
 	// (internal/faultinject): when dropNth > 0, the dropNth-th reply
 	// SM dropSM takes off its queue in this launch vanishes.
@@ -338,6 +351,18 @@ func (g *GPU) loop(st *runState, k *Kernel, start int64, pauseAtVulnerable bool)
 	var stalled int64
 
 	st.cal.reset(start, st.warpSMs, !g.skipIdle)
+	st.settle = g.skipIdle && len(st.warpSMs) == 1 && !pauseAtVulnerable
+	if st.settle {
+		// A fork resumes with the inject queue its prefix paused with:
+		// it drains first, one transaction a cycle from start, and the
+		// transactions the SM issues from then on follow it.
+		last := start - 1
+		for st.anyDraining() {
+			last++
+			g.drain(st, last)
+		}
+		st.sms[st.warpSMs[0]].drained = last
+	}
 	for now := start; ; now++ {
 		if now > maxCycles {
 			return 0, false, &MaxCyclesError{Kernel: k.Label, MaxCycles: maxCycles, Snapshot: g.snapshot(st, now, false)}
@@ -374,6 +399,15 @@ func (g *GPU) loop(st *runState, k *Kernel, start int64, pauseAtVulnerable bool)
 			next := last + 1 // an SM is due, or the budget is spent
 			if !st.anyDraining() {
 				next = g.nextEvent(st, last)
+			}
+			if next == math.MaxInt64 && st.settle {
+				// Stepping finds a wedge once the lone SM's last
+				// transaction has left, unless the budget runs out first.
+				if d := st.sms[st.warpSMs[0]].drained; d > maxCycles {
+					next = maxCycles + 1
+				} else {
+					last = max(last, d)
+				}
 			}
 			if next == math.MaxInt64 {
 				// Warps remain unfinished yet nothing is in flight
@@ -704,10 +738,11 @@ func (g *GPU) resetRuntime(st *runState, cacheRNG *rng.Source) {
 	st.dropSeen = 0
 }
 
-// drain moves up to MCURate transactions from each SM's LD/ST
-// injection queue into the interconnect, in SM-id order, settling each
-// one's memory side and queueing its reply (arrive); only the SMs
-// marked in st.draining are visited. It runs ahead of the SMs' steps,
+// drain moves one transaction from each SM's LD/ST injection queue
+// into the interconnect (Table I), in SM-id order, settling its memory
+// side and queueing its reply (arrive); only the SMs marked in
+// st.draining are visited, so a launch that settles at issue
+// (runState.settle) never drains. It runs ahead of the SMs' steps,
 // which is exact: a transaction queued at cycle t still drains from
 // t+1, and a drain at cycle t queues only replies ready after t, which
 // no SM can take before t+1+ICNTLatency, nor sort ahead of a reply an
@@ -717,11 +752,9 @@ func (g *GPU) drain(st *runState, now int64) {
 		for ; word != 0; word &= word - 1 {
 			smID := w<<6 | bits.TrailingZeros64(word)
 			q := &st.sms[smID].injectQ
-			for n := 0; n < g.cfg.MCURate && q.Len() > 0; n++ {
-				req := q.Pop()
-				g.arrive(st, req, st.toMem.Reserve(req.Loc.Partition, now))
-				st.progress++
-			}
+			req := q.Pop()
+			g.arrive(st, req, st.toMem.Reserve(req.Loc.Partition, now))
+			st.progress++
 			if q.Len() == 0 {
 				st.draining[w] &^= 1 << (smID & 63)
 			}
@@ -855,7 +888,8 @@ func (g *GPU) catchUp(st *runState, through int64) {
 // ICNTLatency over the pending warps with nothing undrained, since a
 // reply is never delivered before its Done plus ICNTLatency
 // (icnt.Slots.Due). A warp with transactions undrained joins the
-// floor when its last one leaves (arrive).
+// floor when its last one leaves (arrive), on a lone SM at issue
+// (issueMemory).
 func (g *GPU) replyLead(sm *smState) int64 {
 	if g.leadOcc == 0 {
 		return 0
@@ -977,16 +1011,31 @@ func (g *GPU) retire(st *runState, w *warpRun, now int64) {
 	}
 }
 
-// arrive settles request r's memory side the moment it leaves its SM,
+// arrive settles the memory side of request r, drained from its SM's
+// inject queue, given its arrival cycle at at its partition (book),
+// and lowers the SM's wake to its reply horizon: the SM may be asleep.
+func (g *GPU) arrive(st *runState, r *mem.Request, at int64) {
+	w := st.runs[r.Warp]
+	w.undrained--
+	if !g.book(st, r, at) {
+		return
+	}
+	sm := st.sms[r.SM]
+	if w.undrained == 0 {
+		sm.floor = min(sm.floor, w.lastDone+int64(g.cfg.ICNTLatency))
+	}
+	st.cal.lower(r.SM, st.replyHorizon(sm, r.SM))
+}
+
+// book settles request r's memory side the moment it leaves its SM,
 // given its arrival cycle at at its partition, and queues its reply at
 // the SM. Each port delivers in injection order and a partition takes
 // every arrival the cycle it comes, so the partition's L2 and
 // controller see requests in the order they are settled here: an L2
 // hit's data is ready HitLatency after arrival; a miss is scheduled on
-// its DRAM bank. A request a stalled controller parks never returns.
-func (g *GPU) arrive(st *runState, r *mem.Request, at int64) {
-	w := st.runs[r.Warp]
-	w.undrained--
+// its DRAM bank. A request a stalled controller parks never returns,
+// and book reports false.
+func (g *GPU) book(st *runState, r *mem.Request, at int64) bool {
 	pid := r.Loc.Partition
 	p := st.parts[pid]
 	src, hit := pid, false // the reply's source (replyQueue)
@@ -1001,7 +1050,7 @@ func (g *GPU) arrive(st *runState, r *mem.Request, at int64) {
 		r.Done = at + int64(p.l2.HitLatency())
 	} else {
 		if p.ctrl.Schedule(r, at) == math.MaxInt64 {
-			return
+			return false
 		}
 		if p.l2 != nil {
 			src++
@@ -1011,13 +1060,10 @@ func (g *GPU) arrive(st *runState, r *mem.Request, at int64) {
 				Warp: r.Warp, Addr: r.Addr, Round: r.Round, Part: pid, N: r.Done - r.Arrived})
 		}
 	}
-	sm := st.sms[r.SM]
-	sm.replyQ.push(src, r)
+	st.sms[r.SM].replyQ.push(src, r)
+	w := st.runs[r.Warp]
 	w.lastDone = max(w.lastDone, r.Done)
-	if w.undrained == 0 {
-		sm.floor = min(sm.floor, w.lastDone+int64(g.cfg.ICNTLatency))
-	}
-	st.cal.lower(r.SM, st.replyHorizon(sm, r.SM))
+	return true
 }
 
 func (st *runState) idleSMs() bool {
@@ -1200,7 +1246,8 @@ func (g *GPU) planFor(st *runState, w *warpRun, round int) core.Plan {
 // memory instruction: per-thread addresses are reduced to block
 // requests, grouped by the governing plan's subwarp ids, filtered
 // through the L1 and the MSHR merge table when enabled, and the
-// surviving transactions queued for injection.
+// surviving transactions queued for injection, or settled at once on
+// a lone SM (runState.settle).
 func (g *GPU) issueMemory(st *runState, sm *smState, smID int, w *warpRun, ins *Instr, now int64) {
 	blocks := g.blockScratch[:0]
 	for _, a := range ins.Addrs {
@@ -1290,6 +1337,15 @@ func (g *GPU) issueMemory(st *runState, sm *smState, smID int, w *warpRun, ins *
 		req.SM, req.Warp, req.Round = smID, w.prog.ID, round
 		req.Arrived, req.Done = 0, 0
 		req.Loc = *g.decode(b)
+		if st.settle {
+			// It leaves the cycle drain would pop it: one a cycle, after
+			// the SM's earlier ones. Unlike arrive it sets no wake: the
+			// SM's step ends by setting its own (stepSMs).
+			sm.drained = max(now, sm.drained) + 1
+			g.book(st, req, st.toMem.Reserve(req.Loc.Partition, sm.drained))
+			st.progress++
+			continue
+		}
 		sm.injectQ.Push(req)
 		w.undrained++
 		st.markDraining(smID)
@@ -1300,6 +1356,10 @@ func (g *GPU) issueMemory(st *runState, sm *smState, smID int, w *warpRun, ins *
 	g.txScratch = txBlocks[:0]
 	if issued > 0 {
 		sm.fewest = min(sm.fewest, w.pending)
+		if st.settle {
+			// Nothing of the warp is left to drain (arrive).
+			sm.floor = min(sm.floor, w.lastDone+int64(g.cfg.ICNTLatency))
+		}
 		if m := g.cfg.Metrics; m != nil {
 			sm.prt += issued
 			m.prtOccupancy.Observe(int64(sm.prt))

@@ -108,6 +108,34 @@ func TestWatchdogTripsOnDRAMStall(t *testing.T) {
 	}
 }
 
+// TestWatchdogSnapshotsMatchSteppingOnStalledDRAM cuts the one-warp
+// wide-load launch short, with every controller parking every request,
+// at budgets all through its first load's drain. Under fast-forward
+// its lone SM settles the 32 transactions at issue, so all of them
+// park at once; the snapshot must count as parked only those stepping
+// has drained, the rest in the inject queue, and the budget, not the
+// wedge, must end the launch.
+func TestWatchdogSnapshotsMatchSteppingOnStalledDRAM(t *testing.T) {
+	for budget := int64(1); budget < 32; budget++ {
+		var snaps [2]*Snapshot
+		for i, ffDisabled := range []bool{false, true} {
+			cfg := DefaultConfig()
+			cfg.FastForwardDisabled = ffDisabled
+			cfg.MaxCycles = budget
+			cfg.Faults = &faultinject.Plan{DRAMStall: &faultinject.DRAMStall{Partition: -1}}
+			_, err := mustGPU(t, cfg).Run(wideLoadKernel(), 3)
+			var mce *MaxCyclesError
+			if !errors.As(err, &mce) {
+				t.Fatalf("budget %d, fast-forward off %v: err = %v, want *MaxCyclesError", budget, ffDisabled, err)
+			}
+			snaps[i] = mce.Snapshot
+		}
+		if !reflect.DeepEqual(snaps[0], snaps[1]) {
+			t.Fatalf("budget %d: fast-forward snapshot\n%s\nstepped snapshot\n%s", budget, snaps[0], snaps[1])
+		}
+	}
+}
+
 // TestWatchdogTripsOnSwallowedReply injects a lost crossbar reply: the
 // requesting warp waits forever with nothing in flight. Fast-forward
 // proves the wedge immediately; pure stepping trips via the window.
