@@ -91,8 +91,8 @@ bench:
 # $(BENCH_OUT)/bench_raw.txt, and rcoal-benchjson writes the report to
 # $(BENCH_OUT)/BENCH_gpusim.json. The X/XVanilla pairs are joined within
 # the run and gated: the prefix-forked sweep must hold >= 2x, and the
-# 1024-line and 32-line launches >= 2.0x and >= 1.5x with fast-forward
-# on than with it off. A 32-line launch takes under a millisecond, too
+# 1024-line and 32-line launches >= 2.0x each with fast-forward on than
+# with it off. A 32-line launch takes under a millisecond, too
 # short for one iteration to time, so its pair runs apart at
 # SHORT_BENCHTIME. Set BENCH_BASELINE to a previous raw `go test -bench`
 # log to record before/after speedups alongside the fresh numbers.
@@ -100,7 +100,7 @@ BENCHTIME ?= 1x
 SHORT_BENCH = SimulatorEncrypt32Lines
 SHORT_BENCHTIME ?= 1000x
 BENCH_OUT ?= .bench_build
-MIN_SPEEDUPS = SelectiveMechanismSweep:2.0,SimulatorEncrypt1024Lines:2.0,SimulatorEncrypt32Lines:1.5
+MIN_SPEEDUPS = SelectiveMechanismSweep:2.0,SimulatorEncrypt1024Lines:2.0,SimulatorEncrypt32Lines:2.0
 bench-gate:
 	mkdir -p $(BENCH_OUT)
 	$(GO) test -run '^$$' -bench . -skip '$(SHORT_BENCH)' -benchtime=$(BENCHTIME) -benchmem -count=1 . > $(BENCH_OUT)/bench_raw.txt

@@ -150,7 +150,8 @@ func (s *Snapshot) String() string {
 // transaction a lone SM settled at issue (runState.settle) that leaves
 // it after the last cycle stepped counts in its inject queue: its
 // arrival is ICNTLatency after it leaves, since no other SM books its
-// partition's port.
+// partition's port. The replies of a batched train (runState.batch)
+// not delivered by then count as queued ones do, from their keys.
 func (g *GPU) snapshot(st *runState, now int64, stepped bool) *Snapshot {
 	reached := now
 	if !stepped {
@@ -190,22 +191,38 @@ func (g *GPU) snapshot(st *runState, now int64, stepped bool) *Snapshot {
 		s.SMs = append(s.SMs, snap)
 		for src := range sm.replyQ.src {
 			f := &sm.replyQ.src[src]
-			l2 := g.cfg.L2Enabled && src%2 == 0
 			for i := 0; i < f.Len(); i++ {
-				switch r := f.At(i); {
-				case r.Arrived > queuedAfter:
-					// counted in the inject queue
-				case r.Arrived > reached:
-					s.ToMemPending++
-				case r.Done <= reached:
-					s.ToSMPending++
-				case l2:
-					s.Partitions[r.Loc.Partition].L2Replies++
-				default:
-					s.Partitions[r.Loc.Partition].InFlight++
-				}
+				r := f.At(i)
+				g.countReply(s, src, r.Arrived, r.Done, reached, queuedAfter)
 			}
+		}
+		for _, b := range sm.batch[sm.batchNext:] {
+			g.countReply(s, sm.replyQ.source(b.key), b.arrived, sm.replyQ.done(b.key), reached, queuedAfter)
 		}
 	}
 	return s
+}
+
+// countReply places one undelivered reply from source src (replyQueue)
+// in the snapshot, by where its request is as of cycle reached: still
+// queued at its SM when it arrives after queuedAfter, on its way to its
+// partition, there until its data is ready at done, or on the reply
+// crossbar.
+func (g *GPU) countReply(s *Snapshot, src int, arrived, done, reached, queuedAfter int64) {
+	pid, l2 := src, false
+	if g.cfg.L2Enabled {
+		pid, l2 = src/2, src%2 == 0
+	}
+	switch {
+	case arrived > queuedAfter:
+		// counted in the inject queue
+	case arrived > reached:
+		s.ToMemPending++
+	case done <= reached:
+		s.ToSMPending++
+	case l2:
+		s.Partitions[pid].L2Replies++
+	default:
+		s.Partitions[pid].InFlight++
+	}
 }

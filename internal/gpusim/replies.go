@@ -9,7 +9,7 @@ import (
 )
 
 // replyQueue holds an SM's memory replies in flight, from the cycle
-// their requests leave the SM (arrive), one FIFO per source: partition
+// their requests leave the SM (GPU.serve), one FIFO per source: partition
 // pid's DRAM data is source pid, or with L2s its L2 hits are source
 // 2*pid and its DRAM data 2*pid+1 (GPU.replySources). A source
 // readies replies (the requests' Done) in the order their requests
@@ -20,7 +20,9 @@ import (
 // then least source (partition order, an L2 hit before DRAM data),
 // which is the least head of all FIFOs. A reply's key packs both,
 // Done<<shift | source, so that order is the keys' order (a launch's
-// cycles stay far below 2^(63-shift)).
+// cycles stay far below 2^(63-shift)). A one-warp launch that batches
+// its replies (runState.batch) never queues them here: it sorts each
+// train by these keys instead (GPU.bookTrain).
 type replyQueue struct {
 	src   []ringbuf.Ring[*mem.Request]
 	ready []int64 // each source's head key; math.MaxInt64 when empty
@@ -38,25 +40,33 @@ func newReplyQueue(sources int) replyQueue {
 func (q *replyQueue) empty() bool { return q.head == math.MaxInt64 }
 
 // next returns the Done of the next reply; the queue must not be empty.
-func (q *replyQueue) next() int64 { return q.head >> q.shift }
+func (q *replyQueue) next() int64 { return q.done(q.head) }
+
+// key returns the key of a reply from source s whose data is ready at
+// done; done and source recover its parts.
+func (q *replyQueue) key(done int64, s int) int64 { return done<<q.shift | int64(s) }
+
+func (q *replyQueue) done(key int64) int64 { return key >> q.shift }
+
+func (q *replyQueue) source(key int64) int { return int(key & (1<<q.shift - 1)) }
 
 func (q *replyQueue) push(s int, r *mem.Request) {
 	f := &q.src[s]
 	f.Push(r)
 	if f.Len() == 1 {
-		q.ready[s] = r.Done<<q.shift | int64(s)
+		q.ready[s] = q.key(r.Done, s)
 		q.head = min(q.head, q.ready[s])
 	}
 }
 
 // pop removes and returns the next reply; the queue must not be empty.
 func (q *replyQueue) pop() *mem.Request {
-	s := int(q.head & (1<<q.shift - 1))
+	s := q.source(q.head)
 	f := &q.src[s]
 	r := f.Pop()
 	q.ready[s] = math.MaxInt64
 	if f.Len() > 0 {
-		q.ready[s] = f.Peek().Done<<q.shift | int64(s)
+		q.ready[s] = q.key(f.Peek().Done, s)
 	}
 	q.head = math.MaxInt64
 	for _, k := range q.ready {

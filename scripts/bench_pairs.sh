@@ -3,11 +3,17 @@
 #
 #   bash scripts/bench_pairs.sh PARENT CHANGE WORKLOAD N SEED0
 #
-# Runs `bench/run.sh -workload WORKLOAD -seed S -trace 0` from the
+# Runs `bench/run.sh -workload WORKLOAD -seed S -trace 0` for the
 # PARENT and CHANGE checkout directories N times each, at seeds SEED0,
-# SEED0+1, ..., alternating which side runs first (pair i runs PARENT
-# first when i is even). Each run lasts the benchmark's run length,
-# run_seconds in this repo's BENCHMARK.json. Prints every pair, then
+# SEED0+1, ..., alternating which side runs first and from where. Both
+# checkouts are first staged, without .git and with their .bench_build/
+# (so a warm build cache stays warm), into two slot directories of one
+# fresh directory; pair i runs PARENT first and from slot 0 when i is
+# even, and the slots swap on odd pairs (a rename), so neither side
+# keeps the path, filesystem or VCS stamp it was given; an A/A run
+# (one checkout as both sides) should read "no claim". Each run lasts
+# the benchmark's run length, run_seconds in this repo's
+# BENCHMARK.json. Prints every pair, then
 # for each end-to-end metric each side's median and quartiles, the
 # median paired ratio (change/parent), the pairs the change won (lower
 # is better; ties count for neither) and the verdict: a gain holds
@@ -17,9 +23,10 @@
 # nine tenths of the pairs and the change's median above the parent's
 # by more than that range.
 #
-# Not a CI step: a measurement tool. Both checkouts build their own
-# benchmark under their own .bench_build/. Raw reports stay in a
-# fresh temporary directory, printed at the end.
+# Not a CI step: a measurement tool. Each slot builds its own
+# benchmark under its own .bench_build/; the slots are removed at the
+# end. Raw reports stay in a fresh temporary directory, printed at the
+# end.
 set -euo pipefail
 
 if [ $# -ne 5 ]; then
@@ -40,11 +47,31 @@ fi
 out=$(mktemp -d)
 metrics=(wall_s cpu_s peak_rss_mb setup_s)
 
-# run SIDE DIR SEED: one benchmark run, its metric lines kept in
-# $out/SIDE.SEED.txt.
+# The slots: PARENT's tree starts in $slots/0 and CHANGE's in
+# $slots/1; parent_slot tracks where PARENT's tree is.
+slots=$(mktemp -d)
+trap 'rm -rf "$slots"' EXIT
+for side in 0 1; do
+  src=$parent
+  if ((side == 1)); then src=$change; fi
+  mkdir "$slots/$side"
+  tar -C "$src" --exclude=./.git -cf - . | tar -C "$slots/$side" -xf -
+done
+parent_slot=0
+
+# swap: exchange the two slots' trees.
+swap() {
+  mv "$slots/0" "$slots/t" && mv "$slots/1" "$slots/0" && mv "$slots/t" "$slots/1"
+  parent_slot=$((1 - parent_slot))
+}
+
+# run SIDE SEED: one benchmark run of SIDE (parent or change) from its
+# slot, its metric lines kept in $out/SIDE.SEED.txt.
 run() {
-  (cd "$2" && bash bench/run.sh -workload "$workload" -seed "$3" \
-    -seconds "$seconds" -trace 0 -out "$out/$1.$3.json") >"$out/$1.$3.txt"
+  local slot=$parent_slot
+  if [ "$1" = change ]; then slot=$((1 - parent_slot)); fi
+  (cd "$slots/$slot" && bash bench/run.sh -workload "$workload" -seed "$2" \
+    -seconds "$seconds" -trace 0 -out "$out/$1.$2.json") >"$out/$1.$2.txt"
 }
 
 # value FILE METRIC: the metric's value from one run's output.
@@ -54,12 +81,13 @@ value() {
 
 for ((i = 0; i < n; i++)); do
   seed=$((seed0 + i))
+  if ((i % 2 != parent_slot)); then swap; fi
   if ((i % 2 == 0)); then
-    run parent "$parent" "$seed"
-    run change "$change" "$seed"
+    run parent "$seed"
+    run change "$seed"
   else
-    run change "$change" "$seed"
-    run parent "$parent" "$seed"
+    run change "$seed"
+    run parent "$seed"
   fi
   echo "pair $i seed $seed: wall_s parent $(value "$out/parent.$seed.txt" wall_s)" \
     "change $(value "$out/change.$seed.txt" wall_s)"
