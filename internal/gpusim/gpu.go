@@ -60,11 +60,10 @@ type GPU struct {
 	// each transaction at issue (runState.settle) and, when one warp is
 	// the whole launch, its replies too (runState.batch). It is off
 	// under FastForwardDisabled, which keeps stepping every SM every
-	// cycle as the differential oracle, and under Metrics, whose
-	// per-slot stall counters need every scheduler visited every cycle
-	// and whose inject-queue depths need the queue. The memory side is
-	// never stepped: each request's path back to its SM is settled when
-	// it leaves the SM (arrive), in every mode.
+	// cycle as the differential oracle. Metrics count the slots of the
+	// cycles an SM is not stepped at its next step (countSlots). The
+	// memory side is never stepped: each request's path back to its SM
+	// is settled when it leaves the SM (arrive), in every mode.
 	skipIdle bool
 	// leadOcc is the reply port's occupancy when an SM may take its
 	// non-final replies in batches (replyLead): under skipIdle with no
@@ -92,7 +91,7 @@ func New(cfg Config) (*GPU, error) {
 		return nil, err
 	}
 	g := &GPU{cfg: cfg, timing: cfg.DRAMTiming.Scale(cfg.clockRatio()),
-		skipIdle: !cfg.FastForwardDisabled && cfg.Metrics == nil}
+		skipIdle: !cfg.FastForwardDisabled}
 	if g.skipIdle && !cfg.L1Enabled && !cfg.MSHREnabled {
 		g.leadOcc = int64(mem.BlockBytes / cfg.FlitBytes)
 	}
@@ -249,6 +248,10 @@ type smState struct {
 	// on are not delivered yet.
 	batch     []batchedReply
 	batchNext int
+	// counted is the last cycle the SM's scheduler slots are counted
+	// through when metrics are installed (countSlots); -1 at launch
+	// start.
+	counted int64
 }
 
 // batchedReply is one reply of a batched train: its replyQueue key
@@ -358,7 +361,6 @@ func (g *GPU) Run(k *Kernel, seed uint64) (*Result, error) {
 // event horizon to now+1, and every skipped cycle provably has no
 // ready warps, where the predicate is vacuously false.
 func (g *GPU) loop(st *runState, k *Kernel, start int64, pauseAtVulnerable bool) (pausedAt int64, paused bool, err error) {
-	fastForward := !g.cfg.FastForwardDisabled
 	maxCycles := g.cfg.MaxCycles
 	if maxCycles == 0 {
 		maxCycles = DefaultMaxCycles
@@ -409,21 +411,16 @@ func (g *GPU) loop(st *runState, k *Kernel, start int64, pauseAtVulnerable bool)
 		} else if stalled++; stalled >= window {
 			return 0, false, &NoProgressError{Kernel: k.Label, Cycle: now, Window: window, Snapshot: g.snapshot(st, now, true)}
 		}
-		if fastForward && (g.skipIdle || !st.anyDraining()) {
+		if g.skipIdle {
 			// Event-driven fast-forward: when no SM can act before some
-			// future cycle, jump straight to it. Under skipIdle the
-			// cycles before it are drained first (drainAhead); otherwise
-			// a non-empty inject queue drains next cycle, so there is
-			// nothing to skip. Every skipped cycle is one where stepSMs
-			// would have been a no-op, so results are byte-identical to
-			// pure cycle-stepping.
-			last := now
-			if g.skipIdle {
-				last = g.drainAhead(st, now, maxCycles)
-			}
+			// future cycle, drain the cycles before it (drainAhead) and
+			// jump straight to it. Every skipped cycle is one where
+			// stepSMs would have been a no-op, so results are
+			// byte-identical to pure cycle-stepping.
+			last := g.drainAhead(st, now, maxCycles)
 			next := last + 1 // an SM is due, or the budget is spent
 			if !st.anyDraining() {
-				next = g.nextEvent(st, last)
+				next = st.nextEvent(last)
 			}
 			if next == math.MaxInt64 && st.settle {
 				// Stepping finds a wedge once the lone SM's last
@@ -465,7 +462,10 @@ func (g *GPU) finish(st *runState) {
 			st.res.L1 = append(st.res.L1, sm.l1.Stats)
 		}
 	}
-	if g.cfg.Metrics != nil {
+	if m := g.cfg.Metrics; m != nil {
+		for _, smID := range st.warpSMs {
+			countSlots(m, st.sms[smID], st.res.Cycles)
+		}
 		g.snapshotInto(st, st.res)
 	}
 }
@@ -495,66 +495,20 @@ func (st *runState) atVulnerableBoundary(now int64) bool {
 	return false
 }
 
-// nextEvent returns the earliest cycle strictly after now at which any
-// subsystem can act, or math.MaxInt64 when nothing is in flight. The
-// horizon of each subsystem is conservative: it may be earlier than
-// the subsystem's next true state change (in which case the simulator
-// simply steps a few idle cycles), but it is never later. The loop
-// asks only while every inject queue is empty.
-func (g *GPU) nextEvent(st *runState, now int64) int64 {
-	// Under skipIdle the SMs' wake horizons bound every source the scan
-	// below reads.
+// nextEvent returns the earliest cycle strictly after now at which an
+// SM can act: its wake horizon, which bounds every source of a change
+// to its state once every inject queue is empty, as it is when the
+// loop asks. It returns math.MaxInt64 when no SM will ever wake.
+func (st *runState) nextEvent(now int64) int64 {
 	next := int64(math.MaxInt64)
 	for _, smID := range st.warpSMs {
-		if g.skipIdle {
-			t := st.cal.wake[smID]
-			if t <= now+1 {
-				return now + 1
-			}
-			next = min(next, t)
-			continue
+		t := st.cal.wake[smID]
+		if t <= now+1 {
+			return now + 1
 		}
-		sm := st.sms[smID]
-		for i := range sm.replies {
-			if t := sm.replies[i].at; t < next {
-				next = t
-			}
-		}
-		if !sm.replyQ.empty() {
-			next = min(next, st.toSM.Due(smID, sm.replyQ.next()))
-		}
-		for s := range sm.replyQ.src {
-			// The stall counters count the cycles stepped, and those
-			// include every reply's hand-off to the reply crossbar.
-			f := &sm.replyQ.src[s]
-			for i := 0; i < f.Len(); i++ {
-				if t := f.At(i).Done; t > now {
-					next = min(next, t)
-					break
-				}
-			}
-		}
-		for _, w := range sm.warps {
-			if w.done || w.blocked {
-				continue // woken by a reply, covered above
-			}
-			if w.readyAt <= now {
-				// Ready but not issued this cycle (scheduler bandwidth):
-				// the SM is active next cycle.
-				return now + 1
-			}
-			if w.readyAt < next {
-				next = w.readyAt
-			}
-		}
+		next = min(next, t)
 	}
-	if g.cfg.Metrics != nil {
-		// Likewise every request's arrival at its partition.
-		for pid := range st.parts {
-			next = min(next, st.toMem.NextReserved(pid, now))
-		}
-	}
-	return max(now+1, next)
+	return next
 }
 
 // setup builds the launch state: warps on SMs, plans, interconnect,
@@ -744,6 +698,7 @@ func (g *GPU) resetRuntime(st *runState, cacheRNG *rng.Source) {
 		}
 		sm.lead, sm.floor, sm.refresh = 0, 0, true
 		sm.batch, sm.batchNext = sm.batch[:0], 0
+		sm.counted = -1
 		if sm.l1 != nil {
 			sm.l1.Reset(cacheRNG.Uint64())
 		}
@@ -822,6 +777,7 @@ func (st *runState) markDraining(smID int) { st.draining[smID>>6] |= 1 << (smID 
 // schedulers issue. An SM whose wake horizon lies in the future is
 // skipped.
 func (g *GPU) stepSMs(st *runState, now int64, due []uint64) {
+	m := g.cfg.Metrics
 	for w, word := range due {
 		for ; word != 0; word &= word - 1 {
 			smID := w<<6 | bits.TrailingZeros64(word)
@@ -829,6 +785,9 @@ func (g *GPU) stepSMs(st *runState, now int64, due []uint64) {
 			if t := st.cal.wake[smID]; now < t {
 				st.cal.insert(smID, t) // not due yet: keep a bit for its wake
 				continue
+			}
+			if m != nil {
+				countSlots(m, sm, now-1)
 			}
 			// 1a. L1-hit replies maturing this cycle.
 			if len(sm.replies) > 0 {
@@ -847,11 +806,17 @@ func (g *GPU) stepSMs(st *runState, now int64, due []uint64) {
 			g.deliver(st, sm, smID, now)
 
 			// 2. Warp schedulers issue. One whose wake lies in the future
-			// is skipped; one with no warps never wakes.
+			// is skipped, and its slot stalls; one with no warps never
+			// wakes.
 			for s, wake := range sm.schedWake {
 				if now >= wake {
 					g.issueOne(st, sm, smID, s, now)
+				} else if m != nil && len(sm.sched[s]) > 0 {
+					m.stall(sm.sched[s], 1)
 				}
+			}
+			if m != nil {
+				sm.counted = now
 			}
 
 			if g.skipIdle {
@@ -860,6 +825,24 @@ func (g *GPU) stepSMs(st *runState, now int64, due []uint64) {
 			}
 		}
 	}
+}
+
+// countSlots counts the SM's scheduler slots from the cycle after
+// sm.counted through cycle through, cycles the SM was not stepped: one
+// stall per scheduler with warps per cycle (Metrics.stall). It is
+// exact when run before a step's replies: between two steps of an SM
+// only non-final replies reach it, which leave every warp's done and
+// blocked state, and whether it is pending, as they were, so each
+// scheduler's stall reason is the same at every cycle of the span.
+func countSlots(m *Metrics, sm *smState, through int64) {
+	if n := through - sm.counted; n > 0 {
+		for _, mine := range sm.sched {
+			if len(mine) > 0 {
+				m.stall(mine, uint64(n))
+			}
+		}
+	}
+	sm.counted = through
 }
 
 // deliver takes every reply the SM's port has delivered by cycle now,
@@ -1125,6 +1108,7 @@ func (w *warpRun) finish(now int64, stats *WarpStats) {
 // loose round-robin: the scan starts after the last issued warp.
 func (g *GPU) issueOne(st *runState, sm *smState, smID, s int, now int64) {
 	mine := sm.sched[s]
+	m := g.cfg.Metrics
 	nLocal := len(mine)
 	start := sm.schedPtr[s]
 	for probe := 0; probe < nLocal; probe++ {
@@ -1134,36 +1118,14 @@ func (g *GPU) issueOne(st *runState, sm *smState, smID, s int, now int64) {
 		}
 		if g.tryIssue(st, sm, smID, mine[idx], now) {
 			sm.schedPtr[s] = (idx + 1) % nLocal
-			if m := g.cfg.Metrics; m != nil {
+			if m != nil {
 				m.issued.Inc()
 			}
 			return
 		}
 	}
-	if m := g.cfg.Metrics; m != nil {
-		// The slot went unused; classify why. Any candidate blocked on
-		// memory makes it a memory stall; otherwise warps waiting out
-		// pipeline latency make it a pipeline stall; with every warp
-		// finished the scheduler is simply idle.
-		blocked, future := false, false
-		for _, w := range mine {
-			if w.done {
-				continue
-			}
-			if w.blocked || w.pending > 0 {
-				blocked = true
-				break
-			}
-			future = true
-		}
-		switch {
-		case blocked:
-			m.stallMemory.Inc()
-		case future:
-			m.stallPipeline.Inc()
-		default:
-			m.stallIdle.Inc()
-		}
+	if m != nil {
+		m.stall(mine, 1) // the slot went unused
 	}
 	if g.skipIdle {
 		// The failed scan left every warp done, blocked, or not ready
@@ -1387,6 +1349,11 @@ func (g *GPU) issueMemory(st *runState, sm *smState, smID int, w *warpRun, ins *
 			// the SM's earlier ones. Unlike arrive it sets no wake: the
 			// SM's step ends by setting its own (stepSMs).
 			sm.drained = max(now, sm.drained) + 1
+			if m != nil {
+				// The queue it would join holds one transaction per
+				// cycle up to the one it leaves.
+				m.injectDepth.Observe(sm.drained - now)
+			}
 			src, ok := g.serve(st, req, st.toMem.Reserve(req.Loc.Partition, sm.drained))
 			switch {
 			case st.batch: // no fault plan, so never parked
@@ -1401,7 +1368,7 @@ func (g *GPU) issueMemory(st *runState, sm *smState, smID int, w *warpRun, ins *
 		sm.injectQ.Push(req)
 		w.undrained++
 		st.markDraining(smID)
-		if m := g.cfg.Metrics; m != nil {
+		if m != nil {
 			m.injectDepth.Observe(int64(sm.injectQ.Len()))
 		}
 	}
@@ -1414,7 +1381,7 @@ func (g *GPU) issueMemory(st *runState, sm *smState, smID int, w *warpRun, ins *
 			// Nothing of the warp is left to drain (arrive).
 			sm.floor = min(sm.floor, w.lastDone+int64(g.cfg.ICNTLatency))
 		}
-		if m := g.cfg.Metrics; m != nil {
+		if m != nil {
 			sm.prt += issued
 			m.prtOccupancy.Observe(int64(sm.prt))
 		}

@@ -16,7 +16,6 @@ package icnt
 
 import (
 	"fmt"
-	"math"
 
 	"rcoal/internal/metrics"
 	"rcoal/internal/ringbuf"
@@ -36,8 +35,10 @@ type Slots struct {
 	ReceiverFirst bool
 	// DepthHist, when non-nil, observes a port's booked and not yet
 	// delivered slots at every injection (the depth including the new
-	// one), which reserved tracks only while DepthHist is installed.
-	// Installed by the simulator's metrics layer.
+	// one). The depth follows from the bookings alone, so it is the
+	// same whether or not anything steps the port's cycles; reserved
+	// holds the bookings only while DepthHist is installed. Installed
+	// by the simulator's metrics layer.
 	DepthHist *metrics.Histogram
 	reserved  []ringbuf.Ring[int64]
 }
@@ -88,20 +89,6 @@ func (x *Slots) Reserve(dst int, now int64) int64 {
 		x.DepthHist.Observe(int64(q.Len()))
 	}
 	return at
-}
-
-// NextReserved returns the first cycle after now at which port dst
-// delivers a booked slot, or math.MaxInt64 when none is booked. It
-// sees only the slots booked while DepthHist was installed.
-func (x *Slots) NextReserved(dst int, now int64) int64 {
-	q := &x.reserved[dst]
-	for q.Len() > 0 && q.Peek() <= now {
-		q.Pop()
-	}
-	if q.Len() == 0 {
-		return math.MaxInt64
-	}
-	return q.Peek()
 }
 
 // Snapshot returns the ports' next free slots: the direction's whole

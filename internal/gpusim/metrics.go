@@ -47,9 +47,11 @@ const (
 	MetricICNTToMemDepth = "icnt/to_mem_depth"
 	MetricICNTToSMDepth  = "icnt/to_sm_depth"
 	// MetricStallMemory / MetricStallPipeline / MetricStallIdle count
-	// scheduler slots that issued nothing, by reason: every candidate
-	// warp blocked on memory; warps ready but inside their pipeline
-	// latency; all warps finished.
+	// scheduler slots that issued nothing, by reason: a candidate warp
+	// blocked on memory; warps inside their pipeline latency; all warps
+	// finished. Every scheduler with warps, on an SM with warps, has
+	// one slot per cycle from 0 to Result.Cycles, so these counters and
+	// MetricIssued sum to the slots, fast-forwarded or not.
 	MetricStallMemory   = "sched/stall_memory"
 	MetricStallPipeline = "sched/stall_pipeline"
 	MetricStallIdle     = "sched/stall_idle"
@@ -171,6 +173,25 @@ func (m *Metrics) installDRAM(partitions, banks int) {
 	}
 	m.banks = m.reg.Table(MetricDRAMBanks, rows, bankCols)
 	m.banksPer = banks
+}
+
+// stall counts n slots of a scheduler with warps mine that issued
+// nothing, by reason: any candidate blocked on memory makes them memory
+// stalls; otherwise warps waiting out pipeline latency make them
+// pipeline stalls; with every warp finished the scheduler is idle.
+func (m *Metrics) stall(mine []*warpRun, n uint64) {
+	c := m.stallIdle
+	for _, w := range mine {
+		if w.done {
+			continue
+		}
+		if w.blocked || w.pending > 0 {
+			c = m.stallMemory
+			break
+		}
+		c = m.stallPipeline
+	}
+	c.Add(n)
 }
 
 // observeSizes records one MCU pass from its group sizes (one per
