@@ -307,7 +307,7 @@ func BenchmarkGPUCycleThroughput(b *testing.B) {
 func BenchmarkGPUCycleThroughputMetricsOn(b *testing.B) {
 	// Companion to BenchmarkGPUCycleThroughput with the metrics layer
 	// installed: the delta between the two is the observability
-	// overhead, which the PR budget caps at a few percent.
+	// overhead (README §Performance).
 	cfg := gpusim.DefaultConfig()
 	cfg.Metrics = gpusim.NewMetrics()
 	g, err := gpusim.New(cfg)
