@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 )
 
@@ -196,8 +197,18 @@ func (g *GPU) snapshot(st *runState, now int64, stepped bool) *Snapshot {
 				g.countReply(s, src, r.Arrived, r.Done, reached, queuedAfter)
 			}
 		}
-		for _, b := range sm.batch[sm.batchNext:] {
-			g.countReply(s, sm.replyQ.source(b.key), b.arrived, sm.replyQ.done(b.key), reached, queuedAfter)
+		if sm.batchNext < len(sm.batchAt) {
+			// The train delivers its keys in sorted order (GPU.bookTrain).
+			keys := make([]int64, len(sm.batch))
+			for i, b := range sm.batch {
+				keys[i] = b.key
+			}
+			slices.Sort(keys)
+			for _, b := range sm.batch {
+				if b.key >= keys[sm.batchNext] {
+					g.countReply(s, sm.replyQ.source(b.key), b.arrived, sm.replyQ.done(b.key), reached, queuedAfter)
+				}
+			}
 		}
 	}
 	return s

@@ -261,7 +261,7 @@ func TestRoundWindowsNested(t *testing.T) {
 	if w.RoundEnd[1] > w.RoundStart[2] {
 		t.Errorf("round 1 ends at %d after round 2 starts at %d", w.RoundEnd[1], w.RoundStart[2])
 	}
-	if w.RoundCycles(1) <= 0 || w.RoundCycles(2) <= 0 {
+	if roundCycles(&w, 1) <= 0 || roundCycles(&w, 2) <= 0 {
 		t.Error("round cycles not positive")
 	}
 	if res.RoundTx[1] != 32 || res.RoundTx[2] != 32 {
@@ -313,4 +313,13 @@ func TestRunSeedChangesPlanForRSS(t *testing.T) {
 	if sameSizes && sameSID {
 		t.Error("different seeds produced identical RSS+RTS plans")
 	}
+}
+
+// roundCycles returns the cycle window of round r of a warp, or 0 if
+// it did not run.
+func roundCycles(w *WarpStats, r int) int64 {
+	if r < 0 || r > MaxRounds || w.RoundStart[r] < 0 || w.RoundEnd[r] < 0 {
+		return 0
+	}
+	return w.RoundEnd[r] - w.RoundStart[r]
 }

@@ -30,15 +30,6 @@ type WarpStats struct {
 	Finish int64
 }
 
-// RoundCycles returns the cycle window of round r, or 0 if it did not
-// run.
-func (w *WarpStats) RoundCycles(r int) int64 {
-	if r < 0 || r > MaxRounds || w.RoundStart[r] < 0 || w.RoundEnd[r] < 0 {
-		return 0
-	}
-	return w.RoundEnd[r] - w.RoundStart[r]
-}
-
 // Result is the outcome of one kernel launch.
 type Result struct {
 	// Cycles is the total execution time in core cycles.
