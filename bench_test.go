@@ -203,24 +203,39 @@ func BenchmarkAESTraceEncrypt(b *testing.B) {
 	}
 }
 
-func BenchmarkSimulatorEncrypt32Lines(b *testing.B) { benchEncrypt(b, 32, false) }
+func BenchmarkSimulatorEncrypt32Lines(b *testing.B) { benchEncrypt(b, 32, Baseline(), false) }
 
 // BenchmarkSimulatorEncrypt32LinesVanilla runs the 32-line launch
 // with fast-forward off; the joined pair gates what the one-warp
 // launches of Figs. 15-17 lean on: a lone SM settling its
 // transactions at issue, where the vanilla run queues and drains them
 // one per cycle, and batched replies (Makefile `bench-gate`).
-func BenchmarkSimulatorEncrypt32LinesVanilla(b *testing.B) { benchEncrypt(b, 32, true) }
+func BenchmarkSimulatorEncrypt32LinesVanilla(b *testing.B) { benchEncrypt(b, 32, Baseline(), true) }
 
-func BenchmarkSimulatorEncrypt1024Lines(b *testing.B) { benchEncrypt(b, 1024, false) }
+// BenchmarkSimulatorEncrypt32LinesRSSRTS runs the 32-line launch under
+// RSS+RTS(8), whose randomized subwarps give the long, unsorted reply
+// trains that dominate Figs. 15-17; the baseline pair above has short,
+// nearly sorted ones. Its Vanilla twin runs it with fast-forward off,
+// and the joined pair is gated like the baseline's (Makefile
+// `bench-gate`).
+func BenchmarkSimulatorEncrypt32LinesRSSRTS(b *testing.B) {
+	benchEncrypt(b, 32, RSSRTS(8), false)
+}
+
+func BenchmarkSimulatorEncrypt32LinesRSSRTSVanilla(b *testing.B) {
+	benchEncrypt(b, 32, RSSRTS(8), true)
+}
+
+func BenchmarkSimulatorEncrypt1024Lines(b *testing.B) { benchEncrypt(b, 1024, Baseline(), false) }
 
 // BenchmarkSimulatorEncrypt1024LinesVanilla runs the same launch with
 // fast-forward off, the simulator's differential oracle; the joined
 // pair gates the fast-forward core (Makefile `bench-gate`).
-func BenchmarkSimulatorEncrypt1024LinesVanilla(b *testing.B) { benchEncrypt(b, 1024, true) }
+func BenchmarkSimulatorEncrypt1024LinesVanilla(b *testing.B) { benchEncrypt(b, 1024, Baseline(), true) }
 
-func benchEncrypt(b *testing.B, lines int, ffDisabled bool) {
+func benchEncrypt(b *testing.B, lines int, defense Mechanism, ffDisabled bool) {
 	cfg := DefaultGPUConfig()
+	cfg.Defense = defense
 	cfg.FastForwardDisabled = ffDisabled
 	srv, err := NewServer(cfg, []byte("benchmark key!!!"))
 	if err != nil {

@@ -1,17 +1,20 @@
 package core
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // This file is the coalescing logic itself: turning a warp-wide memory
-// instruction (one block address per active thread) into the set of
+// instruction (one memory block per active thread) into the set of
 // memory transactions the MCU emits. Coalescing happens independently
 // per subwarp — threads in different subwarps never merge, which is
 // the entire lever the defense turns.
 //
-// The simulated hardware coalesces through CoalesceBlocks and
-// CoalesceBlocksSizes (block keys, and group sizes for metrics);
-// Coalesce, whose Transactions carry their member threads, is their
-// reference and serves warps wider than 64 threads. CountSmallBlocks,
+// The simulated hardware coalesces through Subwarps.CoalesceBlocks
+// (block keys, and group sizes for metrics), over the subwarps' thread
+// bitsets it builds once per launch; Coalesce, whose Transactions
+// carry their member threads, is its reference. CountSmallBlocks,
 // a bitset fast path for table lookups where blocks are 0..R-1 with
 // R <= 64, serves only the package's tests, theory's empirical check
 // and the CoalesceSmallBlocksRSSRTS benchmark: the attacker's
@@ -70,117 +73,121 @@ func (p Plan) Coalesce(blocks []uint64, active []bool) []Transaction {
 	return out
 }
 
-// CoalesceBlocks is the allocation-lean variant used on the
-// simulator's hot path: it appends to out the block key of each
-// transaction Coalesce would produce (same count, same order), without
-// materializing per-transaction thread lists.
-func (p Plan) CoalesceBlocks(blocks []uint64, active []bool, out []uint64) []uint64 {
-	if len(blocks) != len(p.SID) {
+// Subwarps is a plan in the form the coalescing unit reads it: each
+// subwarp's threads as a bitset, words 64-thread words per subwarp
+// (bit t of word s*words+k is thread 64k+t, a member of subwarp s).
+// The simulator builds one per launch (Reset) into storage it reuses,
+// so each coalescing pass walks every subwarp's members directly.
+type Subwarps struct {
+	sets    []uint64
+	words   int
+	threads int
+}
+
+// Reset rebuilds s for plan p, reusing s's storage when it is large
+// enough. A thread whose subwarp id the plan has no size for belongs to
+// no subwarp, as in Coalesce.
+func (s *Subwarps) Reset(p Plan) {
+	s.threads, s.words = len(p.SID), (len(p.SID)+63)/64
+	n := len(p.Sizes) * s.words
+	if cap(s.sets) < n {
+		s.sets = make([]uint64, n)
+	}
+	s.sets = s.sets[:n]
+	clear(s.sets)
+	for tid, sid := range p.SID {
+		if int(sid) < len(p.Sizes) {
+			s.sets[int(sid)*s.words+tid>>6] |= 1 << (tid & 63)
+		}
+	}
+}
+
+// CoalesceBlocks is the coalescing unit: it appends to out the block
+// key of each transaction Coalesce would produce under the plan s was
+// built from (same count, same order), without materializing
+// per-transaction thread lists. With withSizes it also appends to
+// sizes, in lockstep, the number of threads merged into each: the
+// Algorithm-1 group sizes the MCU instrumentation histograms, so
+// metrics do not re-run the pass; out and sizes must then enter with
+// equal lengths.
+//
+// One walk visits each subwarp's active threads in tid order, keeping
+// the subwarp's seen blocks as a 64-bit mask in a register: when the
+// warp's blocks span fewer than 64 keys (every AES table load), block
+// b mod 64 is unique among them, so the mask finds each subwarp's
+// first request for a block without a branch. Otherwise, and for the
+// group sizes, a linear scan of the subwarp's earlier blocks does
+// (scan).
+func (s *Subwarps) CoalesceBlocks(blocks []uint64, active []bool, out []uint64, sizes []int, withSizes bool) ([]uint64, []int) {
+	if len(blocks) != s.threads {
 		panic("core: CoalesceBlocks blocks length does not match warp size")
 	}
-	if active != nil && len(active) != len(p.SID) {
+	if active != nil && len(active) != s.threads {
 		panic("core: CoalesceBlocks active length does not match warp size")
 	}
-	out, _ = p.coalesce(blocks, active, out, nil, false)
-	return out
-}
-
-// CoalesceBlocksSizes is the fused variant for the instrumented
-// simulator hot path: one pass appending both the block keys
-// CoalesceBlocks would produce and, for each, the number of threads
-// merged into it — the Algorithm-1 group sizes the MCU instrumentation
-// histograms (same count, same order), so enabling metrics does not
-// re-run the coalescing pass. outBlocks and outSizes must enter with
-// equal lengths; they are appended in lockstep.
-func (p Plan) CoalesceBlocksSizes(blocks []uint64, active []bool, outBlocks []uint64, outSizes []int) ([]uint64, []int) {
-	if len(blocks) != len(p.SID) {
-		panic("core: CoalesceBlocksSizes blocks length does not match warp size")
+	if withSizes && len(out) != len(sizes) {
+		panic("core: CoalesceBlocks output slices out of lockstep")
 	}
-	if active != nil && len(active) != len(p.SID) {
-		panic("core: CoalesceBlocksSizes active length does not match warp size")
-	}
-	if len(outBlocks) != len(outSizes) {
-		panic("core: CoalesceBlocksSizes output slices out of lockstep")
-	}
-	return p.coalesce(blocks, active, outBlocks, outSizes, true)
-}
-
-// coalesce is the one-pass coalescer behind CoalesceBlocks and
-// CoalesceBlocksSizes. One walk over the threads in tid order groups
-// the active ones by subwarp (members[s], a bitset of tids) and marks
-// in first the threads that request a block first within their
-// subwarp; the first threads of each subwarp, in tid order, are the
-// output. When the warp's blocks span fewer than 64 keys (every AES
-// table load), block b mod 64 is unique among them, so a 64-bit mask
-// per subwarp finds duplicates without a branch; otherwise a second
-// walk finds them by a linear scan of the subwarp's earlier blocks.
-func (p Plan) coalesce(blocks []uint64, active []bool, out []uint64, sizes []int, withSizes bool) ([]uint64, []int) {
-	n, m := len(p.SID), len(p.Sizes)
-	if n > 64 {
-		// Wider than a bitset word: the reference coalescer.
-		for _, tx := range p.Coalesce(blocks, active) {
-			out = append(out, tx.Block)
-			if withSizes {
-				sizes = append(sizes, len(tx.Threads))
-			}
-		}
-		return out, sizes
-	}
-	var membersBuf, seenBuf [DefaultWarpSize]uint64
-	members, seen := membersBuf[:], seenBuf[:]
-	if m > len(members) {
-		members, seen = make([]uint64, m), make([]uint64, m)
-	}
-	members, seen = members[:m], seen[:m]
-	var first uint64
+	base := len(out)
+	out = slices.Grow(out, len(blocks))
+	buf := out[base : base+len(blocks)]
+	n, k, span := 0, 0, s.words<<6
 	lo, hi := ^uint64(0), uint64(0)
-	for tid, s := range p.SID {
-		if int(s) >= m || active != nil && !active[tid] {
-			continue
-		}
-		b := blocks[tid]
-		lo, hi = min(lo, b), max(hi, b)
-		members[s] |= 1 << tid
-		first |= (^seen[s] >> (b & 63) & 1) << tid
-		seen[s] |= 1 << (b & 63)
-	}
-	if hi-lo >= 64 { // b mod 64 aliases: scan instead
-		first = 0
-		for tid, s := range p.SID {
-			if int(s) < m && members[s]>>tid&1 != 0 && firstWith(blocks, members[s]&first, blocks[tid]) < 0 {
-				first |= 1 << tid
+	var seen uint64
+	for _, set := range s.sets {
+		for ; set != 0; set &= set - 1 {
+			tid := k | bits.TrailingZeros64(set)
+			if active != nil && !active[tid] {
+				continue
 			}
+			b := blocks[tid]
+			lo, hi = min(lo, b), max(hi, b)
+			buf[n] = b
+			n += int(^seen >> (b & 63) & 1)
+			seen |= 1 << (b & 63)
+		}
+		if k += 64; k == span { // the subwarp's last word
+			k, seen = 0, 0
 		}
 	}
-	for s := range members {
-		for set := members[s] & first; set != 0; set &= set - 1 {
-			out = append(out, blocks[bits.TrailingZeros64(set)])
-		}
+	if n > 0 && hi-lo >= 64 || withSizes {
+		n, sizes = s.scan(blocks, active, buf, sizes, withSizes)
 	}
-	if withSizes {
-		var count [64]int
-		for tid, s := range p.SID {
-			if int(s) < m && members[s]>>tid&1 != 0 {
-				count[firstWith(blocks, members[s]&first, blocks[tid])]++
-			}
-		}
-		for s := range members {
-			for set := members[s] & first; set != 0; set &= set - 1 {
-				sizes = append(sizes, count[bits.TrailingZeros64(set)])
-			}
-		}
-	}
-	return out, sizes
+	return out[:base+n], sizes
 }
 
-// firstWith returns the lowest tid in set whose block is b, or -1.
-func firstWith(blocks []uint64, set uint64, b uint64) int {
-	for ; set != 0; set &= set - 1 {
-		if tid := bits.TrailingZeros64(set); blocks[tid] == b {
-			return tid
+// scan is CoalesceBlocks by a linear scan of each subwarp's earlier
+// blocks, for warps whose blocks alias mod 64 and for the group sizes:
+// it rewrites buf from its start and returns the transaction count.
+func (s *Subwarps) scan(blocks []uint64, active []bool, buf []uint64, sizes []int, withSizes bool) (int, []int) {
+	n, start, k, span := 0, 0, 0, s.words<<6
+	for _, set := range s.sets {
+		for ; set != 0; set &= set - 1 {
+			tid := k | bits.TrailingZeros64(set)
+			if active != nil && !active[tid] {
+				continue
+			}
+			b := blocks[tid]
+			j := start
+			for j < n && buf[j] != b {
+				j++
+			}
+			if j == n {
+				buf[n] = b
+				n++
+				if withSizes {
+					sizes = append(sizes, 0)
+				}
+			}
+			if withSizes {
+				sizes[len(sizes)-n+j]++
+			}
+		}
+		if k += 64; k == span { // the next subwarp's transactions start here
+			k, start = 0, n
 		}
 	}
-	return -1
+	return n, sizes
 }
 
 // CountCoalesced returns only the number of transactions Coalesce
@@ -189,8 +196,10 @@ func (p Plan) CountCoalesced(blocks []uint64, active []bool) int {
 	if len(blocks) != len(p.SID) {
 		panic("core: CountCoalesced blocks length does not match warp size")
 	}
-	var buf [64]uint64
-	out, _ := p.coalesce(blocks, active, buf[:0], nil, false)
+	var setBuf, outBuf [DefaultWarpSize]uint64
+	s := Subwarps{sets: setBuf[:0]}
+	s.Reset(p)
+	out, _ := s.CoalesceBlocks(blocks, active, outBuf[:0], nil, false)
 	return len(out)
 }
 
@@ -222,18 +231,4 @@ func (p Plan) CountSmallBlocks(blocks []int) int {
 		count += bits.OnesCount64(masks[s])
 	}
 	return count
-}
-
-// CountUncoalesced returns the transaction count with coalescing
-// disabled entirely: one access per active thread. This is the
-// worst-case defense the paper rejects in Section III (up to 178%
-// slowdown, 2.7x data movement).
-func CountUncoalesced(blocks []uint64, active []bool) int {
-	n := 0
-	for tid := range blocks {
-		if active == nil || active[tid] {
-			n++
-		}
-	}
-	return n
 }

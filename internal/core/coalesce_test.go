@@ -116,8 +116,8 @@ func randomAccess(src *rng.Source, shape int) ([]uint64, []bool) {
 // TestCountMatchesCoalesce checks every coalescing variant against the
 // reference Plan.Coalesce, for all four families at every M, over
 // narrow and wide block keys with and without active masks:
-// CoalesceBlocks and CoalesceBlocksSizes must agree in count, order
-// and content, and the counting variants in count.
+// Subwarps.CoalesceBlocks, with and without group sizes, must agree in
+// count, order and content, and the counting variants in count.
 func TestCountMatchesCoalesce(t *testing.T) {
 	r := rng.New(11)
 	f := func(seed uint64, mRaw, shapeRaw uint8) bool {
@@ -144,8 +144,10 @@ func TestCountMatchesCoalesce(t *testing.T) {
 					return false
 				}
 			}
-			lean := p.CoalesceBlocks(blocks, active, nil)
-			fb, fs := p.CoalesceBlocksSizes(blocks, active, nil, nil)
+			var sw Subwarps
+			sw.Reset(p)
+			lean, _ := sw.CoalesceBlocks(blocks, active, nil, nil, false)
+			fb, fs := sw.CoalesceBlocks(blocks, active, nil, nil, true)
 			if len(lean) != want || len(fb) != want || len(fs) != want {
 				return false
 			}
@@ -171,11 +173,13 @@ func TestCoalesceGroupSizesMatchThreadLists(t *testing.T) {
 	src := rng.New(12)
 	mechs := []Config{Baseline(), FSS(4), FSSRTS(8), RSS(4), RSSRTS(8)}
 	blockScratch, sizeScratch := make([]uint64, 0, 64), make([]int, 0, 64)
+	var sw Subwarps
 	for trial := 0; trial < 200; trial++ {
 		plan := mechs[trial%len(mechs)].NewPlan(planRNG)
+		sw.Reset(plan)
 		blocks, mask := randomAccess(src, trial%4)
 		txs := plan.Coalesce(blocks, mask)
-		fb, fs := plan.CoalesceBlocksSizes(blocks, mask, blockScratch[:0], sizeScratch[:0])
+		fb, fs := sw.CoalesceBlocks(blocks, mask, blockScratch[:0], sizeScratch[:0], true)
 		if len(fb) != len(txs) || len(fs) != len(txs) {
 			t.Fatalf("trial %d: fused lengths %d/%d, want %d", trial, len(fb), len(fs), len(txs))
 		}
@@ -191,11 +195,13 @@ func TestCoalesceGroupSizesMatchThreadLists(t *testing.T) {
 
 func TestCoalesceGroupSizesLengthMismatchPanics(t *testing.T) {
 	p := fullWarpPlan()
+	var sw Subwarps
+	sw.Reset(p)
 	for name, fn := range map[string]func(){
-		"fused short blocks": func() { p.CoalesceBlocksSizes(make([]uint64, 3), nil, nil, nil) },
-		"fused short active": func() { p.CoalesceBlocksSizes(make([]uint64, len(p.SID)), make([]bool, 2), nil, nil) },
+		"fused short blocks": func() { sw.CoalesceBlocks(make([]uint64, 3), nil, nil, nil, true) },
+		"fused short active": func() { sw.CoalesceBlocks(make([]uint64, len(p.SID)), make([]bool, 2), nil, nil, true) },
 		"fused lockstep": func() {
-			p.CoalesceBlocksSizes(make([]uint64, len(p.SID)), nil, make([]uint64, 1), nil)
+			sw.CoalesceBlocks(make([]uint64, len(p.SID)), nil, make([]uint64, 1), nil, true)
 		},
 	} {
 		func() {
@@ -277,7 +283,7 @@ func TestSubwarpCountBounds(t *testing.T) {
 				return false
 			}
 			// And the uncoalesced bound dominates everything.
-			if got > CountUncoalesced(blocks, nil) {
+			if got > countUncoalesced(blocks, nil) {
 				return false
 			}
 		}
@@ -309,15 +315,30 @@ func TestMoreSubwarpsNeverImproveCoalescing(t *testing.T) {
 	}
 }
 
+// countUncoalesced returns the transaction count with coalescing
+// disabled entirely: one access per active thread. This is the
+// worst-case defense the paper rejects in Section III (up to 178%
+// slowdown, 2.7x data movement), and the upper bound of every plan's
+// count.
+func countUncoalesced(blocks []uint64, active []bool) int {
+	n := 0
+	for tid := range blocks {
+		if active == nil || active[tid] {
+			n++
+		}
+	}
+	return n
+}
+
 func TestCountUncoalesced(t *testing.T) {
 	blocks := make([]uint64, 32)
-	if got := CountUncoalesced(blocks, nil); got != 32 {
-		t.Errorf("CountUncoalesced = %d, want 32", got)
+	if got := countUncoalesced(blocks, nil); got != 32 {
+		t.Errorf("countUncoalesced = %d, want 32", got)
 	}
 	active := make([]bool, 32)
 	active[3] = true
-	if got := CountUncoalesced(blocks, active); got != 1 {
-		t.Errorf("CountUncoalesced masked = %d, want 1", got)
+	if got := countUncoalesced(blocks, active); got != 1 {
+		t.Errorf("countUncoalesced masked = %d, want 1", got)
 	}
 }
 
@@ -333,6 +354,41 @@ func TestM32IsConstantCount(t *testing.T) {
 		}
 		if got := p.CountCoalesced(blocks, nil); got != 32 {
 			t.Fatalf("M=32 count = %d, want constant 32", got)
+		}
+	}
+}
+
+// TestSubwarpsWideWarpMatchesCoalesce checks CoalesceBlocks on warps
+// wider than one 64-thread word against the reference Coalesce, with
+// narrow and aliasing keys, active masks and group sizes.
+func TestSubwarpsWideWarpMatchesCoalesce(t *testing.T) {
+	planRNG, src := rng.New(29), rng.New(31)
+	var sw Subwarps
+	for trial := 0; trial < 100; trial++ {
+		n := []int{65, 96, 128, 200}[trial%4]
+		cfg := Config{NumSubwarps: []int{1, 3, 5}[trial%3], SizeDist: SizeSkewed, RandomThreads: trial%2 == 0, WarpSize: n}
+		p := cfg.NewPlan(planRNG)
+		sw.Reset(p)
+		blocks, active := make([]uint64, n), []bool(nil)
+		for i := range blocks {
+			blocks[i] = uint64(src.Intn(16 + 100*(trial%2)))
+		}
+		if trial%3 == 0 {
+			active = make([]bool, n)
+			for i := range active {
+				active[i] = src.Intn(3) != 0
+			}
+		}
+		txs := p.Coalesce(blocks, active)
+		got, sizes := sw.CoalesceBlocks(blocks, active, nil, nil, true)
+		lean, _ := sw.CoalesceBlocks(blocks, active, nil, nil, false)
+		if len(got) != len(txs) || len(lean) != len(txs) {
+			t.Fatalf("trial %d: %d and %d transactions, want %d", trial, len(got), len(lean), len(txs))
+		}
+		for i, tx := range txs {
+			if got[i] != tx.Block || lean[i] != tx.Block || sizes[i] != len(tx.Threads) {
+				t.Fatalf("trial %d tx %d: (%d,%d,%d), want (%d,%d)", trial, i, got[i], lean[i], sizes[i], tx.Block, len(tx.Threads))
+			}
 		}
 	}
 }

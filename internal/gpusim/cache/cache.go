@@ -64,15 +64,6 @@ type Stats struct {
 	Hits, Misses, Evictions uint64
 }
 
-// HitRate returns hits / (hits + misses), or 0 if never accessed.
-func (s Stats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
 // Cache is one set-associative LRU cache instance.
 type Cache struct {
 	cfg   Config

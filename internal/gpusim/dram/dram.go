@@ -89,9 +89,9 @@ type bankState struct {
 type Controller struct {
 	timing Timing
 	banks  []bankState
-	// parked holds the arrivals of a stalled controller (InjectStall),
-	// which never schedule.
-	parked  []*mem.Request
+	// parked holds the arrival cycles of a stalled controller's
+	// requests (InjectStall), which never schedule.
+	parked  []int64
 	busFree int64 // shared data bus availability
 	lastAct int64 // most recent activate, for tRRD
 
@@ -163,8 +163,8 @@ func (c *Controller) Parked() int { return len(c.parked) }
 // cycle t.
 func (c *Controller) ParkedAfter(t int64) int {
 	n := 0
-	for _, r := range c.parked {
-		if r.Arrived > t {
+	for _, at := range c.parked {
+		if at > t {
 			n++
 		}
 	}
@@ -181,25 +181,24 @@ func (c *Controller) InjectStall(after uint64) {
 	c.stallAfter = after
 }
 
-// Schedule books request r, arriving at cycle at, on its bank (r.Loc)
-// and the shared data bus: it sets r.Arrived and r.Done, the cycle the
-// request's data returns, and returns Done. Requests are served first come,
-// first served: callers schedule them in arrival order (at never
-// decreases), and each is the controller's only waiting request when
-// it arrives, so first-ready reordering has nothing to choose from. A
-// stalled controller (InjectStall) parks r instead and returns
+// Schedule books a request to row row of bank bank, arriving at cycle
+// at, on its bank and the shared data bus, and returns the cycle its
+// data returns. Requests are served first come, first served: callers
+// schedule them in arrival order (at never decreases), and each is the
+// controller's only waiting request when it arrives, so first-ready
+// reordering has nothing to choose from. A stalled controller
+// (InjectStall) parks the request's arrival cycle instead and returns
 // math.MaxInt64.
-func (c *Controller) Schedule(r *mem.Request, at int64) int64 {
-	r.Arrived = at
+func (c *Controller) Schedule(bank, row int, at int64) int64 {
 	if c.stallArmed && c.Stats.Accesses >= c.stallAfter {
-		c.parked = append(c.parked, r)
+		c.parked = append(c.parked, at)
 		return math.MaxInt64
 	}
-	b := &c.banks[r.Loc.Bank]
-	row := int32(r.Loc.Row)
+	b := &c.banks[bank]
+	openRow := int32(row)
 
 	var colCmd int64
-	if b.openRow == row {
+	if b.openRow == openRow {
 		// Row hit: column command when the bank and bus allow.
 		colCmd = max(at, b.nextCol, c.busFree)
 		b.rowHits++
@@ -213,7 +212,7 @@ func (c *Controller) Schedule(r *mem.Request, at int64) int64 {
 			b.rowConfl++
 			c.Stats.RowConflicts++
 		}
-		b.openRow = row
+		b.openRow = openRow
 		b.nextAct = act + int64(c.timing.RC)
 		b.nextPre = act + int64(c.timing.RAS)
 		c.lastAct = act
@@ -226,10 +225,9 @@ func (c *Controller) Schedule(r *mem.Request, at int64) int64 {
 	// strictly increasing in schedule order.
 	b.nextCol = colCmd + int64(c.timing.CCD)
 	c.busFree = colCmd + int64(c.timing.Burst)
-	r.Done = colCmd + int64(c.timing.CL) + int64(c.timing.Burst)
 	b.accesses++
 	c.Stats.Accesses++
-	return r.Done
+	return colCmd + int64(c.timing.CL) + int64(c.timing.Burst)
 }
 
 // Snapshot is a controller's complete mid-launch state, captured for

@@ -16,18 +16,21 @@ func newTestController(t *testing.T) *Controller {
 	return c
 }
 
-// req builds a request for addr, decoded under the default address
-// map as the simulator does when it creates one.
-func req(addr uint64) *mem.Request {
-	return &mem.Request{Addr: addr, Loc: mem.DefaultAddressMap().Decode(addr)}
+// req returns the location of addr, decoded under the default address
+// map as the simulator does when it issues a request for it.
+func req(addr uint64) mem.Location { return mem.DefaultAddressMap().Decode(addr) }
+
+// schedule schedules a request to loc arriving at cycle at.
+func schedule(c *Controller, loc mem.Location, at int64) int64 {
+	return c.Schedule(loc.Bank, loc.Row, at)
 }
 
-// scheduleEach schedules the requests one per cycle from cycle 0, the
-// pace of one partition's request port, and returns the cycle the
-// controller falls idle: the last data return.
-func scheduleEach(c *Controller, reqs ...*mem.Request) (end int64) {
-	for i, r := range reqs {
-		end = c.Schedule(r, int64(i))
+// scheduleEach schedules requests to the locations one per cycle from
+// cycle 0, the pace of one partition's request port, and returns the
+// cycle the controller falls idle: the last data return.
+func scheduleEach(c *Controller, locs ...mem.Location) (end int64) {
+	for i, loc := range locs {
+		end = schedule(c, loc, int64(i))
 	}
 	return end
 }
@@ -60,13 +63,12 @@ func TestTimingScale(t *testing.T) {
 
 func TestSingleRequestLatency(t *testing.T) {
 	c := newTestController(t)
-	r := req(0)
-	done := c.Schedule(r, 0)
+	done := schedule(c, req(0), 0)
 	tm := HynixGDDR5()
 	// Cold row: RCD + CL + Burst (no precharge needed on a closed bank).
 	want := int64(tm.RCD + tm.CL + tm.Burst)
-	if done != want || r.Done != want || r.Arrived != 0 {
-		t.Errorf("first access done at %d (request says %d, arrived %d), want %d", done, r.Done, r.Arrived, want)
+	if done != want {
+		t.Errorf("first access done at %d, want %d", done, want)
 	}
 	if c.Stats.RowMisses != 1 || c.Stats.RowHits != 0 {
 		t.Errorf("stats: %+v", c.Stats)
@@ -104,7 +106,7 @@ func TestBankParallelismBeatsSerialBank(t *testing.T) {
 	bankStride := uint64(m.Partitions * m.ChunkBytes) // next bank, same partition
 
 	// Four row-conflicting accesses on one bank...
-	var serial, par []*mem.Request
+	var serial, par []mem.Location
 	for i := uint64(0); i < 4; i++ {
 		serial = append(serial, req(i*rowStride))
 		// ...versus four accesses across four different banks.
@@ -122,7 +124,7 @@ func TestServiceTimeGrowsWithTransactions(t *testing.T) {
 	// transactions take longer to service.
 	var ends []int64
 	for _, n := range []int{4, 8, 16, 32} {
-		var reqs []*mem.Request
+		var reqs []mem.Location
 		for i := 0; i < n; i++ {
 			reqs = append(reqs, req(uint64(i)*64))
 		}
@@ -139,9 +141,8 @@ func TestServiceTimeGrowsWithTransactions(t *testing.T) {
 // nothing waits in it — and counts in Stats.
 func TestStatsAndIdle(t *testing.T) {
 	c := newTestController(t)
-	r := req(0)
-	if done := c.Schedule(r, 5); done != r.Done || r.Arrived != 5 || done <= 5 {
-		t.Errorf("scheduled at 5: returned %d, request arrived %d done %d", done, r.Arrived, r.Done)
+	if done := schedule(c, req(0), 5); done <= 5 || done == math.MaxInt64 {
+		t.Errorf("scheduled at 5: returned %d", done)
 	}
 	if c.Parked() != 0 || c.Stats.Accesses != 1 {
 		t.Errorf("after schedule: parked %d, stats %+v", c.Parked(), c.Stats)
@@ -168,10 +169,10 @@ func TestInjectStall(t *testing.T) {
 	c := newTestController(t)
 	c.InjectStall(1) // service exactly one request, then freeze
 	first, second := req(0), req(1<<20)
-	if done := c.Schedule(first, 0); done == math.MaxInt64 {
+	if done := schedule(c, first, 0); done == math.MaxInt64 {
 		t.Fatal("controller stalled before its threshold")
 	}
-	if got := c.Schedule(second, 1); got != math.MaxInt64 {
+	if got := schedule(c, second, 1); got != math.MaxInt64 {
 		t.Fatalf("stalled controller scheduled request 2 for cycle %d", got)
 	}
 	if c.Parked() != 1 || c.Stats.Accesses != 1 {
@@ -183,8 +184,8 @@ func TestInjectStall(t *testing.T) {
 	// an immediately-stalled controller (threshold 0) never schedules.
 	c.Reset()
 	c.InjectStall(0)
-	c.Schedule(req(0), 0)
-	c.Schedule(req(64), 1)
+	schedule(c, req(0), 0)
+	schedule(c, req(64), 1)
 	if c.Parked() != 2 || c.Stats.Accesses != 0 {
 		t.Fatalf("fully stalled controller: parked %d accesses %d, want 2/0",
 			c.Parked(), c.Stats.Accesses)

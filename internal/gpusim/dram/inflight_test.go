@@ -43,11 +43,10 @@ func TestInFlightCompletionOrder(t *testing.T) {
 		c := newTestController(t)
 		var lastDone int64
 		for _, a := range randomStream(r, 20+r.Intn(60), banks) {
-			q := &mem.Request{Addr: a.id * mem.BlockBytes, Loc: a.loc}
-			done := c.Schedule(q, a.at)
-			if done != q.Done || q.Arrived != a.at || done <= a.at || done <= lastDone {
-				t.Fatalf("trial %d: request %d arriving at %d scheduled with Done %d (returned %d), previous %d",
-					trial, a.id, a.at, q.Done, done, lastDone)
+			done := schedule(c, a.loc, a.at)
+			if done <= a.at || done <= lastDone {
+				t.Fatalf("trial %d: request %d arriving at %d scheduled with Done %d, previous %d",
+					trial, a.id, a.at, done, lastDone)
 			}
 			lastDone = done
 		}

@@ -8,13 +8,12 @@ import (
 	"rcoal/internal/rng"
 )
 
-// scheduleFrom schedules a fresh copy of each request, request i
+// scheduleFrom schedules a request to each location, request i
 // arriving at cycle i, and returns their Done cycles.
-func scheduleFrom(c *Controller, reqs []mem.Request, start int) []int64 {
+func scheduleFrom(c *Controller, reqs []mem.Location, start int) []int64 {
 	var out []int64
 	for i := start; i < len(reqs); i++ {
-		q := reqs[i]
-		out = append(out, c.Schedule(&q, int64(i)))
+		out = append(out, schedule(c, reqs[i], int64(i)))
 	}
 	return out
 }
@@ -29,10 +28,9 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 	r := rng.New(99)
 	m := mem.DefaultAddressMap()
 	for trial := 0; trial < 20; trial++ {
-		reqs := make([]mem.Request, 8+r.Intn(24))
+		reqs := make([]mem.Location, 8+r.Intn(24))
 		for i := range reqs {
-			addr := uint64(r.Intn(1<<14)) * mem.BlockBytes
-			reqs[i] = mem.Request{Addr: addr, Loc: m.Decode(addr)}
+			reqs[i] = m.Decode(uint64(r.Intn(1<<14)) * mem.BlockBytes)
 		}
 		c := newTestController(t)
 		cut := r.Intn(len(reqs))

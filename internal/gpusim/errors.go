@@ -199,14 +199,16 @@ func (g *GPU) snapshot(st *runState, now int64, stepped bool) *Snapshot {
 		}
 		if sm.batchNext < len(sm.batchAt) {
 			// The train delivers its keys in sorted order (GPU.bookTrain).
-			keys := make([]int64, len(sm.batch))
-			for i, b := range sm.batch {
-				keys[i] = b.key
-			}
+			// Its i-th transaction left the SM i cycles after the first,
+			// which left len(batch)-1 cycles before the last, at drained;
+			// each arrived ICNTLatency after it left, as above.
+			keys := slices.Clone(sm.batch)
 			slices.Sort(keys)
-			for _, b := range sm.batch {
-				if b.key >= keys[sm.batchNext] {
-					g.countReply(s, sm.replyQ.source(b.key), b.arrived, sm.replyQ.done(b.key), reached, queuedAfter)
+			left := sm.drained - int64(len(sm.batch)-1)
+			for i, key := range sm.batch {
+				if key >= keys[sm.batchNext] {
+					arrived := left + int64(i) + int64(g.cfg.ICNTLatency)
+					g.countReply(s, sm.replyQ.source(key), arrived, sm.replyQ.done(key), reached, queuedAfter)
 				}
 			}
 		}

@@ -37,11 +37,11 @@ func randomKernel(seed uint64, warps, rounds int) *Kernel {
 			wp.Instrs = append(wp.Instrs, Instr{Kind: RoundMark, Round: round})
 			wp.Instrs = append(wp.Instrs, Instr{Kind: ALU, Round: round})
 			for l := 0; l < 3; l++ {
-				addrs := make([]uint64, 32)
-				for t := range addrs {
-					addrs[t] = uint64(r.Intn(64)) * 64 // 64 blocks of table space
+				blocks := make([]uint64, 32)
+				for t := range blocks {
+					blocks[t] = uint64(r.Intn(64)) // 64 blocks of table space
 				}
-				ins := Instr{Kind: Load, Addrs: addrs, Round: round}
+				ins := Instr{Kind: Load, Blocks: blocks, Round: round}
 				if l == 1 && r.Intn(2) == 0 {
 					active := make([]bool, 32)
 					for t := range active {
@@ -54,11 +54,11 @@ func randomKernel(seed uint64, warps, rounds int) *Kernel {
 		}
 		wp.Instrs = append(wp.Instrs, Instr{Kind: RoundMark, Round: 0})
 		// Trailing store (ciphertext writeback pattern).
-		addrs := make([]uint64, 32)
-		for t := range addrs {
-			addrs[t] = uint64(4096 + wid*2048 + t*64)
+		blocks := make([]uint64, 32)
+		for t := range blocks {
+			blocks[t] = uint64(64 + wid*32 + t)
 		}
-		wp.Instrs = append(wp.Instrs, Instr{Kind: Store, Addrs: addrs})
+		wp.Instrs = append(wp.Instrs, Instr{Kind: Store, Blocks: blocks})
 		k.Warps = append(k.Warps, wp)
 	}
 	return k
@@ -78,11 +78,11 @@ func saturatedKernel(seed uint64, warps int) *Kernel {
 		for round := 1; round <= 2; round++ {
 			wp.Instrs = append(wp.Instrs, Instr{Kind: RoundMark, Round: round})
 			for l := 0; l < 2; l++ {
-				addrs := make([]uint64, 32)
-				for t := range addrs {
-					addrs[t] = uint64(r.Intn(1<<14)) * 64
+				blocks := make([]uint64, 32)
+				for t := range blocks {
+					blocks[t] = uint64(r.Intn(1 << 14))
 				}
-				wp.Instrs = append(wp.Instrs, Instr{Kind: Load, Addrs: addrs, Round: round})
+				wp.Instrs = append(wp.Instrs, Instr{Kind: Load, Blocks: blocks, Round: round})
 			}
 		}
 		k.Warps = append(k.Warps, wp)
@@ -101,11 +101,11 @@ func onePartitionKernel(seed uint64, warps int) *Kernel {
 		for round := 1; round <= 2; round++ {
 			wp.Instrs = append(wp.Instrs, Instr{Kind: RoundMark, Round: round},
 				Instr{Kind: ALU, Round: round})
-			addrs := make([]uint64, 32)
-			for t := range addrs {
-				addrs[t] = uint64(6*r.Intn(16))*256 + uint64(r.Intn(4))*64
+			blocks := make([]uint64, 32)
+			for t := range blocks {
+				blocks[t] = uint64(6*r.Intn(16))*4 + uint64(r.Intn(4))
 			}
-			wp.Instrs = append(wp.Instrs, Instr{Kind: Load, Addrs: addrs, Round: round})
+			wp.Instrs = append(wp.Instrs, Instr{Kind: Load, Blocks: blocks, Round: round})
 		}
 		k.Warps = append(k.Warps, wp)
 	}
@@ -121,13 +121,13 @@ func slowALUKernel(seed uint64, warps int) *Kernel {
 	for wid := 0; wid < warps; wid++ {
 		wp := &WarpProgram{ID: wid}
 		for round := 1; round <= 2; round++ {
-			addrs := make([]uint64, 32)
-			for t := range addrs {
-				addrs[t] = uint64(r.Intn(64)) * 64
+			blocks := make([]uint64, 32)
+			for t := range blocks {
+				blocks[t] = uint64(r.Intn(64))
 			}
 			wp.Instrs = append(wp.Instrs, Instr{Kind: RoundMark, Round: round},
 				Instr{Kind: ALU, Round: round, Latency: 100 + r.Intn(300)},
-				Instr{Kind: Load, Addrs: addrs, Round: round})
+				Instr{Kind: Load, Blocks: blocks, Round: round})
 		}
 		k.Warps = append(k.Warps, wp)
 	}
@@ -148,25 +148,25 @@ func overtakeKernel() *Kernel {
 		switch {
 		case wid%2 == 0:
 			for i := 0; i < 2; i++ {
-				addrs := make([]uint64, 32)
-				for t := range addrs {
-					addrs[t] = uint64(6*((wid*4+i)*8+t/4)+2+t%4) * 256
+				blocks := make([]uint64, 32)
+				for t := range blocks {
+					blocks[t] = uint64(6*((wid*4+i)*8+t/4)+2+t%4) * 4
 				}
 				if wid == 0 && i == 0 {
-					addrs[0] = 768 * 100 * 256 // partition 0, bank 0, row 100
+					blocks[0] = 768 * 100 * 4 // partition 0, bank 0, row 100
 				}
-				wp.Instrs = append(wp.Instrs, Instr{Kind: Load, Addrs: addrs})
+				wp.Instrs = append(wp.Instrs, Instr{Kind: Load, Blocks: blocks})
 			}
 		case wid == 1:
 			for i := 0; i < 6; i++ {
-				addrs := make([]uint64, 32)
-				for t := range addrs {
-					addrs[t] = uint64(768*i) * 256 // partition 0, bank 0, row i
+				blocks := make([]uint64, 32)
+				for t := range blocks {
+					blocks[t] = uint64(768*i) * 4 // partition 0, bank 0, row i
 					if t >= 16 {
-						addrs[t] = uint64(6*i+1) * 256 // partition 1
+						blocks[t] = uint64(6*i+1) * 4 // partition 1
 					}
 				}
-				wp.Instrs = append(wp.Instrs, Instr{Kind: ALU, Latency: 10}, Instr{Kind: Load, Addrs: addrs})
+				wp.Instrs = append(wp.Instrs, Instr{Kind: ALU, Latency: 10}, Instr{Kind: Load, Blocks: blocks})
 			}
 		default:
 			wp.Instrs = append(wp.Instrs, Instr{Kind: ALU, Latency: 900})
@@ -522,11 +522,11 @@ func TestFastForwardSkipsMostCycles(t *testing.T) {
 	k := &Kernel{Label: "pointer-chase"}
 	wp := &WarpProgram{ID: 0}
 	for i := 0; i < 20; i++ {
-		addrs := make([]uint64, 32)
-		for t := range addrs {
-			addrs[t] = uint64(i) * 64 // whole warp shares one block
+		blocks := make([]uint64, 32)
+		for t := range blocks {
+			blocks[t] = uint64(i) // whole warp shares one block
 		}
-		wp.Instrs = append(wp.Instrs, Instr{Kind: Load, Addrs: addrs})
+		wp.Instrs = append(wp.Instrs, Instr{Kind: Load, Blocks: blocks})
 	}
 	k.Warps = append(k.Warps, wp)
 
@@ -550,11 +550,11 @@ func TestFastForwardSkipsMostCycles(t *testing.T) {
 func wideLoadKernel() *Kernel {
 	wp := &WarpProgram{ID: 0}
 	for i := 0; i < 12; i++ {
-		addrs := make([]uint64, 32)
-		for t := range addrs {
-			addrs[t] = uint64(i*32+t) * 256
+		blocks := make([]uint64, 32)
+		for t := range blocks {
+			blocks[t] = uint64(i*32+t) * 4
 		}
-		wp.Instrs = append(wp.Instrs, Instr{Kind: Load, Addrs: addrs}, Instr{Kind: ALU})
+		wp.Instrs = append(wp.Instrs, Instr{Kind: Load, Blocks: blocks}, Instr{Kind: ALU})
 	}
 	return &Kernel{Label: "wide-loads", Warps: []*WarpProgram{wp}}
 }
@@ -717,19 +717,19 @@ func sharedSMKernel(seed uint64) *Kernel {
 	for wid := 0; wid < 10; wid++ {
 		wp := &WarpProgram{ID: wid}
 		for i := 0; i < 6; i++ {
-			addrs := make([]uint64, 32)
+			blocks := make([]uint64, 32)
 			switch {
 			case wid < 2:
-				for t := range addrs {
-					addrs[t] = uint64(768*(r.Intn(3)+3*wid)+6*16*(t%4)) * 256 // partition 0, bank 0
+				for t := range blocks {
+					blocks[t] = uint64(768*(r.Intn(3)+3*wid)+6*16*(t%4)) * 4 // partition 0, bank 0
 				}
-				wp.Instrs = append(wp.Instrs, Instr{Kind: Load, Addrs: addrs})
+				wp.Instrs = append(wp.Instrs, Instr{Kind: Load, Blocks: blocks})
 			case wid < 6:
-				for t := range addrs {
-					addrs[t] = uint64(6*r.Intn(64)+1+r.Intn(5))*256 + uint64(t%2)*64
+				for t := range blocks {
+					blocks[t] = uint64(6*r.Intn(64)+1+r.Intn(5))*4 + uint64(t%2)
 				}
 				wp.Instrs = append(wp.Instrs, Instr{Kind: ALU, Latency: 1 + r.Intn(60)},
-					Instr{Kind: Load, Addrs: addrs})
+					Instr{Kind: Load, Blocks: blocks})
 			default:
 				wp.Instrs = append(wp.Instrs, Instr{Kind: ALU, Latency: 5 + r.Intn(120)})
 			}

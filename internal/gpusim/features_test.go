@@ -17,12 +17,12 @@ func aesLikeKernel(warps, rounds int) *Kernel {
 		for r := 1; r <= rounds; r++ {
 			wp.Instrs = append(wp.Instrs, Instr{Kind: RoundMark, Round: r})
 			for l := 0; l < 4; l++ {
-				addrs := make([]uint64, 32)
+				blocks := make([]uint64, 32)
 				for t := 0; t < 32; t++ {
 					// 16 blocks of shared table space, varying pattern.
-					addrs[t] = uint64((t*7+l*3+r)%16) * 64
+					blocks[t] = uint64((t*7 + l*3 + r) % 16)
 				}
-				wp.Instrs = append(wp.Instrs, Instr{Kind: Load, Addrs: addrs, Round: r})
+				wp.Instrs = append(wp.Instrs, Instr{Kind: Load, Blocks: blocks, Round: r})
 			}
 		}
 		wp.Instrs = append(wp.Instrs, Instr{Kind: RoundMark, Round: 0})
@@ -318,7 +318,7 @@ var errWriteFailed = errors.New("write failed")
 func TestRunRejectsInvalidKernel(t *testing.T) {
 	g := mustGPU(t, DefaultConfig())
 	bad := &Kernel{Label: "bad", Warps: []*WarpProgram{{ID: 0, Instrs: []Instr{
-		{Kind: Load, Addrs: make([]uint64, 7)}, // wrong warp size
+		{Kind: Load, Blocks: make([]uint64, 7)}, // wrong warp size
 	}}}}
 	if _, err := g.Run(bad, 1); err == nil {
 		t.Fatal("invalid kernel accepted")

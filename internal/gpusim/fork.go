@@ -282,6 +282,8 @@ func (g *GPU) RunFork(snap *PrefixSnapshot) (*Result, error) {
 	st.launch = launch
 	st.defRNG = nil // forkable() admits plan-only defenses exclusively
 	st.basePlan = snap.basePlan
+	st.sub.Reset(launch.Plan)
+	st.baseSub.Reset(st.basePlan)
 	st.roundMask = [MaxRounds + 1]bool{}
 	st.selective = true
 	for _, r := range g.cfg.VulnerableRounds {
@@ -294,7 +296,7 @@ func (g *GPU) RunFork(snap *PrefixSnapshot) (*Result, error) {
 		*w = warpRun{
 			prog: wp, pc: ws.pc, readyAt: ws.readyAt, pending: ws.pending,
 			blocked: ws.blocked, curRound: ws.curRound, done: ws.done,
-			plan: launch.Plan, delayedPC: -1, stats: ws.stats, sched: w.sched,
+			sub: &st.sub, own: w.own, delayedPC: -1, stats: ws.stats, sched: w.sched,
 		}
 	}
 	// Each warp's undrained count and lastDone are rebuilt from the

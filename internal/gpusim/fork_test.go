@@ -251,15 +251,15 @@ func forkQueuedKernel(n int) *Kernel {
 	for wid := 0; wid < n; wid++ {
 		scattered := make([]uint64, 32)
 		for i := range scattered {
-			scattered[i] = uint64(wid*32+i) * 4096
+			scattered[i] = uint64(wid*32+i) * 64
 		}
 		first := Instr{Kind: ALU, Round: 1}
 		if wid == n-1 {
-			first = Instr{Kind: Load, Addrs: scattered, Round: 1}
+			first = Instr{Kind: Load, Blocks: scattered, Round: 1}
 		}
 		kern.Warps = append(kern.Warps, &WarpProgram{ID: wid, Instrs: []Instr{
 			{Kind: RoundMark, Round: 1}, first,
-			{Kind: RoundMark, Round: 4}, {Kind: Load, Addrs: scattered, Round: 4},
+			{Kind: RoundMark, Round: 4}, {Kind: Load, Blocks: scattered, Round: 4},
 			{Kind: RoundMark, Round: 0},
 		}})
 	}

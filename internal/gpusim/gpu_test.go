@@ -14,11 +14,11 @@ func testKernel(loads, spread int) *Kernel {
 	wp := &WarpProgram{ID: 0}
 	wp.Instrs = append(wp.Instrs, Instr{Kind: RoundMark, Round: 1})
 	for l := 0; l < loads; l++ {
-		addrs := make([]uint64, 32)
+		blocks := make([]uint64, 32)
 		for t := 0; t < 32; t++ {
-			addrs[t] = uint64(t%spread) * 64
+			blocks[t] = uint64(t % spread)
 		}
-		wp.Instrs = append(wp.Instrs, Instr{Kind: Load, Addrs: addrs, Round: 1})
+		wp.Instrs = append(wp.Instrs, Instr{Kind: Load, Blocks: blocks, Round: 1})
 		wp.Instrs = append(wp.Instrs, Instr{Kind: ALU, Round: 1})
 	}
 	wp.Instrs = append(wp.Instrs, Instr{Kind: RoundMark, Round: 0})
@@ -72,8 +72,8 @@ func TestKernelValidate(t *testing.T) {
 	if err := empty.Validate(32); err == nil {
 		t.Error("empty kernel accepted")
 	}
-	if got := k.MemInstrs(); got != 2 {
-		t.Errorf("MemInstrs = %d, want 2", got)
+	if got := memInstrs(k); got != 2 {
+		t.Errorf("memInstrs = %d, want 2", got)
 	}
 }
 
@@ -162,10 +162,10 @@ func TestCoalescingDisabledWorstCase(t *testing.T) {
 func TestPredicatedOffLoad(t *testing.T) {
 	// A fully inactive load must not deadlock the warp.
 	wp := &WarpProgram{ID: 0}
-	addrs := make([]uint64, 32)
+	blocks := make([]uint64, 32)
 	active := make([]bool, 32) // all off
 	wp.Instrs = []Instr{
-		{Kind: Load, Addrs: addrs, Active: active},
+		{Kind: Load, Blocks: blocks, Active: active},
 		{Kind: ALU},
 	}
 	g := mustGPU(t, DefaultConfig())
@@ -198,16 +198,16 @@ func TestMultiWarpDistribution(t *testing.T) {
 		wp := &WarpProgram{ID: i}
 		wp.Instrs = append(wp.Instrs, Instr{Kind: RoundMark, Round: 1})
 		for l := 0; l < 4; l++ {
-			addrs := make([]uint64, 32)
+			blocks := make([]uint64, 32)
 			for t := 0; t < 32; t++ {
 				// Give each warp its own address region, spread over
 				// partitions and banks (7 chunks per warp; 7 is coprime
 				// to both the partition count and the bank count), so
 				// the test exercises SM parallelism rather than DRAM
 				// bank conflicts.
-				addrs[t] = uint64(i)*7*256 + uint64(t%8)*64
+				blocks[t] = uint64(i)*7*4 + uint64(t%8)
 			}
-			wp.Instrs = append(wp.Instrs, Instr{Kind: Load, Addrs: addrs, Round: 1})
+			wp.Instrs = append(wp.Instrs, Instr{Kind: Load, Blocks: blocks, Round: 1})
 		}
 		wp.Instrs = append(wp.Instrs, Instr{Kind: RoundMark, Round: 0})
 		warps = append(warps, wp)
@@ -238,15 +238,15 @@ func TestRoundWindowsNested(t *testing.T) {
 	// Two rounds in sequence: round 1 must end no later than round 2
 	// starts.
 	wp := &WarpProgram{ID: 0}
-	addrs := make([]uint64, 32)
-	for t := range addrs {
-		addrs[t] = uint64(t) * 64
+	blocks := make([]uint64, 32)
+	for t := range blocks {
+		blocks[t] = uint64(t)
 	}
 	wp.Instrs = []Instr{
 		{Kind: RoundMark, Round: 1},
-		{Kind: Load, Addrs: addrs, Round: 1},
+		{Kind: Load, Blocks: blocks, Round: 1},
 		{Kind: RoundMark, Round: 2},
-		{Kind: Load, Addrs: addrs, Round: 2},
+		{Kind: Load, Blocks: blocks, Round: 2},
 		{Kind: RoundMark, Round: 0},
 	}
 	g := mustGPU(t, DefaultConfig())
@@ -322,4 +322,17 @@ func roundCycles(w *WarpStats, r int) int64 {
 		return 0
 	}
 	return w.RoundEnd[r] - w.RoundStart[r]
+}
+
+// memInstrs counts the global-memory instructions in a kernel.
+func memInstrs(k *Kernel) int {
+	n := 0
+	for _, w := range k.Warps {
+		for _, ins := range w.Instrs {
+			if ins.Kind == Load || ins.Kind == Store {
+				n++
+			}
+		}
+	}
+	return n
 }

@@ -8,8 +8,11 @@
 // A port's deliveries are arithmetic: a packet injected at cycle t is
 // delivered at max(t + latency, the port's next free slot), and
 // delivering it frees the port occupancy cycles later. Slots books that
-// cycle and queues nothing; the receiver keeps its packets in the order
-// they were injected. The request side books each request when it
+// cycle and queues nothing (Reserve, plain arithmetic the compiler
+// inlines into the simulator's issue and drain paths); the receiver
+// keeps its packets in the order they were injected. The depth
+// histogram is a separate call (Observe), made only where the
+// simulator's metrics are installed. The request side books each request when it
 // leaves its SM; the reply side books each reply when its SM takes it,
 // in the order the partitions hand replies over.
 package icnt
@@ -34,11 +37,12 @@ type Slots struct {
 	// when DepthHist observes the injection.
 	ReceiverFirst bool
 	// DepthHist, when non-nil, observes a port's booked and not yet
-	// delivered slots at every injection (the depth including the new
-	// one). The depth follows from the bookings alone, so it is the
-	// same whether or not anything steps the port's cycles; reserved
-	// holds the bookings only while DepthHist is installed. Installed
-	// by the simulator's metrics layer.
+	// delivered slots at every injection its caller hands to Observe
+	// (the depth including the new one). The depth follows from the
+	// bookings alone, so it is the same whether or not anything steps
+	// the port's cycles; reserved holds the bookings only while
+	// DepthHist is installed. Installed by the simulator's metrics
+	// layer, which observes every booking.
 	DepthHist *metrics.Histogram
 	reserved  []ringbuf.Ring[int64]
 }
@@ -70,19 +74,19 @@ func (x *Slots) Due(dst int, now int64) int64 { return max(now+x.latency, x.next
 
 // Reserve books port dst's next delivery slot for a packet injected at
 // cycle now and returns its delivery cycle. Injections into one port
-// are booked in injection order.
+// are booked in injection order. It is plain arithmetic, which the
+// compiler inlines: callers with DepthHist installed observe each
+// booking with Observe.
 func (x *Slots) Reserve(dst int, now int64) int64 {
 	at := x.Due(dst, now)
 	x.nextSlot[dst] = at + x.occupancy
-	if x.DepthHist != nil {
-		x.observe(dst, now, at)
-	}
 	return at
 }
 
-// observe records a packet injected into port dst at cycle now and
-// delivered at at, and observes the port's depth (DepthHist).
-func (x *Slots) observe(dst int, now, at int64) {
+// Observe records a packet Reserve booked into port dst at cycle now
+// for delivery at at, and observes the port's depth (DepthHist, which
+// must be installed).
+func (x *Slots) Observe(dst int, now, at int64) {
 	// Slots delivered before this cycle have left the port; one
 	// delivered at now has too when the receivers go first.
 	gone := now

@@ -92,9 +92,10 @@ func (p *refPort) pop(now int64) (uint64, bool) {
 // interconnect: over randomized injection streams (several packets per
 // cycle, idle gaps, two ports, occupancy 1 and 2, latency 1 and 8),
 // Reserve returns exactly the cycle a queued port polled every cycle
-// delivers each packet; the depth Reserve observes is the queued
-// port's depth at the same injection, with the cycle's deliveries
-// taken after the injections, or before them under ReceiverFirst.
+// delivers each packet; the depth Observe records after each Reserve
+// is the queued port's depth at the same injection, with the cycle's
+// deliveries taken after the injections, or before them under
+// ReceiverFirst.
 func TestReserveMatchesPushPop(t *testing.T) {
 	r := rng.New(0x5E7E)
 	for _, latency := range []int{1, 8} {
@@ -133,6 +134,7 @@ func TestReserveMatchesPushPop(t *testing.T) {
 								sum := booked.DepthHist.Sum()
 								ref[dst].push(id, now)
 								reserved[id] = booked.Reserve(dst, now)
+								booked.Observe(dst, now, reserved[id])
 								if got, want := booked.DepthHist.Sum()-sum, int64(len(ref[dst].ready)); got != want {
 									t.Fatalf("latency %d occupancy %d receiver-first %v: packet %d observed depth %d, queued depth %d",
 										latency, occupancy, receiverFirst, id, got, want)

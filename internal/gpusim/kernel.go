@@ -13,7 +13,7 @@ const (
 	// ALU is any non-memory warp instruction (XOR, shift, ...); only
 	// its latency matters.
 	ALU InstrKind = iota
-	// Load is a warp-wide global-memory read with one address per
+	// Load is a warp-wide global-memory read of one memory block per
 	// active thread, subject to coalescing.
 	Load
 	// Store is a warp-wide global-memory write, also coalesced.
@@ -42,8 +42,10 @@ type Instr struct {
 	Kind InstrKind
 	// Latency overrides the ALU pipeline latency when positive.
 	Latency int
-	// Addrs holds one byte address per thread for Load/Store.
-	Addrs []uint64
+	// Blocks holds, for Load/Store, the memory block each thread
+	// accesses: its byte address divided by mem.BlockBytes, the key
+	// the coalescing unit merges (mem.BlockOf).
+	Blocks []uint64
 	// Active is the predication mask for Load/Store; nil = all active.
 	Active []bool
 	// Round is the AES round this instruction belongs to (1-based), or
@@ -66,8 +68,8 @@ type Kernel struct {
 	Label string
 }
 
-// Validate checks every memory instruction carries per-thread
-// addresses matching the warp size.
+// Validate checks every memory instruction carries per-thread blocks
+// matching the warp size.
 func (k *Kernel) Validate(warpSize int) error {
 	if len(k.Warps) == 0 {
 		return fmt.Errorf("gpusim: kernel %q has no warps", k.Label)
@@ -79,9 +81,9 @@ func (k *Kernel) Validate(warpSize int) error {
 		for i, ins := range w.Instrs {
 			switch ins.Kind {
 			case Load, Store:
-				if len(ins.Addrs) != warpSize {
-					return fmt.Errorf("gpusim: warp %d instr %d: %d addresses, warp size %d",
-						w.ID, i, len(ins.Addrs), warpSize)
+				if len(ins.Blocks) != warpSize {
+					return fmt.Errorf("gpusim: warp %d instr %d: %d blocks, warp size %d",
+						w.ID, i, len(ins.Blocks), warpSize)
 				}
 				if ins.Active != nil && len(ins.Active) != warpSize {
 					return fmt.Errorf("gpusim: warp %d instr %d: active mask length %d",
@@ -95,20 +97,6 @@ func (k *Kernel) Validate(warpSize int) error {
 		}
 	}
 	return nil
-}
-
-// MemInstrs counts the global-memory instructions in the kernel, a
-// quick sanity statistic for tests.
-func (k *Kernel) MemInstrs() int {
-	n := 0
-	for _, w := range k.Warps {
-		for _, ins := range w.Instrs {
-			if ins.Kind == Load || ins.Kind == Store {
-				n++
-			}
-		}
-	}
-	return n
 }
 
 // kindOf maps an instruction kind to the memory access kind.

@@ -79,12 +79,12 @@ func TestBookTrainOrdersByKey(t *testing.T) {
 			keys := make([]int64, 0, len(c.train))
 			for _, x := range c.train {
 				key := sm.replyQ.key(x.done, x.src)
-				sm.batch = append(sm.batch, batchedReply{key: key})
+				sm.batch = append(sm.batch, key)
 				g.train.add(key)
 				keys = append(keys, key)
 				sm.replyQ.push(x.src, &mem.Request{Done: x.done})
 			}
-			g.bookTrain(st, sm, 1)
+			g.bookTrain(st, sm, 1, len(c.train))
 
 			slices.Sort(keys)
 			want := make([]int64, len(keys))
@@ -114,7 +114,7 @@ func TestBookTrainPanicsOnCollidingKeys(t *testing.T) {
 	g.train.start(sm.replyQ.key(10, 0))
 	for _, x := range []craftedReply{{1, 40}, {2, 41}, {1, 40}} {
 		key := sm.replyQ.key(x.done, x.src)
-		sm.batch = append(sm.batch, batchedReply{key: key})
+		sm.batch = append(sm.batch, key)
 		g.train.add(key)
 	}
 	defer func() {
@@ -122,5 +122,5 @@ func TestBookTrainPanicsOnCollidingKeys(t *testing.T) {
 			t.Fatalf("recovered %q, want a key collision panic", msg)
 		}
 	}()
-	g.bookTrain(st, sm, 0)
+	g.bookTrain(st, sm, 0, len(sm.batch))
 }

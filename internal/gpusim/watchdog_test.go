@@ -236,15 +236,15 @@ func (l *eventLog) Emit(e Event) { l.events = append(l.events, e) }
 func TestDropReplyInQueueOrder(t *testing.T) {
 	k := &Kernel{Label: "drop"}
 	for w := 0; w < 6; w++ {
-		addr := uint64(w) * 64 // chunk 0: partition 0, bank 0, one row
+		block := uint64(w) // chunk 0: partition 0, bank 0, one row
 		if w >= 4 {
-			addr = 6*256 + uint64(w-4)*64 // chunk 6: partition 0, bank 1
+			block = 6*4 + uint64(w-4) // chunk 6: partition 0, bank 1
 		}
-		addrs := make([]uint64, 32)
-		for t := range addrs {
-			addrs[t] = addr
+		blocks := make([]uint64, 32)
+		for t := range blocks {
+			blocks[t] = block
 		}
-		k.Warps = append(k.Warps, &WarpProgram{ID: w, Instrs: []Instr{{Kind: Load, Addrs: addrs}}})
+		k.Warps = append(k.Warps, &WarpProgram{ID: w, Instrs: []Instr{{Kind: Load, Blocks: blocks}}})
 	}
 	run := func(drop *faultinject.DropReply) (done map[int]int64, replies []Event) {
 		cfg := DefaultConfig()

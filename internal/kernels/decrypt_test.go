@@ -5,6 +5,7 @@ import (
 
 	"rcoal/internal/aes"
 	"rcoal/internal/gpusim"
+	"rcoal/internal/gpusim/mem"
 	"rcoal/internal/rng"
 )
 
@@ -36,8 +37,8 @@ func TestBuildDecryptStructure(t *testing.T) {
 	if err := k.Validate(32); err != nil {
 		t.Fatal(err)
 	}
-	if len(k.Warps) != 2 || k.MemInstrs() != 336 {
-		t.Errorf("%d warps, %d mem instrs", len(k.Warps), k.MemInstrs())
+	if len(k.Warps) != 2 || memInstrs(k) != 336 {
+		t.Errorf("%d warps, %d mem instrs", len(k.Warps), memInstrs(k))
 	}
 	// Final-inverse-round lookups land in the T4 slot's address range
 	// (the Td4 table binds at the same base).
@@ -46,9 +47,9 @@ func TestBuildDecryptStructure(t *testing.T) {
 	for _, ins := range k.Warps[0].Instrs {
 		if ins.Kind == gpusim.Load && ins.Round == 10 {
 			seen++
-			for _, a := range ins.Addrs {
-				if a < t4lo || a > t4hi+3 {
-					t.Fatalf("final-round lookup at %#x outside table 4", a)
+			for _, b := range ins.Blocks {
+				if b < mem.BlockOf(t4lo) || b > mem.BlockOf(t4hi) {
+					t.Fatalf("final-round lookup at block %#x outside table 4", b)
 				}
 			}
 		}

@@ -7,8 +7,9 @@
 //
 // The trace builder uses the real AES dataflow (internal/aes's
 // TraceEncrypt) to compute the exact global-memory address of every
-// table lookup, so the coalescing behaviour on the simulator is
-// bit-exact with respect to the modeled GPU kernel.
+// table lookup, and hands the simulator each one's memory block, so the
+// coalescing behaviour on the simulator is bit-exact with respect to
+// the modeled GPU kernel.
 package kernels
 
 import (
@@ -17,6 +18,7 @@ import (
 
 	"rcoal/internal/aes"
 	"rcoal/internal/gpusim"
+	"rcoal/internal/gpusim/mem"
 	"rcoal/internal/rng"
 )
 
@@ -70,8 +72,8 @@ func Build(c *aes.Cipher, lines []Line) (*gpusim.Kernel, []Line, error) {
 const warpSize = 32
 
 // Builder builds kernels into storage it keeps across builds: the
-// kernel, its warp programs and instruction slices, one address slab
-// all the memory instructions' addresses are carved from, and the
+// kernel, its warp programs and instruction slices, one block slab
+// all the memory instructions' per-thread blocks are carved from, and the
 // per-thread lookup traces. A warmed builder allocates only each
 // build's output lines and kernel label, which the caller keeps. A
 // kernel a Builder returns is valid until its next build. The zero
@@ -116,12 +118,12 @@ func (b *Builder) build(lines []Line, rounds int, trace func([]byte, aes.Trace) 
 	b.reserve(numWarps, rounds)
 	slab := b.slab
 
-	// nextAddrs carves the next instruction's per-thread addresses from
+	// nextBlocks carves the next instruction's per-thread blocks from
 	// the slab; capped, so no append can run into its neighbour.
-	nextAddrs := func() []uint64 {
-		addrs := slab[:warpSize:warpSize]
+	nextBlocks := func() []uint64 {
+		blocks := slab[:warpSize:warpSize]
 		slab = slab[warpSize:]
-		return addrs
+		return blocks
 	}
 
 	// lineWords emits one 4-byte access per thread for each word of its
@@ -129,15 +131,15 @@ func (b *Builder) build(lines []Line, rounds int, trace func([]byte, aes.Trace) 
 	// first line).
 	lineWords := func(wp *gpusim.WarpProgram, kind gpusim.InstrKind, base uint64, lo int, active []bool) {
 		for word := 0; word < 4; word++ {
-			addrs := nextAddrs()
+			blocks := nextBlocks()
 			for t := 0; t < warpSize; t++ {
 				line := lo + t
 				if line >= len(lines) {
 					line = lo
 				}
-				addrs[t] = base + uint64(line)*LineBytes + uint64(word)*4
+				blocks[t] = mem.BlockOf(base + uint64(line)*LineBytes + uint64(word)*4)
 			}
-			wp.Instrs = append(wp.Instrs, gpusim.Instr{Kind: kind, Addrs: addrs, Active: active})
+			wp.Instrs = append(wp.Instrs, gpusim.Instr{Kind: kind, Blocks: blocks, Active: active})
 		}
 	}
 
@@ -175,17 +177,17 @@ func (b *Builder) build(lines []Line, rounds int, trace func([]byte, aes.Trace) 
 		for r := 1; r <= rounds; r++ {
 			wp.Instrs = append(wp.Instrs, gpusim.Instr{Kind: gpusim.RoundMark, Round: r})
 			for j := 0; j < 16; j++ {
-				addrs := nextAddrs()
+				blocks := nextBlocks()
 				for t := 0; t < warpSize; t++ {
 					if t < nActive {
 						lk := traces[t][r-1][j]
-						addrs[t] = TableAddr(lk.Table, lk.Index)
+						blocks[t] = mem.BlockOf(TableAddr(lk.Table, lk.Index))
 					} else {
-						addrs[t] = TableAddr(aes.T0, 0)
+						blocks[t] = mem.BlockOf(TableAddr(aes.T0, 0))
 					}
 				}
 				wp.Instrs = append(wp.Instrs, gpusim.Instr{
-					Kind: gpusim.Load, Addrs: addrs, Active: active, Round: r,
+					Kind: gpusim.Load, Blocks: blocks, Active: active, Round: r,
 				})
 				// XOR-accumulate after each word's four lookups.
 				if j%4 == 3 {
@@ -216,7 +218,8 @@ func kernelLabel(rounds int, label string, lines int) string {
 // kernel with the given round count. A warp issues 8 line accesses and
 // 16 lookups per round, each of warpSize addresses, plus an ALU
 // operation after every 4 lookups, a mark per round and two more
-// instructions around the rounds.
+// instructions around the rounds; each memory instruction carves
+// warpSize blocks from the slab.
 func (b *Builder) reserve(numWarps, rounds int) {
 	if n := numWarps * (8 + 16*rounds) * warpSize; cap(b.slab) < n {
 		b.slab = make([]uint64, n)

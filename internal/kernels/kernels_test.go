@@ -6,6 +6,7 @@ import (
 
 	"rcoal/internal/aes"
 	"rcoal/internal/gpusim"
+	"rcoal/internal/gpusim/mem"
 	"rcoal/internal/rng"
 )
 
@@ -95,8 +96,8 @@ func TestBuildStructure(t *testing.T) {
 	}
 	// Per warp: 4 pt loads + 10*16 lookups + 4 ct stores = 168 memory
 	// instructions; kernel-wide 336.
-	if got := k.MemInstrs(); got != 336 {
-		t.Errorf("MemInstrs = %d, want 336", got)
+	if got := memInstrs(k); got != 336 {
+		t.Errorf("memInstrs = %d, want 336", got)
 	}
 	// Last-round lookups target T4's address range.
 	w := k.Warps[0]
@@ -105,9 +106,9 @@ func TestBuildStructure(t *testing.T) {
 	for _, ins := range w.Instrs {
 		if ins.Kind == gpusim.Load && ins.Round == 10 {
 			seenLastRound++
-			for _, a := range ins.Addrs {
-				if a < t4lo || a > t4hi+3 {
-					t.Fatalf("last-round lookup at %#x outside T4", a)
+			for _, b := range ins.Blocks {
+				if b < mem.BlockOf(t4lo) || b > mem.BlockOf(t4hi) {
+					t.Fatalf("last-round lookup at block %#x outside T4", b)
 				}
 			}
 		}
@@ -266,8 +267,8 @@ func TestBuildSyntheticPatterns(t *testing.T) {
 		if err := k.Validate(32); err != nil {
 			t.Fatalf("%v: %v", p, err)
 		}
-		if len(k.Warps) != 2 || k.MemInstrs() != 16 {
-			t.Errorf("%v: %d warps, %d mem instrs", p, len(k.Warps), k.MemInstrs())
+		if len(k.Warps) != 2 || memInstrs(k) != 16 {
+			t.Errorf("%v: %d warps, %d mem instrs", p, len(k.Warps), memInstrs(k))
 		}
 	}
 }
@@ -284,8 +285,8 @@ func TestSyntheticPatternGeometry(t *testing.T) {
 				continue
 			}
 			blocks := map[uint64]bool{}
-			for _, a := range ins.Addrs {
-				blocks[a/64] = true
+			for _, b := range ins.Blocks {
+				blocks[b] = true
 			}
 			return len(blocks)
 		}
@@ -310,4 +311,17 @@ func TestPatternString(t *testing.T) {
 	if Sequential.String() != "sequential" || Pattern(99).String() != "unknown" {
 		t.Error("pattern names wrong")
 	}
+}
+
+// memInstrs counts the global-memory instructions in a kernel.
+func memInstrs(k *gpusim.Kernel) int {
+	n := 0
+	for _, w := range k.Warps {
+		for _, ins := range w.Instrs {
+			if ins.Kind == gpusim.Load || ins.Kind == gpusim.Store {
+				n++
+			}
+		}
+	}
+	return n
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"rcoal/internal/gpusim"
+	"rcoal/internal/gpusim/mem"
 	"rcoal/internal/rng"
 )
 
@@ -70,24 +71,26 @@ func BuildSynthetic(p Pattern, warps, loads int, seed uint64) (*gpusim.Kernel, e
 		wp.Instrs = append(wp.Instrs, gpusim.Instr{Kind: gpusim.RoundMark, Round: 1})
 		warpBase := SyntheticBase + uint64(w)*1<<20 // private region per warp
 		for l := 0; l < loads; l++ {
-			addrs := make([]uint64, warpSize)
+			blocks := make([]uint64, warpSize)
 			for t := 0; t < warpSize; t++ {
+				var addr uint64
 				switch p {
 				case Sequential:
-					addrs[t] = warpBase + uint64(l)*128 + uint64(t)*4
+					addr = warpBase + uint64(l)*128 + uint64(t)*4
 				case Strided:
-					addrs[t] = warpBase + uint64(l)*4096 + uint64(t)*64
+					addr = warpBase + uint64(l)*4096 + uint64(t)*64
 				case UniformRandom:
-					addrs[t] = warpBase + uint64(src.Intn(256))*4
+					addr = warpBase + uint64(src.Intn(256))*4
 				case Hotspot:
 					if src.Intn(8) == 0 {
-						addrs[t] = warpBase + uint64(src.Intn(16))*64
+						addr = warpBase + uint64(src.Intn(16))*64
 					} else {
-						addrs[t] = warpBase // the hot block
+						addr = warpBase // the hot block
 					}
 				}
+				blocks[t] = mem.BlockOf(addr)
 			}
-			wp.Instrs = append(wp.Instrs, gpusim.Instr{Kind: gpusim.Load, Addrs: addrs, Round: 1})
+			wp.Instrs = append(wp.Instrs, gpusim.Instr{Kind: gpusim.Load, Blocks: blocks, Round: 1})
 			wp.Instrs = append(wp.Instrs, gpusim.Instr{Kind: gpusim.ALU, Round: 1})
 		}
 		wp.Instrs = append(wp.Instrs, gpusim.Instr{Kind: gpusim.RoundMark, Round: 0})
