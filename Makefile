@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race cover bench bench-gate bench-json profile ci equiv experiments examples fuzz dist-smoke chaos frontier obs-smoke vet-mechanism clean
+.PHONY: all build test test-race cover bench bench-gate bench-json profile ci experiments examples fuzz dist-smoke chaos frontier obs-smoke vet-mechanism clean
 
 all: build test
 
@@ -17,7 +17,6 @@ ci: build test
 	$(GO) test -run TestFastForward ./internal/gpusim
 	$(GO) test -run 'TestRunSteadyStateAllocations|TestRecoverByteSteadyStateAllocations' -count=1 ./internal/gpusim ./internal/attack
 	$(GO) test -run TestHotPathAllocsPerRun -count=1 ./internal/metrics
-	$(MAKE) equiv EQUIV_SHORT=1
 	$(MAKE) bench-gate
 	$(GO) run ./cmd/rcoal encrypt -mechanism rss:8 -lines 32 \
 		-trace-out .bench_build/encrypt_trace.json -metrics-out .bench_build/encrypt_metrics.json
@@ -63,13 +62,6 @@ chaos:
 obs-smoke:
 	bash scripts/obs_smoke.sh
 
-# Differential-equivalence harness for the simulation accelerator,
-# copy-on-write prefix forking. EQUIV_SHORT=1 runs the PR-sized grid;
-# unset runs the full 6-mechanism x 3-subwarp-count x 3-seed matrix
-# (the main-branch gate).
-equiv:
-	$(GO) test $(if $(EQUIV_SHORT),-short) -v -count=1 ./internal/equiv/
-
 build:
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -90,18 +82,17 @@ bench:
 # workflow: the root package's benchmarks go to
 # $(BENCH_OUT)/bench_raw.txt, and rcoal-benchjson writes the report to
 # $(BENCH_OUT)/BENCH_gpusim.json. The X/XVanilla pairs are joined within
-# the run and gated: the prefix-forked sweep must hold >= 2x, and the
-# 1024-line and 32-line launches >= 2.0x each with fast-forward on than
-# with it off, the 32-line ones under the baseline defense and under
-# RSS+RTS(8), whose randomized reply trains dominate Figs. 15-17. A
-# 32-line launch takes under a millisecond, too short for one
-# iteration to time, so its pairs (all matched by SHORT_BENCH) run
-# apart at SHORT_BENCHTIME.
+# the run and gated: the 1024-line and 32-line launches must hold
+# >= 2.0x each with fast-forward on than with it off, the 32-line ones
+# under the baseline defense and under RSS+RTS(8), whose randomized
+# reply trains dominate Figs. 15-17. A 32-line launch takes under a
+# millisecond, too short for one iteration to time, so its pairs (all
+# matched by SHORT_BENCH) run apart at SHORT_BENCHTIME.
 BENCHTIME ?= 1x
 SHORT_BENCH = SimulatorEncrypt32Lines
 SHORT_BENCHTIME ?= 1000x
 BENCH_OUT ?= .bench_build
-MIN_SPEEDUPS = SelectiveMechanismSweep:2.0,SimulatorEncrypt1024Lines:2.0,SimulatorEncrypt32Lines:2.0,SimulatorEncrypt32LinesRSSRTS:2.0
+MIN_SPEEDUPS = SimulatorEncrypt1024Lines:2.0,SimulatorEncrypt32Lines:2.0,SimulatorEncrypt32LinesRSSRTS:2.0
 BENCH_REPORT = $(GO) run ./cmd/rcoal-benchjson -gpu-metrics -join-variant Vanilla -min-speedup '$(MIN_SPEEDUPS)'
 bench-gate:
 	mkdir -p $(BENCH_OUT)

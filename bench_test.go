@@ -9,13 +9,11 @@ package rcoal
 // the attack inner loop, the analytical model).
 
 import (
-	"fmt"
 	"testing"
 
 	"rcoal/internal/aes"
 	"rcoal/internal/attack"
 	"rcoal/internal/core"
-	"rcoal/internal/experiments"
 	"rcoal/internal/gpusim"
 	"rcoal/internal/kernels"
 	"rcoal/internal/rng"
@@ -76,60 +74,6 @@ func BenchmarkExtRealisticAttacker(b *testing.B) { runExperimentBench(b, "ext-re
 func BenchmarkExtSensitivity(b *testing.B)       { runExperimentBench(b, "ext-sensitivity", 5) }
 func BenchmarkExtEnergyModel(b *testing.B)       { runExperimentBench(b, "ext-energy", 30) }
 func BenchmarkExtNoiseStudy(b *testing.B)        { runExperimentBench(b, "ext-noise", 20) }
-
-// --- Accelerator benchmark ---------------------------------------------------
-
-// The X / XVanilla pair below measures the same workload with prefix
-// forking on and off; rcoal-benchjson -join-variant Vanilla turns the
-// pair into a before/after entry with a speedup, and CI gates on it
-// with -min-speedup (see Makefile `bench-gate`).
-
-// benchSelectiveSweep collects the ext-selective-sweep grid once per
-// iteration: the undefended reference plus every mechanism at
-// num-subwarp 2, 4, 8 and 32, 17 policies replaying one plaintext
-// stream. The forked variant simulates each sample's
-// mechanism-independent prefix once (ForkedCollect); the vanilla
-// variant collects every policy from scratch, as SelectiveSweep does
-// under a trace sink.
-func benchSelectiveSweep(b *testing.B, forked bool) {
-	b.Helper()
-	o := DefaultExperimentOptions()
-	const samples = 6
-	policies := []Mechanism{Baseline()}
-	for _, fam := range experiments.Families {
-		for _, m := range []int{2, 4, 8, 32} {
-			p, err := ParseMechanism(fmt.Sprintf("%s:%d", fam, m))
-			if err != nil {
-				b.Fatal(err)
-			}
-			policies = append(policies, p)
-		}
-	}
-	cfg := DefaultGPUConfig()
-	cfg.VulnerableRounds = []int{experiments.SelectiveSweepVulnerableRound}
-	for i := 0; i < b.N; i++ {
-		if forked {
-			if _, err := ForkedCollect(cfg, o.Key, policies, samples, o.Lines, o.Seed); err != nil {
-				b.Fatal(err)
-			}
-			continue
-		}
-		for _, p := range policies {
-			c := cfg
-			c.Defense = p
-			srv, err := NewServer(c, o.Key)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := srv.Collect(samples, o.Lines, o.Seed); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-func BenchmarkSelectiveMechanismSweep(b *testing.B)        { benchSelectiveSweep(b, true) }
-func BenchmarkSelectiveMechanismSweepVanilla(b *testing.B) { benchSelectiveSweep(b, false) }
 
 // --- Micro-benchmarks: building blocks ---------------------------------------
 

@@ -27,7 +27,7 @@
 //
 // -join-variant joins before/after pairs measured in the SAME run: for
 // every benchmark X with a sibling named X<suffix>, the sibling becomes
-// X's baseline. That is how the accelerator benchmarks publish their
+// X's baseline. That is how the fast-forward benchmarks publish their
 // speedup without needing a log from an older binary:
 //
 //	rcoal-benchjson -join-variant Vanilla bench.txt
@@ -35,7 +35,7 @@
 // -min-speedup turns joined speedups into a CI gate:
 //
 //	rcoal-benchjson -join-variant Vanilla \
-//	    -min-speedup SelectiveMechanismSweep:2.0 bench.txt
+//	    -min-speedup SimulatorEncrypt1024Lines:2.0 bench.txt
 //
 // writes the report, then exits nonzero if the named benchmark's
 // speedup is below the required ratio.

@@ -70,21 +70,14 @@ func (s *Server) EncryptCTR(nonce uint64, lines []kernels.Line, seed uint64) (*C
 	return &CTRSample{Sample: sample, Keystream: keystream}, nil
 }
 
-// run executes a prepared kernel and assembles the sample with the
-// given output lines.
+// run executes a prepared kernel and assembles the attacker-visible
+// sample with the given output lines.
 func (s *Server) run(kernel *gpusim.Kernel, outputs []kernels.Line, seed uint64) (*Sample, error) {
 	res, err := s.gpu.Run(kernel, seed)
 	if err != nil {
 		return nil, err
 	}
-	return newSample(s.cipher.Rounds(), outputs, res, s.gpu.Config()), nil
-}
-
-// newSample assembles the attacker-visible sample from a launch
-// result. Shared by the vanilla path (run) and the prefix-fork
-// collector (fork.go), so both paths report identically by
-// construction.
-func newSample(last int, outputs []kernels.Line, res *gpusim.Result, cfg gpusim.Config) *Sample {
+	last := s.cipher.Rounds()
 	sample := &Sample{
 		Ciphertexts:     outputs,
 		TotalCycles:     res.Cycles,
@@ -94,7 +87,7 @@ func newSample(last int, outputs []kernels.Line, res *gpusim.Result, cfg gpusim.
 		Plan:            res.Plan,
 		MSHRMerges:      res.MSHRMerges,
 		Metrics:         res.Metrics,
-		Energy:          gpusim.DefaultEnergyModel().Estimate(res, cfg).Total(),
+		Energy:          gpusim.DefaultEnergyModel().Estimate(res, s.gpu.Config()).Total(),
 	}
 	for _, d := range res.DRAM {
 		sample.DRAMAccesses += d.Accesses
@@ -105,7 +98,7 @@ func newSample(last int, outputs []kernels.Line, res *gpusim.Result, cfg gpusim.
 	for _, c := range res.L2 {
 		sample.L2Hits += c.Hits
 	}
-	return sample
+	return sample, nil
 }
 
 // RoundZeroKey returns the cipher's round-0 key — the target of the

@@ -8,8 +8,7 @@ import (
 
 // smallGoldenCases spans the Fig-class shapes: raw scatter (fig5),
 // full key recovery (fig6), the FSS sweep (fig7), the 1024-line case
-// study (fig18), and the selective sweep, which collects through
-// prefix forking.
+// study (fig18), and the selective sweep.
 var smallGoldenCases = []struct {
 	name string
 	slow bool // skipped under -short (1024-line launches)
@@ -28,10 +27,9 @@ var smallGoldenCases = []struct {
 }
 
 // TestSmallGoldenCSVs pins each case's CSV at goldenOptions against
-// its committed golden. A single flipped bit anywhere — fork state
-// leak, sample-assembly drift, a model change — fails the comparison.
-// The selective golden is written forked; its reference check against
-// per-policy collection is equiv.ForkExact.
+// its committed golden. A single flipped bit anywhere — state leaking
+// across launches, sample-assembly drift, a model change — fails the
+// comparison.
 func TestSmallGoldenCSVs(t *testing.T) {
 	for _, tc := range smallGoldenCases {
 		t.Run(tc.name, func(t *testing.T) {

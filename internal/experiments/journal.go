@@ -21,10 +21,6 @@ import (
 // differs from the current run would splice together results from
 // incompatible configurations, so checkpoint.Resume rejects the
 // mismatch.
-//
-// Prefix forking is deliberately NOT part of the fingerprint: it is
-// byte-identical by the internal/equiv contract, so forked and
-// per-policy runs may share journals and stored cells.
 type journalMeta struct {
 	// Format versions the cell encoding, so journals and stored cells
 	// of an older encoding never decode into the current one.

@@ -59,14 +59,11 @@ func TestRunSteadyStateAllocationsAcrossSeeds(t *testing.T) {
 }
 
 // selectiveRunAllocs pins the selective-RCoal (VulnerableRounds) Run:
-// the shared-plan count plus the whole-warp basePlan's two slices.
-const selectiveRunAllocs = steadyStateRunAllocs + 2
+// the shared-plan count plus the whole-warp plan's subwarp-id slice.
+const selectiveRunAllocs = steadyStateRunAllocs + 1
 
-// TestRunSelectiveSteadyStateAllocations proves the fork-off path adds
-// zero allocations: a plain selective Run — the configuration prefix
-// forking accelerates, run WITHOUT forking — stays at its pinned
-// count, so merely having the fork machinery in the binary costs
-// nothing when unused.
+// TestRunSelectiveSteadyStateAllocations pins a selective Run's
+// steady-state allocations.
 func TestRunSelectiveSteadyStateAllocations(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.VulnerableRounds = []int{3}
@@ -85,38 +82,6 @@ func TestRunSelectiveSteadyStateAllocations(t *testing.T) {
 	})
 	if avg > selectiveRunAllocs {
 		t.Errorf("steady-state selective Run allocates %.1f times per launch, pinned at %d",
-			avg, selectiveRunAllocs)
-	}
-}
-
-// TestRunAllocationsAfterFork proves forking leaves no allocation
-// residue: after a RunPrefix/RunFork cycle on a GPU, subsequent plain
-// Runs on the same GPU are back at the baseline pinned count.
-func TestRunAllocationsAfterFork(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.VulnerableRounds = []int{3}
-	g, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := randomKernel(5, 2, 3)
-	snap, err := g.RunPrefix(k, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.RunFork(snap); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.Run(k, 1); err != nil {
-		t.Fatal(err)
-	}
-	avg := testing.AllocsPerRun(20, func() {
-		if _, err := g.Run(k, 2); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if avg > selectiveRunAllocs {
-		t.Errorf("post-fork Run allocates %.1f times per launch, pinned at %d",
 			avg, selectiveRunAllocs)
 	}
 }

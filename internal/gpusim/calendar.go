@@ -39,10 +39,10 @@ func newCalendar(n int) *calendar {
 		members: make([]uint64, w), due: make([]uint64, w)}
 }
 
-// reset empties the calendar and makes each member due at cycle
-// start: a launch, and a fork resuming one, starts by stepping every
-// unit it steps at all. Other units never wake.
-func (c *calendar) reset(start int64, members []int, every bool) {
+// reset empties the calendar and makes each member due at cycle 0: a
+// launch starts by stepping every unit it steps at all. Other units
+// never wake.
+func (c *calendar) reset(members []int, every bool) {
 	clear(c.slots)
 	clear(c.members)
 	c.every = every
@@ -51,8 +51,8 @@ func (c *calendar) reset(start int64, members []int, every bool) {
 	}
 	for _, id := range members {
 		c.members[id>>6] |= 1 << (id & 63)
-		c.wake[id] = start
-		c.insert(id, start)
+		c.wake[id] = 0
+		c.insert(id, 0)
 	}
 }
 

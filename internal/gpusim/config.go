@@ -120,10 +120,6 @@ type Config struct {
 	// rounds coalesce with the baseline whole-warp plan. Empty means
 	// the policy applies to the entire execution, as in the paper.
 	VulnerableRounds []int
-	// PlanPerWarp draws an independent subwarp plan per warp instead
-	// of one per launch — an ablation on the hardware's randomization
-	// granularity.
-	PlanPerWarp bool
 	// Trace, when non-nil, receives the simulation's event timeline
 	// (issues, transactions, replies, retirements). Debugging aid;
 	// leave nil for full speed.

@@ -230,41 +230,6 @@ func (c *Controller) Schedule(bank, row int, at int64) int64 {
 	return colCmd + int64(c.timing.CL) + int64(c.timing.Burst)
 }
 
-// Snapshot is a controller's complete mid-launch state, captured for
-// copy-on-write prefix forking: its bank and bus timing and statistics.
-// A stalled controller's parked arrivals are not captured: forking
-// rejects fault injection.
-type Snapshot struct {
-	banks   []bankState
-	busFree int64
-	lastAct int64
-	stats   Stats
-}
-
-// Snapshot captures the controller's state.
-func (c *Controller) Snapshot() *Snapshot {
-	return &Snapshot{
-		banks:   append([]bankState(nil), c.banks...),
-		busFree: c.busFree,
-		lastAct: c.lastAct,
-		stats:   c.Stats,
-	}
-}
-
-// Restore rewinds the controller to the snapshot. The controller must
-// have the snapshot's bank count (same address map), which
-// fork-compatibility checks guarantee upstream.
-func (c *Controller) Restore(s *Snapshot) {
-	if len(c.banks) != len(s.banks) {
-		panic(fmt.Sprintf("dram: restore across bank counts (%d != %d)", len(c.banks), len(s.banks)))
-	}
-	copy(c.banks, s.banks)
-	c.parked = c.parked[:0]
-	c.busFree = s.busFree
-	c.lastAct = s.lastAct
-	c.Stats = s.stats
-}
-
 // Reset clears all bank, parked, and statistics state, keeping the
 // backing buffers, so one controller can serve many launches without
 // reallocating.

@@ -208,38 +208,6 @@ func TestVulnerableRoundsValidation(t *testing.T) {
 	}
 }
 
-func TestPlanPerWarpDiversifies(t *testing.T) {
-	// Identical per-warp programs: with one launch plan all warps
-	// produce identical access counts; with per-warp plans they split.
-	mk := func(perWarp bool) *Result {
-		cfg := DefaultConfig()
-		cfg.Defense = mechanism.RSSRTS(8)
-		cfg.PlanPerWarp = perWarp
-		g := mustGPU(t, cfg)
-		res, err := g.Run(aesLikeKernel(6, 10), 9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	shared := mk(false)
-	for i := 1; i < len(shared.Warps); i++ {
-		if shared.Warps[i].TotalTx != shared.Warps[0].TotalTx {
-			t.Fatal("shared plan produced differing per-warp counts on identical programs")
-		}
-	}
-	per := mk(true)
-	same := true
-	for i := 1; i < len(per.Warps); i++ {
-		if per.Warps[i].TotalTx != per.Warps[0].TotalTx {
-			same = false
-		}
-	}
-	if same {
-		t.Error("per-warp plans produced identical counts on all warps")
-	}
-}
-
 func TestCacheConfigValidationInGPU(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.L1Enabled = true

@@ -170,10 +170,6 @@ type warpRun struct {
 	blocked  bool // waiting on memory
 	curRound int
 	done     bool
-	// sub is the warp's subwarps (core.Subwarps): the launch's, or with
-	// PlanPerWarp its own, kept in own, whose storage survives resets.
-	sub *core.Subwarps
-	own core.Subwarps
 	// delayedPC marks the pc whose randomized issue delay (the defense's
 	// Delay hook) has already been drawn, so a retried instruction does
 	// not stall twice; -1 when no draw is pending.
@@ -190,9 +186,9 @@ type warpRun struct {
 	lastDone  int64
 }
 
-// reset prepares the warp state for a new launch under subwarps sub.
-func (w *warpRun) reset(prog *WarpProgram, sub *core.Subwarps) {
-	*w = warpRun{prog: prog, sub: sub, delayedPC: -1, sched: w.sched, own: w.own}
+// reset prepares the warp state for a new launch.
+func (w *warpRun) reset(prog *WarpProgram) {
+	*w = warpRun{prog: prog, delayedPC: -1, sched: w.sched}
 	for r := 0; r <= MaxRounds; r++ {
 		w.stats.RoundStart[r] = -1
 		w.stats.RoundEnd[r] = -1
@@ -242,7 +238,8 @@ type smState struct {
 	fewest  int
 	refresh bool
 	// drained is the cycle the SM's latest transaction leaves its LD/ST
-	// unit, when it settles them at issue (runState.settle).
+	// unit, when it settles them at issue (runState.settle); -1 at
+	// launch start.
 	drained int64
 	// batch holds the reply keys (replyQueue.key) of the lone warp's
 	// train when the launch batches it (runState.batch), in issue
@@ -288,8 +285,7 @@ type runState struct {
 	// no other SM to book a partition port or a DRAM bank between two
 	// of its transactions, the cycle drain would pop one is known when
 	// it is queued, and the memory side sees them in the same order.
-	// The loop sets it under skipIdle, except in a prefix (RunPrefix),
-	// whose snapshot keeps the inject queue stepping gives.
+	// The loop sets it under skipIdle.
 	settle bool
 	// batch is set when the settling launch is one warp and each
 	// delivery settles one reply (GPU.leadOcc) that no fault plan may
@@ -323,11 +319,10 @@ type runState struct {
 	// streams they did before the Mechanism seam existed.
 	defRNG *rng.Source
 	// sub is the launch plan's subwarps, which every warp coalesces
-	// with unless PlanPerWarp; basePlan is the whole-warp plan of the
-	// non-vulnerable rounds under selective RCoal, and baseSub its
-	// subwarps. Both are rebuilt per launch into the runtime's storage.
+	// with; baseSub is the whole-warp plan's, which the non-vulnerable
+	// rounds coalesce with under selective RCoal. Both are rebuilt per
+	// launch into the runtime's storage.
 	sub       core.Subwarps
-	basePlan  core.Plan
 	baseSub   core.Subwarps
 	roundMask [MaxRounds + 1]bool
 	selective bool
@@ -347,26 +342,16 @@ func (g *GPU) Run(k *Kernel, seed uint64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, _, err := g.loop(st, k, 0, false); err != nil {
+	if err := g.loop(st, k); err != nil {
 		return nil, err
 	}
 	g.finish(st)
 	return st.res, nil
 }
 
-// loop runs the cycle loop from cycle start until the launch
-// terminates, setting st.res.Cycles. With pauseAtVulnerable set it
-// instead returns (pausedAt, true, nil) at the top of the first cycle
-// where some ready warp's next real instruction belongs to a
-// vulnerable round, before any work of that cycle happens — the
-// copy-on-write fork point (fork.go). The predicate is a pure function
-// of simulator state, and no plan-dependent work of a vulnerable round
-// can have executed before it fires, so the pause cycle and the
-// pre-pause state are identical across mechanism configurations.
-// Fast-forward cannot jump past the boundary: a ready warp pins the
-// event horizon to now+1, and every skipped cycle provably has no
-// ready warps, where the predicate is vacuously false.
-func (g *GPU) loop(st *runState, k *Kernel, start int64, pauseAtVulnerable bool) (pausedAt int64, paused bool, err error) {
+// loop runs the cycle loop from cycle 0 until the launch terminates,
+// setting st.res.Cycles.
+func (g *GPU) loop(st *runState, k *Kernel) error {
 	maxCycles := g.cfg.MaxCycles
 	if maxCycles == 0 {
 		maxCycles = DefaultMaxCycles
@@ -382,40 +367,25 @@ func (g *GPU) loop(st *runState, k *Kernel, start int64, pauseAtVulnerable bool)
 	var lastProgress uint64
 	var stalled int64
 
-	st.cal.reset(start, st.warpSMs, !g.skipIdle)
-	st.settle = g.skipIdle && len(st.warpSMs) == 1 && !pauseAtVulnerable
+	st.cal.reset(st.warpSMs, !g.skipIdle)
+	st.settle = g.skipIdle && len(st.warpSMs) == 1
 	st.batch = st.settle && len(st.runs) == 1 && g.leadOcc != 0 && g.cfg.Faults == nil
-	if st.settle {
-		// A fork resumes with the inject queue its prefix paused with:
-		// it drains first, one transaction a cycle from start, and the
-		// transactions the SM issues from then on follow it.
-		last := start - 1
-		for st.anyDraining() {
-			last++
-			g.drain(st, last)
-		}
-		st.sms[st.warpSMs[0]].drained = last
-	}
-	for now := start; ; now++ {
+	for now := int64(0); ; now++ {
 		if now > maxCycles {
-			return 0, false, &MaxCyclesError{Kernel: k.Label, MaxCycles: maxCycles, Snapshot: g.snapshot(st, now, false)}
-		}
-		if pauseAtVulnerable && st.atVulnerableBoundary(now) {
-			g.catchUp(st, now-1) // the snapshot reads as stepping would
-			return now, true, nil
+			return &MaxCyclesError{Kernel: k.Label, MaxCycles: maxCycles, Snapshot: g.snapshot(st, now, false)}
 		}
 		due := st.cal.take(now)
 		g.drain(st, now)
 		g.stepSMs(st, now, due)
 		if st.remaining == 0 && st.idleSMs() {
 			st.res.Cycles = now
-			return 0, false, nil
+			return nil
 		}
 		if st.progress != lastProgress {
 			lastProgress = st.progress
 			stalled = 0
 		} else if stalled++; stalled >= window {
-			return 0, false, &NoProgressError{Kernel: k.Label, Cycle: now, Window: window, Snapshot: g.snapshot(st, now, true)}
+			return &NoProgressError{Kernel: k.Label, Cycle: now, Window: window, Snapshot: g.snapshot(st, now, true)}
 		}
 		if g.skipIdle {
 			// Event-driven fast-forward: when no SM can act before some
@@ -441,7 +411,7 @@ func (g *GPU) loop(st *runState, k *Kernel, start int64, pauseAtVulnerable bool)
 				// Warps remain unfinished yet nothing is in flight
 				// anywhere: no future step can change state. Report the
 				// wedge immediately instead of aging the watchdog.
-				return 0, false, &NoProgressError{Kernel: k.Label, Cycle: last, Snapshot: g.snapshot(st, last, true)}
+				return &NoProgressError{Kernel: k.Label, Cycle: last, Snapshot: g.snapshot(st, last, true)}
 			}
 			if next > now+1 {
 				if next > maxCycles {
@@ -476,31 +446,6 @@ func (g *GPU) finish(st *runState) {
 	}
 }
 
-// atVulnerableBoundary reports whether some ready warp's next real
-// (non-RoundMark) instruction belongs to a vulnerable round. tryIssue
-// consumes RoundMarks eagerly in the same issue slot as the following
-// instruction, so the scan mirrors exactly what the warp would issue
-// this cycle; a true result means issuing any further cycle could
-// execute plan-dependent work.
-func (st *runState) atVulnerableBoundary(now int64) bool {
-	for _, w := range st.runs {
-		if w.done || w.blocked || w.readyAt > now {
-			continue
-		}
-		for pc := w.pc; pc < len(w.prog.Instrs); pc++ {
-			ins := &w.prog.Instrs[pc]
-			if ins.Kind == RoundMark {
-				continue
-			}
-			if ins.Round >= 0 && ins.Round <= MaxRounds && st.roundMask[ins.Round] {
-				return true
-			}
-			break
-		}
-	}
-	return false
-}
-
 // nextEvent returns the earliest cycle strictly after now at which an
 // SM can act: its wake horizon, which bounds every source of a change
 // to its state once every inject queue is empty, as it is when the
@@ -525,8 +470,7 @@ func (g *GPU) setup(k *Kernel, seed uint64) (*runState, error) {
 	// The defense's launch state (for subwarp mechanisms, the
 	// subwarp-id mapping) is set by the hardware logic at the beginning
 	// of the execution and stays fixed for the launch (Section IV-D):
-	// one realization shared by every warp of the launch, unless
-	// PlanPerWarp asks for per-warp randomization.
+	// one realization shared by every warp of the launch.
 	hwRNG := rng.New(seed).Split(0xC0A1) // hardware stream; attackers never see it
 	launch, err := g.cfg.Defense.NewLaunch(g.cfg.WarpSize, hwRNG)
 	if err != nil {
@@ -561,27 +505,16 @@ func (g *GPU) setup(k *Kernel, seed uint64) (*runState, error) {
 		st.defRNG = rng.New(seed).Split(0xDE1A)
 	}
 	st.roundMask = [MaxRounds + 1]bool{}
-	st.basePlan = core.Plan{}
 	st.selective = len(g.cfg.VulnerableRounds) > 0
 	if st.selective {
-		st.basePlan = mechanism.WholeWarpPlan(g.cfg.WarpSize)
-		st.baseSub.Reset(st.basePlan)
+		st.baseSub.Reset(mechanism.WholeWarpPlan(g.cfg.WarpSize))
 		for _, r := range g.cfg.VulnerableRounds {
 			st.roundMask[r] = true
 		}
 	}
 	st.sub.Reset(launch.Plan)
 	for i, wp := range k.Warps {
-		w := st.runs[i]
-		w.reset(wp, &st.sub)
-		if g.cfg.PlanPerWarp {
-			wl, err := g.cfg.Defense.NewLaunch(g.cfg.WarpSize, hwRNG)
-			if err != nil {
-				return nil, err
-			}
-			w.own.Reset(wl.Plan)
-			w.sub = &w.own
-		}
+		st.runs[i].reset(wp)
 	}
 	return st, nil
 }
@@ -720,7 +653,7 @@ func (g *GPU) resetRuntime(st *runState, cacheRNG *rng.Source) {
 		}
 		sm.lead, sm.floor, sm.refresh = 0, 0, true
 		sm.batch, sm.batchAt, sm.batchNext = sm.batch[:0], sm.batchAt[:0], 0
-		sm.counted = -1
+		sm.counted, sm.drained = -1, -1
 		if sm.l1 != nil {
 			sm.l1.Reset(cacheRNG.Uint64())
 		}
@@ -1289,9 +1222,9 @@ func (g *GPU) delayIssue(st *runState, w *warpRun, now int64) bool {
 // instruction: the randomized plan everywhere by default; under
 // selective RCoal (VulnerableRounds) only the listed rounds are
 // randomized and the rest coalesce whole-warp.
-func (g *GPU) planFor(st *runState, w *warpRun, round int) *core.Subwarps {
+func (st *runState) planFor(round int) *core.Subwarps {
 	if !st.selective || (round >= 0 && round <= MaxRounds && st.roundMask[round]) {
-		return w.sub
+		return &st.sub
 	}
 	return &st.baseSub
 }
@@ -1326,11 +1259,11 @@ func (g *GPU) issueMemory(st *runState, sm *smState, smID int, w *warpRun, ins *
 		// Fused pass: block keys and Algorithm-1 group sizes in one
 		// coalescing scan, so metrics never re-run the MCU logic.
 		var sizes []int
-		txBlocks, sizes = g.planFor(st, w, ins.Round).CoalesceBlocks(ins.Blocks, ins.Active, txBlocks, m.sizeScratch[:0], true)
+		txBlocks, sizes = st.planFor(ins.Round).CoalesceBlocks(ins.Blocks, ins.Active, txBlocks, m.sizeScratch[:0], true)
 		m.observeSizes(sizes, round)
 		m.sizeScratch = sizes
 	default:
-		txBlocks, _ = g.planFor(st, w, ins.Round).CoalesceBlocks(ins.Blocks, ins.Active, txBlocks, nil, false)
+		txBlocks, _ = st.planFor(ins.Round).CoalesceBlocks(ins.Blocks, ins.Active, txBlocks, nil, false)
 	}
 	if st.launch.Shuffle != nil && len(txBlocks) > 1 {
 		// Access-pattern shuffling: transaction count (the coalescing

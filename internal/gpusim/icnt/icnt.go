@@ -101,20 +101,6 @@ func (x *Slots) Observe(dst int, now, at int64) {
 	x.DepthHist.Observe(int64(q.Len()))
 }
 
-// Snapshot returns the ports' next free slots: the direction's whole
-// mid-launch state, apart from the DepthHist bookkeeping.
-func (x *Slots) Snapshot() []int64 { return append([]int64(nil), x.nextSlot...) }
-
-// Restore rewinds the ports to a Snapshot of a direction with as many
-// ports.
-func (x *Slots) Restore(nextSlot []int64) {
-	if len(x.nextSlot) != len(nextSlot) {
-		panic(fmt.Sprintf("icnt: restore across port counts (%d != %d)", len(x.nextSlot), len(nextSlot)))
-	}
-	x.Reset()
-	copy(x.nextSlot, nextSlot)
-}
-
 // Reset frees every port, keeping the buffers for reuse.
 func (x *Slots) Reset() {
 	clear(x.nextSlot)

@@ -111,18 +111,18 @@ func TestAccessKindString(t *testing.T) {
 	}
 }
 
-// TestRequestIsValueCopyable guards the prefix-fork snapshot contract:
-// the simulator interns in-flight requests by *value* (gpusim's
-// PrefixSnapshot), which is only a deep copy while Request and its
-// fields contain no references. Adding a slice/map/pointer field to
-// Request must consciously extend the snapshot logic — this test makes
-// that omission loud.
+// TestRequestIsValueCopyable keeps Request a plain value: the
+// simulator's request arena reuses its slots across launches without
+// clearing them, so a slice/map/pointer field would keep what it
+// points at alive in the arena's storage, or alias it between a stale
+// slot and a fresh one. Adding one must consciously extend the arena —
+// this test makes that omission loud.
 func TestRequestIsValueCopyable(t *testing.T) {
 	var check func(path string, ty reflect.Type)
 	check = func(path string, ty reflect.Type) {
 		switch ty.Kind() {
 		case reflect.Pointer, reflect.Slice, reflect.Map, reflect.Chan, reflect.Func, reflect.Interface, reflect.UnsafePointer:
-			t.Errorf("%s has reference kind %s; value-interned snapshots would alias it", path, ty.Kind())
+			t.Errorf("%s has reference kind %s; reused arena slots would alias it", path, ty.Kind())
 		case reflect.Struct:
 			for i := 0; i < ty.NumField(); i++ {
 				f := ty.Field(i)

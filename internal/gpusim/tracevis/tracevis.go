@@ -21,13 +21,14 @@
 package tracevis
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"sync"
 
+	"rcoal/internal/atomicio"
 	"rcoal/internal/gpusim"
 )
 
@@ -140,18 +141,14 @@ func (x *Exporter) Export(w io.Writer) error {
 	return enc.Encode(out)
 }
 
-// WriteFile exports the trace into path (atomically enough for a
-// post-run artifact: written to completion, then closed).
+// WriteFile exports the trace atomically to path: a failed export
+// leaves path as it was.
 func (x *Exporter) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := x.Export(&buf); err != nil {
 		return err
 	}
-	if err := x.Export(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return atomicio.WriteFile(path, buf.Bytes(), 0o644)
 }
 
 // Meta builds one metadata ("M") record naming or ordering a track.

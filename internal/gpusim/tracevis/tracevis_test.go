@@ -155,9 +155,13 @@ func TestExportFromSimulation(t *testing.T) {
 func TestWriteFile(t *testing.T) {
 	x := New()
 	x.Emit(gpusim.Event{Cycle: 1, Kind: gpusim.EvIssue, SM: 0})
-	path := t.TempDir() + "/trace.json"
+	dir := t.TempDir()
+	path := dir + "/trace.json"
 	if err := x.WriteFile(path); err != nil {
 		t.Fatal(err)
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+		t.Errorf("directory holds %v (%v), want only the trace", entries, err)
 	}
 	raw, err := os.ReadFile(path)
 	if err != nil {

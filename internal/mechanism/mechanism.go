@@ -20,8 +20,7 @@
 //   - Stream stability: a mechanism that carries no subwarp
 //     randomization (whole-warp plan) must consume ZERO draws in
 //     NewLaunch. This is what keeps the subwarp mechanisms
-//     byte-identical through the refactor and what the prefix-fork
-//     accelerator's mechanism-independent-prefix argument rests on.
+//     byte-identical through the refactor.
 package mechanism
 
 import (
@@ -84,16 +83,6 @@ type Mechanism interface {
 	// corresponding attack). Invalid mechanisms error here too, so no
 	// path from untrusted input reaches a panic.
 	NewLaunch(warpSize int, r *rng.Source) (Launch, error)
-}
-
-// PlanOnly reports whether the mechanism realizes launches as a pure
-// subwarp plan — coalescing enabled, no per-request hooks. This is the
-// class the prefix-fork accelerator and the Section V analytical model
-// can reason about; the probe draws from a throwaway stream and never
-// touches hardware randomness.
-func PlanOnly(m Mechanism, warpSize int) bool {
-	l, err := m.NewLaunch(warpSize, rng.New(0))
-	return err == nil && !l.PerThread && !l.HasHooks()
 }
 
 // WholeWarpPlan returns the undefended plan: one subwarp holding every
@@ -182,8 +171,7 @@ func (s subwarp) NewLaunch(warpSize int, r *rng.Source) (Launch, error) {
 	}
 	// core.Config.Plan draws exactly the stream positions the
 	// pre-Mechanism simulator consumed, so refactored results stay
-	// byte-identical (pinned by internal/equiv and the experiment
-	// goldens).
+	// byte-identical (pinned by the experiment goldens).
 	p, err := c.Plan(r)
 	if err != nil {
 		return Launch{}, err

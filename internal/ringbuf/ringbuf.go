@@ -77,31 +77,6 @@ func (r *Ring[T]) Reset() {
 	r.head, r.n = 0, 0
 }
 
-// Snapshot appends the ring's elements to dst in FIFO order (head
-// first) and returns the extended slice. The ring itself is
-// unchanged. Together with Restore this is the ring's serialization
-// primitive for the simulator's copy-on-write prefix snapshots.
-func (r *Ring[T]) Snapshot(dst []T) []T {
-	for i := 0; i < r.n; i++ {
-		j := r.head + i
-		if j >= len(r.buf) {
-			j -= len(r.buf)
-		}
-		dst = append(dst, r.buf[j])
-	}
-	return dst
-}
-
-// Restore replaces the ring's contents with src in FIFO order (src[0]
-// becomes the head). The backing buffer is reused when large enough;
-// src is copied, never retained.
-func (r *Ring[T]) Restore(src []T) {
-	r.Reset()
-	for _, v := range src {
-		r.Push(v)
-	}
-}
-
 // grow doubles the capacity (starting at 8), unrolling the circular
 // contents into the front of the new buffer.
 func (r *Ring[T]) grow() {

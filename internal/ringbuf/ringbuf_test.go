@@ -1,10 +1,6 @@
 package ringbuf
 
-import (
-	"testing"
-
-	"rcoal/internal/rng"
-)
+import "testing"
 
 func TestFIFOOrder(t *testing.T) {
 	var r Ring[int]
@@ -120,89 +116,4 @@ func TestEmptyPanics(t *testing.T) {
 	}()
 	var r Ring[int]
 	r.Pop()
-}
-
-// TestSnapshotRestoreProperty drives a ring through random operation
-// sequences, snapshots it, keeps mutating, then restores — the
-// restored ring's drain order must match the snapshot, and restoring
-// into a fresh ring must behave identically (the property the
-// simulator's prefix forking relies on).
-func TestSnapshotRestoreProperty(t *testing.T) {
-	rnd := rng.New(31)
-	for trial := 0; trial < 50; trial++ {
-		var r Ring[int]
-		next := 0
-		for op := 0; op < 5+rnd.Intn(40); op++ {
-			if r.Len() > 0 && rnd.Intn(3) == 0 {
-				r.Pop()
-			} else {
-				r.Push(next)
-				next++
-			}
-		}
-		want := r.Snapshot(nil)
-		if len(want) != r.Len() {
-			t.Fatalf("trial %d: snapshot has %d elements, ring has %d", trial, len(want), r.Len())
-		}
-
-		// Mutate past the snapshot.
-		for op := 0; op < rnd.Intn(20); op++ {
-			if r.Len() > 0 && rnd.Intn(2) == 0 {
-				r.Pop()
-			} else {
-				r.Push(next)
-				next++
-			}
-		}
-
-		drain := func(r *Ring[int]) []int {
-			out := []int{}
-			for r.Len() > 0 {
-				out = append(out, r.Pop())
-			}
-			return out
-		}
-		r.Restore(want)
-		if got := drain(&r); !slicesEqual(got, want) {
-			t.Fatalf("trial %d: same-ring restore drained %v, want %v", trial, got, want)
-		}
-		var fresh Ring[int]
-		fresh.Restore(want)
-		if got := drain(&fresh); !slicesEqual(got, want) {
-			t.Fatalf("trial %d: fresh-ring restore drained %v, want %v", trial, got, want)
-		}
-	}
-}
-
-func slicesEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// TestSnapshotDoesNotMutate pins that Snapshot is read-only: the ring
-// drains identically whether or not it was snapshotted.
-func TestSnapshotDoesNotMutate(t *testing.T) {
-	var r Ring[int]
-	for i := 0; i < 13; i++ {
-		r.Push(i)
-	}
-	for i := 0; i < 5; i++ {
-		r.Pop() // wrap the head
-	}
-	for i := 13; i < 20; i++ {
-		r.Push(i)
-	}
-	snap := r.Snapshot(nil)
-	for i, want := 0, 5; r.Len() > 0; i, want = i+1, want+1 {
-		if got := r.Pop(); got != want || got != snap[i] {
-			t.Fatalf("pop %d = %d, want %d (snap %d)", i, got, want, snap[i])
-		}
-	}
 }

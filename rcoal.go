@@ -128,16 +128,6 @@ func NewServer(cfg GPUConfig, key []byte) (*Server, error) {
 	return aesgpu.NewServer(cfg, key)
 }
 
-// ForkedCollect gathers nSamples timing samples under EACH mechanism,
-// simulating the mechanism-independent prefix of every sample once and
-// forking it per mechanism (copy-on-write prefix forking). Requires
-// selective RCoal (cfg.VulnerableRounds non-empty) and plan-only
-// mechanisms (no per-request hooks); the datasets are byte-identical
-// to per-mechanism Server.Collect runs.
-func ForkedCollect(cfg GPUConfig, key []byte, mechs []Mechanism, nSamples, linesPer int, seed uint64) ([]*Dataset, error) {
-	return aesgpu.ForkedCollect(cfg, key, mechs, nSamples, linesPer, seed)
-}
-
 // RandomPlaintext draws n random plaintext lines from the seed.
 func RandomPlaintext(seed uint64, n int) []Line {
 	return kernels.RandomPlaintext(rng.New(seed), n)
