@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race cover bench bench-gate bench-json profile ci experiments examples fuzz dist-smoke chaos frontier obs-smoke vet-mechanism clean
+.PHONY: all build test test-race cover bench bench-gate bench-json profile ci experiments fuzz dist-smoke chaos frontier obs-smoke vet-mechanism clean
 
 all: build test
 
@@ -131,13 +131,6 @@ profile:
 experiments:
 	mkdir -p data
 	$(GO) run ./cmd/rcoal-experiments -run all -samples 100 -parallel 3 -csv data
-
-examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/keyrecovery
-	$(GO) run ./examples/ctrmode
-	$(GO) run ./examples/defensetuning
-	$(GO) run ./examples/largeplaintext
 
 fuzz:
 	$(GO) test -fuzz FuzzEncryptMatchesStdlib -fuzztime 30s ./internal/aes/

@@ -161,6 +161,9 @@ func run() int {
 	if err := opts.Validate(); err != nil {
 		return fail("-%s", strings.TrimPrefix(err.Error(), "experiments: "))
 	}
+	if *par < 1 {
+		return fail("-parallel %d: need >= 1", *par)
+	}
 	// One results store for the whole invocation, opened before any
 	// compute: the memory store of DefaultOptions, or with -cache a
 	// file. Experiments share the cells they have in common, and a
@@ -259,7 +262,7 @@ func run() int {
 		err     error
 	}
 	results := make([]outcome, len(ids))
-	sem := make(chan struct{}, max(1, *par))
+	sem := make(chan struct{}, *par)
 	var wg sync.WaitGroup
 	for i, id := range ids {
 		wg.Add(1)

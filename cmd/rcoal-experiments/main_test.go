@@ -205,6 +205,7 @@ func TestBadOptionsFailFast(t *testing.T) {
 		{"zero lines", []string{"-lines", "0"}, "-lines 0"},
 		{"short key", []string{"-key", "short"}, "-key"},
 		{"negative workers", []string{"-workers", "-1"}, "-workers -1"},
+		{"zero parallel", []string{"-parallel", "0"}, "-parallel 0"},
 		{"zero lines fig18", []string{"-run", "fig18", "-lines", "0"}, "-lines 0"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

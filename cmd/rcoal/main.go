@@ -8,7 +8,7 @@
 //	rcoal encrypt -mechanism rss+rts:8 -lines 32
 //	rcoal attack  -mechanism fss:4 -samples 200 -service ctr
 //	rcoal sweep   -m 1,2,4,8,16
-//	rcoal theory
+//	rcoal theory  -n 32 -r 16 -absolute
 //	rcoal list
 package main
 
@@ -19,6 +19,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"time"
 
 	"rcoal"
 	"rcoal/internal/experiments"
@@ -68,7 +69,7 @@ commands:
   encrypt          run one AES encryption on the simulated GPU and report timing
   attack           mount the correlation timing attack against a defended server
   sweep            security/performance grid over all mechanisms and subwarp counts
-  theory           print the Table II analytical security model
+  theory           evaluate the Section V security model (Table II) at any N, R, M
   list             list reproducible paper experiments (see rcoal-experiments)
   list-mechanisms  list the registered defense mechanisms and their spec grammar
 
@@ -253,13 +254,9 @@ func cmdSweep(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var mvals []int
-	for _, part := range strings.Split(*ms, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || v < 1 || v > 32 || 32%v != 0 {
-			return fmt.Errorf("bad num-subwarp %q (must divide 32)", part)
-		}
-		mvals = append(mvals, v)
+	mvals, err := parseSubwarpCounts(*ms, 32)
+	if err != nil {
+		return err
 	}
 	o := rcoal.DefaultExperimentOptions()
 	o.Samples = *samples
@@ -288,16 +285,107 @@ func cmdListMechanisms() error {
 	return nil
 }
 
+// cmdTheory evaluates the Section V analytical security model at any
+// (N, R, M) point: the paper's Table II by default, or one defense
+// spec's rho with -mechanism.
 func cmdTheory(args []string) error {
 	fs := flag.NewFlagSet("theory", flag.ExitOnError)
+	n := fs.Int("n", 32, "threads per warp (N)")
+	r := fs.Int("r", 16, "memory blocks per lookup table (R)")
+	ms := fs.String("m", "1,2,4,8,16,32", "comma-separated subwarp counts (M)")
+	mechSpec := fs.String("mechanism", "", "evaluate one defense spec (e.g. rss+rts:8) instead of the Table II grid")
+	alpha := fs.Float64("alpha", 0.99, "attack success rate for absolute sample counts")
+	absolute := fs.Bool("absolute", false, "also print absolute samples via Equation 4")
+	progress := fs.Bool("progress", false, "report per-row compute time on stderr (the partition sums get slow at large N)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	o := rcoal.DefaultExperimentOptions()
-	out, err := rcoal.RunExperiment("table2", o)
+	if *absolute && !(*alpha > 0 && *alpha < 1) {
+		return fmt.Errorf("-alpha %v: need 0 < alpha < 1", *alpha)
+	}
+
+	md, err := rcoal.NewSecurityModel(*n, *r)
 	if err != nil {
 		return err
 	}
-	fmt.Print(out)
+
+	if *mechSpec != "" {
+		mech, err := rcoal.ParseMechanism(*mechSpec)
+		if err != nil {
+			return err
+		}
+		rho, ok := md.RhoFor(mech)
+		if !ok {
+			fmt.Printf("%s: the Section V model has no closed form for this mechanism;\n"+
+				"measure it empirically (rcoal-experiments -run ext-defense-frontier).\n", mech.Name())
+			return nil
+		}
+		fmt.Printf("%s: analytic rho = %s (N=%d, R=%d)\n", mech.Name(), report.FormatFloat(rho, 4), *n, *r)
+		if *absolute {
+			fmt.Printf("samples for a successful attack (Equation 4, alpha=%.2f): %s\n",
+				*alpha, report.FormatFloat(rcoal.SamplesForAttack(rho, *alpha), 0))
+		}
+		return nil
+	}
+
+	mvals, err := parseSubwarpCounts(*ms, *n)
+	if err != nil {
+		return err
+	}
+	// Rows are independent, so computing them one M at a time costs
+	// nothing and lets -progress time each (the Σ_F sum enumerates all
+	// partitions of N, which grows fast: 8349 at N=32, 1.7M at N=64).
+	var rows []rcoal.SecurityRow
+	for _, m := range mvals {
+		start := time.Now()
+		rows = append(rows, md.Table2([]int{m})...)
+		if *progress {
+			fmt.Fprintf(os.Stderr, "rcoal: M=%d done in %v\n", m, time.Since(start).Round(time.Millisecond))
+		}
+	}
+	t := &report.Table{
+		Title: fmt.Sprintf("Analytical security model, N=%d threads, R=%d blocks (S normalized to M=1)", *n, *r),
+		Headers: []string{"M", "rho FSS", "rho FSS+RTS", "rho RSS+RTS",
+			"S FSS+RTS", "S RSS+RTS"},
+	}
+	for _, row := range rows {
+		t.AddRow(row.M,
+			report.FormatFloat(row.RhoFSS, 2),
+			report.FormatFloat(row.RhoFSSRTS, 4),
+			report.FormatFloat(row.RhoRSSRTS, 4),
+			report.FormatFloat(row.SFSSRTS, 0),
+			report.FormatFloat(row.SRSSRTS, 0))
+	}
+	fmt.Print(t.String())
+
+	if *absolute {
+		t2 := &report.Table{
+			Title:   fmt.Sprintf("\nAbsolute samples for a successful attack (Equation 4, alpha=%.2f)", *alpha),
+			Headers: []string{"M", "samples FSS+RTS", "samples RSS+RTS"},
+		}
+		for _, row := range rows {
+			t2.AddRow(row.M,
+				report.FormatFloat(rcoal.SamplesForAttack(row.RhoFSSRTS, *alpha), 0),
+				report.FormatFloat(rcoal.SamplesForAttack(row.RhoRSSRTS, *alpha), 0))
+		}
+		fmt.Print(t2.String())
+	}
 	return nil
+}
+
+// parseSubwarpCounts parses a comma-separated list of subwarp counts,
+// each of which must divide the warp size n (FSS needs equal subwarps).
+func parseSubwarpCounts(spec string, n int) ([]int, error) {
+	var mvals []int
+	for _, part := range strings.Split(spec, ",") {
+		v, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil || v < 1 || v > n {
+			return nil, fmt.Errorf("bad M value %q", part)
+		}
+		if n%v != 0 {
+			return nil, fmt.Errorf("M=%d does not divide N=%d (FSS needs equal subwarps)", v, n)
+		}
+		mvals = append(mvals, v)
+	}
+	return mvals, nil
 }

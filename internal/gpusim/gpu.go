@@ -319,9 +319,9 @@ type runState struct {
 	// streams they did before the Mechanism seam existed.
 	defRNG *rng.Source
 	// sub is the launch plan's subwarps, which every warp coalesces
-	// with; baseSub is the whole-warp plan's, which the non-vulnerable
-	// rounds coalesce with under selective RCoal. Both are rebuilt per
-	// launch into the runtime's storage.
+	// with, rebuilt per launch into the runtime's storage; baseSub is
+	// the whole-warp plan's, which the non-vulnerable rounds coalesce
+	// with under selective RCoal, built once with the runtime.
 	sub       core.Subwarps
 	baseSub   core.Subwarps
 	roundMask [MaxRounds + 1]bool
@@ -504,14 +504,6 @@ func (g *GPU) setup(k *Kernel, seed uint64) (*runState, error) {
 		// before the Mechanism seam existed (the byte-identity contract).
 		st.defRNG = rng.New(seed).Split(0xDE1A)
 	}
-	st.roundMask = [MaxRounds + 1]bool{}
-	st.selective = len(g.cfg.VulnerableRounds) > 0
-	if st.selective {
-		st.baseSub.Reset(mechanism.WholeWarpPlan(g.cfg.WarpSize))
-		for _, r := range g.cfg.VulnerableRounds {
-			st.roundMask[r] = true
-		}
-	}
 	st.sub.Reset(launch.Plan)
 	for i, wp := range k.Warps {
 		st.runs[i].reset(wp)
@@ -574,6 +566,16 @@ func (g *GPU) build(nWarps int) (*runState, error) {
 		sm.batchAt = make([]int64, 0, g.cfg.WarpSize)
 		if len(g.train.words) < trainWords {
 			g.train.words = make([]uint64, trainWords)
+		}
+	}
+
+	// Selective RCoal's whole-warp subwarps and round mask depend only
+	// on the configuration, so every launch of this runtime shares them.
+	st.selective = len(g.cfg.VulnerableRounds) > 0
+	if st.selective {
+		st.baseSub.Reset(mechanism.WholeWarpPlan(g.cfg.WarpSize))
+		for _, r := range g.cfg.VulnerableRounds {
+			st.roundMask[r] = true
 		}
 	}
 

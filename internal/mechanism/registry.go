@@ -1,6 +1,6 @@
 // The mechanism registry: one table mapping CLI spec keywords to
-// constructors, shared by every binary (rcoal, rcoal-experiments,
-// rcoal-theory) so the spec grammar exists in exactly one place.
+// constructors, shared by every binary (rcoal, rcoal-experiments) so
+// the spec grammar exists in exactly one place.
 //
 // Grammar: keyword[:arg[:arg]] — e.g. "baseline", "fss:4",
 // "fss+rts:8", "rss-normal:4:1.5", "delay:64", "shuffle", "nocoal".

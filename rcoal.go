@@ -20,8 +20,9 @@
 //
 // This file is the public facade: type aliases and constructors over
 // the internal packages, so downstream users interact with one stable
-// surface. The examples/ directory shows typical usage; the cmd/
-// directory ships CLI tools built on the same API.
+// surface. The Example functions in example_test.go show typical
+// usage, and go test checks what they print; the cmd/ directory ships
+// CLI tools built on the same API.
 package rcoal
 
 import (
@@ -164,10 +165,6 @@ type ByteResult = attack.ByteResult
 func NewAttacker(defense Mechanism, seed uint64) (*Attacker, error) {
 	return attack.New(defense, seed)
 }
-
-// BaselineAttacker returns the original attack of Jiang et al.
-// (whole-warp coalescing assumed).
-func BaselineAttacker(seed uint64) *Attacker { return attack.Baseline(seed) }
 
 // NewDecryptAttacker builds a corresponding attack against a GPU
 // *decryption* service: the observed lines are recovered plaintexts

@@ -58,9 +58,6 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if atk.Name() == "" {
 		t.Error("attacker unnamed")
 	}
-	if BaselineAttacker(1) == nil {
-		t.Error("no baseline attacker")
-	}
 }
 
 func TestFacadeTheoryAndMetrics(t *testing.T) {
