@@ -130,7 +130,7 @@ profile:
 # sample count, writing CSV data files under data/.
 experiments:
 	mkdir -p data
-	$(GO) run ./cmd/rcoal-experiments -run all -samples 100 -parallel 3 -csv data
+	$(GO) run ./cmd/rcoal-experiments -run all -samples 100 -csv data
 
 fuzz:
 	$(GO) test -fuzz FuzzEncryptMatchesStdlib -fuzztime 30s ./internal/aes/

@@ -9,6 +9,10 @@
 // completion in a durable ledger (-journal, required), and renders the
 // same reports and CSVs — byte-identically, at any worker count.
 //
+// -workers is the one concurrency knob: it bounds the experiments run
+// at once and each one's cells at once (serve mode: grids open for
+// leasing; worker mode: leased cells), 0 = GOMAXPROCS, 1 = serial.
+//
 // Usage:
 //
 //	rcoal-experiments -list
@@ -41,11 +45,10 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
+	"runtime/debug"
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -69,8 +72,7 @@ var (
 	seed     = flag.Uint64("seed", 0x8C0A1, "master random seed")
 	key      = flag.String("key", "RCoal eval key 1", "AES key (16/24/32 bytes)")
 	csvDir   = flag.String("csv", "", "directory to write <id>.csv data files into (optional)")
-	par      = flag.Int("parallel", 1, "experiments to run concurrently (they are independent and deterministic); in serve mode, experiments whose grids are open for leasing")
-	workers  = flag.Int("workers", 0, "cells evaluated concurrently inside each experiment; 0 = GOMAXPROCS, 1 = serial (results are identical at any setting)")
+	workers  = flag.Int("workers", 0, "experiments run at once, and cells evaluated at once inside each; in serve mode, grids open for leasing; 0 = GOMAXPROCS, 1 = serial (results are identical at any setting)")
 	prog     = flag.Bool("progress", false, "report per-experiment cell progress on stderr; in worker mode, the lease lifecycle as key=value text events (unless -log-json)")
 	jdir     = flag.String("journal", "", "directory for per-experiment checkpoint journals (<id>.journal); completed cells survive crashes; in serve mode also the lease ledger, and required")
 	resume   = flag.Bool("resume", false, "resume from existing journals, skipping journaled cells (requires -journal)")
@@ -160,9 +162,6 @@ func run() int {
 	opts.Mechanisms = mechSpecs
 	if err := opts.Validate(); err != nil {
 		return fail("-%s", strings.TrimPrefix(err.Error(), "experiments: "))
-	}
-	if *par < 1 {
-		return fail("-parallel %d: need >= 1", *par)
 	}
 	// One results store for the whole invocation, opened before any
 	// compute: the memory store of DefaultOptions, or with -cache a
@@ -261,47 +260,49 @@ func run() int {
 		elapsed float64
 		err     error
 	}
+	// Each outcome, a panic included, is recorded rather than returned,
+	// so a failure never cancels the experiments beside it and every
+	// failure is reported below. MapN's error is dropped: no experiment
+	// returns one and its context is never canceled.
 	results := make([]outcome, len(ids))
-	sem := make(chan struct{}, *par)
-	var wg sync.WaitGroup
-	for i, id := range ids {
-		wg.Add(1)
-		go func(i int, id string) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			start := time.Now()
-			o := opts
-			o.Journal = journals[i]
-			if coord != nil {
-				o.Exec = dist.NewExec(coord.s, id, o.Journal, o.Cache)
+	_ = (runner.Pool{Workers: *workers}).MapN(context.Background(), len(ids), func(_ context.Context, i int) error {
+		id := ids[i]
+		defer func() {
+			if v := recover(); v != nil {
+				results[i] = outcome{err: fmt.Errorf("panic: %v\n%s", v, debug.Stack())}
 			}
-			if *prog {
-				o.Progress = func(done, total int) {
-					fmt.Fprintf(os.Stderr, "%s: %d/%d cells\n", id, done, total)
-					logger.Debug("progress", "experiment", id, "done", done, "total", total)
+		}()
+		start := time.Now()
+		o := opts
+		o.Journal = journals[i]
+		if coord != nil {
+			o.Exec = dist.NewExec(coord.s, id, o.Journal, o.Cache)
+		}
+		if *prog {
+			o.Progress = func(done, total int) {
+				fmt.Fprintf(os.Stderr, "%s: %d/%d cells\n", id, done, total)
+				logger.Debug("progress", "experiment", id, "done", done, "total", total)
+			}
+		}
+		res, err := experiments.Run(id, o)
+		if err != nil {
+			results[i] = outcome{err: err}
+			return nil
+		}
+		out := res.Render()
+		if *csvDir != "" {
+			if c, ok := res.(experiments.CSVer); ok {
+				path := filepath.Join(*csvDir, id+".csv")
+				if err := atomicio.WriteFile(path, []byte(c.CSV()), 0o644); err != nil {
+					results[i] = outcome{err: err}
+					return nil
 				}
+				out += fmt.Sprintf("(data written to %s)\n", path)
 			}
-			res, err := experiments.Run(id, o)
-			if err != nil {
-				results[i] = outcome{err: err}
-				return
-			}
-			out := res.Render()
-			if *csvDir != "" {
-				if c, ok := res.(experiments.CSVer); ok {
-					path := filepath.Join(*csvDir, id+".csv")
-					if werr := atomicio.WriteFile(path, []byte(c.CSV()), 0o644); werr != nil {
-						results[i] = outcome{err: werr}
-						return
-					}
-					out += fmt.Sprintf("(data written to %s)\n", path)
-				}
-			}
-			results[i] = outcome{report: out, elapsed: time.Since(start).Seconds()}
-		}(i, id)
-	}
-	wg.Wait()
+		}
+		results[i] = outcome{report: out, elapsed: time.Since(start).Seconds()}
+		return nil
+	})
 
 	if coord != nil {
 		coord.finish()
@@ -360,7 +361,7 @@ func checkModeFlags() error {
 				err = fmt.Errorf("-%s is only for -worker", f.Name)
 			}
 		case "list", "run", "csv", "journal", "resume", "trace-out",
-			"samples", "lines", "seed", "key", "parallel", "heartbeat", "mechanisms":
+			"samples", "lines", "seed", "key", "heartbeat", "mechanisms":
 			// A lease carries the run options (samples through
 			// mechanisms); the rest select, write or pace local and
 			// serve runs.
@@ -493,10 +494,7 @@ func runWorker() int {
 		}
 		id = fmt.Sprintf("%s:%d", host, os.Getpid())
 	}
-	concurrency := *workers
-	if concurrency <= 0 {
-		concurrency = runtime.GOMAXPROCS(0)
-	}
+	concurrency := runner.Workers(*workers)
 	logger, dumpFlight := newEventLog(*logJSON, *prog, *logLevel, *flight, "", "role", "worker", "worker", id)
 	w := &dist.Worker{
 		Coordinator:    *worker,

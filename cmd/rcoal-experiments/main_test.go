@@ -147,24 +147,35 @@ func requireFailFast(t *testing.T, wantErr string, args ...string) {
 	}
 }
 
-// TestStdoutDeterministic: the stdout report carries no wall time, so
-// two runs of the same experiments print identical bytes.
+// TestStdoutDeterministic: the stdout report carries no wall time and
+// keeps -run order, so the same experiments print identical bytes
+// serially (-workers 1) and with experiments and cells running
+// concurrently (the default). The second list mixes a cell grid
+// (fig7), a scatter figure (fig8) and an experiment with no grid
+// (ext-selective).
 func TestStdoutDeterministic(t *testing.T) {
-	var outs [2]string
-	for i := range outs {
-		cmd := exec.Command(os.Args[0], "-run", "table2,fig9")
-		cmd.Env = append(os.Environ(), mainEnv+"=1")
-		out, err := cmd.Output()
-		if err != nil {
-			t.Fatalf("run %d: %v", i, err)
+	for _, run := range [][]string{
+		{"-run", "table2,fig9"},
+		{"-run", "fig7,fig8,ext-selective", "-samples", "20"},
+	} {
+		var outs [2]string
+		for i, extra := range [][]string{{"-workers", "1"}, nil} {
+			cmd := exec.Command(os.Args[0], append(append([]string{}, run...), extra...)...)
+			cmd.Env = append(os.Environ(), mainEnv+"=1")
+			out, err := cmd.Output()
+			if err != nil {
+				t.Fatalf("%q %q: %v", run, extra, err)
+			}
+			outs[i] = string(out)
 		}
-		outs[i] = string(out)
-	}
-	if !strings.Contains(outs[0], "=== table2 ===") || !strings.Contains(outs[0], "=== fig9 ===") {
-		t.Fatalf("report lacks an experiment header:\n%s", outs[0])
-	}
-	if outs[0] != outs[1] {
-		t.Errorf("stdout differs between runs:\n%s\nvs\n%s", outs[0], outs[1])
+		for _, id := range strings.Split(run[1], ",") {
+			if !strings.Contains(outs[0], "=== "+id+" ===") {
+				t.Fatalf("%q: report lacks the %s header:\n%s", run, id, outs[0])
+			}
+		}
+		if outs[0] != outs[1] {
+			t.Errorf("%q: stdout differs between -workers 1 and the default:\n%s\nvs\n%s", run, outs[0], outs[1])
+		}
 	}
 }
 
@@ -205,7 +216,6 @@ func TestBadOptionsFailFast(t *testing.T) {
 		{"zero lines", []string{"-lines", "0"}, "-lines 0"},
 		{"short key", []string{"-key", "short"}, "-key"},
 		{"negative workers", []string{"-workers", "-1"}, "-workers -1"},
-		{"zero parallel", []string{"-parallel", "0"}, "-parallel 0"},
 		{"zero lines fig18", []string{"-run", "fig18", "-lines", "0"}, "-lines 0"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -309,7 +319,6 @@ func TestModeFlagsFailFast(t *testing.T) {
 		{"lines worker", worker, []string{"-lines", "8"}, "-lines does not apply to -worker"},
 		{"seed worker", worker, []string{"-seed", "7"}, "-seed does not apply to -worker"},
 		{"key worker", worker, []string{"-key", "RCoal eval key 2"}, "-key does not apply to -worker"},
-		{"parallel worker", worker, []string{"-parallel", "2"}, "-parallel does not apply to -worker"},
 		{"heartbeat worker", worker, []string{"-heartbeat", "1s"}, "-heartbeat does not apply to -worker"},
 		{"mechanisms worker", worker, []string{"-mechanisms", "baseline"}, "-mechanisms does not apply to -worker"},
 		{"worker cache is a file", worker, []string{"-cache", file}, "-cache"},

@@ -17,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -159,6 +160,15 @@ func cmdAttack(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// Bad options fail here, before the collecting line and any launch.
+	switch {
+	case *samples < 2:
+		return fmt.Errorf("-samples %d: the attack correlates, so it needs >= 2", *samples)
+	case *lines < 1:
+		return fmt.Errorf("-lines %d: need >= 1", *lines)
+	case !slices.Contains([]string{"encrypt", "decrypt", "ctr"}, *service):
+		return fmt.Errorf("-service %q: unknown (want encrypt, decrypt, or ctr)", *service)
+	}
 
 	policy, err := rcoal.ParseMechanism(*mech)
 	if err != nil {
@@ -217,8 +227,6 @@ func cmdAttack(args []string) error {
 		if atk, err = rcoal.NewAttacker(policy, *seed^0xA77ACC); err != nil {
 			return err
 		}
-	default:
-		return fmt.Errorf("unknown service %q (want encrypt, decrypt, or ctr)", *service)
 	}
 	kr, err := atk.RecoverKey(cts, times)
 	if err != nil {

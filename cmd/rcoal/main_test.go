@@ -72,3 +72,38 @@ func TestTheoryGolden(t *testing.T) {
 		})
 	}
 }
+
+// TestAttackBadOptionsFailFast: `rcoal attack` rejects a bad -samples,
+// -lines or -service with exit 1, naming the flag, before it prints
+// the collecting line or simulates a launch.
+func TestAttackBadOptionsFailFast(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		args    []string
+		wantErr string
+	}{
+		{"negative samples", []string{"-samples", "-1"}, "-samples -1"},
+		{"zero samples", []string{"-samples", "0"}, "-samples 0"},
+		{"one sample", []string{"-samples", "1"}, "-samples 1"},
+		{"zero lines", []string{"-lines", "0"}, "-lines 0"},
+		{"unknown service", []string{"-service", "bogus"}, `-service "bogus"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cmd := exec.Command(os.Args[0], append([]string{"attack"}, tc.args...)...)
+			cmd.Env = append(os.Environ(), mainEnv+"=1")
+			var stdout, stderr strings.Builder
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
+			err := cmd.Run()
+			var ee *exec.ExitError
+			if !errors.As(err, &ee) || ee.ExitCode() != 1 {
+				t.Fatalf("exit = %v, want code 1; stderr:\n%s", err, stderr.String())
+			}
+			if !strings.Contains(stderr.String(), tc.wantErr) {
+				t.Errorf("stderr does not contain %q:\n%s", tc.wantErr, stderr.String())
+			}
+			if stdout.Len() != 0 {
+				t.Errorf("stdout before the failure:\n%s", stdout.String())
+			}
+		})
+	}
+}

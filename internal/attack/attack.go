@@ -55,14 +55,13 @@ type Attacker struct {
 
 	// nibTab[m][c] = indexFn(c, m) >> 4, the memory-block nibble of
 	// the final-round table index for ciphertext byte c under guess m.
-	// Built lazily on the first RecoverByte and immutable afterwards,
-	// so clones share it.
+	// Built lazily on the first RecoverByte and immutable afterwards.
 	nibTab *[256][256]uint8
 
 	// estBuf and dyBuf are per-attacker scratch for RecoverByte
 	// (estimation vector and centered measurements), reused across
 	// byte positions so a full key recovery does not allocate per
-	// guess. Never shared between clones.
+	// guess.
 	estBuf, dyBuf []float64
 }
 
@@ -113,33 +112,6 @@ func Baseline(seed uint64) *Attacker {
 
 // Name describes the attack, e.g. "attack[RSS+RTS(8)]".
 func (a *Attacker) Name() string { return "attack[" + a.mech.Name() + "]" }
-
-// Warm precomputes the plan cache for n samples. Warming before
-// Clone lets sibling workers share the derivation cost: clones copy
-// the warmed cache and never recompute those plans.
-func (a *Attacker) Warm(n int) {
-	if n > 0 {
-		a.plan(n - 1)
-	}
-}
-
-// Clone returns an independent attacker with the same assumed
-// mechanism, seed, and index function, plus a copy of the plan cache
-// derived so far. Because plans are a pure function of (seed, sample index),
-// a clone's estimates are byte-identical to its parent's — but each
-// clone owns its cache growth, so clones may run on sibling
-// goroutines while the parent and other clones stay untouched. The
-// nibble table is shared when already built (it is immutable);
-// scoring scratch buffers are never shared.
-func (a *Attacker) Clone() *Attacker {
-	return &Attacker{
-		mech:      a.mech,
-		seed:      a.seed,
-		indexFn:   a.indexFn,
-		planCache: append([]core.Plan(nil), a.planCache...),
-		nibTab:    a.nibTab,
-	}
-}
 
 // nibbleTable returns the lazily built 64 KiB lookup table
 // nibTab[m][c] = indexFn(c, m) >> 4. Tabulating the index derivation

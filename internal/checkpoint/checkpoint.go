@@ -115,6 +115,7 @@ type Journal struct {
 	f      *os.File // nil for a memory-only journal
 	seen   map[string]json.RawMessage
 	leases map[string]Lease
+	claims map[string]chan struct{} // keys being computed; see Claim
 
 	// Discarded counts journal lines dropped on resume because they
 	// were malformed or failed their checksum. The corresponding cells
@@ -381,6 +382,37 @@ func (j *Journal) RecordOnce(key string, value any) (recorded bool, err error) {
 	}
 	j.seen[key] = v
 	return true, nil
+}
+
+// Claim returns the result recorded under key, if any. Otherwise it
+// either claims key for the caller, returning a nil wait (the caller
+// computes and records the key, then must Release it), or, while
+// another caller holds the claim, returns a wait channel closed at its
+// Release. Callers that need a key at the same time thus compute it
+// once. Safe for concurrent use.
+func (j *Journal) Claim(key string) (v json.RawMessage, wait <-chan struct{}) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if v, ok := j.seen[key]; ok {
+		return v, nil
+	}
+	if c, held := j.claims[key]; held {
+		return nil, c
+	}
+	if j.claims == nil {
+		j.claims = make(map[string]chan struct{})
+	}
+	j.claims[key] = make(chan struct{})
+	return nil, nil
+}
+
+// Release ends the caller's claim on key, waking the callers waiting
+// for it.
+func (j *Journal) Release(key string) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	close(j.claims[key])
+	delete(j.claims, key)
 }
 
 // Record journals value (marshaled to JSON) under key and syncs it to

@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 
+	"rcoal/internal/checkpoint"
 	"rcoal/internal/gpusim"
 	"rcoal/internal/runner"
 )
@@ -194,5 +198,85 @@ func TestSharedCellsComputedOnce(t *testing.T) {
 	cells(o, []int{21, 25, 21})
 	if ran != 67 {
 		t.Errorf("fault hook saw %d cells, want 67", ran)
+	}
+}
+
+// TestConcurrentBatchesShareCells: two batches on one store that need
+// the same cells at once compute each of them once. The second batch,
+// enumerated while the first is computing, leaves every cell to the
+// first and takes its bytes; if the first fails, the second fails too
+// instead of returning cells without bytes.
+func TestConcurrentBatchesShareCells(t *testing.T) {
+	var ran atomic.Int64
+	grid := func() []GridCell {
+		cells := make([]GridCell, 3)
+		for i := range cells {
+			key := fmt.Sprintf("c%d", i)
+			cells[i] = GridCell{Index: i, Key: key, ID: "shared/" + key, Run: func() (json.RawMessage, error) {
+				ran.Add(1)
+				return json.RawMessage(`"` + key + `"`), nil
+			}}
+		}
+		return cells
+	}
+	type result struct {
+		raws []json.RawMessage
+		err  error
+	}
+	for _, fail := range []bool{false, true} {
+		ran.Store(0)
+		store := checkpoint.NewMemory()
+		computing, release := make(chan struct{}), make(chan struct{})
+		first, second := make(chan result, 1), make(chan result, 1)
+		go func() {
+			cells := grid()
+			raws, err := RunBatch(DefaultOptions(), nil, store, cells, func(b Batch, done func(int, json.RawMessage) error) error {
+				close(computing)
+				<-release
+				if fail {
+					return errors.New("cell failed")
+				}
+				for _, i := range b.Todo {
+					raw, err := cells[i].Run()
+					if err != nil {
+						return err
+					}
+					if err := done(i, raw); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			first <- result{raws, err}
+		}()
+		<-computing
+		var todo []int
+		go func() {
+			raws, err := RunBatch(DefaultOptions(), nil, store, grid(), func(b Batch, _ func(int, json.RawMessage) error) error {
+				todo = b.Todo
+				close(release)
+				return nil
+			})
+			second <- result{raws, err}
+		}()
+		a, b := <-first, <-second
+		if len(todo) != 0 {
+			t.Errorf("fail=%v: second batch computed cells %v the first was computing", fail, todo)
+		}
+		if fail {
+			if a.err == nil || b.err == nil || !strings.Contains(b.err.Error(), "concurrent run") {
+				t.Errorf("first batch failed (%v), second returned %v, want an error naming the concurrent run", a.err, b.err)
+			}
+			continue
+		}
+		if a.err != nil || b.err != nil {
+			t.Fatalf("errors: %v, %v", a.err, b.err)
+		}
+		if n := ran.Load(); n != 3 {
+			t.Errorf("%d cells computed, want 3", n)
+		}
+		if !slices.EqualFunc(a.raws, b.raws, func(x, y json.RawMessage) bool { return bytes.Equal(x, y) }) {
+			t.Errorf("second batch got %q, first %q", b.raws, a.raws)
+		}
 	}
 }

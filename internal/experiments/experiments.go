@@ -11,7 +11,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
@@ -171,29 +170,13 @@ func ciphertexts(ds *aesgpu.Dataset) [][]kernels.Line {
 // for the *correct* byte value and the measurement vector — the metric
 // of Figures 7b, 15, and 18a. It avoids the 256-guess sweep that the
 // full recovery performs.
-//
-// The per-byte estimations fan out over up to `workers` clones of the
-// attacker (each clone owns its plan cache; the shared cache is warmed
-// first). The correlations are summed in byte order, so the result is
-// bit-identical to the serial loop at any worker count.
-func avgCorrectCorrelation(a *attack.Attacker, cts [][]kernels.Line, meas []float64, trueKey [16]byte, workers int) (float64, error) {
-	a.Warm(len(cts))
-	var rs [attack.KeyBytes]float64
-	err := (runner.Pool{Workers: workers}).MapN(context.Background(), attack.KeyBytes,
-		func(_ context.Context, j int) error {
-			u := a.Clone().EstimationVector(cts, j, trueKey[j])
-			r, err := stats.Pearson(u, meas)
-			if err != nil {
-				return err
-			}
-			rs[j] = r
-			return nil
-		})
-	if err != nil {
-		return 0, err
-	}
+func avgCorrectCorrelation(a *attack.Attacker, cts [][]kernels.Line, meas []float64, trueKey [16]byte) (float64, error) {
 	sum := 0.0
-	for _, r := range rs {
+	for j := 0; j < attack.KeyBytes; j++ {
+		r, err := stats.Pearson(a.EstimationVector(cts, j, trueKey[j]), meas)
+		if err != nil {
+			return 0, err
+		}
 		sum += r
 	}
 	return sum / attack.KeyBytes, nil
@@ -206,23 +189,10 @@ func avgCorrectCorrelation(a *attack.Attacker, cts [][]kernels.Line, meas []floa
 // observed access counts; randomization drives it down. It is the
 // cleanest single number for "can the access count be predicted at
 // all".
-// Like avgCorrectCorrelation, the per-byte estimations fan out over
-// attacker clones and are accumulated in byte order, keeping the
-// result identical at any worker count.
-func fullKeyEstimateCorrelation(a *attack.Attacker, cts [][]kernels.Line, meas []float64, trueKey [16]byte, workers int) (float64, error) {
-	a.Warm(len(cts))
-	var us [attack.KeyBytes][]float64
-	err := (runner.Pool{Workers: workers}).MapN(context.Background(), attack.KeyBytes,
-		func(_ context.Context, j int) error {
-			us[j] = a.Clone().EstimationVector(cts, j, trueKey[j])
-			return nil
-		})
-	if err != nil {
-		return 0, err
-	}
+func fullKeyEstimateCorrelation(a *attack.Attacker, cts [][]kernels.Line, meas []float64, trueKey [16]byte) (float64, error) {
 	total := make([]float64, len(cts))
 	for j := 0; j < attack.KeyBytes; j++ {
-		for n, v := range us[j] {
+		for n, v := range a.EstimationVector(cts, j, trueKey[j]) {
 			total[n] += v
 		}
 	}

@@ -86,7 +86,7 @@ func ExtSelective(o Options) (*ExtSelectiveResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		corr, err := fullKeyEstimateCorrelation(atk, ciphertexts(ds), ds.ObservedLastRoundTx(), srv.LastRoundKey(), o.Workers)
+		corr, err := fullKeyEstimateCorrelation(atk, ciphertexts(ds), ds.ObservedLastRoundTx(), srv.LastRoundKey())
 		if err != nil {
 			return nil, err
 		}
@@ -323,7 +323,7 @@ func ExtRSSDist(o Options) (*ExtRSSDistResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		row.FullKeyCorr, err = fullKeyEstimateCorrelation(atk, ciphertexts(ds), ds.ObservedLastRoundTx(), srv.LastRoundKey(), o.Workers)
+		row.FullKeyCorr, err = fullKeyEstimateCorrelation(atk, ciphertexts(ds), ds.ObservedLastRoundTx(), srv.LastRoundKey())
 		if err != nil {
 			return nil, err
 		}

@@ -55,14 +55,12 @@ func measureFig18(o Options, defense mechanism.Mechanism) (fig18Measure, error) 
 	if err != nil {
 		return fig18Measure{}, err
 	}
-	// The grid saturates the pool, so the per-key-byte loops stay
-	// serial.
 	cts := ciphertexts(ds)
 	obs := ds.ObservedLastRoundTx()
-	if mm.AvgCorrectCorr, err = avgCorrectCorrelation(atk, cts, obs, srv.LastRoundKey(), 1); err != nil {
+	if mm.AvgCorrectCorr, err = avgCorrectCorrelation(atk, cts, obs, srv.LastRoundKey()); err != nil {
 		return fig18Measure{}, err
 	}
-	mm.FullKeyCorr, err = fullKeyEstimateCorrelation(atk, cts, obs, srv.LastRoundKey(), 1)
+	mm.FullKeyCorr, err = fullKeyEstimateCorrelation(atk, cts, obs, srv.LastRoundKey())
 	return mm, err
 }
 

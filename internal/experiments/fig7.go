@@ -53,7 +53,7 @@ func Fig7(o Options) (*Fig7Result, error) {
 
 			atk := attack.Baseline(o.Seed ^ 0xF55)
 			row.BaselineAttackCorr, err = avgCorrectCorrelation(
-				atk, ciphertexts(ds), ds.LastRoundTimes(), srv.LastRoundKey(), 1)
+				atk, ciphertexts(ds), ds.LastRoundTimes(), srv.LastRoundKey())
 			if err != nil {
 				return Fig7Row{}, err
 			}

@@ -137,10 +137,8 @@ func DefenseFrontier(o Options) (*FrontierResult, error) {
 			if err != nil {
 				return out{}, err
 			}
-			// The grid saturates the pool, so the per-key-byte loop
-			// inside each cell stays serial (workers = 1).
 			cell.AvgCorrectCorr, err = avgCorrectCorrelation(
-				atk, ciphertexts(ds), ds.LastRoundTimes(), srv.LastRoundKey(), 1)
+				atk, ciphertexts(ds), ds.LastRoundTimes(), srv.LastRoundKey())
 			if err != nil {
 				return out{}, err
 			}

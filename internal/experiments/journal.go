@@ -161,7 +161,8 @@ type Batch struct {
 	// Restored counts the cells the run journal answered by key.
 	Restored int
 	// CacheHits counts the cells answered by ID: from the results
-	// store, or from an earlier cell of the batch with the same ID.
+	// store, from a concurrent batch computing the same ID, or from an
+	// earlier cell of the batch with the same ID.
 	CacheHits int
 	// CacheMisses counts the cells the store was asked for and lacked.
 	CacheMisses int
@@ -171,9 +172,11 @@ type Batch struct {
 // through; compute does the rest. Cells already in the run journal are
 // restored by key; cells in the results store are copied into the
 // journal and restored by ID; a cell whose ID an earlier cell of the
-// batch already has takes that cell's bytes once they exist, is
-// journaled under its own key, and counts as a store hit. Restores and
-// store hits are reported to Telemetry outside the rate window.
+// batch, or a concurrent batch on the same store, is computing takes
+// those bytes once they exist, is journaled under its own key, and
+// counts as a store hit. If that concurrent batch fails, so does this
+// one. Restores and store hits are reported to Telemetry outside the
+// rate window.
 //
 // compute must compute the cells of b.Todo and hand each result to
 // done(i, raw), where i indexes cells. done may be called from any
@@ -204,13 +207,17 @@ func RunBatch(o Options, journal, store *checkpoint.Journal, cells []GridCell,
 		return err
 	}
 	b := Batch{Todo: make([]int, 0, len(cells))}
-	first := map[string]int{}  // ID -> first cell of the batch with it
-	repeats := map[int][]int{} // first cell still to compute -> later cells with its ID
-	pending := 0
+	first := map[string]int{} // ID -> first cell of the batch with it
+	// repeats maps a first cell not yet answered to the later cells
+	// with its ID, led by itself when another batch on the store has
+	// claimed it (waits). A batch waits only after releasing its own
+	// claims, so two batches never wait on each other.
+	repeats := map[int][]int{}
+	waits := make([]<-chan struct{}, len(cells))
 	for i, c := range cells {
 		f, repeat := first[c.ID]
 		if !repeat {
-			first[c.ID] = i
+			f, first[c.ID] = i, i
 		}
 		if journal != nil {
 			if raw, ok := journal.Lookup(c.Key); ok {
@@ -223,22 +230,27 @@ func RunBatch(o Options, journal, store *checkpoint.Journal, cells []GridCell,
 			b.Todo = append(b.Todo, i)
 			continue
 		}
-		raw, ok := raws[f], repeat
+		raw := raws[f]
 		if !repeat {
-			raw, ok = store.Lookup(c.ID)
-		}
-		if !ok {
-			b.CacheMisses++
-			b.Todo = append(b.Todo, i)
-			continue
+			var wait <-chan struct{}
+			if raw, wait = store.Claim(c.ID); wait != nil {
+				waits[i] = wait
+			} else if raw == nil {
+				b.CacheMisses++
+				b.Todo = append(b.Todo, i)
+				continue
+			}
 		}
 		b.CacheHits++
 		if raw == nil {
 			repeats[f] = append(repeats[f], i)
-			pending++
 		} else if err := take(i, raw); err != nil {
 			return nil, err
 		}
+	}
+	pending := 0
+	for _, f := range b.Todo {
+		pending += len(repeats[f])
 	}
 	if t := o.Telemetry; t != nil {
 		if n := b.Restored + b.CacheHits; n > 0 {
@@ -273,8 +285,33 @@ func RunBatch(o Options, journal, store *checkpoint.Journal, cells []GridCell,
 		}
 		return nil
 	}
-	if err := compute(b, done); err != nil {
+	err := func() error {
+		if store != nil { // every cell of b.Todo holds a claim
+			defer func() {
+				for _, i := range b.Todo {
+					store.Release(cells[i].ID)
+				}
+			}()
+		}
+		return compute(b, done)
+	}()
+	if err != nil {
 		return nil, err
+	}
+	for f, wait := range waits {
+		if wait == nil {
+			continue
+		}
+		<-wait
+		raw, ok := store.Lookup(cells[f].ID)
+		if !ok {
+			return nil, fmt.Errorf("experiments: cell %s: the concurrent run computing it failed", cells[f].Key)
+		}
+		for _, k := range repeats[f] {
+			if err := take(k, raw); err != nil {
+				return nil, err
+			}
+		}
 	}
 	return raws, nil
 }

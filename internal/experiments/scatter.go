@@ -88,8 +88,7 @@ func ScatterExperiment(o Options, fam string, id string) (*ScatterResult, error)
 			if err != nil {
 				return ScatterPanel{}, err
 			}
-			// Few panels, so spare workers go to the per-key-byte loop.
-			avg, err := avgCorrectCorrelation(atk, cts, times, lrk, o.Workers)
+			avg, err := avgCorrectCorrelation(atk, cts, times, lrk)
 			if err != nil {
 				return ScatterPanel{}, err
 			}

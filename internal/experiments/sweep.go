@@ -107,10 +107,8 @@ func measureSweep(o Options, defense mechanism.Mechanism) (sweepMeasure, error) 
 	if err != nil {
 		return sweepMeasure{}, err
 	}
-	// The grid saturates the pool, so the per-key-byte loop inside
-	// each cell stays serial (workers = 1).
 	mm.AvgCorrectCorr, err = avgCorrectCorrelation(
-		atk, ciphertexts(ds), ds.LastRoundTimes(), srv.LastRoundKey(), 1)
+		atk, ciphertexts(ds), ds.LastRoundTimes(), srv.LastRoundKey())
 	return mm, err
 }
 

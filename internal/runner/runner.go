@@ -45,10 +45,6 @@ type Pool struct {
 	// Workers bounds concurrent cells; <= 0 means GOMAXPROCS. 1 gives
 	// fully serial execution (useful for determinism baselines).
 	Workers int
-	// OnProgress, when non-nil, is called after each completed cell
-	// with the completion count so far and the total. Calls are
-	// serialized, so the callback needs no locking of its own.
-	OnProgress func(done, total int)
 	// Telemetry, when non-nil, receives live per-cell runtime stats
 	// (timings, failures, worker occupancy). One Telemetry may be
 	// shared across pools; see its docs.
@@ -78,7 +74,6 @@ func (p Pool) MapN(ctx context.Context, n int, fn func(ctx context.Context, i in
 		next     atomic.Int64
 		wg       sync.WaitGroup
 		mu       sync.Mutex
-		done     int
 		firstIdx = -1
 		firstErr error
 	)
@@ -108,12 +103,6 @@ func (p Pool) MapN(ctx context.Context, n int, fn func(ctx context.Context, i in
 					cancel()
 					return
 				}
-				mu.Lock()
-				done++
-				if p.OnProgress != nil {
-					p.OnProgress(done, n)
-				}
-				mu.Unlock()
 			}
 		}()
 	}

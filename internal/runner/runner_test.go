@@ -169,26 +169,6 @@ func TestCancellationMidSweep(t *testing.T) {
 	}
 }
 
-func TestProgressCallback(t *testing.T) {
-	var calls []int
-	total := 0
-	p := Pool{Workers: 3, OnProgress: func(done, n int) {
-		calls = append(calls, done) // serialized by contract
-		total = n
-	}}
-	if err := p.MapN(context.Background(), 7, func(_ context.Context, i int) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if total != 7 || len(calls) != 7 {
-		t.Fatalf("progress calls %v (total %d)", calls, total)
-	}
-	for i, done := range calls {
-		if done != i+1 {
-			t.Fatalf("progress counts %v not monotonic", calls)
-		}
-	}
-}
-
 // TestPanicRecoveredAsError: a panicking cell must surface as a
 // *PanicError carrying its index and stack, cancel in-flight siblings,
 // and leak no goroutines — not crash the process.
